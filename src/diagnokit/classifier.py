@@ -59,8 +59,8 @@ class FeatureVector:
 class MlpModel:
     """Weights plus the training-set standardization that inputs pass through.
 
-    ``kept`` masks out zero-variance training features; ``mean``/``sd`` apply
-    to the kept features only.
+    ``kept`` masks out features constant over the training split;
+    ``mean``/``sd`` apply to the kept features only.
     """
 
     w1: np.ndarray
@@ -336,9 +336,9 @@ def _stratified_split(labels: np.ndarray, val_fraction: float,
 def train(features: list[FeatureVector], labels, config: TrainConfig) -> TrainResult:
     """Fit the MLP; deterministic given ``config.seed``.
 
-    Standardization statistics come from the training split only;
-    zero-variance features are dropped and recorded. Returns the weights with
-    the best validation loss seen.
+    Standardization statistics come from the training split only; features
+    constant over the training split are dropped and recorded. Returns the
+    weights with the best validation loss seen.
     """
     y = np.asarray(labels, dtype=np.float64)
     if len(features) != y.size or y.size < 4:
@@ -356,7 +356,8 @@ def train(features: list[FeatureVector], labels, config: TrainConfig) -> TrainRe
 
     mean_all = x_raw[train_idx].mean(axis=0)
     sd_all = x_raw[train_idx].std(axis=0, ddof=0)
-    kept = sd_all > 0
+    # a column of equal values can still get sd ~1e-17 from rounding in std
+    kept = np.ptp(x_raw[train_idx], axis=0) > 0
     dropped = tuple(n for n, k in zip(features[0].names, kept) if not k)
     d = int(kept.sum())
     if d == 0:

@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=1, help="currently has no effect")
 
     p = sub.add_parser("simulate", help="generate a synthetic ground-truth bundle")
     common(p)
@@ -324,19 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _set_threads(n: int) -> None:
-    import warnings
-
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # threading-layer probe warnings
-            import numba
-
-            numba.set_num_threads(max(1, min(n, numba.config.NUMBA_NUM_THREADS)))
-    except ImportError:
-        pass
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -344,7 +331,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; the contract wants 1
         return 0 if exc.code in (0, None) else 1
-    _set_threads(args.threads)
     try:
         args.func(args)
     except DiagnokitError as exc:

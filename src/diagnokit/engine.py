@@ -14,6 +14,7 @@ moments and redraws them through a Normal / Inverse-Wishart step.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +89,26 @@ def z_conditional(prior: GenePrior, x_gi: float, meta: SampleMeta,
     return mean, cov
 
 
+def _align_metas(samples: list[str], metas: list[SampleMeta]) -> list[SampleMeta]:
+    """Order ``metas`` like the bulk columns, joining on ``sample_id``."""
+    counts = Counter(m.sample_id for m in metas)
+    duplicated = [s for s, n in counts.items() if n > 1]
+    missing = [s for s in samples if s not in counts]
+    known = set(samples)
+    extra = [s for s in counts if s not in known]
+    if duplicated or missing or extra:
+        raise ValidationError(
+            "sample metas must match the bulk samples one to one: "
+            f"duplicated {duplicated[:5]}, missing {missing[:5]}, extra {extra[:5]}")
+    by_id = {m.sample_id: m for m in metas}
+    return [by_id[s] for s in samples]
+
+
 def _stack_inputs(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleMeta]):
     G, N = bulk.n_genes, bulk.n_samples
     if len(priors) != G:
         raise ValidationError(f"expected {G} priors, got {len(priors)}")
-    if len(metas) != N:
-        raise ValidationError(f"expected {N} sample metas, got {len(metas)}")
+    metas = _align_metas(bulk.samples, metas)
     by_gene = {p.gene for p in priors}
     if by_gene != set(bulk.genes):
         raise ValidationError("priors do not cover the bulk gene set")
@@ -103,11 +118,13 @@ def _stack_inputs(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleM
     for p in priors:
         if p.n_cell_types != C:
             raise ValidationError("inconsistent prior dimension")
-    w = np.stack([m.proportions for m in metas]) if metas else np.zeros((0, C))
+    w = np.stack([m.proportions for m in metas])
     if w.shape[1] != C:
         raise ValidationError("meta proportions dimension does not match priors")
-    c1 = np.stack([m.bulk_cov for m in metas]) if metas else np.zeros((0, 0))
-    c2 = np.stack([m.cts_cov for m in metas]) if metas else np.zeros((0, 0))
+    if len({(m.bulk_cov.size, m.cts_cov.size) for m in metas}) > 1:
+        raise ValidationError("sample metas disagree on covariate lengths")
+    c1 = np.stack([m.bulk_cov for m in metas])
+    c2 = np.stack([m.cts_cov for m in metas])
     mu = np.stack([p.mu for p in priors])
     sigma = np.stack([p.sigma for p in priors])
     sig_inv = np.linalg.inv(sigma)
@@ -127,22 +144,21 @@ def _run_sweep(state: ChainState, x, w, c1, c2, sig_inv, sig_inv_mu,
     eps_coef = rng.standard_normal((G, max(p, 1)))[:, :p]
     gamma_draws = rng.gamma(hyper.noise_a0 + 0.5 * N, 1.0, G)
     sweep_fn(x, w, c1, c2, sig_inv, sig_inv_mu, state.z, state.gamma, state.b,
-             state.noise_var, eps_z, np.ascontiguousarray(eps_coef), gamma_draws,
+             state.noise_var, eps_z, eps_coef, gamma_draws,
              1.0 / hyper.coef_prior_var, hyper.noise_b0,
              hyper.update_coef, hyper.update_noise)
     state.iteration += 1
 
 
 def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: list[GenePrior],
-                metas: list[SampleMeta], hyper: HyperParams | None = None,
-                backend: str | None = None) -> ChainState:
+                metas: list[SampleMeta], hyper: HyperParams | None = None) -> ChainState:
     """Advance the chain by one full sweep (z, then coefficients, then noise)."""
     hyper = hyper or HyperParams()
     _, w, c1, c2, _, _, sig_inv, sig_inv_mu, _ = _stack_inputs(bulk, priors, metas)
     if state.z.shape != (bulk.n_genes, bulk.n_samples, w.shape[1]):
         raise ValidationError("chain state z shape does not match inputs")
     _run_sweep(state, bulk.values, w, c1, c2, sig_inv, sig_inv_mu, hyper,
-               resolve_backend(backend))
+               resolve_backend())
     return state
 
 
@@ -192,7 +208,6 @@ def split_rhat(chains: list[np.ndarray]) -> float:
 def run_mcmc(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleMeta],
              config: RefinementConfig, seed: int,
              hyper: HyperParams | None = None,
-             backend: str | None = None,
              cell_types: list[str] | None = None) -> PosteriorSummary:
     """Multi-chain Gibbs sampling with pooled posterior moments and R-hat."""
     hyper = hyper or HyperParams()
@@ -202,7 +217,7 @@ def run_mcmc(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleMeta],
     C = w.shape[1]
     if cell_types is None:
         cell_types = [f"ct{j}" for j in range(C)]
-    sweep_fn = resolve_backend(backend)
+    sweep_fn = resolve_backend()
     x = bulk.values
     kept = config.iters - config.burnin
     master = np.random.SeedSequence(entropy=(seed, 0xD1A6))
@@ -293,7 +308,7 @@ def refine_priors(summary: PosteriorSummary, priors: list[GenePrior],
 def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection,
                metas: list[SampleMeta], config: RefinementConfig, seed: int,
                shrinkage: float = DEFAULT_SHRINKAGE,
-               hyper: HyperParams | None = None, backend: str | None = None,
+               hyper: HyperParams | None = None,
                round_summaries: list | None = None) -> PosteriorSummary:
     """Full pipeline: priors -> restrict to selected genes -> iterated MCMC.
 
@@ -303,9 +318,9 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
     """
     cell_types = ref.cell_types
     C = len(cell_types)
-    bulk_genes = set(bulk.genes)
+    bulk_genes, known_types = set(bulk.genes), set(cell_types)
     for g, c in selection.pairs:
-        if g not in bulk_genes or c not in set(cell_types):
+        if g not in bulk_genes or c not in known_types:
             raise ValidationError(f"selected pair ({g!r}, {c!r}) outside bulk/reference axes")
     ref_gene_index = {g: i for i, g in enumerate(ref.genes)}
     missing = [g for g in bulk.genes if g not in ref_gene_index]
@@ -313,52 +328,39 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
         raise ValidationError(f"bulk genes absent from reference: {missing[:5]}")
 
     priors_all = {p.gene: p for p in estimate_priors(ref, shrinkage, seed=seed)}
-    sampled_genes = [g for g in bulk.genes if any((g, c) in selection.pairs
-                                                  for c in cell_types)]
-    ct_index = {c: j for j, c in enumerate(cell_types)}
-
-    G = bulk.n_genes
-    N = bulk.n_samples
-    mean = np.empty((G, C, N))
-    var = np.empty((G, C, N))
-    estimated = np.zeros((G, C), dtype=bool)
-    rhat = np.full((G, C), np.nan)
-    for gi, g in enumerate(bulk.genes):
-        p = priors_all[g]
-        mean[gi] = p.mu[:, None]
-        var[gi] = np.diag(p.sigma)[:, None]
+    estimated = np.array([[(g, c) in selection.pairs for c in cell_types]
+                          for g in bulk.genes])
+    rows = np.flatnonzero(estimated.any(axis=1))  # genes the sampler runs on
 
     mu_hat = np.stack([priors_all[g].mu for g in bulk.genes])
     sigma_hat = np.stack([priors_all[g].sigma for g in bulk.genes])
     noise_hat = np.array([priors_all[g].noise_var for g in bulk.genes])
+    N = bulk.n_samples
+    mean = np.repeat(mu_hat[:, :, None], N, axis=2)
+    var = np.repeat(np.diagonal(sigma_hat, axis1=1, axis2=2)[:, :, None], N, axis=2)
+    rhat = np.full((bulk.n_genes, C), np.nan)
     converged = True
 
-    if sampled_genes:
-        sel_idx = [bulk.genes.index(g) for g in sampled_genes]
+    if rows.size:
+        sampled_genes = [bulk.genes[gi] for gi in rows]
         sub_bulk = BulkMatrix(genes=sampled_genes, samples=bulk.samples,
-                              values=bulk.values[sel_idx])
+                              values=bulk.values[rows])
         priors = [priors_all[g] for g in sampled_genes]
-        summary = None
         for rnd in range(config.rounds):
             summary = run_mcmc(sub_bulk, priors, metas, config, seed + rnd,
-                               hyper=hyper, backend=backend, cell_types=cell_types)
+                               hyper=hyper, cell_types=cell_types)
             if round_summaries is not None:
                 round_summaries.append(summary)
             if rnd + 1 < config.rounds:
                 priors = refine_priors(summary, priors, config, seed + rnd)
         converged = summary.converged
-        for si, gi in enumerate(sel_idx):
-            gene = bulk.genes[gi]
-            for c in cell_types:
-                if (gene, c) in selection.pairs:
-                    j = ct_index[c]
-                    mean[gi, j] = summary.cts.mean[si, j]
-                    var[gi, j] = summary.cts.variance[si, j]
-                    estimated[gi, j] = True
-                    rhat[gi, j] = summary.rhat[si, j]
-            mu_hat[gi] = summary.mu_hat[si]
-            sigma_hat[gi] = summary.sigma_hat[si]
-            noise_hat[gi] = summary.noise_hat[si]
+        picked = estimated[rows]
+        mean[rows] = np.where(picked[:, :, None], summary.cts.mean, mean[rows])
+        var[rows] = np.where(picked[:, :, None], summary.cts.variance, var[rows])
+        rhat[rows] = np.where(picked, summary.rhat, np.nan)
+        mu_hat[rows] = summary.mu_hat
+        sigma_hat[rows] = summary.sigma_hat
+        noise_hat[rows] = summary.noise_hat
 
     cts = CtsTensor(genes=bulk.genes, cell_types=cell_types, samples=bulk.samples,
                     mean=mean, variance=var)

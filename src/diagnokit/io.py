@@ -174,21 +174,28 @@ def save_sample_meta(metas: list[SampleMeta], cell_types: list[str], path: str |
 
 
 def load_sample_meta(path: str | Path, cell_types: list[str]) -> list[SampleMeta]:
-    with open(path, encoding="utf-8") as fh:
-        records = json.load(fh)
+    records = load_json(path)
+    if not isinstance(records, list):
+        raise ParseError("sample metadata must be a JSON list of records")
     metas = []
-    for rec in records:
-        props = rec["proportions"]
+    for k, rec in enumerate(records):
+        if not isinstance(rec, dict) or "sample_id" not in rec:
+            raise ParseError(f"sample metadata record {k} is not an object with a 'sample_id'")
+        sid = rec["sample_id"]
+        props = rec.get("proportions")
+        if not isinstance(props, dict):
+            raise ParseError(f"sample {sid!r} needs a 'proportions' object")
         missing = [c for c in cell_types if c not in props]
         if missing:
-            raise ValidationError(
-                f"sample {rec['sample_id']!r} missing proportions for {missing}")
-        metas.append(SampleMeta(
-            sample_id=rec["sample_id"],
-            proportions=np.array([props[c] for c in cell_types], dtype=np.float64),
-            bulk_cov=np.array(rec.get("bulk_cov", []), dtype=np.float64),
-            cts_cov=np.array(rec.get("cts_cov", []), dtype=np.float64),
-        ))
+            raise ValidationError(f"sample {sid!r} missing proportions for {missing}")
+        try:
+            proportions = np.array([props[c] for c in cell_types], dtype=np.float64)
+            bulk_cov = np.array(rec.get("bulk_cov", []), dtype=np.float64)
+            cts_cov = np.array(rec.get("cts_cov", []), dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"sample {sid!r}: non-numeric value ({exc})") from exc
+        metas.append(SampleMeta(sample_id=sid, proportions=proportions,
+                                bulk_cov=bulk_cov, cts_cov=cts_cov))
     return metas
 
 
@@ -216,4 +223,8 @@ def save_json(obj, path: str | Path) -> None:
 
 def load_json(path: str | Path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON in {Path(path).name}: {exc.msg}",
+                             line=exc.lineno) from exc

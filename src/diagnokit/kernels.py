@@ -1,15 +1,8 @@
-"""Hot inner loops for the blocked Gibbs sampler.
+"""Hot inner loop for the blocked Gibbs sampler: one full sweep over all genes.
 
-Two interchangeable backends compute one full sweep over all genes:
-
-  * ``numba``: an @njit translation of the per-sample loop (default when
-    numba imports cleanly)
-  * ``numpy``: the same update vectorized across samples with batched
-    linear algebra
-
-Select with the ``DIAGNOKIT_BACKEND`` environment variable (``numba`` or
-``numpy``). All randomness is passed in as pre-generated draws, so a sweep is
-a deterministic function of its inputs regardless of backend or scheduling.
+The per-sample update is vectorized across samples with batched linear
+algebra. All randomness is passed in as pre-generated draws, so a sweep is a
+deterministic function of its inputs.
 
 Per (gene g, sample i) the latent C-vector z is drawn from its exact Gaussian
 full conditional; coefficients get a conjugate Bayesian linear-regression
@@ -19,15 +12,13 @@ Gamma(a0 + N/2, 1) variate.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _sweep_numpy(x, w, c1, c2, sig_inv, sig_inv_mu, z, gamma, b, noise,
-                 eps_z, eps_coef, gamma_draws, coef_prior_prec, b0,
-                 update_coef, update_noise):
-    """One sweep, vectorized across samples within each gene."""
+def sweep(x, w, c1, c2, sig_inv, sig_inv_mu, z, gamma, b, noise,
+          eps_z, eps_coef, gamma_draws, coef_prior_prec, b0,
+          update_coef, update_noise):
+    """One in-place sweep; ``x`` is the (G, N) bulk matrix."""
     G, N = x.shape
     C = w.shape[1]
     d1 = c1.shape[1]
@@ -66,108 +57,12 @@ def _sweep_numpy(x, w, c1, c2, sig_inv, sig_inv_mu, z, gamma, b, noise,
             noise[g] = (b0 + 0.5 * ss) / gamma_draws[g]
 
 
-def _sweep_loops(x, w, c1, c2, sig_inv, sig_inv_mu, z, gamma, b, noise,
-                 eps_z, eps_coef, gamma_draws, coef_prior_prec, b0,
-                 update_coef, update_noise):
-    """One sweep as explicit loops; the numba backend jit-compiles this body."""
-    G, N = x.shape
-    C = w.shape[1]
-    d1 = c1.shape[1]
-    d2 = c2.shape[1]
-    p = d1 + C * d2
-    prec = np.empty((C, C))
-    rhs = np.empty(C)
-    for g in range(G):
-        for i in range(N):
-            off = 0.0
-            for k in range(d1):
-                off += gamma[g, k] * c1[i, k]
-            for c in range(C):
-                bc = 0.0
-                for k in range(d2):
-                    bc += b[g, c, k] * c2[i, k]
-                off += w[i, c] * bc
-            r = x[g, i] - off
-            inv_n = 1.0 / noise[g]
-            for c in range(C):
-                for d in range(C):
-                    prec[c, d] = sig_inv[g, c, d] + w[i, c] * w[i, d] * inv_n
-                rhs[c] = sig_inv_mu[g, c] + w[i, c] * r * inv_n
-            chol = np.linalg.cholesky(prec)
-            mean = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-            pert = np.linalg.solve(chol.T, eps_z[g, i].copy())
-            for c in range(C):
-                z[g, i, c] = mean[c] + pert[c]
+def resolve_backend():
+    """Return the sweep kernel.
 
-        if update_coef and p > 0:
-            design = np.empty((N, p))
-            t = np.empty(N)
-            for i in range(N):
-                for k in range(d1):
-                    design[i, k] = c1[i, k]
-                for c in range(C):
-                    for k in range(d2):
-                        design[i, d1 + c * d2 + k] = w[i, c] * c2[i, k]
-                wz = 0.0
-                for c in range(C):
-                    wz += w[i, c] * z[g, i, c]
-                t[i] = x[g, i] - wz
-            inv_n = 1.0 / noise[g]
-            a_mat = design.T @ design * inv_n
-            for k in range(p):
-                a_mat[k, k] += coef_prior_prec
-            rhs_c = design.T @ t * inv_n
-            lc = np.linalg.cholesky(a_mat)
-            mean_c = np.linalg.solve(lc.T, np.linalg.solve(lc, rhs_c))
-            theta = mean_c + np.linalg.solve(lc.T, eps_coef[g].copy())
-            for k in range(d1):
-                gamma[g, k] = theta[k]
-            for c in range(C):
-                for k in range(d2):
-                    b[g, c, k] = theta[d1 + c * d2 + k]
-
-        if update_noise:
-            ss = 0.0
-            for i in range(N):
-                off = 0.0
-                for k in range(d1):
-                    off += gamma[g, k] * c1[i, k]
-                wz = 0.0
-                for c in range(C):
-                    bc = 0.0
-                    for k in range(d2):
-                        bc += b[g, c, k] * c2[i, k]
-                    off += w[i, c] * bc
-                    wz += w[i, c] * z[g, i, c]
-                resid = x[g, i] - wz - off
-                ss += resid * resid
-            noise[g] = (b0 + 0.5 * ss) / gamma_draws[g]
-
-
-_BACKENDS: dict[str, object] = {"numpy": _sweep_numpy}
-try:
-    import numba
-
-    _BACKENDS["numba"] = numba.njit(cache=True)(_sweep_loops)
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    pass
-
-
-def available_backends() -> list[str]:
-    return sorted(_BACKENDS)
-
-
-def resolve_backend(name: str | None = None):
-    """Pick the sweep implementation; env var DIAGNOKIT_BACKEND overrides."""
-    if name is None:
-        name = os.environ.get("DIAGNOKIT_BACKEND", "")
-    if not name:
-        name = "numba" if "numba" in _BACKENDS else "numpy"
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choose from {available_backends()}")
-    return _BACKENDS[name]
-
-
-def gibbs_sweep_arrays(*args, backend: str | None = None) -> None:
-    """Run one in-place sweep with the selected backend."""
-    resolve_backend(backend)(*args)
+    ``engine`` looks the kernel up through this function on every run rather
+    than importing ``sweep`` directly, so a profiler can time every sweep by
+    replacing ``engine.resolve_backend`` with a wrapper; the benchmark's
+    per-layer tracer in ``perfbench/`` relies on that hook.
+    """
+    return sweep

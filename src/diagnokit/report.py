@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 import os
 import re
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
 
 from .errors import ValidationError
 
@@ -264,6 +263,32 @@ def parse_llm_decision(completion: str) -> str | None:
     return None
 
 
+class _Response:
+    def __init__(self, body: bytes):
+        self._body = body
+
+    def raise_for_status(self) -> None:
+        """Nothing to check: ``urlopen`` raises ``HTTPError`` on a 4xx/5xx reply."""
+
+    def json(self):
+        return json.loads(self._body)
+
+
+def _encode_json(obj) -> bytes:
+    # ``post`` keeps requests' ``json=`` keyword, which shadows the module there
+    return json.dumps(obj).encode("utf-8")
+
+
+class _UrllibSession:
+    """The one ``requests``-style call LlmClient makes, on ``urllib.request``."""
+
+    def post(self, url: str, json=None, headers=None, timeout=None) -> _Response:
+        req = urllib.request.Request(url, data=_encode_json(json), headers=headers or {},
+                                     method="POST")
+        with urllib.request.urlopen(req, timeout=timeout) as resp:
+            return _Response(resp.read())
+
+
 class LlmClient:
     """Minimal chat-completion client. Stateless; safe for concurrent use."""
 
@@ -275,7 +300,7 @@ class LlmClient:
         self.api_key = api_key
         self.model = model
         self.timeout = timeout
-        self._session = session or requests
+        self._session = session or _UrllibSession()
 
     @classmethod
     def from_env(cls, model: str = DEFAULT_MODEL) -> "LlmClient":

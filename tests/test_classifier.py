@@ -253,6 +253,36 @@ class TestTrain:
         # inference still accepts the full-width vector
         forward(res.model, feats[0])
 
+    def test_constant_eqtl_columns_dropped_and_ig_complete(self):
+        # build_features repeats each gene's eQTL triple in every sample; the
+        # sd of such a column can come out ~1e-17 instead of 0, and keeping it
+        # would standardize rounding noise into O(1) inputs
+        rng = np.random.default_rng(21)
+        genes, cell_types = [f"g{k}" for k in range(4)], ["ct1", "ct2"]
+        samples = [f"s{i:03d}" for i in range(90)]
+        mean = rng.normal(1.0, 1.0, (len(genes), len(cell_types), len(samples)))
+        tensor = CtsTensor(genes=genes, cell_types=cell_types, samples=samples,
+                           mean=mean, variance=np.zeros_like(mean))
+        pairs = {(g, c) for g in genes for c in cell_types}
+        sel = PairSelection(pairs=frozenset(pairs),
+                            provenance={pair_key(*p): "marker" for p in pairs},
+                            scores={pair_key(*p): 0.0 for p in pairs})
+        eqtl = {g: (0.1 * (k + 1), 0.07 * (k + 1), 0.3 / (k + 1))
+                for k, g in enumerate(genes)}
+        feats = build_features(tensor, sel, eqtl)
+        labels = (mean[0, 0] > 1.0).astype(int)
+        res = train(feats, labels, TrainConfig(seed=2, max_epochs=5))
+        eqtl_names = {n for n, t in zip(feats[0].names, feats[0].tags)
+                      if t.startswith("eqtl")}
+        assert len(eqtl_names) == 3 * len(genes)
+        assert eqtl_names <= set(res.dropped_features)
+        m = res.model
+        for f in feats:
+            base = f.values.copy()
+            base[m.kept] = m.mean
+            gap = logit(m, f) - logit(m, base)
+            assert abs(integrated_gradients(m, f).sum() - gap) < 1e-9
+
     def test_early_stopping_on_unlearnable_labels(self):
         # random labels: validation loss cannot keep improving, so training
         # must halt well before the epoch budget

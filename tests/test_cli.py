@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diagnokit
 from diagnokit.classifier import FeatureVector, save_dataset
 from diagnokit.cli import main
 
@@ -54,6 +59,24 @@ def model_dir(tmp_path_factory, dataset_path):
     assert main(["train", "--dataset", str(dataset_path), "--config", str(cfg),
                  "--seed", "3", "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def selection_path(tmp_path_factory, sim_dir):
+    out = tmp_path_factory.mktemp("sel")
+    assert main(["select-genes", "--ref", str(sim_dir / "reference.tsv"),
+                 "--labels", str(sim_dir / "reference_labels.json"),
+                 "--out", str(out)]) == 0
+    return out / "selection.json"
+
+
+def _deconvolve_args(sim_dir, meta, selection, out, config=None):
+    return (["deconvolve", "--bulk", str(sim_dir / "bulk.tsv"),
+             "--ref", str(sim_dir / "reference.tsv"),
+             "--labels", str(sim_dir / "reference_labels.json"),
+             "--meta", str(meta), "--selection", str(selection),
+             "--seed", "5", "--out", str(out)]
+            + (["--config", str(config)] if config else []))
 
 
 class TestSimulate:
@@ -183,6 +206,78 @@ def test_diverge_offline(model_dir, dataset_path, tmp_path):
     assert md.startswith("| Case | Features | Label | MLP | LLM | Key Insight |")
 
 
+class TestSampleMeta:
+    """meta.json is joined to the bulk columns by sample_id, and malformed
+    files are input errors (exit 1), not runtime errors."""
+
+    def _records(self, sim_dir):
+        return json.loads((sim_dir / "meta.json").read_text())
+
+    def _run(self, sim_dir, selection_path, tmp_path, meta_text, name):
+        meta = tmp_path / f"{name}.json"
+        meta.write_text(meta_text)
+        mcfg = tmp_path / "mcmc.json"
+        mcfg.write_text(json.dumps(MCMC))
+        return main(_deconvolve_args(sim_dir, meta, selection_path,
+                                     tmp_path / name, mcfg))
+
+    def test_record_order_does_not_matter(self, sim_dir, selection_path, tmp_path):
+        records = self._records(sim_dir)
+        assert self._run(sim_dir, selection_path, tmp_path,
+                         json.dumps(records), "in_order") == 0
+        assert self._run(sim_dir, selection_path, tmp_path,
+                         json.dumps(records[::-1]), "reversed") == 0
+        for name in ("cts_mean.tsv", "cts_variance.tsv"):
+            assert ((tmp_path / "in_order" / name).read_bytes()
+                    == (tmp_path / "reversed" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("case", ["unknown_id", "missing_id", "duplicate_id"])
+    def test_id_mismatch_is_one(self, sim_dir, selection_path, tmp_path, case):
+        records = self._records(sim_dir)
+        if case == "unknown_id":
+            records[0]["sample_id"] = "not-a-sample"
+        elif case == "missing_id":
+            records = records[1:]
+        else:
+            records[1]["sample_id"] = records[0]["sample_id"]
+        assert self._run(sim_dir, selection_path, tmp_path,
+                         json.dumps(records), case) == 1
+
+    def test_invalid_json_is_one(self, sim_dir, selection_path, tmp_path, capsys):
+        text = json.dumps(self._records(sim_dir), indent=2)[:-40]
+        assert self._run(sim_dir, selection_path, tmp_path, text, "truncated") == 1
+        assert "line " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["not_a_list", "no_sample_id", "no_proportions",
+                                      "non_numeric", "ragged_covariates"])
+    def test_malformed_record_is_one(self, sim_dir, selection_path, tmp_path, case):
+        records = self._records(sim_dir)
+        if case == "not_a_list":
+            records = {r["sample_id"]: r for r in records}
+        elif case == "no_sample_id":
+            del records[2]["sample_id"]
+        elif case == "no_proportions":
+            del records[2]["proportions"]
+        elif case == "ragged_covariates":
+            records[2]["bulk_cov"].append(1.0)
+        else:
+            first = next(iter(records[2]["proportions"]))
+            records[2]["proportions"][first] = "high"
+        assert self._run(sim_dir, selection_path, tmp_path,
+                         json.dumps(records), case) == 1
+
+
+def test_cli_import_pulls_in_neither_numba_nor_requests():
+    src = Path(diagnokit.__file__).resolve().parents[1]
+    code = ("import sys, diagnokit.cli; "
+            "print(sorted({'numba', 'requests'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestExitCodes:
     def test_missing_input_file_is_one(self, tmp_path):
         assert main(["select-genes", "--ref", str(tmp_path / "nope.tsv"),
@@ -193,18 +288,13 @@ class TestExitCodes:
         assert main(["select-genes"]) == 1
         assert main(["not-a-command"]) == 1
 
-    def test_runtime_error_is_two(self, sim_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("DIAGNOKIT_BACKEND", "bogus")
-        sel_out = tmp_path / "sel"
-        assert main(["select-genes", "--ref", str(sim_dir / "reference.tsv"),
-                     "--labels", str(sim_dir / "reference_labels.json"),
-                     "--out", str(sel_out)]) == 0
-        assert main(["deconvolve", "--bulk", str(sim_dir / "bulk.tsv"),
-                     "--ref", str(sim_dir / "reference.tsv"),
-                     "--labels", str(sim_dir / "reference_labels.json"),
-                     "--meta", str(sim_dir / "meta.json"),
-                     "--selection", str(sel_out / "selection.json"),
-                     "--out", str(tmp_path / "dec")]) == 2
+    def test_runtime_error_is_two(self, sim_dir, selection_path, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("sampler crashed")
+
+        monkeypatch.setattr("diagnokit.cli.deconvolve", broken)
+        assert main(_deconvolve_args(sim_dir, sim_dir / "meta.json", selection_path,
+                                     tmp_path / "dec")) == 2
 
     def test_version_is_zero(self, capsys):
         assert main(["--version"]) == 0

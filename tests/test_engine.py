@@ -7,7 +7,6 @@ import pytest
 from diagnokit.engine import (ChainState, HyperParams, gibbs_sweep, init_chain,
                               refine_priors, run_mcmc, split_rhat, z_conditional)
 from diagnokit.errors import ValidationError
-from diagnokit.kernels import available_backends, resolve_backend
 from diagnokit.types import (AdjustmentParams, BulkMatrix, GenePrior,
                              RefinementConfig, SampleMeta)
 
@@ -135,16 +134,6 @@ class TestRunMcmc:
         s2 = run_mcmc(bulk, priors, metas, cfg, seed=2)
         assert not np.array_equal(s1.cts.mean, s2.cts.mean)
 
-    @pytest.mark.skipif(len(available_backends()) < 2,
-                        reason="only one backend available")
-    def test_backends_agree(self):
-        bulk, priors, metas = _toy_problem(C=3, N=5, G=2, seed=5, d1=2, d2=1)
-        cfg = RefinementConfig(chains=2, iters=30, burnin=15, rounds=1)
-        a = run_mcmc(bulk, priors, metas, cfg, seed=7, backend="numpy")
-        b = run_mcmc(bulk, priors, metas, cfg, seed=7, backend="numba")
-        assert np.allclose(a.cts.mean, b.cts.mean, atol=1e-9)
-        assert np.allclose(a.noise_hat, b.noise_hat, atol=1e-9)
-
     def test_prior_mismatch_rejected(self):
         bulk, priors, metas = _toy_problem()
         with pytest.raises(ValidationError):
@@ -190,11 +179,3 @@ class TestRefinePriors:
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.mu, pb.mu)
             assert np.array_equal(pa.sigma, pb.sigma)
-
-
-def test_resolve_backend_env(monkeypatch):
-    monkeypatch.setenv("DIAGNOKIT_BACKEND", "numpy")
-    assert resolve_backend() is resolve_backend("numpy")
-    monkeypatch.setenv("DIAGNOKIT_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        resolve_backend()

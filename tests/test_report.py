@@ -1,7 +1,10 @@
 """Prompt construction invariants, offline rendering, and LLM fallback paths."""
 from __future__ import annotations
 
+import json
 import re
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, settings
@@ -305,3 +308,56 @@ def test_client_from_env(monkeypatch):
     client = LlmClient.from_env()
     assert client.url == "http://example.test"
     assert client.api_key == "secret"
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    """Answers POSTs with a fixed completion, or 500 for path /fail."""
+
+    seen: list = []
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.seen.append((self.path, dict(self.headers), json.loads(body)))
+        if self.path == "/fail":
+            self.send_error(500)
+            return
+        reply = json.dumps({"choices": [{"message": {"content": "hello"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def chat_server():
+    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
+    _ChatHandler.seen = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_default_session_posts_json(chat_server):
+    client = LlmClient(url=chat_server + "/v1", api_key="k", timeout=5)
+    assert client.complete("prompt text") == "hello"
+    path, headers, body = _ChatHandler.seen[0]
+    assert path == "/v1"
+    assert headers["Authorization"] == "Bearer k"
+    assert headers["Content-Type"] == "application/json"
+    assert body["messages"][0]["content"] == "prompt text"
+
+
+def test_default_session_http_error_falls_back_offline(chat_server):
+    client = LlmClient(url=chat_server + "/fail", api_key="", timeout=5)
+    report = generate_report(_input(), client)
+    assert report.generator == "offline"
+    assert len(report.warnings) == 2 and "HTTP Error 500" in report.warnings[0]
+    assert len(_ChatHandler.seen) == 2  # first try and the retry
