@@ -9,6 +9,7 @@ usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import os
@@ -60,19 +61,39 @@ class RunManifest:
                           json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
-def _load_config(path: str | None) -> dict:
+# The --config keys each command reads: the fields of the dataclass it builds
+# from the config, plus the keys it reads itself.
+CONFIG_KEYS = {
+    "simulate": set(SyntheticScenario.__dataclass_fields__),
+    "select-genes": {"fdr_threshold", "lfc_threshold", "noise_quantile"},
+    "deconvolve": set(RefinementConfig.__dataclass_fields__) | {"shrinkage"},
+    "train": set(TrainConfig.__dataclass_fields__),
+    "attribute": {"steps", "method"},
+    "report": {"top_k", "model"},
+    "eval": set(),
+    "diverge": {"subset_size", "ood_threshold", "model"},
+}
+
+
+def _load_config(path: str | None, command: str) -> dict:
     if not path:
         return {}
     cfg = load_json(path)
     if not isinstance(cfg, dict):
         raise ValidationError("config file must be a JSON object")
+    known = sorted(CONFIG_KEYS[command])
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        close = difflib.get_close_matches(unknown[0], known, n=1)
+        hint = f"did you mean {close[0]!r}?" if close else f"known keys: {known}"
+        raise ValidationError(f"unknown config key {unknown[0]!r} for {command}; {hint}")
     return cfg
 
 
 def _start_manifest(args, inputs: list[str]) -> tuple[RunManifest, Path, dict]:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _load_config(getattr(args, "config", None))
+    config = _load_config(getattr(args, "config", None), args.command)
     config_hash = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()).hexdigest()
     missing = [p for p in inputs if p and not Path(p).is_file()]

@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import invwishart
 
 from .errors import ValidationError
 from .kernels import resolve_backend
@@ -205,6 +204,26 @@ def split_rhat(chains: list[np.ndarray]) -> float:
     return float(np.sqrt(((n - 1) / n * w_var + b_var / n) / w_var))
 
 
+def split_rhat_all(traces: np.ndarray) -> np.ndarray:
+    """``split_rhat`` of every scalar trace in one array pass.
+
+    ``traces`` has shape (chains, draws, ...); the result has the trailing
+    shape. It is NaN everywhere when fewer than 4 draws are retained, and
+    follows ``split_rhat`` otherwise, degenerate sets included.
+    """
+    m, draws = traces.shape[:2]
+    rest = traces.shape[2:]
+    if draws < 4:
+        return np.full(rest, np.nan)
+    n = draws // 2
+    halves = traces[:, draws % 2:].reshape((2 * m, n) + rest)
+    w_var = halves.var(axis=1, ddof=1).mean(axis=0)
+    b_var = n * halves.mean(axis=1).var(axis=0, ddof=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rhat = np.sqrt(((n - 1) / n * w_var + b_var / n) / w_var)
+    return np.where(w_var == 0.0, np.where(b_var == 0.0, 1.0, np.inf), rhat)
+
+
 def run_mcmc(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleMeta],
              config: RefinementConfig, seed: int,
              hyper: HyperParams | None = None,
@@ -238,7 +257,7 @@ def run_mcmc(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleMeta],
                 k = it - config.burnin
                 sum_z += state.z
                 sum_z2 += state.z ** 2
-                sum_outer += np.einsum("gnc,gnd->gcd", state.z, state.z)
+                sum_outer += np.swapaxes(state.z, 1, 2) @ state.z
                 sum_noise += state.noise_var
                 traces[ci, k] = state.z.mean(axis=1)
 
@@ -250,15 +269,7 @@ def run_mcmc(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleMeta],
     sigma_hat = np.stack([_regularize_spd(s, np.trace(s)) for s in sigma_hat])
     noise_hat = sum_noise / total
 
-    rhat = np.full((G, C), np.nan)
-    if kept >= 4:
-        for g in range(G):
-            for c in range(C):
-                try:
-                    rhat[g, c] = split_rhat([traces[ci, :, g, c]
-                                             for ci in range(config.chains)])
-                except ValidationError:
-                    pass
+    rhat = split_rhat_all(traces)
     finite = rhat[np.isfinite(rhat)]
     converged = bool(finite.size == rhat.size and finite.size > 0
                      and finite.max() < config.rhat_threshold)
@@ -278,6 +289,8 @@ def refine_priors(summary: PosteriorSummary, priors: list[GenePrior],
     scale is chosen so its expectation equals sigma_hat. Draws are retried
     (up to 100 times) until numerically positive definite.
     """
+    from scipy.stats import invwishart  # imported here to keep CLI start-up fast
+
     C = priors[0].n_cell_types
     nu = config.resolved_nu(C)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5EED)))

@@ -1,7 +1,11 @@
 """Hot inner loop for the blocked Gibbs sampler: one full sweep over all genes.
 
-The per-sample update is vectorized across samples with batched linear
-algebra. All randomness is passed in as pre-generated draws, so a sweep is a
+Genes are conditionally independent within a sweep, so each block runs once
+for all of them rather than once per gene. The z block factors all G·N tiny
+C×C precision matrices at once with a Cholesky written out over the small C
+axis as elementwise operations on (G, N) arrays; the coefficient block shares
+one design Gram matrix across genes and does one batched p×p factorization.
+All randomness is passed in as pre-generated draws, so a sweep is a
 deterministic function of its inputs.
 
 Per (gene g, sample i) the latent C-vector z is drawn from its exact Gaussian
@@ -15,46 +19,87 @@ from __future__ import annotations
 import numpy as np
 
 
+def _offset(gamma, b, design):
+    """Covariate part of the mean, gamma_g' c1_i + w_i' B_g c2_i, as (G, N)."""
+    theta = np.concatenate([gamma, b.reshape(b.shape[0], -1)], axis=1)
+    return theta @ design.T
+
+
+def _draw_z(r, w, sig_inv, sig_inv_mu, noise, eps_z):
+    """Exact Gaussian draw of every z[g, i] through one pass over the C axis.
+
+    The precision sig_inv[g] + w_i w_i' / noise[g] is factored as L L'. The
+    draw is L'^{-1} (L^{-1} rhs + eps): the conditional mean plus a
+    perturbation with covariance (L L')^{-1}.
+    """
+    C = w.shape[1]
+    wt = w.T  # (C, N)
+    noise = noise[:, None]
+    scaled_r = r / noise  # (G, N)
+    # chol[i][j] holds L[:, :, i, j] and y[j] the forward solve, each as (G, N)
+    chol = [[None] * C for _ in range(C)]
+    y = [None] * C
+    for j in range(C):
+        for i in range(j, C):
+            acc = sig_inv[:, i, j, None] + (wt[i] * wt[j]) / noise
+            for k in range(j):
+                acc = acc - chol[i][k] * chol[j][k]
+            chol[i][j] = np.sqrt(acc) if i == j else acc / chol[j][j]
+        acc = sig_inv_mu[:, j, None] + wt[j] * scaled_r
+        for k in range(j):
+            acc = acc - chol[j][k] * y[k]
+        y[j] = acc / chol[j][j]
+    z = [None] * C
+    for i in range(C - 1, -1, -1):
+        acc = y[i] + eps_z[:, :, i]
+        for k in range(i + 1, C):
+            acc = acc - chol[k][i] * z[k]
+        z[i] = acc / chol[i][i]
+    return np.stack(z, axis=-1)
+
+
 def sweep(x, w, c1, c2, sig_inv, sig_inv_mu, z, gamma, b, noise,
           eps_z, eps_coef, gamma_draws, coef_prior_prec, b0,
           update_coef, update_noise):
-    """One in-place sweep; ``x`` is the (G, N) bulk matrix."""
+    """One in-place sweep; ``x`` is the (G, N) bulk matrix.
+
+    A hand-written Cholesky gives NaN where LAPACK would raise, so a draw
+    that is not finite raises ``np.linalg.LinAlgError`` naming the gene.
+    """
     G, N = x.shape
     C = w.shape[1]
     d1 = c1.shape[1]
     d2 = c2.shape[1]
     p = d1 + C * d2
-    eye_p = np.eye(p)
     # design rows [c1_i, w_i (x) c2_i] are gene-independent given w
-    if p > 0:
-        kron = (w[:, :, None] * c2[:, None, :]).reshape(N, C * d2)
-        design = np.concatenate([c1, kron], axis=1)  # (N, p)
-    for g in range(G):
-        offset = c1 @ gamma[g] + np.einsum("ic,ic->i", w, c2 @ b[g].T)
-        r = x[g] - offset  # (N,)
-        prec = sig_inv[g][None, :, :] + w[:, :, None] * w[:, None, :] / noise[g]
-        chol = np.linalg.cholesky(prec)
-        rhs = sig_inv_mu[g][None, :] + w * (r / noise[g])[:, None]
-        half = np.linalg.solve(chol, rhs[:, :, None])
-        mean = np.linalg.solve(np.transpose(chol, (0, 2, 1)), half)[:, :, 0]
-        pert = np.linalg.solve(np.transpose(chol, (0, 2, 1)), eps_z[g][:, :, None])[:, :, 0]
-        z[g] = mean + pert
+    kron = (w[:, :, None] * c2[:, None, :]).reshape(N, C * d2)
+    design = np.concatenate([c1, kron], axis=1)  # (N, p)
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = x - _offset(gamma, b, design)
+        z[...] = _draw_z(r, w, sig_inv, sig_inv_mu, noise, eps_z)
+        wz = np.einsum("gic,ic->gi", z, w)  # (G, N)
 
         if update_coef and p > 0:
-            t = x[g] - np.einsum("ic,ic->i", w, z[g])
-            a_mat = design.T @ design / noise[g] + coef_prior_prec * eye_p
-            rhs_c = design.T @ t / noise[g]
+            a_mat = (design.T @ design) / noise[:, None, None] + coef_prior_prec * np.eye(p)
+            rhs_c = ((x - wz) @ design) / noise[:, None]
             lc = np.linalg.cholesky(a_mat)
-            mean_c = np.linalg.solve(lc.T, np.linalg.solve(lc, rhs_c))
-            theta = mean_c + np.linalg.solve(lc.T, eps_coef[g])
-            gamma[g] = theta[:d1]
-            b[g] = theta[d1:].reshape(C, d2)
+            half = np.linalg.solve(lc, rhs_c[:, :, None])
+            theta = np.linalg.solve(np.swapaxes(lc, 1, 2), half + eps_coef[:, :, None])[:, :, 0]
+            gamma[...] = theta[:, :d1]
+            b[...] = theta[:, d1:].reshape(G, C, d2)
 
         if update_noise:
-            offset = c1 @ gamma[g] + np.einsum("ic,ic->i", w, c2 @ b[g].T)
-            resid = x[g] - np.einsum("ic,ic->i", w, z[g]) - offset
-            ss = float(resid @ resid)
-            noise[g] = (b0 + 0.5 * ss) / gamma_draws[g]
+            resid = x - wz - _offset(gamma, b, design)
+            ss = np.einsum("gi,gi->g", resid, resid)
+            noise[...] = (b0 + 0.5 * ss) / gamma_draws
+
+    finite = (np.isfinite(z).all(axis=(1, 2)) & np.isfinite(gamma).all(axis=1)
+              & np.isfinite(b).all(axis=(1, 2)) & np.isfinite(noise))
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise np.linalg.LinAlgError(
+            f"Gibbs sweep produced a non-finite draw for gene index {bad}")
 
 
 def resolve_backend():

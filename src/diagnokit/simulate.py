@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls as _scipy_nnls
 
 from .errors import ValidationError
 from .reference import ReferenceDataset, signature_matrix
@@ -214,7 +213,9 @@ def nnls_proportions(bulk_column, signature) -> np.ndarray:
         raise ValidationError("need at least as many genes as cell types")
     if np.linalg.matrix_rank(s) < s.shape[1]:
         raise ValidationError("signature columns are rank deficient")
-    p, _ = _scipy_nnls(s, x)
+    from scipy.optimize import nnls  # imported here to keep CLI start-up fast
+
+    p, _ = nnls(s, x)
     total = p.sum()
     if total == 0.0:
         raise ValidationError("all-zero NNLS solution cannot be normalized")

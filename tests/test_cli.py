@@ -269,13 +269,33 @@ class TestSampleMeta:
 
 def test_cli_import_pulls_in_neither_numba_nor_requests():
     src = Path(diagnokit.__file__).resolve().parents[1]
-    code = ("import sys, diagnokit.cli; "
-            "print(sorted({'numba', 'requests'} & set(sys.modules)))")
+    code = ("import sys, diagnokit.cli; print(sorted({'numba', 'requests', "
+            "'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command,key,nearest", [
+    ("deconvolve", "iter", "iters"),
+    ("deconvolve", "chain", "chains"),
+    ("simulate", "n_genes", None),
+])
+def test_unknown_config_key_is_one(sim_dir, selection_path, tmp_path, capsys,
+                                   command, key, nearest):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**MCMC, key: 10} if command == "deconvolve" else {key: 10}))
+    if command == "deconvolve":
+        argv = _deconvolve_args(sim_dir, sim_dir / "meta.json", selection_path,
+                                tmp_path / "out", cfg)
+    else:
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"unknown config key {key!r}" in err
+    assert (f"did you mean {nearest!r}" if nearest else "known keys") in err
 
 
 class TestExitCodes:

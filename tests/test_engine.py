@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from diagnokit.engine import (ChainState, HyperParams, gibbs_sweep, init_chain,
-                              refine_priors, run_mcmc, split_rhat, z_conditional)
+                              refine_priors, run_mcmc, split_rhat, split_rhat_all,
+                              z_conditional)
 from diagnokit.errors import ValidationError
 from diagnokit.types import (AdjustmentParams, BulkMatrix, GenePrior,
                              RefinementConfig, SampleMeta)
@@ -85,6 +86,23 @@ class TestSplitRhat:
             split_rhat([np.zeros(100)])
         with pytest.raises(ValidationError):
             split_rhat([np.zeros(3), np.zeros(3)])
+
+    @pytest.mark.parametrize("chains,draws", [(2, 4), (2, 5), (3, 17), (4, 40)])
+    def test_array_pass_matches_scalar(self, chains, draws):
+        rng = np.random.default_rng(chains * draws)
+        traces = rng.standard_normal((chains, draws, 6, 3))
+        traces[:, :, 0, 0] = 3.0                      # fully degenerate: 1.0
+        traces[:, :, 1, 1] = np.arange(chains)[:, None]  # constant, offset: inf
+        traces[1:, :, 2, 2] = traces[0, :, 2, 2]      # identical chains
+        traces[:, :, 3] += 4.0 * np.arange(chains)[:, None, None]  # not mixed
+        got = split_rhat_all(traces)
+        want = np.array([[split_rhat(list(traces[:, :, g, c])) for c in range(3)]
+                         for g in range(6)])
+        assert got[0, 0] == 1.0 and got[1, 1] == np.inf
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_array_pass_undefined_below_four_draws(self):
+        assert np.isnan(split_rhat_all(np.zeros((3, 3, 2, 2)))).all()
 
 
 def _toy_problem(C=2, N=6, G=1, seed=0, d1=0, d2=0):
