@@ -165,6 +165,10 @@ def cmd_deconvolve(args) -> None:
         "median_noise_var": float(np.median(summary.noise_hat)),
     }
     save_json(diagnostics, out / "diagnostics.json")
+    if not summary.converged:
+        # the data files are still written and the exit code stays 0
+        print(f"warning: MCMC did not converge: max R-hat {diagnostics['max_rhat']}, "
+              f"threshold {rc.rhat_threshold}", file=sys.stderr)
     _finish_manifest(manifest, out, [out / "cts_mean.tsv", out / "cts_variance.tsv",
                                      out / "diagnostics.json"])
 
@@ -198,13 +202,14 @@ def cmd_attribute(args) -> None:
 def _population_stats(features, labels) -> dict[str, tuple[float, float, float]]:
     x = np.stack([f.values for f in features])
     y = np.asarray(labels)
-    stats = {}
-    for j, name in enumerate(features[0].names):
-        col = x[:, j]
-        mean_ad = float(col[y == 1].mean()) if (y == 1).any() else 0.0
-        mean_non = float(col[y == 0].mean()) if (y == 0).any() else 0.0
-        stats[name] = (mean_ad, mean_non, float(col.std(ddof=0)) or 1.0)
-    return stats
+    zeros = np.zeros(x.shape[1])
+    mean_ad = x[y == 1].mean(axis=0) if (y == 1).any() else zeros
+    mean_non = x[y == 0].mean(axis=0) if (y == 0).any() else zeros
+    sd = x.std(axis=0, ddof=0)
+    # rounding in std can leave a column of equal values with sd ~1e-17
+    sd[np.ptp(x, axis=0) == 0] = 1.0
+    return {name: (float(a), float(b), float(s))
+            for name, a, b, s in zip(features[0].names, mean_ad, mean_non, sd)}
 
 
 def cmd_report(args) -> None:

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import FeatureVector, MlpModel, forward, integrated_gradients, \
-    top_k_features
+from .classifier import (FeatureVector, MlpModel, _probability, _stack, forward,
+                         integrated_gradients, top_k_features)
 from .errors import ValidationError
 from .report import LlmClient, PromptInput, build_prompt, parse_llm_decision
 
@@ -56,18 +56,11 @@ def symbolic_conflict_subset(features: list[FeatureVector], labels,
         raise ValidationError("size must be positive")
     if not any("eqtl_beta" in f.tags for f in features[:1]):
         raise ValidationError("dataset has no eqtl_beta-tagged features")
-    out: list[int] = []
-    for i, f in enumerate(features):
-        if y[i] != 1:
-            continue
-        beta_mask = np.array([t == "eqtl_beta" for t in f.tags])
-        if (f.values[beta_mask] < 0).any():
-            out.append(i)
-            if len(out) == size:
-                break
-    if not out:
+    beta = np.array([t == "eqtl_beta" for t in features[0].tags])
+    out = np.flatnonzero((y == 1) & (_stack(features)[:, beta] < 0).any(axis=1))[:size]
+    if not out.size:
         raise ValidationError("symbolic-conflict subset is empty")
-    return out
+    return out.tolist()
 
 
 def ood_subset(features: list[FeatureVector], train_mean, train_sd,
@@ -83,16 +76,11 @@ def ood_subset(features: list[FeatureVector], train_mean, train_sd,
         raise ValidationError("train stats must cover every feature")
     if (sd <= 0).any():
         raise ValidationError("train sds must be positive")
-    out: list[int] = []
-    for i, f in enumerate(features):
-        z = np.abs(f.values - mean) / sd
-        if z.max() > threshold:
-            out.append(i)
-            if size is not None and len(out) == size:
-                break
-    if not out:
+    far = (np.abs(_stack(features) - mean) / sd).max(axis=1) > threshold
+    out = np.flatnonzero(far)[:size]
+    if not out.size:
         raise ValidationError("OOD subset is empty")
-    return out
+    return out.tolist()
 
 
 def sign_rule_predict(f: FeatureVector) -> int:
@@ -130,21 +118,19 @@ def run_divergence(model: MlpModel, features: list[FeatureVector], labels,
     y = np.asarray(labels)
     if not subsets:
         raise ValidationError("no subsets provided")
+    mlp_pred = (_probability(model, _stack(features)) >= 0.5).astype(int)
     reports = []
     for name, idx in subsets.items():
         if not idx:
             raise ValidationError(f"subset {name!r} is empty")
         rows = []
-        mlp_hits = 0
         llm_hits = 0
         llm_total = 0
         for i in idx:
             f = features[i]
-            mlp_pred = int(forward(model, f) >= 0.5)
-            mlp_hits += int(mlp_pred == y[i])
             row = {"sample": f.sample_id or str(i),
                    "features": {n: float(v) for n, v in zip(f.names, f.values)},
-                   "label": int(y[i]), "mlp_pred": mlp_pred}
+                   "label": int(y[i]), "mlp_pred": int(mlp_pred[i])}
             if client is not None:
                 pred = _llm_decision(client, model, f)
                 if pred is not None:
@@ -155,7 +141,8 @@ def run_divergence(model: MlpModel, features: list[FeatureVector], labels,
         llm_acc = (llm_hits / llm_total) if client is not None and llm_total else None
         reports.append(DivergenceReport(
             subset_name=name, subset_size=len(idx),
-            mlp_accuracy=mlp_hits / len(idx), llm_accuracy=llm_acc,
+            mlp_accuracy=int((mlp_pred[idx] == y[idx]).sum()) / len(idx),
+            llm_accuracy=llm_acc,
             case_table=tuple(rows)))
     return reports
 

@@ -374,6 +374,22 @@ class TestSerialization:
             assert a.sample_id == b.sample_id and a.tags == b.tags
             assert np.array_equal(a.values, b.values)
 
+    def test_dataset_values_parse_like_float(self, tmp_path):
+        rng = np.random.default_rng(18)
+        texts = [repr(float(v)) for v in
+                 rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)]
+        texts += ["5e-324", "-0.0", "1.7976931348623157e308", "0.1", "1E-3", "+2.5",
+                  ".5", "5.", "2.2250738585072011e-308", "0.30000000000000004"]
+        rows = [texts[i:i + 3] for i in range(0, len(texts) - 2, 3)]
+        lines = ["sample\ta\tb\tc\tlabel", "#tags\tcts\tcts\tcts\t-"]
+        lines += [f"s#{i}\t" + "\t".join(r) + f"\t{i % 2}" for i, r in enumerate(rows)]
+        (tmp_path / "d.tsv").write_text("\n".join(lines) + "\n")
+        feats, ys = load_dataset(tmp_path / "d.tsv")
+        assert [f.sample_id for f in feats] == [f"s#{i}" for i in range(len(rows))]
+        assert ys.tolist() == [i % 2 for i in range(len(rows))]
+        for f, r in zip(feats, rows):
+            assert f.values.tobytes() == np.array([float(t) for t in r]).tobytes()
+
     def test_eqtl_table_roundtrip(self, tmp_path):
         table = {"g1": (-0.03185, 0.04911, 0.51671), "g2": (0.041, 0.061, 0.436)}
         save_eqtl_table(table, tmp_path / "e.tsv")

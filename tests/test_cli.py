@@ -206,6 +206,84 @@ def test_diverge_offline(model_dir, dataset_path, tmp_path):
     assert md.startswith("| Case | Features | Label | MLP | LLM | Key Insight |")
 
 
+class TestDatasetValidation:
+    """load_dataset validates the file once, for every classifier command,
+    and each rejection exits 1 and names the offending line."""
+
+    def _edit(self, dataset_path, tmp_path, case):
+        lines = dataset_path.read_text().splitlines()
+        if case == "duplicate_id":
+            lines[5] = "p01" + lines[5][lines[5].index("\t"):]  # line 6 repeats line 4
+            lineno = 6
+        elif case == "label_two":
+            lines[6] = lines[6][:lines[6].rindex("\t")] + "\t2"
+            lineno = 7
+        elif case == "non_finite":
+            fields = lines[4].split("\t")
+            fields[1] = "inf"
+            lines[4] = "\t".join(fields)
+            lineno = 5
+        elif case == "short_tag_row":
+            lines[1] = lines[1][:lines[1].rindex("\t")]
+            lineno = 2
+        else:
+            lines[1] = lines[1].replace("covariate", "cofactor")
+            lineno = 2
+        path = tmp_path / f"{case}.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        return path, lineno
+
+    @pytest.mark.parametrize("case", ["duplicate_id", "label_two", "non_finite",
+                                      "short_tag_row", "unknown_tag"])
+    def test_bad_dataset_is_one_with_line(self, model_dir, dataset_path, tmp_path,
+                                          capsys, case):
+        path, lineno = self._edit(dataset_path, tmp_path, case)
+        ckpt = ["--checkpoint", str(model_dir / "model.json")]
+        runs = {
+            "train": ["train"],
+            "attribute": ["attribute", *ckpt],
+            "report": ["report", *ckpt, "--sample", "p01", "--audience", "patient",
+                       "--offline"],
+            "diverge": ["diverge", *ckpt, "--offline"],
+        }
+        for command, argv in runs.items():
+            capsys.readouterr()
+            assert main([*argv, "--dataset", str(path),
+                         "--out", str(tmp_path / command)]) == 1, command
+            assert f"error: line {lineno}: " in capsys.readouterr().err, command
+
+
+def test_population_stats_per_feature(dataset_path):
+    from diagnokit.classifier import load_dataset
+    from diagnokit.cli import _population_stats
+    feats, labels = load_dataset(dataset_path)
+    stats = _population_stats(feats, labels)
+    x = np.stack([f.values for f in feats])
+    for j, name in enumerate(feats[0].names):
+        col = x[:, j]
+        want = (col[labels == 1].mean(), col[labels == 0].mean(),
+                col.std() if np.ptp(col) > 0 else 1.0)
+        assert stats[name] == pytest.approx(want, rel=1e-12, abs=0)
+    # a column of equal values gets sd 1, also where std rounds to ~1e-17
+    assert np.std(x[:, 2]) > 0
+    assert stats["se:gA"][2] == stats["pval:gA"][2] == 1.0
+
+
+def test_deconvolve_warns_when_not_converged(sim_dir, selection_path, tmp_path, capsys):
+    cfg = tmp_path / "mcmc.json"
+    cfg.write_text(json.dumps({"chains": 2, "iters": 8, "burnin": 2, "rounds": 1,
+                               "rhat_threshold": 1.0001}))
+    assert main(_deconvolve_args(sim_dir, sim_dir / "meta.json", selection_path,
+                                 tmp_path / "dec", cfg)) == 0
+    diag = json.loads((tmp_path / "dec" / "diagnostics.json").read_text())
+    assert diag["converged"] is False
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+    assert str(diag["max_rhat"]) in err[0] and "1.0001" in err[0]
+    for name in ("cts_mean.tsv", "cts_variance.tsv"):
+        assert (tmp_path / "dec" / name).exists()
+
+
 class TestSampleMeta:
     """meta.json is joined to the bulk columns by sample_id, and malformed
     files are input errors (exit 1), not runtime errors."""

@@ -99,6 +99,7 @@ class TestOodSubset:
                                        sample_id=f"s{i}"))
         idx = ood_subset(feats, mean, sd, threshold=1.0)
         assert set(idx) == planted and len(planted) == 30
+        assert ood_subset(feats, mean, sd, size=5, threshold=1.0) == sorted(planted)[:5]
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(1)
@@ -114,6 +115,18 @@ class TestOodSubset:
             ood_subset(feats, np.zeros(3), np.ones(3))
         with pytest.raises(ValidationError, match="positive"):
             ood_subset(feats, np.zeros(4), np.zeros(4))
+
+
+@pytest.mark.parametrize("builder", ["symbolic-conflict", "ood"])
+def test_builders_reject_mixed_feature_names(builder):
+    other = FeatureVector(values=np.array([1.0, -0.2, 0.05, 0.5]),
+                          names=("a", "b", "c", "d"), tags=TAGS)
+    feats = [_fv(1.0, -0.1), other]
+    with pytest.raises(ValidationError, match="same names"):
+        if builder == "ood":
+            ood_subset(feats, np.zeros(4), np.ones(4))
+        else:
+            symbolic_conflict_subset(feats, [1, 1])
 
 
 class TestSignRule:
@@ -141,6 +154,26 @@ class TestRunDivergence:
         assert reports[0].mlp_accuracy == pytest.approx(2.0 / 3.0)
         assert reports[0].llm_accuracy is None
         assert [r["sample"] for r in reports[0].case_table] == ["a", "b", "c"]
+
+    def test_predictions_match_single_sample_forward(self):
+        from diagnokit.classifier import HIDDEN1, HIDDEN2, MlpModel, forward, logit
+        rng = np.random.default_rng(3)
+        w = dict(w1=rng.standard_normal((HIDDEN1, 4)), b1=rng.standard_normal(HIDDEN1),
+                 w2=rng.standard_normal((HIDDEN2, HIDDEN1)),
+                 b2=rng.standard_normal(HIDDEN2), w3=rng.standard_normal((1, HIDDEN2)),
+                 mean=np.zeros(4), sd=np.ones(4), kept=np.ones(4, dtype=bool),
+                 feature_names=NAMES, feature_tags=TAGS)
+        feats = [_fv(*rng.standard_normal(4), sid=f"s{i}") for i in range(40)]
+        # centre the logits so that both classes are predicted
+        model = MlpModel(**w, b3=np.zeros(1))
+        model = MlpModel(**w, b3=-np.array([np.median([logit(model, f) for f in feats])]))
+        labels = rng.integers(0, 2, 40)
+        idx = [int(i) for i in rng.choice(40, 25, replace=False)]
+        report = run_divergence(model, feats, labels, {"some": idx})[0]
+        want = [int(forward(model, feats[i]) >= 0.5) for i in idx]
+        assert 0 < sum(want) < len(want)
+        assert [r["mlp_pred"] for r in report.case_table] == want
+        assert report.mlp_accuracy == sum(p == labels[i] for p, i in zip(want, idx)) / 25
 
     def test_llm_column_with_mock_client(self):
         model = _zero_model()
