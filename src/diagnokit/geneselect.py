@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .io import atomic_write_text, load_json
 from .reference import ReferenceDataset
 from .types import PairSelection, pair_key
 
@@ -43,28 +44,40 @@ def load_marker_list(path: str | Path) -> set[tuple[str, str]]:
     return pairs
 
 
-def _rank_with_ties(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mid-ranks (1-based) and tie-group sizes."""
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(len(pooled))
-    ties = []
-    i = 0
-    srt = pooled[order]
-    while i < len(srt):
-        j = i
-        while j + 1 < len(srt) and srt[j + 1] == srt[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        ties.append(j - i + 1)
-        i = j + 1
-    return ranks, np.array(ties, dtype=np.float64)
+def _rank_with_ties(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mid-ranks (1-based) along the last axis, and each row's tie term.
 
-
-def _u_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    pooled = np.concatenate([a, b])
-    ranks, _ = _rank_with_ties(pooled)
-    ra = ranks[: len(a)].sum()
-    return ra - len(a) * (len(a) + 1) / 2.0
+    The tie term is the sum over tie runs of t**3 - t, accumulated as the sum
+    over positions of t**2 - 1. One stable sort per row; every run's first and
+    last position come from running maxima and minima over the run starts and
+    ends. Positions are held as exact float64 integers and the work arrays
+    are reused in place, so ranking a whole reference holds the sort order
+    and two work arrays of its size besides the result.
+    """
+    n = values.shape[-1]
+    order = np.argsort(values, axis=-1, kind="stable")
+    first = np.take_along_axis(values, order, axis=-1)  # the sorted values, for now
+    starts = np.ones(values.shape, dtype=bool)
+    np.not_equal(first[..., 1:], first[..., :-1], out=starts[..., 1:])
+    ends = np.ones(values.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    pos = np.arange(n, dtype=np.float64)
+    np.multiply(starts, pos, out=first)
+    np.maximum.accumulate(first, axis=-1, out=first)
+    last = np.full(values.shape, n - 1.0)
+    np.copyto(last, pos, where=ends)
+    backward = np.flip(last, axis=-1)
+    np.minimum.accumulate(backward, axis=-1, out=backward)
+    size = np.subtract(last, first, out=first)
+    size += 1.0
+    tie_sum = np.einsum("...i,...i->...", size, size) - n
+    # mid-rank = (first + last) / 2 + 1 = last - size / 2 + 1.5
+    size *= 0.5
+    last -= size
+    last += 1.5
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, last, axis=-1)
+    return ranks, tie_sum
 
 
 def wilcoxon_rank_sum(a, b) -> tuple[float, float]:
@@ -80,27 +93,19 @@ def wilcoxon_rank_sum(a, b) -> tuple[float, float]:
         raise ValidationError("wilcoxon_rank_sum requires non-empty inputs")
     n1, n2 = a.size, b.size
     n = n1 + n2
-    u = _u_statistic(a, b)
+    ranks, tie_sum = _rank_with_ties(np.concatenate([a, b]))
+    offset = n1 * (n1 + 1) / 2.0
+    u = ranks[:n1].sum() - offset
     mean_u = n1 * n2 / 2.0
 
     if n <= EXACT_ENUMERATION_MAX_N:
-        pooled = np.concatenate([a, b])
-        dev = abs(u - mean_u)
-        count = 0
-        total = 0
-        for idx in itertools.combinations(range(n), n1):
-            mask = np.zeros(n, dtype=bool)
-            mask[list(idx)] = True
-            u_perm = _u_statistic(pooled[mask], pooled[~mask])
-            if abs(u_perm - mean_u) >= dev - 1e-12:
-                count += 1
-            total += 1
-        return u, count / total
+        # the pooled ranks do not depend on the split, so each of the
+        # C(n, n1) assignments is a sum of n1 of them (half-integers: exact)
+        splits = np.array(list(itertools.combinations(range(n), n1)))
+        u_perm = ranks[splits].sum(axis=1) - offset
+        return u, float(np.mean(np.abs(u_perm - mean_u) >= abs(u - mean_u) - 1e-12))
 
-    pooled = np.concatenate([a, b])
-    _, ties = _rank_with_ties(pooled)
-    tie_term = ((ties ** 3 - ties).sum()) / (n * (n - 1))
-    var_u = n1 * n2 / 12.0 * ((n + 1) - tie_term)
+    var_u = n1 * n2 / 12.0 * ((n + 1) - tie_sum / (n * (n - 1)))
     if var_u <= 0:
         return u, 1.0  # all values tied
     diff = u - mean_u
@@ -143,34 +148,41 @@ def stability_scores(ref: ReferenceDataset, fdr_threshold: float,
     """One-vs-rest stability set before noise suppression.
 
     Returns pair -> DE score (-log10 adjusted p times |log2 FC|) for pairs
-    passing both the BH-adjusted p and fold-change thresholds.
+    passing both the BH-adjusted p and fold-change thresholds. The pooled
+    sample of every one-vs-rest test of a gene is its whole reference row, so
+    each gene is ranked once for all of its tests.
     """
     types = ref.cell_types
-    type_cols = {c: ref.type_columns(c) for c in types}
+    if len(types) < 2:
+        return {}  # one-vs-rest needs a rest
+    x = ref.values
+    n = x.shape[1]
+    member = np.array(ref.cell_type_labels)[:, None] == np.array(types)[None, :]
+    onehot = member.astype(np.float64)  # cells x types
+    n1 = member.sum(axis=0)
+    n2 = n - n1
 
-    tested: list[tuple[str, str]] = []
-    pvals: list[float] = []
-    lfcs: list[float] = []
-    for gi, gene in enumerate(ref.genes):
-        row = ref.values[gi]
-        for ct in types:
-            idx = type_cols[ct]
-            mask = np.zeros(row.size, dtype=bool)
-            mask[idx] = True
-            a, b = row[mask], row[~mask]
-            if a.size == 0 or b.size == 0:
-                continue
-            _, p = wilcoxon_rank_sum(a, b)
-            tested.append((gene, ct))
-            pvals.append(p)
-            lfcs.append(log2_fold_change(a, b))
+    if n <= EXACT_ENUMERATION_MAX_N:
+        p = np.array([[wilcoxon_rank_sum(row[m], row[~m])[1] for m in member.T]
+                      for row in x])
+    else:
+        ranks, tie_sum = _rank_with_ties(x)
+        u = ranks @ onehot - n1 * (n1 + 1) / 2.0
+        var_u = n1 * n2 / 12.0 * ((n + 1) - tie_sum[:, None] / (n * (n - 1)))
+        spread = var_u > 0  # else every value of the gene is tied: p = 1
+        diff = u - n1 * n2 / 2.0
+        cc = np.where(diff != 0, 0.5, 0.0)
+        z = (np.abs(diff) - cc) / np.sqrt(np.where(spread, var_u, 1.0))
+        half_z = (np.maximum(z, 0.0) / math.sqrt(2.0)).ravel()
+        erfc = np.fromiter(map(math.erfc, half_z), np.float64, half_z.size).reshape(z.shape)
+        p = np.where(spread, np.minimum(erfc, 1.0), 1.0)
 
-    adjusted = benjamini_hochberg(pvals)
-    stability: dict[tuple[str, str], float] = {}
-    for (gene, ct), p_adj, lfc in zip(tested, adjusted, lfcs):
-        if p_adj < fdr_threshold and abs(lfc) > lfc_threshold:
-            stability[(gene, ct)] = float(-np.log10(max(p_adj, 1e-300)) * abs(lfc))
-    return stability
+    lin = np.exp2(x) @ np.hstack([onehot, 1.0 - onehot])  # per-type and rest sums
+    lfc = np.log2((lin[:, :len(types)] / n1 + 1e-9) / (lin[:, len(types):] / n2 + 1e-9))
+    adjusted = benjamini_hochberg(p.ravel()).reshape(p.shape)
+    score = -np.log10(np.maximum(adjusted, 1e-300)) * np.abs(lfc)
+    keep = (adjusted < fdr_threshold) & (np.abs(lfc) > lfc_threshold)
+    return {(ref.genes[g], types[c]): float(score[g, c]) for g, c in zip(*np.nonzero(keep))}
 
 
 def select_pairs(ref: ReferenceDataset, markers: set[tuple[str, str]],
@@ -223,19 +235,29 @@ def save_selection(selection: PairSelection, path: str | Path) -> None:
                 "provenance": selection.provenance[pair_key(g, c)],
                 "score": selection.scores[pair_key(g, c)]}
                for g, c in sorted(selection.pairs)]
-    from .io import atomic_write_text
     atomic_write_text(path, json.dumps(records, indent=2) + "\n")
 
 
 def load_selection(path: str | Path) -> PairSelection:
-    with open(path, encoding="utf-8") as fh:
-        records = json.load(fh)
+    records = load_json(path)
+    if not isinstance(records, list):
+        raise ParseError("selection must be a JSON list of records")
     pairs = set()
     provenance = {}
     scores = {}
-    for rec in records:
+    for k, rec in enumerate(records):
+        missing = [f for f in ("gene", "cell_type", "provenance", "score")
+                   if not isinstance(rec, dict) or f not in rec]
+        if missing:
+            raise ParseError(f"selection record {k} lacks {', '.join(missing)}")
         pair = (rec["gene"], rec["cell_type"])
+        if rec["provenance"] not in PairSelection.VALID_TAGS:
+            raise ParseError(f"selection record {k} has provenance {rec['provenance']!r}, "
+                             f"not one of {', '.join(PairSelection.VALID_TAGS)}")
+        score = rec["score"]
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise ParseError(f"selection record {k} has non-numeric score {score!r}")
         pairs.add(pair)
         provenance[pair_key(*pair)] = rec["provenance"]
-        scores[pair_key(*pair)] = float(rec["score"])
+        scores[pair_key(*pair)] = float(score)
     return PairSelection(pairs=frozenset(pairs), provenance=provenance, scores=scores)

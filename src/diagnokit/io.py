@@ -116,8 +116,10 @@ def _load_long(path: str | Path) -> tuple[list[str], list[str], list[str], np.nd
     cell_types: dict[str, None] = {}
     samples: dict[str, None] = {}
     entries: dict[tuple[str, str, str], float] = {}
+    blank = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
+            blank += 1
             continue
         parts = line.split("\t")
         if len(parts) != 4:
@@ -130,6 +132,14 @@ def _load_long(path: str | Path) -> tuple[list[str], list[str], list[str], np.nd
             entries[(g, c, s)] = float(v)
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+    if len(entries) < len(lines) - 1 - blank:
+        # some key repeats; find its line only now, off the per-row path
+        seen = set()
+        for lineno, line in enumerate(lines[1:], start=2):
+            key = tuple(line.split("\t")[:3])
+            if line and key in seen:
+                raise ParseError(f"duplicate tensor entry {key}", line=lineno)
+            seen.add(key)
     genes, cell_types, samples = list(genes), list(cell_types), list(samples)
     values = np.empty((len(genes), len(cell_types), len(samples)))
     try:

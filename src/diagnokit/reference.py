@@ -85,7 +85,8 @@ def estimate_priors(ref: ReferenceDataset, shrinkage: float = DEFAULT_SHRINKAGE,
         raise ValidationError("each cell type needs at least 2 cells")
 
     # shared position subsets across types: one draw per replicate
-    subsets = [rng.permutation(n_aligned)[:half] for _ in range(N_PSEUDO_REPLICATES)]
+    subsets = np.array([rng.permutation(n_aligned)[:half]
+                        for _ in range(N_PSEUDO_REPLICATES)])  # (R, half)
     # variance of a without-replacement half-mean relative to per-position variance
     rescale = 1.0 / (1.0 / half - 1.0 / n_aligned)
 
@@ -101,18 +102,24 @@ def estimate_priors(ref: ReferenceDataset, shrinkage: float = DEFAULT_SHRINKAGE,
         dof += len(idx) - 1
     noise_vars = np.maximum(ss / max(dof, 1), _NOISE_FLOOR)
 
-    priors: list[GenePrior] = []
-    for g in range(G):
-        reps = np.empty((N_PSEUDO_REPLICATES, C))
-        for r, sub in enumerate(subsets):
-            for c, idx in enumerate(type_cols):
-                reps[r, c] = ref.values[g, idx[sub]].mean()
-        S = np.atleast_2d(np.cov(reps.T, ddof=1)) * rescale
-        sigma = (1.0 - shrinkage) * S + shrinkage * np.diag(np.diag(S))
-        sigma = _regularize_spd(sigma, np.trace(S))
-        priors.append(GenePrior(gene=ref.genes[g], mu=mus[g].copy(), sigma=sigma,
-                                noise_var=float(noise_vars[g])))
-    return priors
+    # replicate means of every gene, (G, R, C), and their covariance over R
+    reps = np.stack([ref.values[:, idx[subsets]].mean(axis=-1) for idx in type_cols],
+                    axis=-1)
+    dev = reps - reps.mean(axis=1, keepdims=True)
+    S = np.einsum("grc,grd->gcd", dev, dev) * (1.0 / (N_PSEUDO_REPLICATES - 1)) * rescale
+    diag = np.einsum("gcc->gc", S)
+    sigma = (1.0 - shrinkage) * S + shrinkage * (diag[:, :, None] * np.eye(C))
+    trace_s = diag.sum(axis=1)
+    sigma = 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
+    # _regularize_spd's first jitter step for all genes at once; only the
+    # genes it leaves indefinite go through the doubling loop
+    eps = np.where(trace_s > 0, 1e-6 * trace_s / C, 1e-8)
+    spd = sigma + eps[:, None, None] * np.eye(C)
+    for g in np.flatnonzero(~(np.linalg.eigvalsh(spd).min(axis=1) > 0)):
+        spd[g] = _regularize_spd(sigma[g], trace_s[g])
+    return [GenePrior(gene=gene, mu=mus[g].copy(), sigma=spd[g].copy(),
+                      noise_var=float(noise_vars[g]))
+            for g, gene in enumerate(ref.genes)]
 
 
 def _regularize_spd(sigma: np.ndarray, trace_s: float) -> np.ndarray:

@@ -172,6 +172,22 @@ class RecoveryReport:
         return out
 
 
+def _pearson_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pearson`` along the last axis for every row at once.
+
+    Returns (r, defined): r is meaningful where ``defined``, that is where the
+    rows hold at least 2 values and neither side has zero variance.
+    """
+    da = a - a.mean(axis=-1, keepdims=True)
+    db = b - b.mean(axis=-1, keepdims=True)
+    na = np.einsum("...i,...i->...", da, da)
+    nb = np.einsum("...i,...i->...", db, db)
+    defined = (na != 0.0) & (nb != 0.0) & (a.shape[-1] >= 2)
+    denom = np.sqrt(np.where(defined, na * nb, 1.0))
+    r = np.clip(np.einsum("...i,...i->...", da, db) / denom, -1.0, 1.0)
+    return r, defined
+
+
 def evaluate_recovery(estimate: CtsTensor, truth: CtsTensor) -> RecoveryReport:
     """Correlate estimate against truth per (gene, type) and per (sample, type).
 
@@ -181,23 +197,16 @@ def evaluate_recovery(estimate: CtsTensor, truth: CtsTensor) -> RecoveryReport:
             or estimate.samples != truth.samples):
         raise ValidationError("estimate and truth axes do not match")
     cts = estimate.cell_types
-    per_gene = {ct: [] for ct in cts}
-    per_sample = {ct: [] for ct in cts}
-    excl_g = {ct: 0 for ct in cts}
-    excl_s = {ct: 0 for ct in cts}
-    for j, ct in enumerate(cts):
-        for gi in range(len(estimate.genes)):
-            try:
-                per_gene[ct].append(pearson(estimate.mean[gi, j], truth.mean[gi, j]))
-            except ValidationError:
-                excl_g[ct] += 1
-        for si in range(len(estimate.samples)):
-            try:
-                per_sample[ct].append(pearson(estimate.mean[:, j, si], truth.mean[:, j, si]))
-            except ValidationError:
-                excl_s[ct] += 1
-    return RecoveryReport(cell_types=list(cts), per_gene=per_gene, per_sample=per_sample,
-                          excluded_per_gene=excl_g, excluded_per_sample=excl_s)
+    # (G, C, N): per gene along samples; (C, N, G): per sample along genes
+    r_g, ok_g = _pearson_rows(estimate.mean, truth.mean)
+    r_s, ok_s = _pearson_rows(np.moveaxis(estimate.mean, 0, -1),
+                              np.moveaxis(truth.mean, 0, -1))
+    return RecoveryReport(
+        cell_types=list(cts),
+        per_gene={ct: r_g[:, j][ok_g[:, j]].tolist() for j, ct in enumerate(cts)},
+        per_sample={ct: r_s[j][ok_s[j]].tolist() for j, ct in enumerate(cts)},
+        excluded_per_gene={ct: int((~ok_g[:, j]).sum()) for j, ct in enumerate(cts)},
+        excluded_per_sample={ct: int((~ok_s[j]).sum()) for j, ct in enumerate(cts)})
 
 
 def nnls_proportions(bulk_column, signature) -> np.ndarray:

@@ -345,6 +345,63 @@ class TestSampleMeta:
                          json.dumps(records), case) == 1
 
 
+@pytest.mark.parametrize("case", ["not_a_list", "no_gene", "no_cell_type",
+                                  "no_provenance", "no_score", "non_numeric_score",
+                                  "bad_provenance"])
+def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, case):
+    records = json.loads(selection_path.read_text())
+    assert records
+    if case == "not_a_list":
+        records = {"pairs": records}
+    elif case.startswith("no_"):
+        del records[0][case[3:]]
+    elif case == "non_numeric_score":
+        records[0]["score"] = "high"
+    else:
+        records[0]["provenance"] = "curated"
+    sel = tmp_path / "selection.json"
+    sel.write_text(json.dumps(records))
+    mcfg = tmp_path / "mcmc.json"
+    mcfg.write_text(json.dumps(MCMC))
+    assert main(_deconvolve_args(sim_dir, sim_dir / "meta.json", sel,
+                                 tmp_path / "dec", mcfg)) == 1
+    assert "selection" in capsys.readouterr().err
+
+
+def test_reference_path_loads_no_scipy_stats_or_special(tmp_path):
+    """select-genes, a one-round deconvolve and eval in a fresh interpreter
+    leave scipy.stats and scipy.special unloaded (they cost about 100 MB).
+    The reference has more than 12 cells, so selection takes the
+    normal-approximation path."""
+    src = Path(diagnokit.__file__).resolve().parents[1]
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({**SCENARIO, "ref_cells_per_type": 10}))
+    sim_dir = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--seed", "2", "--out", str(sim_dir)]) == 0
+    mcfg = tmp_path / "mcmc.json"
+    mcfg.write_text(json.dumps(MCMC))
+    ref = ["--ref", str(sim_dir / "reference.tsv"),
+           "--labels", str(sim_dir / "reference_labels.json")]
+    argvs = [
+        ["select-genes", *ref, "--out", str(tmp_path / "sel")],
+        _deconvolve_args(sim_dir, sim_dir / "meta.json", tmp_path / "sel" / "selection.json",
+                         tmp_path / "dec", mcfg),
+        ["eval", "--estimate", str(tmp_path / "dec" / "cts.tsv"),
+         "--truth", str(sim_dir / "truth.tsv"), "--out", str(tmp_path / "eval")],
+    ]
+    code = ("import json, sys\n"
+            "from diagnokit.cli import main\n"
+            f"for argv in json.loads({json.dumps(json.dumps(argvs))}):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted({'scipy.stats', 'scipy.special'} & set(sys.modules)))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "eval" / "recovery.json").exists()
+
+
 def test_cli_import_pulls_in_neither_numba_nor_requests():
     src = Path(diagnokit.__file__).resolve().parents[1]
     code = ("import sys, diagnokit.cli; print(sorted({'numba', 'requests', "

@@ -151,3 +151,55 @@ def test_recovery_report_summary_quartiles():
     assert s["per_gene"]["a"]["median"] == pytest.approx(0.6)
     assert s["per_sample"]["a"]["excluded"] == 2
     assert s["median_per_gene_overall"] == pytest.approx(0.6)
+
+
+def _recovery_loop(estimate, truth):
+    """Reference: one scalar ``pearson`` per (gene, type) and (sample, type)."""
+    out = {"per_gene": {}, "per_sample": {}, "excl_gene": {}, "excl_sample": {}}
+    for j, ct in enumerate(estimate.cell_types):
+        for level, pairs in (
+                ("gene", [(estimate.mean[g, j], truth.mean[g, j])
+                          for g in range(len(estimate.genes))]),
+                ("sample", [(estimate.mean[:, j, i], truth.mean[:, j, i])
+                            for i in range(len(estimate.samples))])):
+            vals, excluded = [], 0
+            for a, b in pairs:
+                try:
+                    vals.append(pearson(a, b))
+                except ValidationError:
+                    excluded += 1
+            out[f"per_{level}"][ct] = vals
+            out[f"excl_{level}"][ct] = excluded
+    return out
+
+
+@pytest.mark.parametrize("G,C,N", [(7, 3, 9), (1, 2, 5), (6, 2, 1), (5, 1, 4)])
+def test_evaluate_recovery_matches_pearson_loop(G, C, N):
+    rng = np.random.default_rng(G * 100 + C * 10 + N)
+    truth_mean = rng.normal(size=(G, C, N))
+    est_mean = truth_mean + rng.normal(scale=0.5, size=(G, C, N))
+    planted = G > 1 and N > 1 and C > 1
+    if planted:
+        truth_mean[:, -1, -1] = 0.25               # constant truth sample: excluded
+        truth_mean[1, 0] = 0.0                     # constant truth gene: excluded
+        est_mean[0, 0] = 3.0                       # constant estimate gene: excluded
+        est_mean[2 % G, -1] = 2.0 * truth_mean[2 % G, -1] + 1.0   # r = +1
+        est_mean[3 % G, 0] = -truth_mean[3 % G, 0]                # r = -1
+    axes = dict(genes=[f"g{i}" for i in range(G)], cell_types=[f"c{j}" for j in range(C)],
+                samples=[f"s{i}" for i in range(N)], variance=np.zeros((G, C, N)))
+    est = CtsTensor(mean=est_mean, **axes)
+    truth = CtsTensor(mean=truth_mean, **axes)
+    got = evaluate_recovery(est, truth)
+    want = _recovery_loop(est, truth)
+    assert got.excluded_per_gene == want["excl_gene"]
+    assert got.excluded_per_sample == want["excl_sample"]
+    for level in ("per_gene", "per_sample"):
+        for ct in got.cell_types:
+            np.testing.assert_allclose(getattr(got, level)[ct], want[level][ct],
+                                       rtol=1e-12, atol=1e-12)
+            assert all(-1.0 <= v <= 1.0 for v in getattr(got, level)[ct])
+    if planted:
+        assert got.excluded_per_gene["c0"] == 2
+        assert got.excluded_per_sample[f"c{C - 1}"] == 1
+        assert max(got.per_gene[f"c{C - 1}"]) == pytest.approx(1.0, abs=1e-15)
+        assert min(got.per_gene["c0"]) == pytest.approx(-1.0, abs=1e-15)

@@ -186,6 +186,16 @@ class TestParseErrors:
             load_bulk_matrix(path)
         assert err.value.line == 2
 
+    def test_duplicate_tensor_row_line_number(self, tmp_path):
+        t = CtsTensor(genes=["g"], cell_types=["c"], samples=["s0", "s1"],
+                      mean=np.ones((1, 1, 2)), variance=np.ones((1, 1, 2)))
+        save_cts_tensor(t, tmp_path / "t.tsv")
+        path = tmp_path / "t_mean.tsv"
+        path.write_text(path.read_text() + "g\tc\ts0\t2.0\n")
+        with pytest.raises(ParseError, match="duplicate") as err:
+            load_cts_tensor(tmp_path / "t.tsv")
+        assert err.value.line == 4
+
     def test_non_numeric_value(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("gene\ts1\ng0\tabc\n")
