@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .types import CtsTensor, PairSelection, _freeze
+from .types import CtsTensor, PairSelection, _check_unique, _freeze
 
 HIDDEN1 = 16
 HIDDEN2 = 8
@@ -26,20 +26,22 @@ FEATURE_TAGS = ("cts", "eqtl_beta", "eqtl_se", "eqtl_pval", "covariate")
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """One sample's feature values with names and per-feature tags."""
+class Dataset:
+    """Raw feature values, one row per sample, with per-feature names and tags
+    and one ID per sample. Every check runs once, over the whole matrix."""
 
-    values: np.ndarray
-    names: tuple[str, ...]
-    tags: tuple[str, ...]
-    sample_id: str = ""
+    values: np.ndarray          # (n, d)
+    names: tuple[str, ...]      # (d,)
+    tags: tuple[str, ...]       # (d,)
+    sample_ids: tuple[str, ...]  # (n,)
 
     def __post_init__(self):
         v = _freeze(self.values)
-        names = tuple(self.names)
-        tags = tuple(self.tags)
-        if v.ndim != 1 or len(names) != v.size or len(tags) != v.size:
-            raise ValidationError("feature values, names, and tags must have equal length")
+        names, tags, ids = tuple(self.names), tuple(self.tags), tuple(self.sample_ids)
+        if v.shape != (len(ids), len(names)) or len(tags) != len(names):
+            raise ValidationError(
+                f"values of shape {v.shape} do not match {len(ids)} sample IDs, "
+                f"{len(names)} names and {len(tags)} tags")
         if len(set(names)) != len(names):
             raise ValidationError("feature names must be unique")
         if not np.isfinite(v).all():
@@ -47,13 +49,11 @@ class FeatureVector:
         bad = set(tags).difference(FEATURE_TAGS)
         if bad:
             raise ValidationError(f"unknown feature tags: {sorted(bad)}")
+        _check_unique(ids, "sample")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "tags", tags)
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
+        object.__setattr__(self, "sample_ids", ids)
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ class TrainConfig:
 def build_features(cts: CtsTensor, selection: PairSelection,
                    eqtl: dict[str, tuple[float, float, float]],
                    covariates: dict[str, dict[str, float]] | None = None,
-                   missing_genes: list[str] | None = None) -> list[FeatureVector]:
+                   missing_genes: list[str] | None = None) -> Dataset:
     """Concatenate CTS posterior means, eQTL summaries, and covariates.
 
     Ordering is deterministic: selected pairs sorted lexicographically, then
@@ -187,22 +187,12 @@ def build_features(cts: CtsTensor, selection: PairSelection,
         np.tile([v for g in present for v in eqtl[g]], (n, 1)),
         np.array([[covariates[s][name] for name in cov_names] for s in cts.samples],
                  dtype=np.float64).reshape(n, len(cov_names))])
-    names, tags = tuple(names), tuple(tags)
-    return [FeatureVector(values=v, names=names, tags=tags, sample_id=s)
-            for v, s in zip(x, cts.samples)]
+    return Dataset(values=x, names=names, tags=tags, sample_ids=cts.samples)
 
 
-def _stack(features: list[FeatureVector]) -> np.ndarray:
-    """Raw values of feature vectors that share one set of names, one row each."""
-    if len({f.names for f in features}) != 1:
-        raise ValidationError("all feature vectors must share the same names")
-    return np.stack([f.values for f in features])
-
-
-def _row(x: FeatureVector | np.ndarray) -> np.ndarray:
+def _row(x: np.ndarray) -> np.ndarray:
     """One sample's raw values as a one-row matrix."""
-    raw = x.values if isinstance(x, FeatureVector) else np.asarray(x, dtype=np.float64)
-    return raw[None]
+    return np.asarray(x, dtype=np.float64)[None]
 
 
 def _standardize(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -254,7 +244,7 @@ def _probability(model: MlpModel, x: np.ndarray,
     return _sigmoid(_forward_parts(model, _standardize(model, x), masks)[4])
 
 
-def forward(model: MlpModel, x: FeatureVector | np.ndarray,
+def forward(model: MlpModel, x: np.ndarray,
             training: bool = False, seed: int = 0) -> float:
     """Predicted probability for one sample. Dropout applies only in training."""
     masks = (_dropout_masks(model.dropout_rate, np.random.default_rng(seed), 1)
@@ -262,7 +252,7 @@ def forward(model: MlpModel, x: FeatureVector | np.ndarray,
     return float(_probability(model, _row(x), masks)[0])
 
 
-def logit(model: MlpModel, x: FeatureVector | np.ndarray) -> float:
+def logit(model: MlpModel, x: np.ndarray) -> float:
     """Pre-sigmoid output (no dropout)."""
     return float(_forward_parts(model, _standardize(model, _row(x)))[4][0])
 
@@ -289,7 +279,7 @@ def _backprop(net, xhat: np.ndarray, y: np.ndarray,
             "w3": (dlogit @ h2)[None, :], "b3": dlogit.sum(keepdims=True)}, loss
 
 
-def backprop_gradient(model: MlpModel, x: FeatureVector | np.ndarray,
+def backprop_gradient(model: MlpModel, x: np.ndarray,
                       y: float) -> dict[str, np.ndarray]:
     """Analytic BCE gradient w.r.t. all weights and biases (dropout off)."""
     if y not in (0, 1) and not 0 <= y <= 1:
@@ -297,7 +287,7 @@ def backprop_gradient(model: MlpModel, x: FeatureVector | np.ndarray,
     return _backprop(model, _standardize(model, _row(x)), np.array([float(y)]))[0]
 
 
-def bce_loss(model: MlpModel, x: FeatureVector | np.ndarray, y: float) -> float:
+def bce_loss(model: MlpModel, x: np.ndarray, y: float) -> float:
     return _backprop(model, _standardize(model, _row(x)), np.array([float(y)]))[1]
 
 
@@ -345,7 +335,7 @@ def _stratified_split(labels: np.ndarray, val_fraction: float,
     return np.sort(np.array(train_idx)), np.sort(np.array(val_idx))
 
 
-def train(features: list[FeatureVector], labels, config: TrainConfig) -> TrainResult:
+def train(dataset: Dataset, labels, config: TrainConfig) -> TrainResult:
     """Fit the MLP; deterministic given ``config.seed``.
 
     Standardization statistics come from the training split only; features
@@ -353,11 +343,11 @@ def train(features: list[FeatureVector], labels, config: TrainConfig) -> TrainRe
     weights with the best validation loss seen.
     """
     y = np.asarray(labels, dtype=np.float64)
-    if len(features) != y.size or y.size < 4:
+    if len(dataset.sample_ids) != y.size or y.size < 4:
         raise ValidationError("need matching features/labels, at least 4 samples")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValidationError("labels must be binary 0/1")
-    x_raw = _stack(features)
+    x_raw = dataset.values
     if (y == 1).sum() < 2 or (y == 0).sum() < 2:
         raise ValidationError("need at least 2 samples per class")
 
@@ -368,14 +358,14 @@ def train(features: list[FeatureVector], labels, config: TrainConfig) -> TrainRe
     sd_all = x_raw[train_idx].std(axis=0, ddof=0)
     # a column of equal values can still get sd ~1e-17 from rounding in std
     kept = np.ptp(x_raw[train_idx], axis=0) > 0
-    dropped = tuple(n for n, k in zip(features[0].names, kept) if not k)
+    dropped = tuple(n for n, k in zip(dataset.names, kept) if not k)
     d = int(kept.sum())
     if d == 0:
         raise ValidationError("every feature has zero training variance")
 
     net = SimpleNamespace(**_he_init(rng, d))
     model_kw = dict(mean=mean_all[kept], sd=sd_all[kept], kept=kept,
-                    feature_names=features[0].names, feature_tags=features[0].tags,
+                    feature_names=dataset.names, feature_tags=dataset.tags,
                     dropout_rate=config.dropout_rate)
 
     def make_model():
@@ -444,8 +434,8 @@ def _relu_segments(model: MlpModel, base: np.ndarray, delta: np.ndarray) -> np.n
     return np.unique(np.concatenate((level1, t2[(lo < t2) & (t2 < hi)])))
 
 
-def integrated_gradients(model: MlpModel, x: FeatureVector | np.ndarray,
-                         baseline: FeatureVector | np.ndarray | None = None,
+def integrated_gradients(model: MlpModel, x: np.ndarray,
+                         baseline: np.ndarray | None = None,
                          steps: int = 200, method: str = "exact") -> np.ndarray:
     """Integrated Gradients of the pre-sigmoid logit along the straight path.
 
@@ -466,8 +456,7 @@ def integrated_gradients(model: MlpModel, x: FeatureVector | np.ndarray,
         base = raw.copy()
         base[model.kept] = model.mean
     else:
-        base = (baseline.values if isinstance(baseline, FeatureVector)
-                else np.asarray(baseline, dtype=np.float64))
+        base = np.asarray(baseline, dtype=np.float64)
     if base.shape != raw.shape:
         raise ValidationError("baseline dimension does not match input")
     delta = raw - base
@@ -520,37 +509,40 @@ def load_model(path: str | Path) -> MlpModel:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad checkpoint JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError("checkpoint must be a JSON object")
     try:
-        return MlpModel(
-            w1=np.array(payload["w1"]), b1=np.array(payload["b1"]),
-            w2=np.array(payload["w2"]), b2=np.array(payload["b2"]),
-            w3=np.array(payload["w3"]), b3=np.array(payload["b3"]),
-            mean=np.array(payload["mean"]), sd=np.array(payload["sd"]),
-            kept=np.array(payload["kept"], dtype=bool),
-            feature_names=tuple(payload["feature_names"]),
-            feature_tags=tuple(payload["feature_tags"]),
-            dropout_rate=float(payload["dropout_rate"]),
-        )
+        arrays = {name: np.array(payload[name], dtype=np.float64)
+                  for name in ("w1", "b1", "w2", "b2", "w3", "b3", "mean", "sd", "kept")}
+        dropout_rate = float(payload["dropout_rate"])
+        names, tags = payload["feature_names"], payload["feature_tags"]
     except KeyError as exc:
         raise ParseError(f"checkpoint missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"checkpoint fields must be numeric arrays: {exc}") from exc
+    if not all(isinstance(v, list) and all(isinstance(t, str) for t in v)
+               for v in (names, tags)):
+        raise ParseError("checkpoint feature_names and feature_tags must be lists of strings")
+    kept = arrays.pop("kept").astype(bool)
+    return MlpModel(**arrays, kept=kept, feature_names=tuple(names),
+                    feature_tags=tuple(tags), dropout_rate=dropout_rate)
 
 
-def save_dataset(features: list[FeatureVector], labels, path: str | Path) -> None:
+def save_dataset(dataset: Dataset, labels, path: str | Path) -> None:
     """Dataset TSV: one sample per row, header = sample + feature names + label."""
     from .io import _fmt, atomic_write_text
-    if not features:
+    if not dataset.sample_ids:
         raise ValidationError("cannot save an empty dataset")
-    names = features[0].names
     y = np.asarray(labels)
-    lines = ["sample\t" + "\t".join(names) + "\tlabel",
-             "#tags\t" + "\t".join(features[0].tags) + "\t-"]
-    for f, lab in zip(features, y):
-        lines.append(f.sample_id + "\t" + "\t".join(_fmt(v) for v in f.values)
+    lines = ["sample\t" + "\t".join(dataset.names) + "\tlabel",
+             "#tags\t" + "\t".join(dataset.tags) + "\t-"]
+    for sample_id, row, lab in zip(dataset.sample_ids, dataset.values, y):
+        lines.append(sample_id + "\t" + "\t".join(_fmt(v) for v in row)
                      + "\t" + str(int(lab)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_dataset(path: str | Path) -> tuple[list[FeatureVector], np.ndarray]:
+def load_dataset(path: str | Path) -> tuple[Dataset, np.ndarray]:
     """Read and validate a dataset TSV; every rejection names its line
     (field counts, tags, duplicate sample IDs, values, labels other than 0/1)."""
     with open(path, encoding="utf-8") as fh:
@@ -596,9 +588,8 @@ def load_dataset(path: str | Path) -> tuple[list[FeatureVector], np.ndarray]:
                       (~np.isin(labels, (0.0, 1.0)), "label must be 0 or 1")):
         if bad.any():
             raise ParseError(what, line=linenos[int(np.argmax(bad))])
-    feats = [FeatureVector(values=v, names=names, tags=tags, sample_id=sample_id)
-             for v, sample_id in zip(values, first_line)]
-    return feats, labels.astype(int)
+    return (Dataset(values=values, names=names, tags=tags, sample_ids=tuple(first_line)),
+            labels.astype(int))
 
 
 def save_eqtl_table(eqtl: dict[str, tuple[float, float, float]], path: str | Path) -> None:
@@ -622,8 +613,14 @@ def load_eqtl_table(path: str | Path) -> dict[str, tuple[float, float, float]]:
         parts = line.split("\t")
         if len(parts) != 4:
             raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
+        gene = parts[0]
+        if gene in out:
+            raise ParseError(f"duplicate gene {gene!r}", line=lineno)
         try:
-            out[parts[0]] = (float(parts[1]), float(parts[2]), float(parts[3]))
+            stats = (float(parts[1]), float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+        if not all(math.isfinite(v) for v in stats):
+            raise ParseError(f"non-finite beta, se or pval for {gene!r}", line=lineno)
+        out[gene] = stats
     return out

@@ -55,6 +55,7 @@ class RunManifest:
     timestamp: float = 0.0
     outputs: list[str] = field(default_factory=list)
     status: str = "running"
+    error: str | None = None
 
     def write(self, out_dir: Path) -> None:
         atomic_write_text(out_dir / "manifest.json",
@@ -103,12 +104,27 @@ def _start_manifest(args, inputs: list[str]) -> tuple[RunManifest, Path, dict]:
                            seed=args.seed, timestamp=time.time(),
                            inputs={p: _sha256(p) for p in inputs if p})
     manifest.write(out_dir)
+    args.manifest = manifest  # main marks it failed if the command raises
     return manifest, out_dir, config
+
 
 def _finish_manifest(manifest: RunManifest, out_dir: Path, outputs: list[Path]) -> None:
     manifest.outputs = sorted(str(p) for p in outputs)
     manifest.status = "ok"
     manifest.write(out_dir)
+
+
+def _fail_manifest(args, exc: Exception) -> None:
+    """Record a failed command in its manifest, if it got as far as one."""
+    manifest = getattr(args, "manifest", None)
+    if manifest is None:
+        return
+    manifest.status = "failed"
+    manifest.error = f"{type(exc).__name__}: {exc}"
+    try:
+        manifest.write(Path(args.out))
+    except OSError:
+        pass  # the command's own error is the one to report
 
 
 def _pick(config: dict, cls, **overrides):
@@ -175,9 +191,9 @@ def cmd_deconvolve(args) -> None:
 
 def cmd_train(args) -> None:
     manifest, out, config = _start_manifest(args, [args.dataset])
-    features, labels = load_dataset(args.dataset)
+    dataset, labels = load_dataset(args.dataset)
     tc = _pick(config, TrainConfig, seed=args.seed)
-    result = train(features, labels, tc)
+    result = train(dataset, labels, tc)
     save_model(result, out / "model.json")
     save_json({"log": result.log, "dropped_features": list(result.dropped_features)},
               out / "train_log.json")
@@ -187,20 +203,20 @@ def cmd_train(args) -> None:
 def cmd_attribute(args) -> None:
     manifest, out, config = _start_manifest(args, [args.checkpoint, args.dataset])
     model = load_model(args.checkpoint)
-    features, _ = load_dataset(args.dataset)
+    dataset, _ = load_dataset(args.dataset)
     steps = int(config.get("steps", 200))
     method = config.get("method", "exact")
     from .io import _fmt
     lines = ["sample\t" + "\t".join(model.feature_names)]
-    for f in features:
-        attr = integrated_gradients(model, f, steps=steps, method=method)
-        lines.append(f.sample_id + "\t" + "\t".join(_fmt(v) for v in attr))
+    for sample_id, x in zip(dataset.sample_ids, dataset.values):
+        attr = integrated_gradients(model, x, steps=steps, method=method)
+        lines.append(sample_id + "\t" + "\t".join(_fmt(v) for v in attr))
     atomic_write_text(out / "attributions.tsv", "\n".join(lines) + "\n")
     _finish_manifest(manifest, out, [out / "attributions.tsv"])
 
 
-def _population_stats(features, labels) -> dict[str, tuple[float, float, float]]:
-    x = np.stack([f.values for f in features])
+def _population_stats(dataset, labels) -> dict[str, tuple[float, float, float]]:
+    x = dataset.values
     y = np.asarray(labels)
     zeros = np.zeros(x.shape[1])
     mean_ad = x[y == 1].mean(axis=0) if (y == 1).any() else zeros
@@ -209,7 +225,7 @@ def _population_stats(features, labels) -> dict[str, tuple[float, float, float]]
     # rounding in std can leave a column of equal values with sd ~1e-17
     sd[np.ptp(x, axis=0) == 0] = 1.0
     return {name: (float(a), float(b), float(s))
-            for name, a, b, s in zip(features[0].names, mean_ad, mean_non, sd)}
+            for name, a, b, s in zip(dataset.names, mean_ad, mean_non, sd)}
 
 
 def cmd_report(args) -> None:
@@ -217,18 +233,17 @@ def cmd_report(args) -> None:
         args, [args.checkpoint, args.dataset]
         + ([args.knowledge] if args.knowledge else []))
     model = load_model(args.checkpoint)
-    features, labels = load_dataset(args.dataset)
-    by_id = {f.sample_id: f for f in features}
-    if args.sample not in by_id:
+    dataset, labels = load_dataset(args.dataset)
+    if args.sample not in dataset.sample_ids:
         raise ValidationError(f"sample {args.sample!r} not in dataset")
-    f = by_id[args.sample]
-    prob = forward(model, f)
-    attr = integrated_gradients(model, f)
-    k = min(int(config.get("top_k", 5)), f.dim)
-    top = top_k_features(attr, f.names, f.values, k=k)
+    x = dataset.values[dataset.sample_ids.index(args.sample)]
+    prob = forward(model, x)
+    attr = integrated_gradients(model, x)
+    k = min(int(config.get("top_k", 5)), len(dataset.names))
+    top = top_k_features(attr, dataset.names, x, k=k)
     strategy = args.strategy
     knowledge = load_knowledge(args.knowledge) if args.knowledge else {}
-    stats = _population_stats(features, labels) if strategy != "direct" else None
+    stats = _population_stats(dataset, labels) if strategy != "direct" else None
     inp = PromptInput(predicted_label="AD" if prob >= 0.5 else "nonAD",
                       probability=prob,
                       top_features=tuple(FeatureReading(name=n, value=v, attribution=a)
@@ -259,7 +274,7 @@ def cmd_eval(args) -> None:
 def cmd_diverge(args) -> None:
     manifest, out, config = _start_manifest(args, [args.checkpoint, args.dataset])
     model = load_model(args.checkpoint)
-    features, labels = load_dataset(args.dataset)
+    dataset, labels = load_dataset(args.dataset)
     size = int(config.get("subset_size", DEFAULT_SUBSET_SIZE))
     threshold = float(config.get("ood_threshold", 1.0))
     mean = np.zeros(model.kept.size)
@@ -267,13 +282,13 @@ def cmd_diverge(args) -> None:
     mean[model.kept] = model.mean
     sd[model.kept] = model.sd
     subsets = {
-        "symbolic-conflict": symbolic_conflict_subset(features, labels, size),
-        "ood": ood_subset(features, mean, sd, size=size, threshold=threshold),
+        "symbolic-conflict": symbolic_conflict_subset(dataset, labels, size),
+        "ood": ood_subset(dataset, mean, sd, size=size, threshold=threshold),
     }
     client = None
     if not args.offline and os.environ.get("DIAGNO_LLM_URL"):
         client = LlmClient.from_env(model=config.get("model", "gpt-4o-mini"))
-    reports = run_divergence(model, features, labels, subsets, client)
+    reports = run_divergence(model, dataset, labels, subsets, client)
     save_reports(reports, out / "divergence.json")
     atomic_write_text(out / "divergence.md", reports_markdown(reports))
     _finish_manifest(manifest, out, [out / "divergence.json", out / "divergence.md"])
@@ -360,9 +375,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args)
     except DiagnokitError as exc:
+        _fail_manifest(args, exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures
+        _fail_manifest(args, exc)
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     return 0

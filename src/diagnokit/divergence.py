@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (FeatureVector, MlpModel, _probability, _stack, forward,
-                         integrated_gradients, top_k_features)
+from .classifier import (Dataset, MlpModel, _probability, forward, integrated_gradients,
+                         top_k_features)
 from .errors import ValidationError
 from .report import LlmClient, PromptInput, build_prompt, parse_llm_decision
 
@@ -43,59 +43,60 @@ class DivergenceReport:
         object.__setattr__(self, "case_table", tuple(self.case_table))
 
 
-def symbolic_conflict_subset(features: list[FeatureVector], labels,
+def symbolic_conflict_subset(dataset: Dataset, labels,
                              size: int = DEFAULT_SUBSET_SIZE) -> list[int]:
     """Indices of up to ``size`` AD-labeled samples with any negative BETA.
 
     Order follows the dataset. Raises when no sample qualifies.
     """
     y = np.asarray(labels)
-    if len(features) != y.size:
+    if len(dataset.sample_ids) != y.size:
         raise ValidationError("features and labels must have equal length")
     if size < 1:
         raise ValidationError("size must be positive")
-    if not any("eqtl_beta" in f.tags for f in features[:1]):
+    beta = np.array([t == "eqtl_beta" for t in dataset.tags])
+    if not beta.any():
         raise ValidationError("dataset has no eqtl_beta-tagged features")
-    beta = np.array([t == "eqtl_beta" for t in features[0].tags])
-    out = np.flatnonzero((y == 1) & (_stack(features)[:, beta] < 0).any(axis=1))[:size]
+    out = np.flatnonzero((y == 1) & (dataset.values[:, beta] < 0).any(axis=1))[:size]
     if not out.size:
         raise ValidationError("symbolic-conflict subset is empty")
     return out.tolist()
 
 
-def ood_subset(features: list[FeatureVector], train_mean, train_sd,
+def ood_subset(dataset: Dataset, train_mean, train_sd,
                size: int | None = None,
                threshold: float = OOD_THRESHOLD) -> list[int]:
     """Indices of samples with any feature beyond ``threshold`` training sds."""
     mean = np.asarray(train_mean, dtype=np.float64)
     sd = np.asarray(train_sd, dtype=np.float64)
-    if not features:
+    if not dataset.sample_ids:
         raise ValidationError("empty dataset")
-    d = features[0].dim
+    d = len(dataset.names)
     if mean.shape != (d,) or sd.shape != (d,):
         raise ValidationError("train stats must cover every feature")
     if (sd <= 0).any():
         raise ValidationError("train sds must be positive")
-    far = (np.abs(_stack(features) - mean) / sd).max(axis=1) > threshold
+    far = (np.abs(dataset.values - mean) / sd).max(axis=1) > threshold
     out = np.flatnonzero(far)[:size]
     if not out.size:
         raise ValidationError("OOD subset is empty")
     return out.tolist()
 
 
-def sign_rule_predict(f: FeatureVector) -> int:
-    """Heuristic stand-in for the LLM's documented failure mode: call nonAD
-    whenever any eQTL effect size is negative, else AD."""
-    beta_mask = np.array([t == "eqtl_beta" for t in f.tags])
+def sign_rule_predict(dataset: Dataset) -> np.ndarray:
+    """Heuristic stand-in for the LLM's documented failure mode, one call per
+    sample: nonAD (0) whenever any eQTL effect size is negative, else AD (1)."""
+    beta_mask = np.array([t == "eqtl_beta" for t in dataset.tags])
     if not beta_mask.any():
         raise ValidationError("sign rule needs eqtl_beta-tagged features")
-    return 0 if (f.values[beta_mask] < 0).any() else 1
+    return np.where((dataset.values[:, beta_mask] < 0).any(axis=1), 0, 1)
 
 
-def _llm_decision(client: LlmClient, model: MlpModel, f: FeatureVector) -> int | None:
-    prob = forward(model, f)
-    attr = integrated_gradients(model, f)
-    top = top_k_features(attr, f.names, f.values, k=min(5, f.dim))
+def _llm_decision(client: LlmClient, model: MlpModel, x: np.ndarray,
+                  names: tuple[str, ...]) -> int | None:
+    prob = forward(model, x)
+    attr = integrated_gradients(model, x)
+    top = top_k_features(attr, names, x, k=min(5, len(names)))
     from .report import FeatureReading
     inp = PromptInput(
         predicted_label="AD" if prob >= 0.5 else "nonAD", probability=prob,
@@ -111,14 +112,14 @@ def _llm_decision(client: LlmClient, model: MlpModel, f: FeatureVector) -> int |
     return 1 if decision == "AD" else 0
 
 
-def run_divergence(model: MlpModel, features: list[FeatureVector], labels,
+def run_divergence(model: MlpModel, dataset: Dataset, labels,
                    subsets: dict[str, list[int]],
                    client: LlmClient | None = None) -> list[DivergenceReport]:
     """Score the MLP (and optionally an LLM) on each named subset."""
     y = np.asarray(labels)
     if not subsets:
         raise ValidationError("no subsets provided")
-    mlp_pred = (_probability(model, _stack(features)) >= 0.5).astype(int)
+    mlp_pred = (_probability(model, dataset.values) >= 0.5).astype(int)
     reports = []
     for name, idx in subsets.items():
         if not idx:
@@ -127,12 +128,12 @@ def run_divergence(model: MlpModel, features: list[FeatureVector], labels,
         llm_hits = 0
         llm_total = 0
         for i in idx:
-            f = features[i]
-            row = {"sample": f.sample_id or str(i),
-                   "features": {n: float(v) for n, v in zip(f.names, f.values)},
+            x = dataset.values[i]
+            row = {"sample": dataset.sample_ids[i] or str(i),
+                   "features": {n: float(v) for n, v in zip(dataset.names, x)},
                    "label": int(y[i]), "mlp_pred": int(mlp_pred[i])}
             if client is not None:
-                pred = _llm_decision(client, model, f)
+                pred = _llm_decision(client, model, x, dataset.names)
                 if pred is not None:
                     llm_total += 1
                     llm_hits += int(pred == y[i])

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import resolve_backend
-from .reference import DEFAULT_SHRINKAGE, ReferenceDataset, _regularize_spd, estimate_priors
-from .types import (AdjustmentParams, BulkMatrix, CtsTensor, GenePrior, PairSelection,
+from .reference import DEFAULT_SHRINKAGE, ReferenceDataset, _regularize_spd_all, estimate_priors
+from .types import (AdjustmentParams, BulkMatrix, CtsTensor, GenePriors, PairSelection,
                     RefinementConfig, SampleMeta)
 
 
@@ -73,18 +73,19 @@ class PosteriorSummary:
     estimated: np.ndarray | None = None  # (G, C) bool mask, deconvolve only
 
 
-def z_conditional(prior: GenePrior, x_gi: float, meta: SampleMeta,
-                  adj: AdjustmentParams) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Gaussian full conditional of z for one (gene, sample)."""
+def z_conditional(mu: np.ndarray, sigma: np.ndarray, noise_var: float, x_gi: float,
+                  meta: SampleMeta, adj: AdjustmentParams) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Gaussian full conditional of z for one (gene, sample), given the
+    gene's prior mean, covariance and noise variance."""
     w = meta.proportions
     r = float(x_gi) - float(adj.gamma @ meta.bulk_cov) - float(w @ (adj.b @ meta.cts_cov))
     if not np.isfinite(r):
         raise ValidationError("non-finite residual target")
-    sig_inv = np.linalg.inv(prior.sigma)
-    prec = sig_inv + np.outer(w, w) / prior.noise_var
+    sig_inv = np.linalg.inv(sigma)
+    prec = sig_inv + np.outer(w, w) / noise_var
     cov = np.linalg.inv(prec)
     cov = 0.5 * (cov + cov.T)
-    mean = cov @ (sig_inv @ prior.mu + w * (r / prior.noise_var))
+    mean = cov @ (sig_inv @ mu + w * (r / noise_var))
     return mean, cov
 
 
@@ -103,34 +104,22 @@ def _align_metas(samples: list[str], metas: list[SampleMeta]) -> list[SampleMeta
     return [by_id[s] for s in samples]
 
 
-def _stack_inputs(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleMeta]):
-    G, N = bulk.n_genes, bulk.n_samples
-    if len(priors) != G:
-        raise ValidationError(f"expected {G} priors, got {len(priors)}")
+def _stack_inputs(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta]):
+    if priors.genes != list(bulk.genes):
+        raise ValidationError("priors must list the bulk genes in bulk order "
+                              "(GenePriors.take reorders them)")
     metas = _align_metas(bulk.samples, metas)
-    by_gene = {p.gene for p in priors}
-    if by_gene != set(bulk.genes):
-        raise ValidationError("priors do not cover the bulk gene set")
-    order = {p.gene: p for p in priors}
-    priors = [order[g] for g in bulk.genes]
-    C = priors[0].n_cell_types
-    for p in priors:
-        if p.n_cell_types != C:
-            raise ValidationError("inconsistent prior dimension")
     w = np.stack([m.proportions for m in metas])
-    if w.shape[1] != C:
+    if w.shape[1] != priors.mu.shape[1]:
         raise ValidationError("meta proportions dimension does not match priors")
     if len({(m.bulk_cov.size, m.cts_cov.size) for m in metas}) > 1:
         raise ValidationError("sample metas disagree on covariate lengths")
     c1 = np.stack([m.bulk_cov for m in metas])
     c2 = np.stack([m.cts_cov for m in metas])
-    mu = np.stack([p.mu for p in priors])
-    sigma = np.stack([p.sigma for p in priors])
-    sig_inv = np.linalg.inv(sigma)
+    sig_inv = np.linalg.inv(priors.sigma)
     sig_inv = 0.5 * (sig_inv + np.transpose(sig_inv, (0, 2, 1)))
-    sig_inv_mu = np.einsum("gcd,gd->gc", sig_inv, mu)
-    noise0 = np.array([p.noise_var for p in priors])
-    return priors, w, c1, c2, mu, sigma, sig_inv, sig_inv_mu, noise0
+    sig_inv_mu = np.einsum("gcd,gd->gc", sig_inv, priors.mu)
+    return w, c1, c2, sig_inv, sig_inv_mu
 
 
 def _run_sweep(state: ChainState, x, w, c1, c2, sig_inv, sig_inv_mu,
@@ -149,11 +138,11 @@ def _run_sweep(state: ChainState, x, w, c1, c2, sig_inv, sig_inv_mu,
     state.iteration += 1
 
 
-def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: list[GenePrior],
+def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: GenePriors,
                 metas: list[SampleMeta], hyper: HyperParams | None = None) -> ChainState:
     """Advance the chain by one full sweep (z, then coefficients, then noise)."""
     hyper = hyper or HyperParams()
-    _, w, c1, c2, _, _, sig_inv, sig_inv_mu, _ = _stack_inputs(bulk, priors, metas)
+    w, c1, c2, sig_inv, sig_inv_mu = _stack_inputs(bulk, priors, metas)
     if state.z.shape != (bulk.n_genes, bulk.n_samples, w.shape[1]):
         raise ValidationError("chain state z shape does not match inputs")
     _run_sweep(state, bulk.values, w, c1, c2, sig_inv, sig_inv_mu, hyper,
@@ -161,17 +150,21 @@ def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: list[GenePrior],
     return state
 
 
-def init_chain(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleMeta],
+def init_chain(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
                rng: np.random.Generator, overdispersion: float = 2.0) -> ChainState:
     """Over-dispersed start: prior draws with deviations scaled up."""
-    priors, w, c1, c2, mu, sigma, _, _, noise0 = _stack_inputs(bulk, priors, metas)
-    G, N = bulk.n_genes, bulk.n_samples
-    C = w.shape[1]
-    chol = np.linalg.cholesky(sigma)
-    eps = rng.standard_normal((G, N, C))
-    z0 = mu[:, None, :] + overdispersion * np.einsum("gcd,gnd->gnc", chol, eps)
+    _, c1, c2, _, _ = _stack_inputs(bulk, priors, metas)
+    return _start_chain(priors, bulk.n_samples, c1, c2, rng, overdispersion)
+
+
+def _start_chain(priors: GenePriors, n_samples: int, c1: np.ndarray, c2: np.ndarray,
+                 rng: np.random.Generator, overdispersion: float = 2.0) -> ChainState:
+    G, C = priors.mu.shape
+    chol = np.linalg.cholesky(priors.sigma)
+    eps = rng.standard_normal((G, n_samples, C))
+    z0 = priors.mu[:, None, :] + overdispersion * np.einsum("gcd,gnd->gnc", chol, eps)
     return ChainState(z=z0, gamma=np.zeros((G, c1.shape[1])),
-                      b=np.zeros((G, C, c2.shape[1])), noise_var=noise0.copy(),
+                      b=np.zeros((G, C, c2.shape[1])), noise_var=priors.noise_var.copy(),
                       iteration=0, rng=rng)
 
 
@@ -224,14 +217,13 @@ def split_rhat_all(traces: np.ndarray) -> np.ndarray:
     return np.where(w_var == 0.0, np.where(b_var == 0.0, 1.0, np.inf), rhat)
 
 
-def run_mcmc(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleMeta],
+def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
              config: RefinementConfig, seed: int,
              hyper: HyperParams | None = None,
              cell_types: list[str] | None = None) -> PosteriorSummary:
     """Multi-chain Gibbs sampling with pooled posterior moments and R-hat."""
     hyper = hyper or HyperParams()
-    priors, w, c1, c2, mu, sigma, sig_inv, sig_inv_mu, _ = _stack_inputs(
-        bulk, priors, metas)
+    w, c1, c2, sig_inv, sig_inv_mu = _stack_inputs(bulk, priors, metas)
     G, N = bulk.n_genes, bulk.n_samples
     C = w.shape[1]
     if cell_types is None:
@@ -250,7 +242,7 @@ def run_mcmc(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleMeta],
 
     for ci in range(config.chains):
         rng = np.random.default_rng(chain_seeds[ci])
-        state = init_chain(bulk, priors, metas, rng)
+        state = _start_chain(priors, N, c1, c2, rng)
         for it in range(config.iters):
             _run_sweep(state, x, w, c1, c2, sig_inv, sig_inv_mu, hyper, sweep_fn)
             if it >= config.burnin:
@@ -266,7 +258,7 @@ def run_mcmc(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleMeta],
     var_z = np.maximum(sum_z2 / total - mean_z ** 2, 0.0)
     mu_hat = mean_z.mean(axis=1)
     sigma_hat = sum_outer / (total * N) - np.einsum("gc,gd->gcd", mu_hat, mu_hat)
-    sigma_hat = np.stack([_regularize_spd(s, np.trace(s)) for s in sigma_hat])
+    sigma_hat = _regularize_spd_all(sigma_hat, np.trace(sigma_hat, axis1=1, axis2=2))
     noise_hat = sum_noise / total
 
     rhat = split_rhat_all(traces)
@@ -281,8 +273,8 @@ def run_mcmc(bulk: BulkMatrix, priors: list[GenePrior], metas: list[SampleMeta],
                             noise_hat=noise_hat, rhat=rhat, converged=converged)
 
 
-def refine_priors(summary: PosteriorSummary, priors: list[GenePrior],
-                  config: RefinementConfig, seed: int) -> list[GenePrior]:
+def refine_priors(summary: PosteriorSummary, priors: GenePriors,
+                  config: RefinementConfig, seed: int) -> GenePriors:
     """Redraw each gene's prior around the posterior estimates.
 
     Mean from N(mu_hat, tau^2 I); covariance from an Inverse-Wishart whose
@@ -291,31 +283,26 @@ def refine_priors(summary: PosteriorSummary, priors: list[GenePrior],
     """
     from scipy.stats import invwishart  # imported here to keep CLI start-up fast
 
-    C = priors[0].n_cell_types
+    C = priors.mu.shape[1]
     nu = config.resolved_nu(C)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5EED)))
-    refined = []
-    for gi, prior in enumerate(priors):
-        mu_hat = summary.mu_hat[gi]
-        sigma_hat = summary.sigma_hat[gi]
+    mu_new = summary.mu_hat.copy()
+    sigma_new = np.empty_like(summary.sigma_hat)
+    for gi, gene in enumerate(priors.genes):
         if config.tau > 0:
-            mu_new = rng.normal(mu_hat, config.tau)
-        else:
-            mu_new = mu_hat.copy()
-        scale = sigma_hat * (nu - C - 1)
-        sigma_new = None
+            mu_new[gi] = rng.normal(summary.mu_hat[gi], config.tau)
+        scale = summary.sigma_hat[gi] * (nu - C - 1)
         for _ in range(100):
             draw = invwishart.rvs(df=nu, scale=scale, random_state=rng)
             draw = np.atleast_2d(draw)
             draw = 0.5 * (draw + draw.T)
             if np.isfinite(draw).all() and np.linalg.eigvalsh(draw).min() > 0:
-                sigma_new = draw
+                sigma_new[gi] = draw
                 break
-        if sigma_new is None:
-            raise ValidationError(f"inverse-Wishart retries exhausted for {prior.gene!r}")
-        refined.append(GenePrior(gene=prior.gene, mu=mu_new, sigma=sigma_new,
-                                 noise_var=float(summary.noise_hat[gi])))
-    return refined
+        else:
+            raise ValidationError(f"inverse-Wishart retries exhausted for {gene!r}")
+    return GenePriors(genes=priors.genes, mu=mu_new, sigma=sigma_new,
+                      noise_var=summary.noise_hat.copy())
 
 
 def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection,
@@ -335,19 +322,15 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
     for g, c in selection.pairs:
         if g not in bulk_genes or c not in known_types:
             raise ValidationError(f"selected pair ({g!r}, {c!r}) outside bulk/reference axes")
-    ref_gene_index = {g: i for i, g in enumerate(ref.genes)}
-    missing = [g for g in bulk.genes if g not in ref_gene_index]
-    if missing:
-        raise ValidationError(f"bulk genes absent from reference: {missing[:5]}")
 
-    priors_all = {p.gene: p for p in estimate_priors(ref, shrinkage, seed=seed)}
+    bulk_priors = estimate_priors(ref, shrinkage, seed=seed).take(bulk.genes)
     estimated = np.array([[(g, c) in selection.pairs for c in cell_types]
                           for g in bulk.genes])
     rows = np.flatnonzero(estimated.any(axis=1))  # genes the sampler runs on
 
-    mu_hat = np.stack([priors_all[g].mu for g in bulk.genes])
-    sigma_hat = np.stack([priors_all[g].sigma for g in bulk.genes])
-    noise_hat = np.array([priors_all[g].noise_var for g in bulk.genes])
+    mu_hat = bulk_priors.mu.copy()
+    sigma_hat = bulk_priors.sigma.copy()
+    noise_hat = bulk_priors.noise_var.copy()
     N = bulk.n_samples
     mean = np.repeat(mu_hat[:, :, None], N, axis=2)
     var = np.repeat(np.diagonal(sigma_hat, axis1=1, axis2=2)[:, :, None], N, axis=2)
@@ -358,7 +341,7 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
         sampled_genes = [bulk.genes[gi] for gi in rows]
         sub_bulk = BulkMatrix(genes=sampled_genes, samples=bulk.samples,
                               values=bulk.values[rows])
-        priors = [priors_all[g] for g in sampled_genes]
+        priors = bulk_priors.take(sampled_genes)
         for rnd in range(config.rounds):
             summary = run_mcmc(sub_bulk, priors, metas, config, seed + rnd,
                                hyper=hyper, cell_types=cell_types)

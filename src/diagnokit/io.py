@@ -220,6 +220,9 @@ def load_reference(path: str | Path, labels_path: str | Path):
 
     genes, cells, values = load_matrix_tsv(path)
     labels = load_json(labels_path)
+    if not (isinstance(labels, dict) and all(isinstance(v, str) for v in labels.values())):
+        raise ParseError(f"label sidecar {Path(labels_path).name} must be a JSON object "
+                         "mapping cell IDs to cell-type names")
     missing = [c for c in cells if c not in labels]
     if missing:
         raise ValidationError(f"label sidecar missing cells: {missing[:5]}")
@@ -232,9 +235,11 @@ def save_json(obj, path: str | Path) -> None:
 
 
 def load_json(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {Path(path).name}: {exc.msg}",
-                             line=exc.lineno) from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {Path(path).name}: {exc.msg}",
+                         line=exc.lineno) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .types import GenePrior, _check_unique, _freeze
+from .types import GenePriors, _check_unique, _freeze
 
 N_PSEUDO_REPLICATES = 20
 DEFAULT_SHRINKAGE = 0.5
@@ -67,8 +67,8 @@ def signature_matrix(ref: ReferenceDataset) -> np.ndarray:
 
 
 def estimate_priors(ref: ReferenceDataset, shrinkage: float = DEFAULT_SHRINKAGE,
-                    seed: int = 0) -> list[GenePrior]:
-    """Estimate a GenePrior for every gene in the reference.
+                    seed: int = 0) -> GenePriors:
+    """Estimate the prior of every gene in the reference.
 
     ``shrinkage`` in [0, 1] interpolates the covariance toward its diagonal;
     1 gives an exactly diagonal matrix (before regularization).
@@ -109,17 +109,21 @@ def estimate_priors(ref: ReferenceDataset, shrinkage: float = DEFAULT_SHRINKAGE,
     S = np.einsum("grc,grd->gcd", dev, dev) * (1.0 / (N_PSEUDO_REPLICATES - 1)) * rescale
     diag = np.einsum("gcc->gc", S)
     sigma = (1.0 - shrinkage) * S + shrinkage * (diag[:, :, None] * np.eye(C))
-    trace_s = diag.sum(axis=1)
+    return GenePriors(genes=ref.genes, mu=mus,
+                      sigma=_regularize_spd_all(sigma, diag.sum(axis=1)),
+                      noise_var=noise_vars)
+
+
+def _regularize_spd_all(sigma: np.ndarray, trace_s: np.ndarray) -> np.ndarray:
+    """``_regularize_spd`` of each matrix of a (G, C, C) stack: the first jitter
+    step for all at once, the doubling loop only for those it leaves indefinite."""
+    C = sigma.shape[-1]
     sigma = 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
-    # _regularize_spd's first jitter step for all genes at once; only the
-    # genes it leaves indefinite go through the doubling loop
     eps = np.where(trace_s > 0, 1e-6 * trace_s / C, 1e-8)
     spd = sigma + eps[:, None, None] * np.eye(C)
     for g in np.flatnonzero(~(np.linalg.eigvalsh(spd).min(axis=1) > 0)):
         spd[g] = _regularize_spd(sigma[g], trace_s[g])
-    return [GenePrior(gene=gene, mu=mus[g].copy(), sigma=spd[g].copy(),
-                      noise_var=float(noise_vars[g]))
-            for g, gene in enumerate(ref.genes)]
+    return spd
 
 
 def _regularize_spd(sigma: np.ndarray, trace_s: float) -> np.ndarray:

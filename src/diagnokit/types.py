@@ -87,39 +87,58 @@ class CtsTensor:
 
 
 @dataclass(frozen=True)
-class GenePrior:
-    """Per-gene Normal prior over the C-vector of cell-type expression."""
+class GenePriors:
+    """Normal priors over the C-vector of cell-type expression, one per gene.
 
-    gene: str
+    ``mu`` is (G, C), ``sigma`` (G, C, C) and ``noise_var`` (G,), in the
+    order of ``genes``. Each check runs once over all genes and names the
+    first gene that fails it.
+    """
+
+    genes: list[str]
     mu: np.ndarray
     sigma: np.ndarray
-    noise_var: float
+    noise_var: np.ndarray
 
     def __post_init__(self):
+        genes = list(self.genes)
+        _check_unique(genes, "gene")
         mu = _freeze(self.mu)
         sigma = _freeze(self.sigma)
-        c = mu.shape[0]
-        if mu.ndim != 1 or sigma.shape != (c, c):
-            raise ValidationError(f"prior shapes inconsistent for gene {self.gene!r}")
-        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
-            raise ValidationError(f"non-finite prior for gene {self.gene!r}")
-        if np.abs(sigma - sigma.T).max() > 1e-10:
-            raise ValidationError(f"sigma not symmetric for gene {self.gene!r}")
-        eigvals = np.linalg.eigvalsh(sigma)
-        if eigvals.min() <= 0:
-            raise ValidationError(
-                f"sigma not positive definite for gene {self.gene!r} "
-                f"(min eigenvalue {eigvals.min():g})"
-            )
-        if not self.noise_var > 0:
-            raise ValidationError(f"noise_var must be positive for gene {self.gene!r}")
+        noise_var = _freeze(self.noise_var)
+        G, C = len(genes), (mu.shape[1] if mu.ndim == 2 else 0)
+        if mu.shape != (G, C) or C < 1 or sigma.shape != (G, C, C) or noise_var.shape != (G,):
+            raise ValidationError(f"prior shapes {mu.shape}/{sigma.shape}/{noise_var.shape} "
+                                  f"inconsistent for {G} genes")
+        finite = np.isfinite(mu).all(axis=1) & np.isfinite(sigma).all(axis=(1, 2))
+        _reject_first(genes, ~finite, "non-finite prior for gene {!r}")
+        _reject_first(genes, np.abs(sigma - np.swapaxes(sigma, 1, 2)).max(axis=(1, 2)) > 1e-10,
+                      "sigma not symmetric for gene {!r}")
+        min_eig = np.linalg.eigvalsh(sigma).min(axis=1)
+        _reject_first(genes, ~(min_eig > 0),
+                      "sigma not positive definite for gene {!r} (min eigenvalue {:g})", min_eig)
+        _reject_first(genes, ~(noise_var > 0), "noise_var must be positive for gene {!r}")
+        object.__setattr__(self, "genes", genes)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "noise_var", float(self.noise_var))
+        object.__setattr__(self, "noise_var", noise_var)
 
-    @property
-    def n_cell_types(self) -> int:
-        return self.mu.shape[0]
+    def take(self, genes: list[str]) -> GenePriors:
+        """The priors of ``genes``, in that order; every gene must have one."""
+        index = {g: i for i, g in enumerate(self.genes)}
+        missing = [g for g in genes if g not in index]
+        if missing:
+            raise ValidationError(f"no prior for genes {missing[:5]}")
+        rows = [index[g] for g in genes]
+        return GenePriors(genes=list(genes), mu=self.mu[rows], sigma=self.sigma[rows],
+                          noise_var=self.noise_var[rows])
+
+
+def _reject_first(genes: list[str], bad: np.ndarray, message: str, values=None) -> None:
+    """Raise ``message``, formatted with the first flagged gene and its value."""
+    if bad.any():
+        g = int(np.argmax(bad))
+        raise ValidationError(message.format(genes[g], None if values is None else values[g]))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from diagnokit.classifier import (FeatureVector, TrainConfig, backprop_gradient,
+from diagnokit.classifier import (Dataset, TrainConfig, backprop_gradient,
                                   bce_loss, forward, integrated_gradients, logit,
                                   top_k_features, train)
 from diagnokit.classifier import HIDDEN1, HIDDEN2, MlpModel
@@ -28,7 +28,7 @@ from diagnokit.report import (PATIENT_BLOCKLIST, FeatureReading, PromptInput,
                               build_prompt, render_offline)
 from diagnokit.simulate import (SyntheticScenario, baseline_ols,
                                 evaluate_recovery, generate, nnls_proportions)
-from diagnokit.types import (BulkMatrix, GenePrior, PairSelection,
+from diagnokit.types import (BulkMatrix, GenePriors, PairSelection,
                              RefinementConfig, SampleMeta, pair_key)
 
 
@@ -59,8 +59,8 @@ def test_acceptance_1_conjugate_posterior_oracle():
         N = 5
         a = rng.standard_normal((C, C))
         sigma = a @ a.T + C * np.eye(C)
-        prior = GenePrior(gene="g", mu=rng.standard_normal(C), sigma=sigma,
-                          noise_var=0.8)
+        prior = GenePriors(genes=["g"], mu=rng.standard_normal((1, C)), sigma=sigma[None],
+                           noise_var=np.array([0.8]))
         w = rng.dirichlet(np.ones(C), N)
         metas = [SampleMeta(sample_id=f"s{i}", proportions=w[i],
                             bulk_cov=np.zeros(0), cts_cov=np.zeros(0))
@@ -70,11 +70,11 @@ def test_acceptance_1_conjugate_posterior_oracle():
                           values=x)
         cfg = RefinementConfig(chains=2, iters=6000, burnin=1000, rounds=1)
         hyper = HyperParams(update_coef=False, update_noise=False)
-        summary = run_mcmc(bulk, [prior], metas, cfg, seed=C, hyper=hyper)
+        summary = run_mcmc(bulk, prior, metas, cfg, seed=C, hyper=hyper)
         total = cfg.chains * (cfg.iters - cfg.burnin)  # 10k retained draws
         adj = AdjustmentParams(gamma=np.zeros(0), b=np.zeros((C, 0)))
         for i, meta in enumerate(metas):
-            mean_ref, cov_ref = z_conditional(prior, x[0, i], meta, adj)
+            mean_ref, cov_ref = z_conditional(prior.mu[0], sigma, 0.8, x[0, i], meta, adj)
             for c in range(C):
                 se = np.sqrt(cov_ref[c, c] / total)
                 ok &= abs(summary.cts.mean[0, c, i] - mean_ref[c]) < 3 * se
@@ -224,12 +224,11 @@ def test_acceptance_5_classifier_and_attributions():
     # separable blobs
     xs = np.vstack([rng.normal(-2, 0.5, (100, 2)), rng.normal(2, 0.5, (100, 2))])
     ys = np.array([0] * 100 + [1] * 100)
-    feats = [FeatureVector(values=xs[i], names=("f0", "f1"),
-                           tags=("covariate",) * 2, sample_id=f"s{i}")
-             for i in range(200)]
+    feats = Dataset(values=xs, names=("f0", "f1"), tags=("covariate",) * 2,
+                    sample_ids=tuple(f"s{i}" for i in range(200)))
     res = train(feats, ys, TrainConfig(seed=1, max_epochs=100))
-    blob_acc = float(np.mean([(forward(res.model, f) >= 0.5) == bool(y)
-                              for f, y in zip(feats, ys)]))
+    blob_acc = float(np.mean([(forward(res.model, x) >= 0.5) == bool(y)
+                              for x, y in zip(feats.values, ys)]))
     ok &= blob_acc >= 0.99
 
     # 28-feature synthetic task, 100 held-out samples
@@ -240,14 +239,14 @@ def test_acceptance_5_classifier_and_attributions():
         r = np.random.default_rng(seed)
         x = r.standard_normal((n, d28))
         y = (x @ beta > 0).astype(int)
-        fv = [FeatureVector(values=x[i], names=names28, tags=("cts",) * d28,
-                            sample_id=f"t{seed}_{i}") for i in range(n)]
+        fv = Dataset(values=x, names=names28, tags=("cts",) * d28,
+                     sample_ids=tuple(f"t{seed}_{i}" for i in range(n)))
         return fv, y
     train_f, train_y = _make(400, 10)
     test_f, test_y = _make(100, 11)
     res28 = train(train_f, train_y, TrainConfig(seed=2, max_epochs=200))
-    acc28 = float(np.mean([(forward(res28.model, f) >= 0.5) == bool(y)
-                           for f, y in zip(test_f, test_y)]))
+    acc28 = float(np.mean([(forward(res28.model, x) >= 0.5) == bool(y)
+                           for x, y in zip(test_f.values, test_y)]))
     ok &= acc28 >= 0.85
 
     elapsed = time.perf_counter() - start
@@ -269,39 +268,38 @@ def test_acceptance_6_divergence_harness():
 
     # cts drives the label; beta sign is anti-correlated with the label in a
     # planted conflict stratum, so the sign rule misreads exactly those cases
-    feats, labels = [], []
+    rows, labels = [], []
     n = 400
     for i in range(n):
         y = i % 2
         cts = (2.0 if y else -2.0) + rng.normal(0, 0.4)
         conflict = y == 1 and i % 4 == 1
         beta = -abs(rng.normal(0.1, 0.02)) if conflict else abs(rng.normal(0.1, 0.02))
-        feats.append(FeatureVector(
-            values=np.array([cts, beta, 0.05, 0.5]), names=names, tags=tags,
-            sample_id=f"s{i:03d}"))
+        rows.append([cts, beta, 0.05, 0.5])
         labels.append(y)
     labels = np.array(labels)
+    feats = Dataset(values=np.array(rows), names=names, tags=tags,
+                    sample_ids=tuple(f"s{i:03d}" for i in range(n)))
 
     idx = symbolic_conflict_subset(feats, labels, size=100)
     conflict_ok = all(labels[i] == 1 and
-                      (feats[i].values[1] < 0) for i in idx)
+                      (feats.values[i, 1] < 0) for i in idx)
 
     res = train(feats, labels, TrainConfig(seed=3, max_epochs=100))
-    mlp_acc = float(np.mean([(forward(res.model, feats[i]) >= 0.5) == bool(labels[i])
+    mlp_acc = float(np.mean([(forward(res.model, feats.values[i]) >= 0.5) == bool(labels[i])
                              for i in idx]))
-    rule_acc = float(np.mean([sign_rule_predict(feats[i]) == labels[i]
-                              for i in idx]))
+    rule_acc = float(np.mean(sign_rule_predict(feats)[idx] == labels[idx]))
 
     # planted OOD: 30 samples pushed far outside the training spread
     mean = np.zeros(4)
     sd = np.ones(4)
-    inliers = [FeatureVector(values=rng.uniform(-0.9, 0.9, 4), names=names,
-                             tags=tags, sample_id=f"in{i}") for i in range(170)]
-    outliers = [FeatureVector(
-        values=np.append(rng.uniform(-0.9, 0.9, 3),
-                         float(rng.choice([-1, 1])) * rng.uniform(3, 5)),
-        names=names, tags=tags, sample_id=f"out{i}") for i in range(30)]
-    pool = inliers + outliers
+    inliers = [rng.uniform(-0.9, 0.9, 4) for _ in range(170)]
+    outliers = [np.append(rng.uniform(-0.9, 0.9, 3),
+                          float(rng.choice([-1, 1])) * rng.uniform(3, 5))
+                for _ in range(30)]
+    pool = Dataset(values=np.array(inliers + outliers), names=names, tags=tags,
+                   sample_ids=tuple([f"in{i}" for i in range(170)]
+                                    + [f"out{i}" for i in range(30)]))
     ood_idx = ood_subset(pool, mean, sd, threshold=1.0)
     ood_ok = set(ood_idx) == set(range(170, 200))
 

@@ -4,13 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from diagnokit.classifier import (HIDDEN1, HIDDEN2, FeatureVector, MlpModel,
+from diagnokit.classifier import (HIDDEN1, HIDDEN2, Dataset, MlpModel,
                                   TrainConfig, backprop_gradient, bce_loss,
                                   build_features, forward, integrated_gradients,
                                   load_dataset, load_eqtl_table, load_model, logit,
                                   save_dataset, save_eqtl_table, save_model,
                                   top_k_features, train)
-from diagnokit.errors import ValidationError
+from diagnokit.errors import ParseError, ValidationError
 from diagnokit.types import CtsTensor, PairSelection, pair_key
 
 
@@ -51,8 +51,8 @@ def _blob_data(rng, n=100, d=2, margin=2.0):
                     rng.normal(margin, 0.5, (n, d))])
     ys = np.array([0] * n + [1] * n)
     names = tuple(f"f{i}" for i in range(d))
-    feats = [FeatureVector(values=xs[i], names=names, tags=("covariate",) * d,
-                           sample_id=f"s{i}") for i in range(2 * n)]
+    feats = Dataset(values=xs, names=names, tags=("covariate",) * d,
+                    sample_ids=tuple(f"s{i}" for i in range(2 * n)))
     return feats, ys
 
 
@@ -205,8 +205,8 @@ class TestTrain:
         rng = np.random.default_rng(9)
         feats, ys = _blob_data(rng)
         res = train(feats, ys, TrainConfig(seed=1, max_epochs=100))
-        acc = np.mean([(forward(res.model, f) >= 0.5) == bool(y)
-                       for f, y in zip(feats, ys)])
+        acc = np.mean([(forward(res.model, x) >= 0.5) == bool(y)
+                       for x, y in zip(feats.values, ys)])
         assert acc >= 0.99
 
     def test_deterministic_given_seed(self):
@@ -227,13 +227,13 @@ class TestTrain:
         rng = np.random.default_rng(12)
         feats, _ = _blob_data(rng, n=10)
         with pytest.raises(ValidationError, match="per class"):
-            train(feats, np.ones(len(feats)), TrainConfig())
+            train(feats, np.ones(len(feats.sample_ids)), TrainConfig())
 
     def test_standardization_statistics(self):
         rng = np.random.default_rng(13)
         feats, ys = _blob_data(rng, n=40)
         res = train(feats, ys, TrainConfig(seed=2, max_epochs=1, val_fraction=0.2))
-        x = np.stack([f.values for f in feats])
+        x = feats.values
         # reconstruct the training split deterministically via the model stats
         xhat = (x[:, res.model.kept] - res.model.mean) / res.model.sd
         # standardized features have roughly zero mean / unit sd overall
@@ -243,15 +243,14 @@ class TestTrain:
     def test_zero_variance_feature_dropped(self):
         rng = np.random.default_rng(14)
         feats, ys = _blob_data(rng, n=20)
-        names = feats[0].names + ("const",)
-        tags = feats[0].tags + ("covariate",)
-        feats = [FeatureVector(values=np.append(f.values, 7.0), names=names,
-                               tags=tags, sample_id=f.sample_id) for f in feats]
+        feats = Dataset(values=np.column_stack([feats.values, np.full(len(ys), 7.0)]),
+                        names=feats.names + ("const",), tags=feats.tags + ("covariate",),
+                        sample_ids=feats.sample_ids)
         res = train(feats, ys, TrainConfig(seed=3, max_epochs=2))
         assert res.dropped_features == ("const",)
         assert res.model.input_dim == 2
         # inference still accepts the full-width vector
-        forward(res.model, feats[0])
+        forward(res.model, feats.values[0])
 
     def test_constant_eqtl_columns_dropped_and_ig_complete(self):
         # build_features repeats each gene's eQTL triple in every sample; the
@@ -272,27 +271,45 @@ class TestTrain:
         feats = build_features(tensor, sel, eqtl)
         labels = (mean[0, 0] > 1.0).astype(int)
         res = train(feats, labels, TrainConfig(seed=2, max_epochs=5))
-        eqtl_names = {n for n, t in zip(feats[0].names, feats[0].tags)
+        eqtl_names = {n for n, t in zip(feats.names, feats.tags)
                       if t.startswith("eqtl")}
         assert len(eqtl_names) == 3 * len(genes)
         assert eqtl_names <= set(res.dropped_features)
         m = res.model
-        for f in feats:
-            base = f.values.copy()
+        for x in feats.values:
+            base = x.copy()
             base[m.kept] = m.mean
-            gap = logit(m, f) - logit(m, base)
-            assert abs(integrated_gradients(m, f).sum() - gap) < 1e-9
+            gap = logit(m, x) - logit(m, base)
+            assert abs(integrated_gradients(m, x).sum() - gap) < 1e-9
 
     def test_early_stopping_on_unlearnable_labels(self):
         # random labels: validation loss cannot keep improving, so training
         # must halt well before the epoch budget
         rng = np.random.default_rng(15)
         feats, _ = _blob_data(rng, n=30)
-        ys = rng.integers(0, 2, len(feats))
+        ys = rng.integers(0, 2, len(feats.sample_ids))
         while ys.sum() < 2 or ys.sum() > len(ys) - 2:
-            ys = rng.integers(0, 2, len(feats))
+            ys = rng.integers(0, 2, len(feats.sample_ids))
         res = train(feats, ys, TrainConfig(seed=4, max_epochs=500, patience=3))
         assert len(res.log) < 500
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"values": np.ones((2, 3))}, r"shape \(2, 3\) do not match 2 sample IDs, 2 names"),
+    ({"tags": ("cts",)}, "2 names and 1 tags"),
+    ({"sample_ids": ("s0",)}, "do not match 1 sample IDs"),
+    ({"names": ("a", "a")}, "feature names must be unique"),
+    ({"sample_ids": ("s0", "s0")}, "duplicate sample ID: 's0'"),
+    ({"tags": ("cts", "gwas")}, r"unknown feature tags: \['gwas'\]"),
+    ({"values": np.array([[1.0, 2.0], [np.nan, 3.0]])}, "feature values must be finite"),
+], ids=["values_shape", "tags_length", "ids_length", "duplicate_name", "duplicate_id",
+        "unknown_tag", "non_finite"])
+def test_dataset_rejects(change, message):
+    fields = dict(values=np.ones((2, 2)), names=("a", "b"), tags=("cts", "covariate"),
+                  sample_ids=("s0", "s1"))
+    Dataset(**fields)
+    with pytest.raises(ValidationError, match=message):
+        Dataset(**{**fields, **change})
 
 
 class TestBuildFeatures:
@@ -313,18 +330,18 @@ class TestBuildFeatures:
         eqtl = {"g1": (0.1, 0.2, 0.3)}
         cov = {"s1": {"age": 70.0, "sex": 1.0}, "s2": {"age": 65.0, "sex": 0.0}}
         feats = build_features(self._tensor(), sel, eqtl, cov)
-        assert all(f.dim == 6 for f in feats)
-        assert feats[0].tags == ("cts", "eqtl_beta", "eqtl_se", "eqtl_pval",
+        assert feats.values.shape == (2, 6)
+        assert feats.tags == ("cts", "eqtl_beta", "eqtl_se", "eqtl_pval",
                                  "covariate", "covariate")
 
     def test_eqtl_values_appear_verbatim(self):
         sel = self._selection({("g1", "ct1")})
         eqtl = {"g1": (0.041, 0.061, 0.436)}
         feats = build_features(self._tensor(), sel, eqtl)
-        f = feats[0]
-        assert f.values[list(f.names).index("beta:g1")] == 0.041
-        assert f.values[list(f.names).index("se:g1")] == 0.061
-        assert f.values[list(f.names).index("pval:g1")] == 0.436
+        x = feats.values[0]
+        assert x[feats.names.index("beta:g1")] == 0.041
+        assert x[feats.names.index("se:g1")] == 0.061
+        assert x[feats.names.index("pval:g1")] == 0.436
 
     def test_missing_eqtl_gene_recorded(self):
         sel = self._selection({("g1", "ct1"), ("g2", "ct1")})
@@ -332,7 +349,7 @@ class TestBuildFeatures:
         feats = build_features(self._tensor(), sel, {"g1": (0.1, 0.2, 0.3)},
                                missing_genes=missing)
         assert missing == ["g2"]
-        assert all("beta:g2" not in f.names for f in feats)
+        assert "beta:g2" not in feats.names
 
     def test_sample_order_equivariance(self):
         sel = self._selection({("g1", "ct1")})
@@ -343,8 +360,8 @@ class TestBuildFeatures:
                             variance=t.variance)
         a = build_features(t, sel, eqtl)
         b = build_features(flipped, sel, eqtl)
-        assert a[0].sample_id == b[1].sample_id
-        assert np.array_equal(a[0].values, b[1].values)
+        assert a.sample_ids[0] == b.sample_ids[1]
+        assert np.array_equal(a.values[0], b.values[1])
 
     def test_covariate_sample_mismatch(self):
         sel = self._selection({("g1", "ct1")})
@@ -370,9 +387,9 @@ class TestSerialization:
         save_dataset(feats, ys, tmp_path / "d.tsv")
         loaded, ys2 = load_dataset(tmp_path / "d.tsv")
         assert np.array_equal(ys, ys2)
-        for a, b in zip(feats, loaded):
-            assert a.sample_id == b.sample_id and a.tags == b.tags
-            assert np.array_equal(a.values, b.values)
+        assert loaded.sample_ids == feats.sample_ids
+        assert loaded.names == feats.names and loaded.tags == feats.tags
+        assert np.array_equal(loaded.values, feats.values)
 
     def test_dataset_values_parse_like_float(self, tmp_path):
         rng = np.random.default_rng(18)
@@ -385,12 +402,24 @@ class TestSerialization:
         lines += [f"s#{i}\t" + "\t".join(r) + f"\t{i % 2}" for i, r in enumerate(rows)]
         (tmp_path / "d.tsv").write_text("\n".join(lines) + "\n")
         feats, ys = load_dataset(tmp_path / "d.tsv")
-        assert [f.sample_id for f in feats] == [f"s#{i}" for i in range(len(rows))]
+        assert feats.sample_ids == tuple(f"s#{i}" for i in range(len(rows)))
         assert ys.tolist() == [i % 2 for i in range(len(rows))]
-        for f, r in zip(feats, rows):
-            assert f.values.tobytes() == np.array([float(t) for t in r]).tobytes()
+        for x, r in zip(feats.values, rows):
+            assert x.tobytes() == np.array([float(t) for t in r]).tobytes()
 
     def test_eqtl_table_roundtrip(self, tmp_path):
         table = {"g1": (-0.03185, 0.04911, 0.51671), "g2": (0.041, 0.061, 0.436)}
         save_eqtl_table(table, tmp_path / "e.tsv")
         assert load_eqtl_table(tmp_path / "e.tsv") == table
+
+    @pytest.mark.parametrize("row,message", [
+        ("g1\t0.1\t0.2\t0.3", "line 4: duplicate gene 'g1'"),
+        ("g3\tnan\t0.2\t0.3", "line 4: non-finite"),
+        ("g3\t0.1\tinf\t0.3", "line 4: non-finite"),
+        ("g3\t0.1\t0.2\t-inf", "line 4: non-finite"),
+    ], ids=["duplicate", "nan_beta", "inf_se", "minus_inf_pval"])
+    def test_eqtl_table_rejects_repeat_and_non_finite(self, tmp_path, row, message):
+        lines = ["gene\tbeta\tse\tpval", "g1\t0.1\t0.2\t0.3", "g2\t0.1\t0.2\t0.3", row]
+        (tmp_path / "e.tsv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=message):
+            load_eqtl_table(tmp_path / "e.tsv")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from diagnokit import classifier as clf
-from diagnokit.classifier import (HIDDEN1, HIDDEN2, FeatureVector, MlpModel,
+from diagnokit.classifier import (HIDDEN1, HIDDEN2, Dataset, MlpModel,
                                   TrainConfig, backprop_gradient, bce_loss,
                                   build_features, forward, input_gradient,
                                   integrated_gradients, logit, train)
@@ -94,11 +94,11 @@ def _input_gradient_ref(model, raw):
     return g
 
 
-def train_reference(features, labels, config):
+def train_reference(dataset, labels, config):
     """The former training loop: one backprop per sample, a fresh MlpModel
     after every minibatch, and a per-sample validation loss."""
     y = np.asarray(labels, dtype=np.float64)
-    x_raw = np.stack([f.values for f in features])
+    x_raw = dataset.values
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0x3C1)))
     train_idx, val_idx = clf._stratified_split(y, config.val_fraction, rng)
     mean_all = x_raw[train_idx].mean(axis=0)
@@ -107,7 +107,7 @@ def train_reference(features, labels, config):
     d = int(kept.sum())
     params = clf._he_init(rng, d)
     model_kw = dict(mean=mean_all[kept], sd=sd_all[kept], kept=kept,
-                    feature_names=features[0].names, feature_tags=features[0].tags,
+                    feature_names=dataset.names, feature_tags=dataset.tags,
                     dropout_rate=config.dropout_rate)
 
     def make_model(p):
@@ -229,8 +229,8 @@ def _close(a, b, tol=TOL):
 def _blob_data(rng, n=60, d=3):
     xs = np.vstack([rng.normal(-1.0, 1.0, (n, d)), rng.normal(1.0, 1.0, (n, d))])
     names = tuple(f"f{i}" for i in range(d))
-    feats = [FeatureVector(values=xs[i], names=names, tags=("covariate",) * d,
-                           sample_id=f"s{i}") for i in range(2 * n)]
+    feats = Dataset(values=xs, names=names, tags=("covariate",) * d,
+                    sample_ids=tuple(f"s{i}" for i in range(2 * n)))
     return feats, np.array([0] * n + [1] * n)
 
 

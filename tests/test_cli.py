@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diagnokit
-from diagnokit.classifier import FeatureVector, save_dataset
+from diagnokit.classifier import Dataset, save_dataset
 from diagnokit.cli import main
 
 SCENARIO = {"G": 6, "C": 2, "N": 10, "d1": 1, "d2": 0, "ref_cells_per_type": 6}
@@ -36,16 +36,16 @@ def dataset_path(tmp_path_factory):
     rng = np.random.default_rng(7)
     names = ("cts:gA|ct1", "beta:gA", "se:gA", "pval:gA", "cov:age")
     tags = ("cts", "eqtl_beta", "eqtl_se", "eqtl_pval", "covariate")
-    feats, labels = [], []
+    rows, labels = [], []
     for i in range(24):
         y = i % 2
         base = 2.0 if y else -2.0
-        vals = np.array([base + rng.normal(0, 0.3),
-                         -0.05 if (y and i % 4 == 1) else 0.05,
-                         0.05, 0.5, 60.0 + rng.normal(0, 5)])
-        feats.append(FeatureVector(values=vals, names=names, tags=tags,
-                                   sample_id=f"p{i:02d}"))
+        rows.append([base + rng.normal(0, 0.3),
+                     -0.05 if (y and i % 4 == 1) else 0.05,
+                     0.05, 0.5, 60.0 + rng.normal(0, 5)])
         labels.append(y)
+    feats = Dataset(values=np.array(rows), names=names, tags=tags,
+                    sample_ids=tuple(f"p{i:02d}" for i in range(24)))
     path = tmp_path_factory.mktemp("data") / "dataset.tsv"
     save_dataset(feats, np.array(labels), path)
     return path
@@ -258,8 +258,8 @@ def test_population_stats_per_feature(dataset_path):
     from diagnokit.cli import _population_stats
     feats, labels = load_dataset(dataset_path)
     stats = _population_stats(feats, labels)
-    x = np.stack([f.values for f in feats])
-    for j, name in enumerate(feats[0].names):
+    x = feats.values
+    for j, name in enumerate(feats.names):
         col = x[:, j]
         want = (col[labels == 1].mean(), col[labels == 0].mean(),
                 col.std() if np.ptp(col) > 0 else 1.0)
@@ -267,6 +267,61 @@ def test_population_stats_per_feature(dataset_path):
     # a column of equal values gets sd 1, also where std rounds to ~1e-17
     assert np.std(x[:, 2]) > 0
     assert stats["se:gA"][2] == stats["pval:gA"][2] == 1.0
+
+
+@pytest.mark.parametrize("case", ["not_an_object", "number", "string_weights",
+                                  "ragged_weights", "numeric_names"])
+def test_malformed_checkpoint_is_one(model_dir, dataset_path, tmp_path, capsys, case):
+    payload = json.loads((model_dir / "model.json").read_text())
+    if case == "not_an_object":
+        payload = [1, 2]
+    elif case == "number":
+        payload = 3
+    elif case == "string_weights":
+        payload["w1"] = "heavy"
+    elif case == "ragged_weights":
+        payload["w2"] = [[1.0, 2.0], [3.0]]
+    else:
+        payload["feature_names"] = list(range(len(payload["feature_names"])))
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(json.dumps(payload))
+    assert main(["attribute", "--checkpoint", str(ckpt), "--dataset", str(dataset_path),
+                 "--out", str(tmp_path / "attr")]) == 1
+    assert "error: checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("labels", [None, "t0", ["t0", "t1"], "non_string"],
+                         ids=["null", "string", "list", "non_string"])
+def test_label_sidecar_must_map_cells_to_names(sim_dir, tmp_path, capsys, labels):
+    if labels == "non_string":
+        known = json.loads((sim_dir / "reference_labels.json").read_text())
+        labels = {cell: 1 for cell in known}
+    sidecar = tmp_path / "labels.json"
+    sidecar.write_text(json.dumps(labels))
+    assert main(["select-genes", "--ref", str(sim_dir / "reference.tsv"),
+                 "--labels", str(sidecar), "--out", str(tmp_path / "sel")]) == 1
+    assert "label sidecar labels.json must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failure,code", [("validation", 1), ("runtime", 2)])
+def test_failed_command_marks_manifest(model_dir, dataset_path, tmp_path, monkeypatch,
+                                       failure, code):
+    if failure == "runtime":
+        def broken(*args, **kwargs):
+            raise RuntimeError("renderer crashed")
+
+        monkeypatch.setattr("diagnokit.cli.generate_report", broken)
+    out = tmp_path / "rep"
+    assert main(["report", "--checkpoint", str(model_dir / "model.json"),
+                 "--dataset", str(dataset_path), "--audience", "patient", "--offline",
+                 "--sample", "nope" if failure == "validation" else "p01",
+                 "--out", str(out)]) == code
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == ("ValidationError: sample 'nope' not in dataset"
+                                 if failure == "validation"
+                                 else "RuntimeError: renderer crashed")
+    assert manifest["outputs"] == []
 
 
 def test_deconvolve_warns_when_not_converged(sim_dir, selection_path, tmp_path, capsys):
@@ -434,6 +489,15 @@ def test_unknown_config_key_is_one(sim_dir, selection_path, tmp_path, capsys,
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_unreadable_config_is_one(self, tmp_path, capsys, case):
+        cfg = tmp_path / "cfg.json"
+        if case == "directory":
+            cfg.mkdir()
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {cfg}: ")
+
     def test_missing_input_file_is_one(self, tmp_path):
         assert main(["select-genes", "--ref", str(tmp_path / "nope.tsv"),
                      "--labels", str(tmp_path / "nope.json"),

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from diagnokit.classifier import FeatureVector
+from diagnokit.classifier import Dataset
 from diagnokit.divergence import (DivergenceReport, load_reports, ood_subset,
                                   reports_markdown, run_divergence, save_reports,
                                   sign_rule_predict, symbolic_conflict_subset)
@@ -15,9 +15,15 @@ NAMES = ("cts:APP|neuron", "beta:APP", "se:APP", "pval:APP")
 TAGS = ("cts", "eqtl_beta", "eqtl_se", "eqtl_pval")
 
 
-def _fv(cts, beta, se=0.05, pval=0.5, sid="s"):
-    return FeatureVector(values=np.array([cts, beta, se, pval]), names=NAMES,
-                         tags=TAGS, sample_id=sid)
+def _fv(cts, beta, se=0.05, pval=0.5):
+    return [cts, beta, se, pval]
+
+
+def _ds(rows, sids=None):
+    """A dataset over NAMES with one row per entry of ``rows``."""
+    sids = tuple(sids or (f"s{i}" for i in range(len(rows))))
+    return Dataset(values=np.array(rows, dtype=np.float64), names=NAMES, tags=TAGS,
+                   sample_ids=sids)
 
 
 class _AlwaysAdSession:
@@ -48,29 +54,29 @@ def _zero_model(d=4):
 class TestSymbolicConflict:
     def test_tabulated_case_qualifies(self):
         # AD-labeled sample with negative effect size BETA=-0.03185
-        feats = [_fv(2.0, -0.03185, 0.04911, 0.51671, sid="case1"),
-                 _fv(1.0, 0.041, 0.061, 0.436, sid="case2")]
+        feats = _ds([_fv(2.0, -0.03185, 0.04911, 0.51671), _fv(1.0, 0.041, 0.061, 0.436)],
+                    sids=["case1", "case2"])
         idx = symbolic_conflict_subset(feats, [1, 1])
         assert idx == [0]
 
     def test_nonad_labels_excluded(self):
-        feats = [_fv(1.0, -0.5, sid=f"s{i}") for i in range(4)]
+        feats = _ds([_fv(1.0, -0.5)] * 4)
         idx = symbolic_conflict_subset(feats, [0, 1, 0, 1])
         assert idx == [1, 3]
 
     def test_all_positive_beta_raises(self):
-        feats = [_fv(1.0, 0.2), _fv(1.0, 0.3)]
+        feats = _ds([_fv(1.0, 0.2), _fv(1.0, 0.3)])
         with pytest.raises(ValidationError, match="empty"):
             symbolic_conflict_subset(feats, [1, 1])
 
     def test_size_cap_preserves_dataset_order(self):
-        feats = [_fv(1.0, -0.1, sid=f"s{i}") for i in range(10)]
+        feats = _ds([_fv(1.0, -0.1)] * 10)
         idx = symbolic_conflict_subset(feats, [1] * 10, size=3)
         assert idx == [0, 1, 2]
 
     def test_no_beta_features_rejected(self):
-        feats = [FeatureVector(values=np.array([1.0]), names=("cov:age",),
-                               tags=("covariate",))]
+        feats = Dataset(values=np.array([[1.0]]), names=("cov:age",), tags=("covariate",),
+                        sample_ids=("s0",))
         with pytest.raises(ValidationError, match="eqtl_beta"):
             symbolic_conflict_subset(feats, [1])
 
@@ -79,8 +85,8 @@ class TestOodSubset:
     def test_mean_sample_excluded_extreme_included(self):
         mean = np.zeros(4)
         sd = np.ones(4)
-        feats = [_fv(0.0, 0.0, 0.0, 0.0, sid="center"),
-                 _fv(2.5, 0.0, 0.0, 0.0, sid="far")]
+        feats = _ds([_fv(0.0, 0.0, 0.0, 0.0), _fv(2.5, 0.0, 0.0, 0.0)],
+                    sids=["center", "far"])
         idx = ood_subset(feats, mean, sd, threshold=2.0)
         assert idx == [1]
 
@@ -88,29 +94,28 @@ class TestOodSubset:
         rng = np.random.default_rng(0)
         mean = np.zeros(4)
         sd = np.ones(4)
-        feats = []
+        rows = []
         planted = set()
         for i in range(220):
             v = rng.uniform(-0.9, 0.9, 4)  # strictly inside the threshold
             if i % 7 == 3 and len(planted) < 30:
                 v[int(rng.integers(4))] = rng.choice([-1.0, 1.0]) * rng.uniform(3, 5)
                 planted.add(i)
-            feats.append(FeatureVector(values=v, names=NAMES, tags=TAGS,
-                                       sample_id=f"s{i}"))
+            rows.append(v)
+        feats = _ds(rows)
         idx = ood_subset(feats, mean, sd, threshold=1.0)
         assert set(idx) == planted and len(planted) == 30
         assert ood_subset(feats, mean, sd, size=5, threshold=1.0) == sorted(planted)[:5]
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(1)
-        feats = [FeatureVector(values=rng.normal(0, 2, 4), names=NAMES, tags=TAGS)
-                 for _ in range(50)]
+        feats = _ds([rng.normal(0, 2, 4) for _ in range(50)])
         loose = ood_subset(feats, np.zeros(4), np.ones(4), threshold=1.0)
         tight = ood_subset(feats, np.zeros(4), np.ones(4), threshold=3.0)
         assert set(tight) <= set(loose)
 
     def test_stat_validation(self):
-        feats = [_fv(0.0, 5.0)]
+        feats = _ds([_fv(0.0, 5.0)])
         with pytest.raises(ValidationError, match="train stats"):
             ood_subset(feats, np.zeros(3), np.ones(3))
         with pytest.raises(ValidationError, match="positive"):
@@ -119,10 +124,13 @@ class TestOodSubset:
 
 @pytest.mark.parametrize("builder", ["symbolic-conflict", "ood"])
 def test_builders_reject_mixed_feature_names(builder):
-    other = FeatureVector(values=np.array([1.0, -0.2, 0.05, 0.5]),
-                          names=("a", "b", "c", "d"), tags=TAGS)
-    feats = [_fv(1.0, -0.1), other]
-    with pytest.raises(ValidationError, match="same names"):
+    # a Dataset holds one set of names for all its rows, so the builders can
+    # no longer meet mixed names; names that do not match the columns are
+    # refused when the Dataset is built
+    with pytest.raises(ValidationError, match=r"\(2, 4\) do not match 2 sample IDs, 5 names"):
+        feats = Dataset(values=np.array([_fv(1.0, -0.1), _fv(1.0, -0.2)]),
+                        names=NAMES + ("cov:age",), tags=TAGS + ("covariate",),
+                        sample_ids=("a", "b"))
         if builder == "ood":
             ood_subset(feats, np.zeros(4), np.ones(4))
         else:
@@ -131,14 +139,14 @@ def test_builders_reject_mixed_feature_names(builder):
 
 class TestSignRule:
     def test_negative_beta_reads_nonad(self):
-        assert sign_rule_predict(_fv(5.0, -0.01)) == 0
+        assert sign_rule_predict(_ds([_fv(5.0, -0.01)])).tolist() == [0]
 
     def test_positive_beta_reads_ad(self):
-        assert sign_rule_predict(_fv(-5.0, 0.01)) == 1
+        assert sign_rule_predict(_ds([_fv(-5.0, 0.01)])).tolist() == [1]
 
     def test_requires_beta_features(self):
-        f = FeatureVector(values=np.array([1.0]), names=("cov:x",),
-                          tags=("covariate",))
+        f = Dataset(values=np.array([[1.0]]), names=("cov:x",), tags=("covariate",),
+                    sample_ids=("s0",))
         with pytest.raises(ValidationError):
             sign_rule_predict(f)
 
@@ -146,8 +154,7 @@ class TestSignRule:
 class TestRunDivergence:
     def test_mlp_accuracy_counts(self):
         model = _zero_model()  # forward == 0.5 -> predicts AD everywhere
-        feats = [_fv(0.0, -0.1, sid="a"), _fv(0.0, -0.2, sid="b"),
-                 _fv(0.0, -0.3, sid="c")]
+        feats = _ds([_fv(0.0, -0.1), _fv(0.0, -0.2), _fv(0.0, -0.3)], sids=["a", "b", "c"])
         labels = [1, 0, 1]
         reports = run_divergence(model, feats, labels, {"conflict": [0, 1, 2]})
         assert len(reports) == 1
@@ -163,14 +170,14 @@ class TestRunDivergence:
                  b2=rng.standard_normal(HIDDEN2), w3=rng.standard_normal((1, HIDDEN2)),
                  mean=np.zeros(4), sd=np.ones(4), kept=np.ones(4, dtype=bool),
                  feature_names=NAMES, feature_tags=TAGS)
-        feats = [_fv(*rng.standard_normal(4), sid=f"s{i}") for i in range(40)]
+        feats = _ds([_fv(*rng.standard_normal(4)) for _ in range(40)])
         # centre the logits so that both classes are predicted
         model = MlpModel(**w, b3=np.zeros(1))
-        model = MlpModel(**w, b3=-np.array([np.median([logit(model, f) for f in feats])]))
+        model = MlpModel(**w, b3=-np.array([np.median([logit(model, x) for x in feats.values])]))
         labels = rng.integers(0, 2, 40)
         idx = [int(i) for i in rng.choice(40, 25, replace=False)]
         report = run_divergence(model, feats, labels, {"some": idx})[0]
-        want = [int(forward(model, feats[i]) >= 0.5) for i in idx]
+        want = [int(forward(model, feats.values[i]) >= 0.5) for i in idx]
         assert 0 < sum(want) < len(want)
         assert [r["mlp_pred"] for r in report.case_table] == want
         assert report.mlp_accuracy == sum(p == labels[i] for p, i in zip(want, idx)) / 25
@@ -179,7 +186,7 @@ class TestRunDivergence:
         model = _zero_model()
         client = LlmClient(url="http://example.test", api_key="",
                            session=_AlwaysAdSession())
-        feats = [_fv(0.0, -0.1, sid="a"), _fv(0.0, 0.1, sid="b")]
+        feats = _ds([_fv(0.0, -0.1), _fv(0.0, 0.1)], sids=["a", "b"])
         reports = run_divergence(model, feats, [1, 1], {"all": [0, 1]}, client)
         assert reports[0].llm_accuracy == 1.0  # mock always answers AD
         assert all(r["llm_pred"] == 1 for r in reports[0].case_table)
@@ -187,7 +194,7 @@ class TestRunDivergence:
     def test_empty_subset_rejected(self):
         model = _zero_model()
         with pytest.raises(ValidationError):
-            run_divergence(model, [_fv(0.0, 0.1)], [1], {"empty": []})
+            run_divergence(model, _ds([_fv(0.0, 0.1)]), [1], {"empty": []})
 
 
 def test_reports_roundtrip(tmp_path):

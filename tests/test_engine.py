@@ -8,7 +8,7 @@ from diagnokit.engine import (ChainState, HyperParams, gibbs_sweep, init_chain,
                               refine_priors, run_mcmc, split_rhat, split_rhat_all,
                               z_conditional)
 from diagnokit.errors import ValidationError
-from diagnokit.types import (AdjustmentParams, BulkMatrix, GenePrior,
+from diagnokit.types import (AdjustmentParams, BulkMatrix, GenePriors,
                              RefinementConfig, SampleMeta)
 
 
@@ -24,8 +24,7 @@ def _adj(d1=0, d2=0, C=1):
 class TestZConditional:
     def test_scalar_hand_oracle(self):
         # prior N(0,1), w=1, x=2, noise 1: posterior N(1, 1/2)
-        prior = GenePrior(gene="g", mu=np.zeros(1), sigma=np.eye(1), noise_var=1.0)
-        mean, cov = z_conditional(prior, 2.0, _meta([1.0]), _adj())
+        mean, cov = z_conditional(np.zeros(1), np.eye(1), 1.0, 2.0, _meta([1.0]), _adj())
         assert mean[0] == pytest.approx(1.0, abs=1e-12)
         assert cov[0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -35,10 +34,9 @@ class TestZConditional:
         a = rng.standard_normal((C, C))
         sigma = a @ a.T + 2 * np.eye(C)
         mu = rng.standard_normal(C)
-        prior = GenePrior(gene="g", mu=mu, sigma=sigma, noise_var=0.7)
         w = np.array([0.2, 0.3, 0.5])
         x = 1.8
-        mean, cov = z_conditional(prior, x, _meta(w), _adj(C=C))
+        mean, cov = z_conditional(mu, sigma, 0.7, x, _meta(w), _adj(C=C))
         prec = np.linalg.inv(sigma) + np.outer(w, w) / 0.7
         cov_ref = np.linalg.inv(prec)
         mean_ref = cov_ref @ (np.linalg.solve(sigma, mu) + w * x / 0.7)
@@ -47,18 +45,17 @@ class TestZConditional:
 
     def test_no_data_limit_returns_prior(self):
         # noise -> infinity removes the likelihood: posterior equals prior
-        prior = GenePrior(gene="g", mu=np.array([1.0, -2.0]),
-                          sigma=np.array([[2.0, 0.5], [0.5, 1.0]]), noise_var=1e12)
-        mean, cov = z_conditional(prior, 100.0, _meta([0.5, 0.5]), _adj(C=2))
-        assert np.allclose(mean, prior.mu, atol=1e-6)
-        assert np.allclose(cov, prior.sigma, atol=1e-6)
+        mu = np.array([1.0, -2.0])
+        sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
+        mean, cov = z_conditional(mu, sigma, 1e12, 100.0, _meta([0.5, 0.5]), _adj(C=2))
+        assert np.allclose(mean, mu, atol=1e-6)
+        assert np.allclose(cov, sigma, atol=1e-6)
 
     def test_covariate_offset_subtracted(self):
-        prior = GenePrior(gene="g", mu=np.zeros(1), sigma=np.eye(1), noise_var=1.0)
         meta = SampleMeta(sample_id="s", proportions=np.array([1.0]),
                           bulk_cov=np.array([2.0]), cts_cov=np.zeros(0))
         adj = AdjustmentParams(gamma=np.array([0.5]), b=np.zeros((1, 0)))
-        mean, _ = z_conditional(prior, 3.0, meta, adj)  # residual 3 - 1 = 2
+        mean, _ = z_conditional(np.zeros(1), np.eye(1), 1.0, 3.0, meta, adj)  # residual 3 - 1 = 2
         assert mean[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -110,8 +107,7 @@ def _toy_problem(C=2, N=6, G=1, seed=0, d1=0, d2=0):
     genes = [f"g{i}" for i in range(G)]
     mu = rng.standard_normal((G, C))
     sigma = np.stack([np.eye(C) + 0.3 for _ in range(G)])
-    priors = [GenePrior(gene=genes[g], mu=mu[g], sigma=sigma[g], noise_var=0.5)
-              for g in range(G)]
+    priors = GenePriors(genes=genes, mu=mu, sigma=sigma, noise_var=np.full(G, 0.5))
     w = rng.dirichlet(np.ones(C), N)
     metas = [SampleMeta(sample_id=f"s{i}", proportions=w[i],
                         bulk_cov=rng.standard_normal(d1),
@@ -132,7 +128,9 @@ class TestRunMcmc:
         total = cfg.chains * (cfg.iters - cfg.burnin)
         adj = AdjustmentParams(gamma=np.zeros(0), b=np.zeros((2, 0)))
         for i, meta in enumerate(metas):
-            mean_ref, cov_ref = z_conditional(priors[0], bulk.values[0, i], meta, adj)
+            mean_ref, cov_ref = z_conditional(priors.mu[0], priors.sigma[0],
+                                              priors.noise_var[0], bulk.values[0, i],
+                                              meta, adj)
             for c in range(2):
                 se = np.sqrt(cov_ref[c, c] / total)
                 assert abs(summary.cts.mean[0, c, i] - mean_ref[c]) < 3.5 * se
@@ -153,10 +151,10 @@ class TestRunMcmc:
         assert not np.array_equal(s1.cts.mean, s2.cts.mean)
 
     def test_prior_mismatch_rejected(self):
-        bulk, priors, metas = _toy_problem()
-        with pytest.raises(ValidationError):
-            run_mcmc(bulk, priors[:0], metas, RefinementConfig(chains=2, iters=8),
-                     seed=0)
+        bulk, priors, metas = _toy_problem(G=2)
+        for wrong in (priors.take([]), priors.take(["g1", "g0"])):
+            with pytest.raises(ValidationError, match="bulk genes in bulk order"):
+                run_mcmc(bulk, wrong, metas, RefinementConfig(chains=2, iters=8), seed=0)
 
 
 def test_gibbs_sweep_advances_state():
@@ -183,10 +181,10 @@ class TestRefinePriors:
                                tau=0.0, nu=2000.0)
         summary = run_mcmc(bulk, priors, metas, cfg, seed=3)
         refined = refine_priors(summary, priors, cfg, seed=3)
-        for gi, p in enumerate(refined):
-            assert np.allclose(p.mu, summary.mu_hat[gi], atol=1e-12)
-            # enormous degrees of freedom concentrate the IW near its mean
-            assert np.allclose(p.sigma, summary.sigma_hat[gi], rtol=0.25)
+        assert refined.genes == priors.genes
+        assert np.allclose(refined.mu, summary.mu_hat, atol=1e-12)
+        # enormous degrees of freedom concentrate the IW near its mean
+        assert np.allclose(refined.sigma, summary.sigma_hat, rtol=0.25)
 
     def test_refinement_deterministic(self):
         bulk, priors, metas = _toy_problem(C=2, N=6, seed=8)
@@ -194,6 +192,5 @@ class TestRefinePriors:
         summary = run_mcmc(bulk, priors, metas, cfg, seed=3)
         a = refine_priors(summary, priors, cfg, seed=5)
         b = refine_priors(summary, priors, cfg, seed=5)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.mu, pb.mu)
-            assert np.array_equal(pa.sigma, pb.sigma)
+        assert np.array_equal(a.mu, b.mu)
+        assert np.array_equal(a.sigma, b.sigma)

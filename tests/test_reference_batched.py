@@ -249,11 +249,10 @@ def test_stability_scores_match_loop_on_simulated_reference():
 def _assert_priors_match(ref, shrinkage, seed=0):
     priors = estimate_priors(ref, shrinkage=shrinkage, seed=seed)
     mus, sigmas, noise = estimate_priors_loop(ref, shrinkage=shrinkage, seed=seed)
-    assert [p.gene for p in priors] == ref.genes
-    np.testing.assert_allclose(np.stack([p.mu for p in priors]), mus, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(np.array([p.noise_var for p in priors]), noise,
-                               rtol=1e-12, atol=0)
-    got = np.stack([p.sigma for p in priors])
+    assert priors.genes == ref.genes
+    np.testing.assert_allclose(priors.mu, mus, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(priors.noise_var, noise, rtol=1e-12, atol=0)
+    got = priors.sigma
     scale = np.abs(sigmas).max(axis=(1, 2), keepdims=True)
     assert (np.abs(got - sigmas) <= 1e-12 * scale).all()
 
@@ -294,7 +293,7 @@ def test_priors_gene_that_needs_jitter(monkeypatch):
                         lambda s, t: calls.append(t) or _regularize_spd(s, t))
     _assert_priors_match(ref, 0.0)
     assert len(calls) == 1
-    sigma = estimate_priors(ref, shrinkage=0.0)[0].sigma
+    sigma = estimate_priors(ref, shrinkage=0.0).sigma[0]
     jitter = sigma[0, 0] - sigma[0, 1]
     assert jitter == pytest.approx(4e-6 * np.trace(sigma - jitter * np.eye(3)) / 3,
                                    rel=1e-9)

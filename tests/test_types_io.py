@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from diagnokit.errors import ParseError, ValidationError
 from diagnokit.io import (load_bulk_matrix, load_cts_tensor, load_sample_meta,
                           save_bulk_matrix, save_cts_tensor, save_sample_meta)
-from diagnokit.types import (BulkMatrix, CtsTensor, GenePrior, PairSelection,
+from diagnokit.types import (BulkMatrix, CtsTensor, GenePriors, PairSelection,
                              RefinementConfig, SampleMeta, pair_key)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
@@ -66,20 +66,37 @@ class TestSampleMeta:
                        bulk_cov=np.zeros(0), cts_cov=np.zeros(0))
 
 
+def _priors(sigma_b=np.eye(2), noise_b=1.0):
+    """Priors of two genes: a valid one, then one with the given parts."""
+    return GenePriors(genes=["a", "b"], mu=np.zeros((2, 2)),
+                      sigma=np.stack([np.eye(2), sigma_b]),
+                      noise_var=np.array([1.0, noise_b]))
+
+
 class TestGenePrior:
     def test_rejects_non_spd(self):
-        with pytest.raises(ValidationError, match="positive definite"):
-            GenePrior(gene="g", mu=np.zeros(2),
-                      sigma=np.array([[1.0, 2.0], [2.0, 1.0]]), noise_var=1.0)
+        with pytest.raises(ValidationError, match="positive definite for gene 'b'"):
+            _priors(sigma_b=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValidationError, match="symmetric"):
-            GenePrior(gene="g", mu=np.zeros(2),
-                      sigma=np.array([[1.0, 0.5], [0.2, 1.0]]), noise_var=1.0)
+        with pytest.raises(ValidationError, match="symmetric for gene 'b'"):
+            _priors(sigma_b=np.array([[1.0, 0.5], [0.2, 1.0]]))
 
     def test_rejects_nonpositive_noise(self):
-        with pytest.raises(ValidationError, match="noise_var"):
-            GenePrior(gene="g", mu=np.zeros(1), sigma=np.eye(1), noise_var=0.0)
+        with pytest.raises(ValidationError, match="noise_var must be positive for gene 'b'"):
+            _priors(noise_b=0.0)
+
+    def test_take_reorders_and_rejects_missing_gene(self):
+        priors = GenePriors(genes=["a", "b", "c"], mu=np.arange(6.0).reshape(3, 2),
+                            sigma=np.stack([np.eye(2) * (g + 1) for g in range(3)]),
+                            noise_var=np.array([1.0, 2.0, 3.0]))
+        picked = priors.take(["c", "a"])
+        assert picked.genes == ["c", "a"]
+        np.testing.assert_array_equal(picked.mu, priors.mu[[2, 0]])
+        np.testing.assert_array_equal(picked.sigma, priors.sigma[[2, 0]])
+        np.testing.assert_array_equal(picked.noise_var, [3.0, 1.0])
+        with pytest.raises(ValidationError, match="no prior for genes \\['d'\\]"):
+            priors.take(["a", "d"])
 
 
 class TestRefinementConfig:
