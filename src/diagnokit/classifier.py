@@ -89,7 +89,7 @@ class MlpModel:
             if not np.isfinite(a).all():
                 raise ValidationError(f"{name} contains non-finite values")
             object.__setattr__(self, name, a)
-        kept = np.ascontiguousarray(np.asarray(self.kept, dtype=bool))
+        kept = np.array(self.kept, dtype=bool)
         kept.flags.writeable = False
         if kept.ndim != 1 or kept.size != len(self.feature_names):
             raise ValidationError("kept mask must cover every raw feature")
@@ -530,31 +530,32 @@ def load_model(path: str | Path) -> MlpModel:
 
 def save_dataset(dataset: Dataset, labels, path: str | Path) -> None:
     """Dataset TSV: one sample per row, header = sample + feature names + label."""
-    from .io import _fmt, atomic_write_text
+    from .io import write_rows
     if not dataset.sample_ids:
         raise ValidationError("cannot save an empty dataset")
     y = np.asarray(labels)
-    lines = ["sample\t" + "\t".join(dataset.names) + "\tlabel",
-             "#tags\t" + "\t".join(dataset.tags) + "\t-"]
-    for sample_id, row, lab in zip(dataset.sample_ids, dataset.values, y):
-        lines.append(sample_id + "\t" + "\t".join(_fmt(v) for v in row)
-                     + "\t" + str(int(lab)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    if y.shape != (len(dataset.sample_ids),):
+        raise ValidationError(f"{y.size} labels for {len(dataset.sample_ids)} samples")
+    if not np.isin(y, (0, 1)).all():
+        raise ValidationError("labels must be 0 or 1")
+    header = ("sample\t" + "\t".join(dataset.names) + "\tlabel\n"
+              "#tags\t" + "\t".join(dataset.tags) + "\t-")
+    write_rows(path, header, dataset.sample_ids, dataset.values,
+               tails=[str(int(v)) for v in y.tolist()])
 
 
 def load_dataset(path: str | Path) -> tuple[Dataset, np.ndarray]:
     """Read and validate a dataset TSV; every rejection names its line
     (field counts, tags, duplicate sample IDs, values, labels other than 0/1)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    linenos = [i for i, line in enumerate(lines[2:], start=3) if line]
+    from .io import parse_rows, read_rows
+    head, rows, linenos = read_rows(path, 2)
     if not linenos:
         raise ParseError("dataset needs a header, a tag row, and data", line=1)
-    header = lines[0].split("\t")
+    header = head[0].split("\t")
     if header[0] != "sample" or header[-1] != "label":
         raise ParseError("dataset header must be sample ... label", line=1)
     names = tuple(header[1:-1])
-    tag_row = lines[1].split("\t")
+    tag_row = head[1].split("\t")
     if tag_row[0] != "#tags":
         raise ParseError("second dataset row must carry #tags", line=2)
     if len(tag_row) != len(header):
@@ -563,64 +564,44 @@ def load_dataset(path: str | Path) -> tuple[Dataset, np.ndarray]:
     unknown = sorted(set(tags) - set(FEATURE_TAGS))
     if unknown:
         raise ParseError(f"unknown feature tags: {unknown}", line=2)
-    rows = [lines[i - 1] for i in linenos]
-    first_line: dict[str, int] = {}
-    for lineno, row in zip(linenos, rows):
-        # np.loadtxt with usecols would silently accept extra fields
-        if row.count("\t") != len(header) - 1:
-            raise ParseError(f"expected {len(header)} fields", line=lineno)
-        sample_id = row[:row.index("\t")]
-        if first_line.setdefault(sample_id, lineno) != lineno:
-            raise ParseError(f"duplicate sample ID {sample_id!r} (first on line "
-                             f"{first_line[sample_id]})", line=lineno)
-    try:
-        block = np.loadtxt(rows, delimiter="\t", comments=None,
-                           usecols=range(1, len(header)), ndmin=2)
-    except ValueError as exc:
-        for lineno, row in zip(linenos, rows):
-            try:
-                [float(v) for v in row.split("\t")[1:]]
-            except ValueError as bad:
-                raise ParseError(str(bad), line=lineno) from exc
-        raise ParseError(str(exc)) from exc
+    (sample_ids,), block = parse_rows(rows, linenos, len(header))
+    _reject_repeat(sample_ids, linenos, "duplicate sample ID {!r} (first on line {})")
     values, labels = block[:, :-1], block[:, -1]
     for bad, what in ((~np.isfinite(values).all(axis=1), "non-finite feature value"),
                       (~np.isin(labels, (0.0, 1.0)), "label must be 0 or 1")):
         if bad.any():
             raise ParseError(what, line=linenos[int(np.argmax(bad))])
-    return (Dataset(values=values, names=names, tags=tags, sample_ids=tuple(first_line)),
+    return (Dataset(values=values, names=names, tags=tags, sample_ids=tuple(sample_ids)),
             labels.astype(int))
 
 
+def _reject_repeat(ids: list[str], linenos, message: str) -> None:
+    """Raise ``message`` (formatted with the ID and the line it first
+    appeared on) at the first line whose ID an earlier line already had."""
+    if len(set(ids)) == len(ids):
+        return
+    first: dict[str, int] = {}
+    for i, lineno in zip(ids, linenos):
+        if first.setdefault(i, lineno) != lineno:
+            raise ParseError(message.format(i, first[i]), line=lineno)
+
+
 def save_eqtl_table(eqtl: dict[str, tuple[float, float, float]], path: str | Path) -> None:
-    from .io import _fmt, atomic_write_text
-    lines = ["gene\tbeta\tse\tpval"]
-    for gene in sorted(eqtl):
-        beta, se, pval = eqtl[gene]
-        lines.append("\t".join([gene, _fmt(beta), _fmt(se), _fmt(pval)]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    from .io import write_rows
+    genes = sorted(eqtl)
+    write_rows(path, "gene\tbeta\tse\tpval", genes,
+               np.array([eqtl[g] for g in genes], dtype=np.float64).reshape(-1, 3))
 
 
 def load_eqtl_table(path: str | Path) -> dict[str, tuple[float, float, float]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "gene\tbeta\tse\tpval":
+    from .io import parse_rows, read_rows
+    header, rows, linenos = read_rows(path, 1)
+    if header != ["gene\tbeta\tse\tpval"]:
         raise ParseError("bad eQTL table header", line=1)
-    out = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
-        gene = parts[0]
-        if gene in out:
-            raise ParseError(f"duplicate gene {gene!r}", line=lineno)
-        try:
-            stats = (float(parts[1]), float(parts[2]), float(parts[3]))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        if not all(math.isfinite(v) for v in stats):
-            raise ParseError(f"non-finite beta, se or pval for {gene!r}", line=lineno)
-        out[gene] = stats
-    return out
+    (genes,), stats = parse_rows(rows, linenos, 4)
+    _reject_repeat(genes, linenos, "duplicate gene {!r}")
+    bad = ~np.isfinite(stats).all(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ParseError(f"non-finite beta, se or pval for {genes[r]!r}", line=linenos[r])
+    return dict(zip(genes, map(tuple, stats.tolist())))

@@ -3,6 +3,8 @@
 Every subcommand records a manifest (command, config hash, seed, SHA-256
 digests of inputs, tool version, output paths) to the output directory before
 doing work and finalizes it afterwards, so interrupted runs leave evidence.
+The manifest also carries the wall time spent reading inputs, computing and
+writing outputs (``timings``).
 All outputs are written atomically. Exit codes: 0 success, 1 validation or
 usage error, 2 runtime error.
 """
@@ -15,6 +17,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -30,7 +33,7 @@ from .errors import DiagnokitError, ValidationError
 from .geneselect import load_marker_list, select_pairs, save_selection, load_selection
 from .io import (atomic_write_text, load_bulk_matrix, load_cts_tensor, load_json,
                  load_reference, load_sample_meta, save_bulk_matrix, save_cts_tensor,
-                 save_json, save_reference, save_sample_meta)
+                 save_json, save_reference, save_sample_meta, write_rows)
 from .report import (FeatureReading, LlmClient, PromptInput, generate_report,
                      load_knowledge, render_markdown, report_to_json)
 from .simulate import SyntheticScenario, evaluate_recovery, generate
@@ -56,6 +59,8 @@ class RunManifest:
     outputs: list[str] = field(default_factory=list)
     status: str = "running"
     error: str | None = None
+    timings: dict[str, float] = field(
+        default_factory=lambda: {"read_s": 0.0, "compute_s": 0.0, "write_s": 0.0})
 
     def write(self, out_dir: Path) -> None:
         atomic_write_text(out_dir / "manifest.json",
@@ -108,6 +113,16 @@ def _start_manifest(args, inputs: list[str]) -> tuple[RunManifest, Path, dict]:
     return manifest, out_dir, config
 
 
+@contextmanager
+def _stage(manifest: RunManifest, name: str):
+    """Add the wall time of the block to ``manifest.timings[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        manifest.timings[name] += time.perf_counter() - start
+
+
 def _finish_manifest(manifest: RunManifest, out_dir: Path, outputs: list[Path]) -> None:
     manifest.outputs = sorted(str(p) for p in outputs)
     manifest.status = "ok"
@@ -138,40 +153,46 @@ def _pick(config: dict, cls, **overrides):
 def cmd_simulate(args) -> None:
     manifest, out, config = _start_manifest(args, [])
     scenario = _pick(config, SyntheticScenario, seed=args.seed)
-    bundle = generate(scenario)
+    with _stage(manifest, "compute_s"):
+        bundle = generate(scenario)
     outputs = [out / "bulk.tsv", out / "truth_mean.tsv", out / "truth_variance.tsv",
                out / "meta.json", out / "reference.tsv", out / "reference_labels.json"]
-    save_bulk_matrix(bundle.bulk, out / "bulk.tsv")
-    save_cts_tensor(bundle.true_z, out / "truth.tsv")
-    save_sample_meta(bundle.metas, bundle.true_z.cell_types, out / "meta.json")
-    save_reference(bundle.ref, out / "reference.tsv", out / "reference_labels.json")
+    with _stage(manifest, "write_s"):
+        save_bulk_matrix(bundle.bulk, out / "bulk.tsv")
+        save_cts_tensor(bundle.true_z, out / "truth.tsv")
+        save_sample_meta(bundle.metas, bundle.true_z.cell_types, out / "meta.json")
+        save_reference(bundle.ref, out / "reference.tsv", out / "reference_labels.json")
     _finish_manifest(manifest, out, outputs)
 
 
 def cmd_select_genes(args) -> None:
     manifest, out, config = _start_manifest(
         args, [args.ref, args.labels] + ([args.markers] if args.markers else []))
-    ref = load_reference(args.ref, args.labels)
-    markers = load_marker_list(args.markers) if args.markers else set()
+    with _stage(manifest, "read_s"):
+        ref = load_reference(args.ref, args.labels)
+        markers = load_marker_list(args.markers) if args.markers else set()
     kwargs = {k: config[k] for k in
               ("fdr_threshold", "lfc_threshold", "noise_quantile") if k in config}
-    selection = select_pairs(ref, markers, **kwargs)
-    save_selection(selection, out / "selection.json")
+    with _stage(manifest, "compute_s"):
+        selection = select_pairs(ref, markers, **kwargs)
+    with _stage(manifest, "write_s"):
+        save_selection(selection, out / "selection.json")
     _finish_manifest(manifest, out, [out / "selection.json"])
 
 
 def cmd_deconvolve(args) -> None:
     manifest, out, config = _start_manifest(
         args, [args.bulk, args.ref, args.labels, args.meta, args.selection])
-    bulk = load_bulk_matrix(args.bulk)
-    ref = load_reference(args.ref, args.labels)
-    metas = load_sample_meta(args.meta, ref.cell_types)
-    selection = load_selection(args.selection)
+    with _stage(manifest, "read_s"):
+        bulk = load_bulk_matrix(args.bulk)
+        ref = load_reference(args.ref, args.labels)
+        metas = load_sample_meta(args.meta, ref.cell_types)
+        selection = load_selection(args.selection)
     rc = _pick(config, RefinementConfig)
     shrinkage = float(config.get("shrinkage", 0.5))
-    summary = deconvolve(bulk, ref, selection, metas, rc, seed=args.seed,
-                         shrinkage=shrinkage)
-    save_cts_tensor(summary.cts, out / "cts.tsv")
+    with _stage(manifest, "compute_s"):
+        summary = deconvolve(bulk, ref, selection, metas, rc, seed=args.seed,
+                             shrinkage=shrinkage)
     finite = summary.rhat[np.isfinite(summary.rhat)]
     diagnostics = {
         "converged": bool(summary.converged),
@@ -180,7 +201,9 @@ def cmd_deconvolve(args) -> None:
         "estimated_pairs": int(summary.estimated.sum()),
         "median_noise_var": float(np.median(summary.noise_hat)),
     }
-    save_json(diagnostics, out / "diagnostics.json")
+    with _stage(manifest, "write_s"):
+        save_cts_tensor(summary.cts, out / "cts.tsv")
+        save_json(diagnostics, out / "diagnostics.json")
     if not summary.converged:
         # the data files are still written and the exit code stays 0
         print(f"warning: MCMC did not converge: max R-hat {diagnostics['max_rhat']}, "
@@ -191,27 +214,31 @@ def cmd_deconvolve(args) -> None:
 
 def cmd_train(args) -> None:
     manifest, out, config = _start_manifest(args, [args.dataset])
-    dataset, labels = load_dataset(args.dataset)
+    with _stage(manifest, "read_s"):
+        dataset, labels = load_dataset(args.dataset)
     tc = _pick(config, TrainConfig, seed=args.seed)
-    result = train(dataset, labels, tc)
-    save_model(result, out / "model.json")
-    save_json({"log": result.log, "dropped_features": list(result.dropped_features)},
-              out / "train_log.json")
+    with _stage(manifest, "compute_s"):
+        result = train(dataset, labels, tc)
+    with _stage(manifest, "write_s"):
+        save_model(result, out / "model.json")
+        save_json({"log": result.log, "dropped_features": list(result.dropped_features)},
+                  out / "train_log.json")
     _finish_manifest(manifest, out, [out / "model.json", out / "train_log.json"])
 
 
 def cmd_attribute(args) -> None:
     manifest, out, config = _start_manifest(args, [args.checkpoint, args.dataset])
-    model = load_model(args.checkpoint)
-    dataset, _ = load_dataset(args.dataset)
+    with _stage(manifest, "read_s"):
+        model = load_model(args.checkpoint)
+        dataset, _ = load_dataset(args.dataset)
     steps = int(config.get("steps", 200))
     method = config.get("method", "exact")
-    from .io import _fmt
-    lines = ["sample\t" + "\t".join(model.feature_names)]
-    for sample_id, x in zip(dataset.sample_ids, dataset.values):
-        attr = integrated_gradients(model, x, steps=steps, method=method)
-        lines.append(sample_id + "\t" + "\t".join(_fmt(v) for v in attr))
-    atomic_write_text(out / "attributions.tsv", "\n".join(lines) + "\n")
+    with _stage(manifest, "compute_s"):
+        attrs = np.stack([integrated_gradients(model, x, steps=steps, method=method)
+                          for x in dataset.values])
+    with _stage(manifest, "write_s"):
+        write_rows(out / "attributions.tsv", "sample\t" + "\t".join(model.feature_names),
+                   dataset.sample_ids, attrs)
     _finish_manifest(manifest, out, [out / "attributions.tsv"])
 
 
@@ -232,30 +259,33 @@ def cmd_report(args) -> None:
     manifest, out, config = _start_manifest(
         args, [args.checkpoint, args.dataset]
         + ([args.knowledge] if args.knowledge else []))
-    model = load_model(args.checkpoint)
-    dataset, labels = load_dataset(args.dataset)
-    if args.sample not in dataset.sample_ids:
-        raise ValidationError(f"sample {args.sample!r} not in dataset")
-    x = dataset.values[dataset.sample_ids.index(args.sample)]
-    prob = forward(model, x)
-    attr = integrated_gradients(model, x)
-    k = min(int(config.get("top_k", 5)), len(dataset.names))
-    top = top_k_features(attr, dataset.names, x, k=k)
-    strategy = args.strategy
-    knowledge = load_knowledge(args.knowledge) if args.knowledge else {}
-    stats = _population_stats(dataset, labels) if strategy != "direct" else None
-    inp = PromptInput(predicted_label="AD" if prob >= 0.5 else "nonAD",
-                      probability=prob,
-                      top_features=tuple(FeatureReading(name=n, value=v, attribution=a)
-                                         for n, v, a in top),
-                      audience=args.audience, strategy=strategy,
-                      domain_knowledge=knowledge, population_stats=stats)
-    client = None
-    if not args.offline and os.environ.get("DIAGNO_LLM_URL"):
-        client = LlmClient.from_env(model=config.get("model", "gpt-4o-mini"))
-    report = generate_report(inp, client)
-    save_json(report_to_json(report), out / "report.json")
-    atomic_write_text(out / "report.md", render_markdown(report))
+    with _stage(manifest, "read_s"):
+        model = load_model(args.checkpoint)
+        dataset, labels = load_dataset(args.dataset)
+        if args.sample not in dataset.sample_ids:
+            raise ValidationError(f"sample {args.sample!r} not in dataset")
+        knowledge = load_knowledge(args.knowledge) if args.knowledge else {}
+    with _stage(manifest, "compute_s"):
+        x = dataset.values[dataset.sample_ids.index(args.sample)]
+        prob = forward(model, x)
+        attr = integrated_gradients(model, x)
+        k = min(int(config.get("top_k", 5)), len(dataset.names))
+        top = top_k_features(attr, dataset.names, x, k=k)
+        strategy = args.strategy
+        stats = _population_stats(dataset, labels) if strategy != "direct" else None
+        inp = PromptInput(predicted_label="AD" if prob >= 0.5 else "nonAD",
+                          probability=prob,
+                          top_features=tuple(FeatureReading(name=n, value=v, attribution=a)
+                                             for n, v, a in top),
+                          audience=args.audience, strategy=strategy,
+                          domain_knowledge=knowledge, population_stats=stats)
+        client = None
+        if not args.offline and os.environ.get("DIAGNO_LLM_URL"):
+            client = LlmClient.from_env(model=config.get("model", "gpt-4o-mini"))
+        report = generate_report(inp, client)
+    with _stage(manifest, "write_s"):
+        save_json(report_to_json(report), out / "report.json")
+        atomic_write_text(out / "report.md", render_markdown(report))
     _finish_manifest(manifest, out, [out / "report.json", out / "report.md"])
 
 
@@ -264,33 +294,39 @@ def cmd_eval(args) -> None:
     est_paths = [str(p) for p in _tensor_paths(args.estimate)]
     truth_paths = [str(p) for p in _tensor_paths(args.truth)]
     manifest, out, _config = _start_manifest(args, est_paths + truth_paths)
-    estimate = load_cts_tensor(args.estimate)
-    truth = load_cts_tensor(args.truth)
-    report = evaluate_recovery(estimate, truth)
-    save_json(report.summary(), out / "recovery.json")
+    with _stage(manifest, "read_s"):
+        estimate = load_cts_tensor(args.estimate)
+        truth = load_cts_tensor(args.truth)
+    with _stage(manifest, "compute_s"):
+        report = evaluate_recovery(estimate, truth)
+    with _stage(manifest, "write_s"):
+        save_json(report.summary(), out / "recovery.json")
     _finish_manifest(manifest, out, [out / "recovery.json"])
 
 
 def cmd_diverge(args) -> None:
     manifest, out, config = _start_manifest(args, [args.checkpoint, args.dataset])
-    model = load_model(args.checkpoint)
-    dataset, labels = load_dataset(args.dataset)
+    with _stage(manifest, "read_s"):
+        model = load_model(args.checkpoint)
+        dataset, labels = load_dataset(args.dataset)
     size = int(config.get("subset_size", DEFAULT_SUBSET_SIZE))
     threshold = float(config.get("ood_threshold", 1.0))
-    mean = np.zeros(model.kept.size)
-    sd = np.ones(model.kept.size)
-    mean[model.kept] = model.mean
-    sd[model.kept] = model.sd
-    subsets = {
-        "symbolic-conflict": symbolic_conflict_subset(dataset, labels, size),
-        "ood": ood_subset(dataset, mean, sd, size=size, threshold=threshold),
-    }
-    client = None
-    if not args.offline and os.environ.get("DIAGNO_LLM_URL"):
-        client = LlmClient.from_env(model=config.get("model", "gpt-4o-mini"))
-    reports = run_divergence(model, dataset, labels, subsets, client)
-    save_reports(reports, out / "divergence.json")
-    atomic_write_text(out / "divergence.md", reports_markdown(reports))
+    with _stage(manifest, "compute_s"):
+        mean = np.zeros(model.kept.size)
+        sd = np.ones(model.kept.size)
+        mean[model.kept] = model.mean
+        sd[model.kept] = model.sd
+        subsets = {
+            "symbolic-conflict": symbolic_conflict_subset(dataset, labels, size),
+            "ood": ood_subset(dataset, mean, sd, size=size, threshold=threshold),
+        }
+        client = None
+        if not args.offline and os.environ.get("DIAGNO_LLM_URL"):
+            client = LlmClient.from_env(model=config.get("model", "gpt-4o-mini"))
+        reports = run_divergence(model, dataset, labels, subsets, client)
+    with _stage(manifest, "write_s"):
+        save_reports(reports, out / "divergence.json")
+        atomic_write_text(out / "divergence.md", reports_markdown(reports))
     _finish_manifest(manifest, out, [out / "divergence.json", out / "divergence.md"])
 
 

@@ -8,22 +8,31 @@ Formats:
 
 Floats are rendered with ``repr`` (shortest round-tripping form, at most 17
 significant digits) so load(save(x)) is bit-exact for 64-bit floats.
+
+Every TSV format (these, the classifier dataset and the eQTL table) goes
+through one reader, ``read_rows`` + ``parse_rows``, and one writer,
+``write_rows``. Both work on the whole file at once: the reader parses the
+values of all rows with one ``np.loadtxt`` when rows hold many values, and
+otherwise with one tab count per row, one split of the whole body and one
+float parse; the writer formats all values in one ``repr`` pass. Readers
+accept any line end and skip empty lines; a malformed row raises
+``ParseError`` with its line number.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
+from collections.abc import Sequence
+from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .types import BulkMatrix, CtsTensor, SampleMeta
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -41,41 +50,114 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
-def save_matrix_tsv(genes: list[str], samples: list[str], values: np.ndarray,
-                    path: str | Path) -> None:
-    lines = ["gene\t" + "\t".join(samples)]
-    for g, row in zip(genes, np.asarray(values)):
-        lines.append(g + "\t" + "\t".join(_fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+# np.loadtxt reads these as whitespace; float() rejects them
+_LOADTXT_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-def load_matrix_tsv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
+def write_rows(path: str | Path, header: str, keys, values, tails=None) -> None:
+    """Write ``header``, then one ``key<TAB>v1<TAB>...<TAB>vk`` line per row of
+    the 2-D ``values``, each value as ``repr``; ``tails[i]``, when given, ends
+    row i after one more tab.
+
+    Values are formatted in one pass over the whole block, not one call per
+    value.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n, k = values.shape
+    cells = list(map(repr, values.ravel().tolist()))
+    if k != 1:
+        cells = ["\t".join(cells[i * k:(i + 1) * k]) for i in range(n)]
+    columns = (keys, cells) if tails is None else (keys, cells, tails)
+    atomic_write_text(path, "\n".join([header, *map("\t".join, zip(*columns))]) + "\n")
+
+
+def read_rows(path: str | Path, n_header: int) -> tuple[list[str], list[str], Sequence[int]]:
+    """The first ``n_header`` lines of ``path``, then its other non-empty
+    lines and their 1-based line numbers.
+
+    Lines are split with ``str.splitlines``, so any line end is accepted.
+    """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty matrix file", line=1)
-    header = lines[0].split("\t")
-    if header[0] != "gene":
-        raise ParseError(f"expected header starting with 'gene', got {header[0]!r}", line=1)
-    samples = header[1:]
-    genes: list[str] = []
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(samples) + 1:
-            raise ParseError(
-                f"expected {len(samples) + 1} fields, got {len(parts)}", line=lineno)
-        genes.append(parts[0])
+    body = lines[n_header:]
+    if "" not in body:
+        return lines[:n_header], body, range(n_header + 1, n_header + 1 + len(body))
+    linenos = [i for i, line in enumerate(body, start=n_header + 1) if line]
+    return lines[:n_header], [lines[i - 1] for i in linenos], linenos
+
+
+def parse_rows(rows: list[str], linenos: Sequence[int], n_fields: int,
+               n_keys: int = 1) -> tuple[list[list[str]], np.ndarray]:
+    """Split tab-separated ``rows`` of ``n_fields`` fields each into their
+    first ``n_keys`` columns (as strings) and the rest as a float block of
+    shape (len(rows), n_fields - n_keys).
+
+    Values parse as ``float()`` parses them. The rows are split and parsed in
+    bulk; a malformed row raises ``ParseError`` naming the first bad line, as
+    a row-by-row parse would.
+    """
+    if not rows:
+        return [[] for _ in range(n_keys)], np.empty((0, n_fields - n_keys))
+    body = "\t".join(rows)
+    shape = (len(rows), n_fields - n_keys)
+    if shape[1] > 1 and not any(map(body.__contains__, _LOADTXT_SPACE)):
+        # many values per row: np.loadtxt tokenizes them in C, without a str
+        # per value. It rejects rows whose value counts differ and skips
+        # empty ones, so the right shape means every row has n_fields
+        # fields; what it rejects or reads unlike float() ('1_0') goes the
+        # exact way below
+        parts = [row.split("\t", n_keys) for row in rows]
         try:
-            rows.append([float(p) for p in parts[1:]])
+            values = np.loadtxt([p[-1] for p in parts], delimiter="\t", comments=None,
+                                ndmin=2)
+        except ValueError:
+            values = None
+        if values is not None and values.shape == shape:
+            return [[p[k] for p in parts] for k in range(n_keys)], values
+    counts = list(map(str.count, rows, repeat("\t")))
+    if counts.count(n_fields - 1) != len(rows):
+        _raise_first_bad(rows, linenos, n_fields, n_keys)
+    fields = body.split("\t")
+    keys = [fields[k::n_fields] for k in range(n_keys)]
+    for width in range(n_fields, n_fields - n_keys, -1):
+        del fields[::width]  # drop the leading key column of rows this wide
+    try:
+        values = np.array(fields, dtype=np.float64)
+    except ValueError:
+        _raise_first_bad(rows, linenos, n_fields, n_keys)
+    return keys, values.reshape(shape)
+
+
+def _raise_first_bad(rows, linenos, n_fields: int, n_keys: int) -> NoReturn:
+    """Raise for the first row with the wrong field count or a non-float value."""
+    for lineno, row in zip(linenos, rows):
+        parts = row.split("\t")
+        if len(parts) != n_fields:
+            raise ParseError(f"expected {n_fields} fields, got {len(parts)}", line=lineno)
+        try:
+            [float(p) for p in parts[n_keys:]]
         except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-    return genes, samples, np.array(rows, dtype=np.float64).reshape(len(genes), len(samples))
+            raise ParseError(str(exc), line=lineno) from None
+    raise AssertionError("no malformed row found")
+
+
+def save_matrix_tsv(genes: list[str], samples: list[str], values: np.ndarray,
+                    path: str | Path) -> None:
+    write_rows(path, "gene\t" + "\t".join(samples), genes, values)
+
+
+def load_matrix_tsv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
+    header, rows, linenos = read_rows(path, 1)
+    if not header:
+        raise ParseError("empty matrix file", line=1)
+    names = header[0].split("\t")
+    if names[0] != "gene":
+        raise ParseError(f"expected header starting with 'gene', got {names[0]!r}", line=1)
+    (genes,), values = parse_rows(rows, linenos, len(names))
+    return genes, names[1:], values
 
 
 def save_bulk_matrix(bulk: BulkMatrix, path: str | Path) -> None:
@@ -94,62 +176,39 @@ def _tensor_paths(path: str | Path) -> tuple[Path, Path]:
     return Path(str(stem) + "_mean.tsv"), Path(str(stem) + "_variance.tsv")
 
 
-def _save_long(genes, cell_types, samples, values, path) -> None:
-    lines = ["gene\tcell_type\tsample\tvalue"]
-    for gi, g in enumerate(genes):
-        for ci, c in enumerate(cell_types):
-            for si, s in enumerate(samples):
-                lines.append(f"{g}\t{c}\t{s}\t{_fmt(values[gi, ci, si])}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+LONG_HEADER = "gene\tcell_type\tsample\tvalue"
 
 
 def _load_long(path: str | Path) -> tuple[list[str], list[str], list[str], np.ndarray]:
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "gene\tcell_type\tsample\tvalue":
+    """Axes (in order of first appearance) and values of a long-format tensor
+    file; rows may come in any order, but each entry exactly once."""
+    header, rows, linenos = read_rows(path, 1)
+    if header != [LONG_HEADER]:
         raise ParseError("bad long-format tensor header", line=1)
-    # dicts double as order-preserving sets
-    genes: dict[str, None] = {}
-    cell_types: dict[str, None] = {}
-    samples: dict[str, None] = {}
-    entries: dict[tuple[str, str, str], float] = {}
-    blank = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            blank += 1
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
-        g, c, s, v = parts
-        genes[g] = None
-        cell_types[c] = None
-        samples[s] = None
-        try:
-            entries[(g, c, s)] = float(v)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-    if len(entries) < len(lines) - 1 - blank:
-        # some key repeats; find its line only now, off the per-row path
+    keys, values = parse_rows(rows, linenos, 4, n_keys=3)
+    axes, index = [], []
+    for col in keys:
+        ids = {k: i for i, k in enumerate(dict.fromkeys(col))}
+        axes.append(list(ids))
+        index.append(np.fromiter(map(ids.__getitem__, col), dtype=np.intp, count=len(col)))
+    shape = tuple(map(len, axes))
+    flat = np.ravel_multi_index(index, shape)
+    counts = np.bincount(flat, minlength=math.prod(shape))
+    if counts.max(initial=0) > 1:
+        # some key repeats; find its line only now, off the bulk path
         seen = set()
-        for lineno, line in enumerate(lines[1:], start=2):
-            key = tuple(line.split("\t")[:3])
-            if line and key in seen:
-                raise ParseError(f"duplicate tensor entry {key}", line=lineno)
-            seen.add(key)
-    genes, cell_types, samples = list(genes), list(cell_types), list(samples)
-    values = np.empty((len(genes), len(cell_types), len(samples)))
-    try:
-        for gi, g in enumerate(genes):
-            for ci, c in enumerate(cell_types):
-                for si, s in enumerate(samples):
-                    values[gi, ci, si] = entries[(g, c, s)]
-    except KeyError as exc:
-        raise ParseError(f"missing tensor entry {exc.args[0]}") from exc
-    return genes, cell_types, samples, values
+        for r, k in enumerate(flat.tolist()):
+            if k in seen:
+                key = tuple(col[r] for col in keys)
+                raise ParseError(f"duplicate tensor entry {key}", line=linenos[r])
+            seen.add(k)
+    if len(rows) < counts.size:  # no entry repeats, so one is missing
+        first = np.unravel_index(int(np.argmin(counts)), shape)
+        missing = tuple(axis[i] for axis, i in zip(axes, first))
+        raise ParseError(f"missing tensor entry {missing}")
+    out = np.empty(counts.size)
+    out[flat] = values[:, 0]
+    return axes[0], axes[1], axes[2], out.reshape(shape)
 
 
 def save_cts_tensor(tensor: CtsTensor, path: str | Path) -> None:
@@ -157,8 +216,10 @@ def save_cts_tensor(tensor: CtsTensor, path: str | Path) -> None:
     if not isinstance(tensor, CtsTensor):
         raise ValidationError("save_cts_tensor expects a CtsTensor")
     mean_path, var_path = _tensor_paths(path)
-    _save_long(tensor.genes, tensor.cell_types, tensor.samples, tensor.mean, mean_path)
-    _save_long(tensor.genes, tensor.cell_types, tensor.samples, tensor.variance, var_path)
+    prefixes = [f"{g}\t{c}\t" for g in tensor.genes for c in tensor.cell_types]
+    keys = [p + s for p in prefixes for s in tensor.samples]
+    write_rows(mean_path, LONG_HEADER, keys, tensor.mean.reshape(-1, 1))
+    write_rows(var_path, LONG_HEADER, keys, tensor.variance.reshape(-1, 1))
 
 
 def load_cts_tensor(path: str | Path) -> CtsTensor:

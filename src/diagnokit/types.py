@@ -1,7 +1,7 @@
 """Core domain types with validation.
 
-All types are immutable after construction (arrays are marked read-only) and
-safe to share across threads.
+All types are immutable after construction (each keeps a read-only copy of
+the arrays it is given) and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -15,7 +15,9 @@ PROPORTION_TOL = 1e-8
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+    """A read-only float64 copy: the caller's array stays writable, and later
+    writes to it do not reach the record."""
+    a = np.array(a, dtype=np.float64, order="C")
     a.flags.writeable = False
     return a
 

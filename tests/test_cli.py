@@ -1,6 +1,8 @@
 """End-to-end CLI pipeline, exit codes, and run-manifest structure."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diagnokit
 from diagnokit.classifier import Dataset, save_dataset
-from diagnokit.cli import main
+from diagnokit.cli import CONFIG_KEYS, main
+from diagnokit.io import load_cts_tensor
 
 SCENARIO = {"G": 6, "C": 2, "N": 10, "d1": 1, "d2": 0, "ref_cells_per_type": 6}
 MCMC = {"chains": 2, "iters": 30, "burnin": 15, "rounds": 1}
@@ -517,3 +522,105 @@ class TestExitCodes:
 
     def test_version_is_zero(self, capsys):
         assert main(["--version"]) == 0
+
+
+def test_every_manifest_records_stage_timings(sim_dir, selection_path, model_dir,
+                                              dataset_path, tmp_path):
+    mcfg = tmp_path / "mcmc.json"
+    mcfg.write_text(json.dumps(MCMC))
+    ckpt = ["--checkpoint", str(model_dir / "model.json")]
+    data = ["--dataset", str(dataset_path)]
+    runs = {
+        "deconvolve": _deconvolve_args(sim_dir, sim_dir / "meta.json", selection_path,
+                                       tmp_path / "deconvolve", mcfg),
+        "eval": ["eval", "--estimate", str(sim_dir / "truth.tsv"),
+                 "--truth", str(sim_dir / "truth.tsv"), "--out", str(tmp_path / "eval")],
+        "attribute": ["attribute", *ckpt, *data, "--out", str(tmp_path / "attribute")],
+        "report": ["report", *ckpt, *data, "--sample", "p01", "--audience", "patient",
+                   "--offline", "--out", str(tmp_path / "report")],
+        "diverge": ["diverge", *ckpt, *data, "--offline", "--out", str(tmp_path / "diverge")],
+    }
+    dirs = {"simulate": sim_dir, "select-genes": selection_path.parent, "train": model_dir}
+    for command, argv in runs.items():
+        assert main(argv) == 0, command
+        dirs[command] = tmp_path / command
+    assert set(dirs) == set(CONFIG_KEYS)
+    for command, out in dirs.items():
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        timings = manifest["timings"]
+        assert set(timings) == {"read_s", "compute_s", "write_s"}, command
+        assert all(isinstance(v, float) and v >= 0 for v in timings.values()), command
+        assert timings["compute_s"] > 0 and timings["write_s"] > 0, command
+
+
+# Each TSV input and a command that reads it; the index of its first data line.
+_TSV_READERS = {
+    "bulk.tsv": 1, "reference.tsv": 1, "truth_mean.tsv": 1, "dataset.tsv": 2,
+}
+
+
+def _reader_argv(name, path, sim_dir, selection_path, out):
+    if name == "bulk.tsv":
+        argv = _deconvolve_args(sim_dir, sim_dir / "meta.json", selection_path, out)
+        argv[argv.index("--bulk") + 1] = str(path)
+        return argv
+    if name == "reference.tsv":
+        return ["select-genes", "--ref", str(path),
+                "--labels", str(sim_dir / "reference_labels.json"), "--out", str(out)]
+    if name == "truth_mean.tsv":
+        return ["eval", "--estimate", str(sim_dir / "truth.tsv"),
+                "--truth", str(path.parent / "truth.tsv"), "--out", str(out)]
+    return ["train", "--dataset", str(path), "--out", str(out)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_TSV_READERS)), ragged=st.booleans(), data=st.data())
+def test_cut_or_ragged_line_exits_one_naming_it(sim_dir, selection_path, dataset_path,
+                                                tmp_path_factory, name, ragged, data):
+    source = dataset_path if name == "dataset.tsv" else sim_dir / name
+    lines = source.read_text().splitlines()
+    i = data.draw(st.integers(_TSV_READERS[name], len(lines) - 1), label="line index")
+    if ragged:
+        lines[i] += "\t" + data.draw(st.sampled_from(["1.0", "x", ""]), label="extra")
+    else:
+        # cut at or before the last tab, so the line loses at least one field
+        lines[i] = lines[i][:data.draw(st.integers(1, lines[i].rindex("\t")), label="cut")]
+    root = tmp_path_factory.mktemp("broken")
+    path = root / name
+    path.write_text("\n".join(lines) + "\n")
+    if name == "truth_mean.tsv":
+        (root / "truth_variance.tsv").write_bytes((sim_dir / "truth_variance.tsv").read_bytes())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(_reader_argv(name, path, sim_dir, selection_path, root / "out"))
+    assert code == 1
+    assert f"error: line {i + 1}: expected " in err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_tensor_loads_the_same_from_crlf_blank_lines_and_any_row_order(
+        sim_dir, tmp_path_factory, data):
+    truth = load_cts_tensor(sim_dir / "truth.tsv")
+    root = tmp_path_factory.mktemp("layout")
+    n_rows = truth.mean.size
+    # one order for both files: their axes, in order of first appearance, must agree
+    order = data.draw(st.permutations(range(n_rows)), label="row order")
+    for part in ("mean", "variance"):
+        header, *rows = (sim_dir / f"truth_{part}.tsv").read_text().splitlines()
+        rows = [rows[i] for i in order]
+        for pos in data.draw(st.lists(st.integers(0, n_rows), max_size=4),
+                             label=f"{part} blanks"):
+            rows.insert(pos, "")
+        (root / f"t_{part}.tsv").write_bytes("\r\n".join([header, *rows]).encode() + b"\r\n")
+    loaded = load_cts_tensor(root / "t.tsv")
+    # axes come in order of first appearance; reorder them to the original's
+    assert sorted(loaded.genes) == sorted(truth.genes)
+    assert sorted(loaded.cell_types) == sorted(truth.cell_types)
+    assert sorted(loaded.samples) == sorted(truth.samples)
+    ix = np.ix_([loaded.genes.index(g) for g in truth.genes],
+                [loaded.cell_types.index(c) for c in truth.cell_types],
+                [loaded.samples.index(s) for s in truth.samples])
+    assert loaded.mean[ix].tobytes() == truth.mean.tobytes()
+    assert loaded.variance[ix].tobytes() == truth.variance.tobytes()

@@ -1,0 +1,444 @@
+"""The bulk TSV codec (``io.read_rows``/``parse_rows``/``write_rows``) against
+the line-by-line readers and writers it replaced.
+
+On generated files, old and new must give the same axes and the same bits,
+or raise ``ParseError`` on the same line; the writers must give the same
+bytes.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diagnokit.classifier import FEATURE_TAGS, Dataset, load_dataset, save_dataset
+from diagnokit.errors import ParseError, ValidationError
+from diagnokit.io import (_load_long, load_matrix_tsv, parse_rows, save_cts_tensor,
+                          save_matrix_tsv)
+from diagnokit.types import CtsTensor
+
+
+# ---------------------------------------------------------------- references
+
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
+def save_long_loop(genes, cell_types, samples, values):
+    """Reference: the long-format text, one formatted line per value."""
+    lines = ["gene\tcell_type\tsample\tvalue"]
+    for gi, g in enumerate(genes):
+        for ci, c in enumerate(cell_types):
+            for si, s in enumerate(samples):
+                lines.append(f"{g}\t{c}\t{s}\t{_fmt(values[gi, ci, si])}")
+    return "\n".join(lines) + "\n"
+
+
+def load_long_loop(path):
+    """Reference: split each line, store every entry in a dict keyed by
+    (gene, cell type, sample), then fill the array entry by entry."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != "gene\tcell_type\tsample\tvalue":
+        raise ParseError("bad long-format tensor header", line=1)
+    genes, cell_types, samples = {}, {}, {}
+    entries = {}
+    blank = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            blank += 1
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
+        g, c, s, v = parts
+        genes[g] = None
+        cell_types[c] = None
+        samples[s] = None
+        try:
+            entries[(g, c, s)] = float(v)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+    if len(entries) < len(lines) - 1 - blank:
+        seen = set()
+        for lineno, line in enumerate(lines[1:], start=2):
+            key = tuple(line.split("\t")[:3])
+            if line and key in seen:
+                raise ParseError(f"duplicate tensor entry {key}", line=lineno)
+            seen.add(key)
+    genes, cell_types, samples = list(genes), list(cell_types), list(samples)
+    values = np.empty((len(genes), len(cell_types), len(samples)))
+    try:
+        for gi, g in enumerate(genes):
+            for ci, c in enumerate(cell_types):
+                for si, s in enumerate(samples):
+                    values[gi, ci, si] = entries[(g, c, s)]
+    except KeyError as exc:
+        raise ParseError(f"missing tensor entry {exc.args[0]}") from exc
+    return genes, cell_types, samples, values
+
+
+def save_matrix_loop(genes, samples, values):
+    """Reference: the matrix text, one formatted line per gene."""
+    lines = ["gene\t" + "\t".join(samples)]
+    for g, row in zip(genes, np.asarray(values)):
+        lines.append(g + "\t" + "\t".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def load_matrix_loop(path):
+    """Reference: split each line and parse each value with float()."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError("empty matrix file", line=1)
+    header = lines[0].split("\t")
+    if header[0] != "gene":
+        raise ParseError(f"expected header starting with 'gene', got {header[0]!r}", line=1)
+    samples = header[1:]
+    genes, rows = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != len(samples) + 1:
+            raise ParseError(
+                f"expected {len(samples) + 1} fields, got {len(parts)}", line=lineno)
+        genes.append(parts[0])
+        try:
+            rows.append([float(p) for p in parts[1:]])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+    return genes, samples, np.array(rows, dtype=np.float64).reshape(len(genes), len(samples))
+
+
+def save_dataset_loop(dataset, labels):
+    """Reference: the dataset text, one formatted line per sample."""
+    lines = ["sample\t" + "\t".join(dataset.names) + "\tlabel",
+             "#tags\t" + "\t".join(dataset.tags) + "\t-"]
+    for sample_id, row, lab in zip(dataset.sample_ids, dataset.values, labels):
+        lines.append(sample_id + "\t" + "\t".join(_fmt(v) for v in row) + "\t" + str(int(lab)))
+    return "\n".join(lines) + "\n"
+
+
+def load_dataset_loop(path):
+    """Reference: a per-row check of field counts and sample IDs, then one
+    np.loadtxt over the value block."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    linenos = [i for i, line in enumerate(lines[2:], start=3) if line]
+    if not linenos:
+        raise ParseError("dataset needs a header, a tag row, and data", line=1)
+    header = lines[0].split("\t")
+    if header[0] != "sample" or header[-1] != "label":
+        raise ParseError("dataset header must be sample ... label", line=1)
+    names = tuple(header[1:-1])
+    tag_row = lines[1].split("\t")
+    if tag_row[0] != "#tags":
+        raise ParseError("second dataset row must carry #tags", line=2)
+    if len(tag_row) != len(header):
+        raise ParseError(f"expected {len(header)} fields, got {len(tag_row)}", line=2)
+    tags = tuple(tag_row[1:-1])
+    unknown = sorted(set(tags) - set(FEATURE_TAGS))
+    if unknown:
+        raise ParseError(f"unknown feature tags: {unknown}", line=2)
+    rows = [lines[i - 1] for i in linenos]
+    first_line = {}
+    for lineno, row in zip(linenos, rows):
+        if row.count("\t") != len(header) - 1:
+            raise ParseError(f"expected {len(header)} fields", line=lineno)
+        sample_id = row[:row.index("\t")]
+        if first_line.setdefault(sample_id, lineno) != lineno:
+            raise ParseError(f"duplicate sample ID {sample_id!r} (first on line "
+                             f"{first_line[sample_id]})", line=lineno)
+    try:
+        block = np.loadtxt(rows, delimiter="\t", comments=None,
+                           usecols=range(1, len(header)), ndmin=2)
+    except ValueError as exc:
+        for lineno, row in zip(linenos, rows):
+            try:
+                [float(v) for v in row.split("\t")[1:]]
+            except ValueError as bad:
+                raise ParseError(str(bad), line=lineno) from exc
+        raise ParseError(str(exc)) from exc
+    values, labels = block[:, :-1], block[:, -1]
+    for bad, what in ((~np.isfinite(values).all(axis=1), "non-finite feature value"),
+                      (~np.isin(labels, (0.0, 1.0)), "label must be 0 or 1")):
+        if bad.any():
+            raise ParseError(what, line=linenos[int(np.argmax(bad))])
+    return (Dataset(values=values, names=names, tags=tags, sample_ids=tuple(first_line)),
+            labels.astype(int))
+
+
+# ---------------------------------------------------------------- strategies
+
+# every float64 but NaN: infinities, signed zeros and subnormals included
+any_float = st.floats(allow_nan=False)
+finite_float = st.floats(allow_nan=False, allow_infinity=False)
+# no tab and no character that str.splitlines treats as a line end
+name = st.text(alphabet="abxyzAB019_-.:|", min_size=1, max_size=4)
+bad_float = st.sampled_from(["abc", "", "1.0.0", "0x10", "1,5", "--1", "e5", "1e", "nan nan"])
+
+
+def names(n):
+    return st.lists(name, min_size=n, max_size=n, unique=True)
+
+
+@st.composite
+def layouts(draw, n_rows):
+    """Row order, blank-line positions, line end and trailing line end."""
+    order = draw(st.permutations(range(n_rows)))
+    blanks = draw(st.lists(st.integers(0, n_rows), max_size=3))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return order, blanks, end, draw(st.booleans())
+
+
+def render(header_lines, rows, layout):
+    """File text: the rows in ``order`` with blank lines inserted."""
+    order, blanks, end, trailing = layout
+    body = [rows[i] for i in order]
+    for pos in sorted(blanks, reverse=True):
+        body.insert(pos, "")
+    return end.join([*header_lines, *body]) + (end if trailing else "")
+
+
+@st.composite
+def tensor_files(draw):
+    g, c, s = (draw(st.integers(1, 3)) for _ in range(3))
+    axes = draw(names(g)), draw(names(c)), draw(names(s))
+    values = np.array(draw(st.lists(any_float, min_size=g * c * s, max_size=g * c * s)))
+    rows = [f"{a}\t{b}\t{d}\t{_fmt(v)}"
+            for (a, b, d), v in zip(((a, b, d) for a in axes[0] for b in axes[1]
+                                     for d in axes[2]), values)]
+    return rows, draw(layouts(len(rows)))
+
+
+@st.composite
+def matrix_files(draw):
+    g, n = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    genes, samples = draw(names(g)), draw(names(n))
+    rows = ["\t".join([gene] + [_fmt(draw(any_float)) for _ in range(n)]) for gene in genes]
+    return ["gene\t" + "\t".join(samples)], rows, draw(layouts(g))
+
+
+@st.composite
+def dataset_files(draw):
+    n, d = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    ids, feats = draw(names(n)), draw(names(d))
+    tags = [draw(st.sampled_from(FEATURE_TAGS)) for _ in range(d)]
+    rows = ["\t".join([i] + [_fmt(draw(finite_float)) for _ in range(d)]
+                      + [str(draw(st.integers(0, 1)))]) for i in ids]
+    header = ["sample\t" + "\t".join(feats) + "\tlabel", "#tags\t" + "\t".join(tags) + "\t-"]
+    return header, rows, draw(layouts(n))
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ParseError as exc:
+        return exc
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_tensor_agrees(path, compare_message=True):
+    old, new = _outcome(load_long_loop, path), _outcome(_load_long, path)
+    if isinstance(old, ParseError) or isinstance(new, ParseError):
+        assert isinstance(old, ParseError) and isinstance(new, ParseError), (old, new)
+        assert (new.line, str(new)) == (old.line, str(old))
+        return
+    assert new[:3] == old[:3]
+    assert _same_bits(new[3], old[3])
+
+
+def _assert_matrix_agrees(path):
+    old, new = _outcome(load_matrix_loop, path), _outcome(load_matrix_tsv, path)
+    if isinstance(old, ParseError) or isinstance(new, ParseError):
+        assert isinstance(old, ParseError) and isinstance(new, ParseError), (old, new)
+        assert (new.line, str(new)) == (old.line, str(old))
+        return
+    assert new[:2] == old[:2]
+    assert _same_bits(new[2], old[2])
+
+
+def _assert_dataset_agrees(path):
+    old, new = _outcome(load_dataset_loop, path), _outcome(load_dataset, path)
+    if isinstance(old, ParseError) or isinstance(new, ParseError):
+        assert isinstance(old, ParseError) and isinstance(new, ParseError), (old, new)
+        # the new field-count message also says how many fields the row has
+        assert new.line == old.line
+        assert str(new).startswith(str(old))
+        return
+    (od, ol), (nd, nl) = old, new
+    assert (nd.names, nd.tags, nd.sample_ids) == (od.names, od.tags, od.sample_ids)
+    assert _same_bits(nd.values, od.values) and np.array_equal(nl, ol)
+
+
+def _write(tmp_path_factory, text, name="f.tsv"):
+    path = tmp_path_factory.mktemp("io") / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+# ---------------------------------------------------------------- well-formed
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_files())
+def test_long_tensor_matches_loop_reader(tmp_path_factory, spec):
+    rows, layout = spec
+    path = _write(tmp_path_factory, render(["gene\tcell_type\tsample\tvalue"], rows, layout))
+    _assert_tensor_agrees(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_files())
+def test_matrix_matches_loop_reader(tmp_path_factory, spec):
+    header, rows, layout = spec
+    _assert_matrix_agrees(_write(tmp_path_factory, render(header, rows, layout)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dataset_files())
+def test_dataset_matches_loop_reader(tmp_path_factory, spec):
+    header, rows, layout = spec
+    _assert_dataset_agrees(_write(tmp_path_factory, render(header, rows, layout)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=st.integers(1, 3), c=st.integers(1, 3), s=st.integers(1, 3), data=st.data())
+def test_tensor_writer_matches_loop_writer(tmp_path_factory, g, c, s, data):
+    genes, cell_types, samples = data.draw(names(g)), data.draw(names(c)), data.draw(names(s))
+    mean = np.array(data.draw(st.lists(finite_float, min_size=g * c * s,
+                                       max_size=g * c * s))).reshape(g, c, s)
+    t = CtsTensor(genes=genes, cell_types=cell_types, samples=samples,
+                  mean=mean, variance=np.abs(mean))
+    root = tmp_path_factory.mktemp("io")
+    save_cts_tensor(t, root / "t.tsv")
+    assert (root / "t_mean.tsv").read_text() == save_long_loop(genes, cell_types, samples, mean)
+    assert (root / "t_variance.tsv").read_text() == save_long_loop(
+        genes, cell_types, samples, np.abs(mean))
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=st.integers(1, 4), n=st.integers(0, 4), data=st.data())
+def test_matrix_writer_matches_loop_writer(tmp_path_factory, g, n, data):
+    genes, samples = data.draw(names(g)), data.draw(names(n))
+    values = np.array(data.draw(st.lists(any_float, min_size=g * n, max_size=g * n)))
+    values = values.reshape(g, n)
+    path = tmp_path_factory.mktemp("io") / "m.tsv"
+    save_matrix_tsv(genes, samples, values, path)
+    assert path.read_text() == save_matrix_loop(genes, samples, values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), d=st.integers(0, 3), data=st.data())
+def test_dataset_writer_matches_loop_writer(tmp_path_factory, n, d, data):
+    values = np.array(data.draw(st.lists(finite_float, min_size=n * d, max_size=n * d)))
+    ds = Dataset(values=values.reshape(n, d), names=tuple(data.draw(names(d))),
+                 tags=("cts",) * d, sample_ids=tuple(data.draw(names(n))))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    path = tmp_path_factory.mktemp("io") / "d.tsv"
+    save_dataset(ds, labels, path)
+    assert path.read_text() == save_dataset_loop(ds, labels)
+
+
+# ---------------------------------------------------------------- malformed
+
+def _break(draw, rows, first_value_field):
+    """One malformation of ``rows``: a ragged row, a cut-off last row, a bad
+    float, a repeated row or a dropped row."""
+    rows = list(rows)
+    kind = draw(st.sampled_from(["ragged", "cut", "bad_float", "repeat", "drop"]))
+    r = draw(st.integers(0, len(rows) - 1))
+    if kind == "ragged":
+        rows[r] += "\t" + draw(st.sampled_from(["1.0", "x", ""]))
+    elif kind == "cut":
+        rows[-1] = rows[-1][:draw(st.integers(1, len(rows[-1])))]
+    elif kind == "bad_float":
+        parts = rows[r].split("\t")
+        if len(parts) > first_value_field:
+            parts[draw(st.integers(first_value_field, len(parts) - 1))] = draw(bad_float)
+        rows[r] = "\t".join(parts)
+    elif kind == "repeat":
+        rows.insert(draw(st.integers(0, len(rows))), rows[r])
+    else:
+        del rows[r]
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(tensor_files(), st.data())
+def test_malformed_tensor_fails_like_loop_reader(tmp_path_factory, spec, data):
+    rows, (_, blanks, end, trailing) = spec
+    rows = _break(data.draw, rows, 3)
+    layout = (range(len(rows)), blanks, end, trailing)
+    path = _write(tmp_path_factory, render(["gene\tcell_type\tsample\tvalue"], rows, layout))
+    _assert_tensor_agrees(path)
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrix_files(), st.data())
+def test_malformed_matrix_fails_like_loop_reader(tmp_path_factory, spec, data):
+    header, rows, (_, blanks, end, trailing) = spec
+    rows = _break(data.draw, rows, 1)
+    layout = (range(len(rows)), blanks, end, trailing)
+    _assert_matrix_agrees(_write(tmp_path_factory, render(header, rows, layout)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(dataset_files(), st.data())
+def test_malformed_dataset_fails_like_loop_reader(tmp_path_factory, spec, data):
+    header, rows, (_, blanks, end, trailing) = spec
+    rows = _break(data.draw, rows, 1)
+    layout = (range(len(rows)), blanks, end, trailing)
+    _assert_dataset_agrees(_write(tmp_path_factory, render(header, rows, layout)))
+
+
+# ---------------------------------------------------------------- parse rules
+
+@pytest.mark.parametrize("token, expected", [
+    ("1_0", 10.0), (" 2.5 ", 2.5), ("+.5", 0.5), ("1.", 1.0), ("-0.0", -0.0),
+    ("inf", np.inf), ("-Infinity", -np.inf), ("1e500", np.inf), ("١", 1.0)])
+@pytest.mark.parametrize("width", [1, 3])
+def test_values_parse_as_float_does(token, expected, width):
+    """One value per row and many values per row take different bulk paths;
+    both read exactly what float() reads."""
+    rows = ["k\t" + "\t".join([token] * width), "j\t" + "\t".join(["1.0"] * width)]
+    (keys,), values = parse_rows(rows, [2, 3], width + 1)
+    assert keys == ["k", "j"]
+    assert np.array_equal(values[0], np.full(width, float(token)))
+    assert np.signbit(values[0, 0]) == np.signbit(expected)
+
+
+@pytest.mark.parametrize("token", ["1.0\x1c", "\x1f1.0", "0x10", "1,5", "", "abc"])
+@pytest.mark.parametrize("width", [1, 3])
+def test_values_float_rejects_are_rejected(token, width):
+    rows = ["k\t" + "\t".join(["1.0"] * width), "j\t" + "\t".join(["2.0"] * (width - 1) + [token])]
+    with pytest.raises(ParseError) as err:
+        parse_rows(rows, [4, 6], width + 1)
+    assert err.value.line == 6
+
+
+def test_save_dataset_rejects_bad_labels(tmp_path):
+    ds = Dataset(values=np.ones((3, 1)), names=("f",), tags=("cts",),
+                 sample_ids=("s0", "s1", "s2"))
+    with pytest.raises(ValidationError, match="2 labels for 3 samples"):
+        save_dataset(ds, [1, 0], tmp_path / "d.tsv")
+    with pytest.raises(ValidationError, match="labels must be 0 or 1"):
+        save_dataset(ds, [1, 0, 7], tmp_path / "d.tsv")
+    assert not (tmp_path / "d.tsv").exists()
+
+
+@pytest.mark.parametrize("rows, n_fields, line, message", [
+    (["k\t1.0\t2.0", "j\t3.0\t4.0"], 4, 2, "expected 4 fields, got 3"),  # every row short
+    (["k\t1.0\t2.0", "j\t\t"], 3, 3, "could not convert"),  # empty values
+    (["k\t1.0\t2.0", "j\t"], 3, 3, "expected 3 fields, got 2"),
+    (["k\t1.0\t2.0", "j"], 3, 3, "expected 3 fields, got 1"),
+])
+def test_rows_of_many_values_keep_every_check(rows, n_fields, line, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_rows(rows, [2, 3], n_fields)
+    assert err.value.line == line

@@ -227,3 +227,45 @@ class TestParseErrors:
             "gene\tcell_type\tsample\tvalue\ng2\tc\ts\t1.0\n")
         with pytest.raises(ParseError, match="disagree"):
             load_cts_tensor(tmp_path / "t.tsv")
+
+
+def _records_of(arrays):
+    """One record of each type, built from the given arrays."""
+    from diagnokit.classifier import HIDDEN1, HIDDEN2, Dataset, MlpModel
+    d = 2
+    return {
+        "BulkMatrix": lambda: BulkMatrix(genes=["g"], samples=["s"], values=arrays["bulk"]),
+        "CtsTensor": lambda: CtsTensor(genes=["g"], cell_types=["c"], samples=["s"],
+                                       mean=arrays["mean"], variance=arrays["variance"]),
+        "GenePriors": lambda: GenePriors(genes=["g"], mu=arrays["mu"], sigma=arrays["sigma"],
+                                         noise_var=arrays["noise_var"]),
+        "Dataset": lambda: Dataset(values=arrays["values"], names=("a", "b"),
+                                   tags=("cts", "cts"), sample_ids=("s",)),
+        "MlpModel": lambda: MlpModel(
+            w1=arrays["w1"], b1=np.zeros(HIDDEN1), w2=np.zeros((HIDDEN2, HIDDEN1)),
+            b2=np.zeros(HIDDEN2), w3=np.zeros((1, HIDDEN2)), b3=np.zeros(1),
+            mean=np.zeros(d), sd=np.ones(d), kept=arrays["kept"],
+            feature_names=("a", "b"), feature_tags=("cts", "cts")),
+    }
+
+
+@pytest.mark.parametrize("record", ["BulkMatrix", "CtsTensor", "GenePriors", "Dataset",
+                                    "MlpModel"])
+def test_record_copies_the_callers_arrays(record):
+    """A record keeps read-only copies: the caller's contiguous float64 arrays
+    stay writable, and writing to them later does not reach the record."""
+    from diagnokit.classifier import HIDDEN1
+    arrays = {"bulk": np.zeros((1, 1)), "mean": np.zeros((1, 1, 1)),
+              "variance": np.ones((1, 1, 1)), "mu": np.zeros((1, 1)),
+              "sigma": np.ones((1, 1, 1)), "noise_var": np.ones(1),
+              "values": np.zeros((1, 2)), "w1": np.zeros((HIDDEN1, 2)),
+              "kept": np.ones(2, dtype=bool)}
+    built = _records_of(arrays)[record]()
+    for key, a in arrays.items():
+        assert a.flags.writeable, key
+        a[(0,) * a.ndim] = 7 if a.dtype != bool else False
+    for name in ("values", "mean", "variance", "mu", "sigma", "noise_var", "w1", "kept"):
+        held = getattr(built, name, None)
+        if held is not None:
+            assert not held.flags.writeable
+            assert held[(0,) * held.ndim] != (7 if held.dtype != bool else False), name
