@@ -200,6 +200,7 @@ def cmd_deconvolve(args) -> None:
         "rhat_threshold": rc.rhat_threshold,
         "estimated_pairs": int(summary.estimated.sum()),
         "median_noise_var": float(np.median(summary.noise_hat)),
+        "rescues": summary.rescues,
     }
     with _stage(manifest, "write_s"):
         save_cts_tensor(summary.cts, out / "cts.tsv")

@@ -10,7 +10,12 @@ Bayesian linear regression draw, s2 from an Inverse-Gamma. Multiple chains run
 from over-dispersed starts; convergence is checked with split R-hat on the
 per-(gene, cell type) sample-averaged draw trace, gated at the configured
 threshold. Two-stage prior refinement re-estimates (mu, Sigma) from posterior
-moments and redraws them through a Normal / Inverse-Wishart step.
+moments and redraws them through a Normal / Inverse-Wishart step: one normal
+draw for every mean, and every covariance from the Bartlett decomposition
+(Smith & Hocking 1972), Sigma = T'T with T = (chol(scale^-1) A)^-1 for a
+lower-triangular A of chi and standard normal draws, all genes in one array
+pass. Draws that are not finite and positive definite are redrawn; the
+redraws and the covariance jitter rescues are counted, never silent.
 """
 from __future__ import annotations
 
@@ -71,6 +76,7 @@ class PosteriorSummary:
     rhat: np.ndarray         # (G, C), nan where undefined
     converged: bool
     estimated: np.ndarray | None = None  # (G, C) bool mask, deconvolve only
+    rescues: dict[str, int] | None = None  # numerical rescue counts, deconvolve only
 
 
 def z_conditional(mu: np.ndarray, sigma: np.ndarray, noise_var: float, x_gi: float,
@@ -220,8 +226,12 @@ def split_rhat_all(traces: np.ndarray) -> np.ndarray:
 def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
              config: RefinementConfig, seed: int,
              hyper: HyperParams | None = None,
-             cell_types: list[str] | None = None) -> PosteriorSummary:
-    """Multi-chain Gibbs sampling with pooled posterior moments and R-hat."""
+             cell_types: list[str] | None = None,
+             rescues: dict[str, int] | None = None) -> PosteriorSummary:
+    """Multi-chain Gibbs sampling with pooled posterior moments and R-hat.
+
+    ``rescues``, when given, counts the genes whose sigma_hat needed more than
+    the first jitter step (``_regularize_spd_all``)."""
     hyper = hyper or HyperParams()
     w, c1, c2, sig_inv, sig_inv_mu = _stack_inputs(bulk, priors, metas)
     G, N = bulk.n_genes, bulk.n_samples
@@ -258,7 +268,8 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
     var_z = np.maximum(sum_z2 / total - mean_z ** 2, 0.0)
     mu_hat = mean_z.mean(axis=1)
     sigma_hat = sum_outer / (total * N) - np.einsum("gc,gd->gcd", mu_hat, mu_hat)
-    sigma_hat = _regularize_spd_all(sigma_hat, np.trace(sigma_hat, axis1=1, axis2=2))
+    sigma_hat = _regularize_spd_all(sigma_hat, np.trace(sigma_hat, axis1=1, axis2=2),
+                                    rescues)
     noise_hat = sum_noise / total
 
     rhat = split_rhat_all(traces)
@@ -273,34 +284,77 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
                             noise_hat=noise_hat, rhat=rhat, converged=converged)
 
 
+IW_TRIES = 100
+
+
+def _bartlett_iw(chol_inv: np.ndarray, nu: float, rng: np.random.Generator) -> np.ndarray:
+    """One IW(nu, scale) draw per gene, given L = chol(scale^-1) of each.
+
+    Bartlett: with A lower triangular, A_ii = sqrt(chi2(nu - i)) and
+    A_ij ~ N(0, 1) below the diagonal, L A A' L' ~ Wishart(nu, scale^-1), so
+    its inverse T'T, T = (L A)^-1, is the draw (symmetric by construction).
+    """
+    G, C, _ = chol_inv.shape
+    a = np.tril(rng.standard_normal((G, C, C)), -1)
+    diag = np.arange(C)
+    a[:, diag, diag] = np.sqrt(rng.chisquare(nu - diag, (G, C)))
+    t = np.linalg.inv(chol_inv @ a)
+    return np.swapaxes(t, 1, 2) @ t
+
+
+def _chol_of_inverse(sigma: np.ndarray, genes: list[str]) -> np.ndarray:
+    """chol(sigma^-1) of every matrix; the error names the first gene whose
+    inverse has no Cholesky factor."""
+    try:
+        return np.linalg.cholesky(np.linalg.inv(sigma))
+    except np.linalg.LinAlgError:
+        for gene, s in zip(genes, sigma):
+            try:
+                np.linalg.cholesky(np.linalg.inv(s))
+            except np.linalg.LinAlgError:
+                raise ValidationError("inverse-Wishart scale is not positive "
+                                      f"definite for {gene!r}") from None
+        raise
+
+
+def _spd(stack: np.ndarray) -> np.ndarray:
+    """Mask of the finite, numerically positive definite matrices of a stack."""
+    ok = np.isfinite(stack).all(axis=(1, 2))
+    ok[ok] = np.linalg.eigvalsh(stack[ok])[:, 0] > 0
+    return ok
+
+
 def refine_priors(summary: PosteriorSummary, priors: GenePriors,
-                  config: RefinementConfig, seed: int) -> GenePriors:
+                  config: RefinementConfig, seed: int,
+                  rescues: dict[str, int] | None = None) -> GenePriors:
     """Redraw each gene's prior around the posterior estimates.
 
     Mean from N(mu_hat, tau^2 I); covariance from an Inverse-Wishart whose
-    scale is chosen so its expectation equals sigma_hat. Draws are retried
-    (up to 100 times) until numerically positive definite.
+    scale is chosen so its expectation equals sigma_hat, drawn for all genes
+    at once (``_bartlett_iw``). Genes whose draw is not finite and positive
+    definite are redrawn, up to ``IW_TRIES`` draws in all; the redraws are
+    added to ``rescues["iw_redraws"]`` when ``rescues`` is given.
     """
-    from scipy.stats import invwishart  # imported here to keep CLI start-up fast
-
     C = priors.mu.shape[1]
     nu = config.resolved_nu(C)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5EED)))
-    mu_new = summary.mu_hat.copy()
-    sigma_new = np.empty_like(summary.sigma_hat)
-    for gi, gene in enumerate(priors.genes):
-        if config.tau > 0:
-            mu_new[gi] = rng.normal(summary.mu_hat[gi], config.tau)
-        scale = summary.sigma_hat[gi] * (nu - C - 1)
-        for _ in range(100):
-            draw = invwishart.rvs(df=nu, scale=scale, random_state=rng)
-            draw = np.atleast_2d(draw)
-            draw = 0.5 * (draw + draw.T)
-            if np.isfinite(draw).all() and np.linalg.eigvalsh(draw).min() > 0:
-                sigma_new[gi] = draw
-                break
-        else:
-            raise ValidationError(f"inverse-Wishart retries exhausted for {gene!r}")
+    mu_new = (rng.normal(summary.mu_hat, config.tau) if config.tau > 0
+              else summary.mu_hat.copy())
+    chol_inv = _chol_of_inverse(summary.sigma_hat * (nu - C - 1), priors.genes)
+    sigma_new = _bartlett_iw(chol_inv, nu, rng)
+    pending = np.flatnonzero(~_spd(sigma_new))
+    for _ in range(IW_TRIES - 1):
+        if not pending.size:
+            break
+        if rescues is not None:
+            rescues["iw_redraws"] += pending.size
+        draw = _bartlett_iw(chol_inv[pending], nu, rng)
+        ok = _spd(draw)
+        sigma_new[pending[ok]] = draw[ok]
+        pending = pending[~ok]
+    if pending.size:
+        raise ValidationError("inverse-Wishart retries exhausted for "
+                              f"{priors.genes[pending[0]]!r}")
     return GenePriors(genes=priors.genes, mu=mu_new, sigma=sigma_new,
                       noise_var=summary.noise_hat.copy())
 
@@ -314,7 +368,10 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
 
     Runs ``config.rounds`` MCMC passes with a refinement step between passes.
     Output entries for unselected (gene, cell type) pairs carry the reference
-    prior mean/variance and are flagged False in ``estimated``.
+    prior mean/variance and are flagged False in ``estimated``. ``rescues``
+    counts the numerical rescues of the whole run: covariances that needed
+    more than the first jitter step (``spd_jitter``) and inverse-Wishart
+    redraws (``iw_redraws``), each summed over rounds.
     """
     cell_types = ref.cell_types
     C = len(cell_types)
@@ -323,7 +380,8 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
         if g not in bulk_genes or c not in known_types:
             raise ValidationError(f"selected pair ({g!r}, {c!r}) outside bulk/reference axes")
 
-    bulk_priors = estimate_priors(ref, shrinkage, seed=seed).take(bulk.genes)
+    rescues = {"iw_redraws": 0, "spd_jitter": 0}
+    bulk_priors = estimate_priors(ref, shrinkage, seed=seed, rescues=rescues).take(bulk.genes)
     estimated = np.array([[(g, c) in selection.pairs for c in cell_types]
                           for g in bulk.genes])
     rows = np.flatnonzero(estimated.any(axis=1))  # genes the sampler runs on
@@ -344,11 +402,11 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
         priors = bulk_priors.take(sampled_genes)
         for rnd in range(config.rounds):
             summary = run_mcmc(sub_bulk, priors, metas, config, seed + rnd,
-                               hyper=hyper, cell_types=cell_types)
+                               hyper=hyper, cell_types=cell_types, rescues=rescues)
             if round_summaries is not None:
                 round_summaries.append(summary)
             if rnd + 1 < config.rounds:
-                priors = refine_priors(summary, priors, config, seed + rnd)
+                priors = refine_priors(summary, priors, config, seed + rnd, rescues)
         converged = summary.converged
         picked = estimated[rows]
         mean[rows] = np.where(picked[:, :, None], summary.cts.mean, mean[rows])
@@ -362,4 +420,4 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
                     mean=mean, variance=var)
     return PosteriorSummary(cts=cts, mu_hat=mu_hat, sigma_hat=sigma_hat,
                             noise_hat=noise_hat, rhat=rhat, converged=converged,
-                            estimated=estimated)
+                            estimated=estimated, rescues=rescues)

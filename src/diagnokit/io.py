@@ -179,18 +179,32 @@ def _tensor_paths(path: str | Path) -> tuple[Path, Path]:
 LONG_HEADER = "gene\tcell_type\tsample\tvalue"
 
 
-def _load_long(path: str | Path) -> tuple[list[str], list[str], list[str], np.ndarray]:
-    """Axes (in order of first appearance) and values of a long-format tensor
-    file; rows may come in any order, but each entry exactly once."""
+def _load_long(path: str | Path, axes: list[list[str]] | None = None
+               ) -> tuple[list[str], list[str], list[str], np.ndarray]:
+    """Axes and values of a long-format tensor file; rows may come in any
+    order, but each entry exactly once.
+
+    The axes are each gene, cell type and sample in order of first
+    appearance, or ``axes`` when given: then a row keyed outside them raises
+    with its line number.
+    """
     header, rows, linenos = read_rows(path, 1)
     if header != [LONG_HEADER]:
         raise ParseError("bad long-format tensor header", line=1)
     keys, values = parse_rows(rows, linenos, 4, n_keys=3)
-    axes, index = [], []
-    for col in keys:
-        ids = {k: i for i, k in enumerate(dict.fromkeys(col))}
-        axes.append(list(ids))
-        index.append(np.fromiter(map(ids.__getitem__, col), dtype=np.intp, count=len(col)))
+    if axes is None:
+        axes = [list(dict.fromkeys(col)) for col in keys]
+    index = []
+    for col, axis in zip(keys, axes):
+        ids = {k: i for i, k in enumerate(axis)}
+        try:
+            index.append(np.fromiter(map(ids.__getitem__, col), dtype=np.intp,
+                                     count=len(col)))
+        except KeyError:
+            r = next(r for r, k in enumerate(col) if k not in ids)
+            key = tuple(c[r] for c in keys)
+            raise ParseError(f"mean and variance tensor files disagree: {Path(path).name} "
+                             f"entry {key} is not in the mean file", line=linenos[r]) from None
     shape = tuple(map(len, axes))
     flat = np.ravel_multi_index(index, shape)
     counts = np.bincount(flat, minlength=math.prod(shape))
@@ -223,11 +237,12 @@ def save_cts_tensor(tensor: CtsTensor, path: str | Path) -> None:
 
 
 def load_cts_tensor(path: str | Path) -> CtsTensor:
+    """Mean and variance tensors; the variance rows are indexed by the mean
+    file's axes, so the two files may list their rows in different orders
+    but must hold the same (gene, cell type, sample) keys."""
     mean_path, var_path = _tensor_paths(path)
     genes, cell_types, samples, mean = _load_long(mean_path)
-    genes2, cell_types2, samples2, var = _load_long(var_path)
-    if (genes, cell_types, samples) != (genes2, cell_types2, samples2):
-        raise ParseError("mean and variance tensor files disagree on axes")
+    *_, var = _load_long(var_path, [genes, cell_types, samples])
     return CtsTensor(genes=genes, cell_types=cell_types, samples=samples,
                      mean=mean, variance=var)
 

@@ -67,11 +67,13 @@ def signature_matrix(ref: ReferenceDataset) -> np.ndarray:
 
 
 def estimate_priors(ref: ReferenceDataset, shrinkage: float = DEFAULT_SHRINKAGE,
-                    seed: int = 0) -> GenePriors:
+                    seed: int = 0, rescues: dict[str, int] | None = None) -> GenePriors:
     """Estimate the prior of every gene in the reference.
 
     ``shrinkage`` in [0, 1] interpolates the covariance toward its diagonal;
-    1 gives an exactly diagonal matrix (before regularization).
+    1 gives an exactly diagonal matrix (before regularization). ``rescues``
+    counts the genes whose covariance needed more jitter than the first step
+    (see ``_regularize_spd_all``).
     """
     if not 0.0 <= shrinkage <= 1.0:
         raise ValidationError("shrinkage must lie in [0, 1]")
@@ -110,19 +112,24 @@ def estimate_priors(ref: ReferenceDataset, shrinkage: float = DEFAULT_SHRINKAGE,
     diag = np.einsum("gcc->gc", S)
     sigma = (1.0 - shrinkage) * S + shrinkage * (diag[:, :, None] * np.eye(C))
     return GenePriors(genes=ref.genes, mu=mus,
-                      sigma=_regularize_spd_all(sigma, diag.sum(axis=1)),
+                      sigma=_regularize_spd_all(sigma, diag.sum(axis=1), rescues),
                       noise_var=noise_vars)
 
 
-def _regularize_spd_all(sigma: np.ndarray, trace_s: np.ndarray) -> np.ndarray:
+def _regularize_spd_all(sigma: np.ndarray, trace_s: np.ndarray,
+                        rescues: dict[str, int] | None = None) -> np.ndarray:
     """``_regularize_spd`` of each matrix of a (G, C, C) stack: the first jitter
-    step for all at once, the doubling loop only for those it leaves indefinite."""
+    step for all at once, the doubling loop only for those it leaves indefinite.
+    Those are added to ``rescues["spd_jitter"]`` when ``rescues`` is given."""
     C = sigma.shape[-1]
     sigma = 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
     eps = np.where(trace_s > 0, 1e-6 * trace_s / C, 1e-8)
     spd = sigma + eps[:, None, None] * np.eye(C)
-    for g in np.flatnonzero(~(np.linalg.eigvalsh(spd).min(axis=1) > 0)):
+    rescued = np.flatnonzero(~(np.linalg.eigvalsh(spd).min(axis=1) > 0))
+    for g in rescued:
         spd[g] = _regularize_spd(sigma[g], trace_s[g])
+    if rescues is not None:
+        rescues["spd_jitter"] += rescued.size
     return spd
 
 

@@ -1,4 +1,4 @@
-"""Synthetic ground truth, baseline deconvolvers, and recovery evaluation.
+"""Synthetic ground truth and recovery evaluation.
 
 The generator follows the bulk mixture model end to end: latent per-gene
 cell-type vectors with a strong shared (cross-type) covariance component,
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .reference import ReferenceDataset, signature_matrix
+from .reference import ReferenceDataset
 from .types import AdjustmentParams, BulkMatrix, CtsTensor, SampleMeta
 
 
@@ -207,58 +207,3 @@ def evaluate_recovery(estimate: CtsTensor, truth: CtsTensor) -> RecoveryReport:
         per_sample={ct: r_s[j][ok_s[j]].tolist() for j, ct in enumerate(cts)},
         excluded_per_gene={ct: int((~ok_g[:, j]).sum()) for j, ct in enumerate(cts)},
         excluded_per_sample={ct: int((~ok_s[j]).sum()) for j, ct in enumerate(cts)})
-
-
-def nnls_proportions(bulk_column, signature) -> np.ndarray:
-    """Non-negative least squares proportions, renormalized to the simplex.
-
-    Uses the Lawson-Hanson active-set solver.
-    """
-    x = np.asarray(bulk_column, dtype=np.float64)
-    s = np.asarray(signature, dtype=np.float64)
-    if s.ndim != 2 or x.shape != (s.shape[0],):
-        raise ValidationError("signature must be G x C and bulk_column length G")
-    if s.shape[0] < s.shape[1]:
-        raise ValidationError("need at least as many genes as cell types")
-    if np.linalg.matrix_rank(s) < s.shape[1]:
-        raise ValidationError("signature columns are rank deficient")
-    from scipy.optimize import nnls  # imported here to keep CLI start-up fast
-
-    p, _ = nnls(s, x)
-    total = p.sum()
-    if total == 0.0:
-        raise ValidationError("all-zero NNLS solution cannot be normalized")
-    return p / total
-
-
-def baseline_reference_mean(ref: ReferenceDataset, bulk: BulkMatrix) -> CtsTensor:
-    """Naive baseline: every sample gets the reference per-type mean."""
-    missing = [g for g in bulk.genes if g not in set(ref.genes)]
-    if missing:
-        raise ValidationError(f"bulk genes absent from reference: {missing[:5]}")
-    idx = [ref.genes.index(g) for g in bulk.genes]
-    sig = signature_matrix(ref)[idx]  # (G, C)
-    cts = ref.cell_types
-    within_var = np.column_stack([
-        ref.values[np.ix_(idx, ref.type_columns(ct))].var(axis=1, ddof=1) for ct in cts])
-    N = bulk.n_samples
-    mean = np.repeat(sig[:, :, None], N, axis=2)
-    var = np.repeat(within_var[:, :, None], N, axis=2)
-    return CtsTensor(genes=bulk.genes, cell_types=cts, samples=bulk.samples,
-                     mean=mean, variance=var)
-
-
-def baseline_ols(bulk: BulkMatrix, metas: list[SampleMeta],
-                 cell_types: list[str]) -> CtsTensor:
-    """Per-gene OLS of bulk on proportions, with the per-sample residual
-    redistributed along w. Ignores covariates."""
-    w = np.stack([m.proportions for m in metas])  # (N, C)
-    G, N = bulk.values.shape
-    C = w.shape[1]
-    beta, *_ = np.linalg.lstsq(w, bulk.values.T, rcond=None)  # (C, G)
-    beta = beta.T  # (G, C)
-    resid = bulk.values - beta @ w.T  # (G, N)
-    wn = (w ** 2).sum(axis=1)  # (N,)
-    mean = beta[:, :, None] + np.einsum("gn,nc->gcn", resid / wn[None, :], w)
-    return CtsTensor(genes=bulk.genes, cell_types=cell_types, samples=bulk.samples,
-                     mean=mean, variance=np.zeros((G, C, N)))

@@ -26,10 +26,11 @@ from diagnokit.geneselect import (benjamini_hochberg, select_pairs,
 from diagnokit.reference import ReferenceDataset
 from diagnokit.report import (PATIENT_BLOCKLIST, FeatureReading, PromptInput,
                               build_prompt, render_offline)
-from diagnokit.simulate import (SyntheticScenario, baseline_ols,
-                                evaluate_recovery, generate, nnls_proportions)
+from diagnokit.simulate import SyntheticScenario, evaluate_recovery, generate
 from diagnokit.types import (BulkMatrix, GenePriors, PairSelection,
                              RefinementConfig, SampleMeta, pair_key)
+
+from deconv_baselines import baseline_ols, nnls_proportions
 
 
 def _verdict(n: int, ok: bool, desc: str) -> None:

@@ -141,7 +141,8 @@ def test_select_genes_and_deconvolve_and_eval(sim_dir, tmp_path):
                  "--out", str(dec_out)]) == 0
     diag = json.loads((dec_out / "diagnostics.json").read_text())
     assert set(diag) == {"converged", "max_rhat", "rhat_threshold",
-                         "estimated_pairs", "median_noise_var"}
+                         "estimated_pairs", "median_noise_var", "rescues"}
+    assert diag["rescues"] == {"iw_redraws": 0, "spd_jitter": 0}
     assert (dec_out / "cts_mean.tsv").exists()
     assert (dec_out / "cts_variance.tsv").exists()
 
@@ -428,12 +429,20 @@ def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, c
     assert "selection" in capsys.readouterr().err
 
 
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports diagnokit from this tree."""
+    src = Path(diagnokit.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+
+
 def test_reference_path_loads_no_scipy_stats_or_special(tmp_path):
     """select-genes, a one-round deconvolve and eval in a fresh interpreter
     leave scipy.stats and scipy.special unloaded (they cost about 100 MB).
     The reference has more than 12 cells, so selection takes the
     normal-approximation path."""
-    src = Path(diagnokit.__file__).resolve().parents[1]
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps({**SCENARIO, "ref_cells_per_type": 10}))
     sim_dir = tmp_path / "sim"
@@ -454,23 +463,53 @@ def test_reference_path_loads_no_scipy_stats_or_special(tmp_path):
             f"for argv in json.loads({json.dumps(json.dumps(argvs))}):\n"
             "    assert main(argv) == 0, argv\n"
             "print(sorted({'scipy.stats', 'scipy.special'} & set(sys.modules)))\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
     assert out.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "eval" / "recovery.json").exists()
 
 
+def test_two_round_pipeline_runs_with_scipy_refused(sim_dir, selection_path, tmp_path):
+    """select-genes, a two-round deconvolve (so refine_priors runs) and eval
+    succeed in a fresh interpreter whose import system refuses every scipy
+    module: no command needs scipy, not even lazily."""
+    mcfg = tmp_path / "mcmc.json"
+    mcfg.write_text(json.dumps({**MCMC, "rounds": 2}))
+    ref = ["--ref", str(sim_dir / "reference.tsv"),
+           "--labels", str(sim_dir / "reference_labels.json")]
+    argvs = [
+        ["select-genes", *ref, "--out", str(tmp_path / "sel")],
+        _deconvolve_args(sim_dir, sim_dir / "meta.json", selection_path,
+                         tmp_path / "dec", mcfg),
+        ["eval", "--estimate", str(tmp_path / "dec" / "cts.tsv"),
+         "--truth", str(sim_dir / "truth.tsv"), "--out", str(tmp_path / "eval")],
+    ]
+    code = ("import json, sys\n"
+            "class RefuseScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'refused: {name}')\n"
+            "sys.meta_path.insert(0, RefuseScipy())\n"
+            "from diagnokit.cli import main\n"
+            f"for argv in json.loads({json.dumps(json.dumps(argvs))}):\n"
+            "    code = main(argv)\n"
+            "    if code:\n"
+            "        sys.exit(code)\n"
+            "sys.exit(3 if any(m.partition('.')[0] == 'scipy' for m in sys.modules) else 0)\n")
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    diag = json.loads((tmp_path / "dec" / "diagnostics.json").read_text())
+    assert diag["estimated_pairs"] > 0  # the sampler ran, so refine_priors did
+    assert set(diag["rescues"]) == {"iw_redraws", "spd_jitter"}
+    assert (tmp_path / "eval" / "recovery.json").exists()
+
+
 def test_cli_import_pulls_in_neither_numba_nor_requests():
-    src = Path(diagnokit.__file__).resolve().parents[1]
-    code = ("import sys, diagnokit.cli; print(sorted({'numba', 'requests', "
-            "'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    proc = _fresh_python("import sys, diagnokit.cli; print(sorted({'numba', 'requests', "
+                         "'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command,key,nearest", [
@@ -605,7 +644,7 @@ def test_tensor_loads_the_same_from_crlf_blank_lines_and_any_row_order(
     truth = load_cts_tensor(sim_dir / "truth.tsv")
     root = tmp_path_factory.mktemp("layout")
     n_rows = truth.mean.size
-    # one order for both files: their axes, in order of first appearance, must agree
+    # one order for both files (independent orders: tests/test_io_batched.py)
     order = data.draw(st.permutations(range(n_rows)), label="row order")
     for part in ("mean", "variance"):
         header, *rows = (sim_dir / f"truth_{part}.tsv").read_text().splitlines()

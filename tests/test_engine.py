@@ -4,10 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from diagnokit.engine import (ChainState, HyperParams, gibbs_sweep, init_chain,
-                              refine_priors, run_mcmc, split_rhat, split_rhat_all,
-                              z_conditional)
+from diagnokit.engine import (ChainState, HyperParams, PosteriorSummary, gibbs_sweep,
+                              init_chain, refine_priors, run_mcmc, split_rhat,
+                              split_rhat_all, z_conditional)
 from diagnokit.errors import ValidationError
+from diagnokit.reference import _regularize_spd_all
 from diagnokit.types import (AdjustmentParams, BulkMatrix, GenePriors,
                              RefinementConfig, SampleMeta)
 
@@ -194,3 +195,112 @@ class TestRefinePriors:
         b = refine_priors(summary, priors, cfg, seed=5)
         assert np.array_equal(a.mu, b.mu)
         assert np.array_equal(a.sigma, b.sigma)
+
+
+def _posterior(sigma_hat, mu_hat=None):
+    """A posterior summary carrying only what ``refine_priors`` reads."""
+    G, C, _ = sigma_hat.shape
+    mu_hat = np.zeros((G, C)) if mu_hat is None else mu_hat
+    return PosteriorSummary(cts=None, mu_hat=mu_hat, sigma_hat=sigma_hat,
+                            noise_hat=np.ones(G), rhat=np.ones((G, C)), converged=True)
+
+
+def _copies(sigma, G):
+    genes = [f"g{i}" for i in range(G)]
+    sigma_hat = np.repeat(sigma[None], G, axis=0)
+    priors = GenePriors(genes=genes, mu=np.zeros((G, sigma.shape[0])), sigma=sigma_hat,
+                        noise_var=np.ones(G))
+    return _posterior(sigma_hat), priors
+
+
+SIGMA = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.5]])
+
+
+class TestBartlettInverseWishart:
+    """Moments of the batched Bartlett draw, one gene per copy of ``SIGMA``.
+
+    With scale = sigma_hat (nu - C - 1), E[Sigma] = sigma_hat and
+    Var(Sigma_ij) = ((nu-C+1) s_ij^2 + (nu-C-1) s_ii s_jj)
+                    / ((nu-C) (nu-C-1)^2 (nu-C-3)) for s = scale.
+    """
+
+    @staticmethod
+    def _exact_var(sigma, nu):
+        C = sigma.shape[0]
+        s = sigma * (nu - C - 1)
+        d = np.diag(s)
+        return (((nu - C + 1) * s ** 2 + (nu - C - 1) * np.outer(d, d))
+                / ((nu - C) * (nu - C - 1) ** 2 * (nu - C - 3)))
+
+    def test_mean_of_draws_is_sigma_hat(self):
+        G, C = 20_000, SIGMA.shape[0]
+        nu = C + 8.0
+        summary, priors = _copies(SIGMA, G)
+        cfg = RefinementConfig(tau=0.0, nu=nu)
+        draws = refine_priors(summary, priors, cfg, seed=11).sigma
+        # four Monte-Carlo standard errors per entry (about 1.8 % of s_00)
+        tol = 4.0 * np.sqrt(self._exact_var(SIGMA, nu) / G)
+        assert (np.abs(draws.mean(axis=0) - SIGMA) < tol).all()
+        assert np.abs(draws.mean(axis=0) - SIGMA).max() / SIGMA[0, 0] < 0.01
+
+    def test_variance_matches_scipy_invwishart(self):
+        from scipy.stats import invwishart
+
+        G, C = 40_000, SIGMA.shape[0]
+        nu = C + 12.0
+        summary, priors = _copies(SIGMA, G)
+        ours = refine_priors(summary, priors, RefinementConfig(tau=0.0, nu=nu), seed=12).sigma
+        theirs = invwishart.rvs(df=nu, scale=SIGMA * (nu - C - 1), size=G,
+                                random_state=np.random.default_rng(13))
+        exact = self._exact_var(SIGMA, nu)
+        v_ours, v_theirs = ours.var(axis=0, ddof=1), theirs.var(axis=0, ddof=1)
+        # each sample variance lies within about 2.5 % (one s.e.) of the exact one
+        np.testing.assert_allclose(v_ours, v_theirs, rtol=0.10)
+        np.testing.assert_allclose(v_ours, exact, rtol=0.08)
+        np.testing.assert_allclose(v_theirs, exact, rtol=0.08)
+
+    def test_draws_symmetric_and_means_drawn_around_mu_hat(self):
+        summary, priors = _copies(SIGMA, 50)
+        mu_hat = np.arange(150.0).reshape(50, 3)
+        summary = _posterior(summary.sigma_hat, mu_hat)
+        refined = refine_priors(summary, priors, RefinementConfig(tau=0.5), seed=1)
+        assert np.array_equal(refined.sigma, np.swapaxes(refined.sigma, 1, 2))
+        z = (refined.mu - mu_hat) / 0.5
+        assert abs(z.mean()) < 4 / np.sqrt(z.size) and abs(z.std() - 1) < 0.15
+
+    def test_failed_draws_are_redrawn_and_counted(self):
+        # correlation 1 - 1e-15: a few percent of the draws are not
+        # numerically positive definite; only those genes are drawn again
+        eps = 1e-15
+        summary, priors = _copies(np.array([[1.0, 1 - eps], [1 - eps, 1.0]]), 400)
+        cfg = RefinementConfig(tau=0.0, nu=4.0)
+        rescues = {"iw_redraws": 0}
+        refined = refine_priors(summary, priors, cfg, seed=0, rescues=rescues)
+        assert rescues["iw_redraws"] > 0
+        assert (np.linalg.eigvalsh(refined.sigma)[:, 0] > 0).all()
+        again = {"iw_redraws": 0}
+        assert np.array_equal(refine_priors(summary, priors, cfg, seed=0, rescues=again).sigma,
+                              refined.sigma)
+        assert again == rescues
+
+    def test_exhausted_retries_name_the_gene(self):
+        summary, priors = _copies(SIGMA, 3)
+        sigma_hat = summary.sigma_hat.copy()
+        sigma_hat[1, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match="retries exhausted for 'g1'"):
+            refine_priors(_posterior(sigma_hat), priors, RefinementConfig(), seed=0)
+
+    def test_scale_without_cholesky_names_the_gene(self):
+        summary, priors = _copies(SIGMA, 3)
+        sigma_hat = summary.sigma_hat.copy()
+        sigma_hat[2] = -SIGMA
+        with pytest.raises(ValidationError, match="not positive definite for 'g2'"):
+            refine_priors(_posterior(sigma_hat), priors, RefinementConfig(), seed=0)
+
+
+def test_spd_jitter_rescues_counted():
+    sigma = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 2 * np.eye(2)])
+    rescues = {"spd_jitter": 0}
+    out = _regularize_spd_all(sigma, np.trace(sigma, axis1=1, axis2=2), rescues)
+    assert rescues == {"spd_jitter": 1}
+    assert (np.linalg.eigvalsh(out)[:, 0] > 0).all()

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from diagnokit.classifier import FEATURE_TAGS, Dataset, load_dataset, save_dataset
 from diagnokit.errors import ParseError, ValidationError
-from diagnokit.io import (_load_long, load_matrix_tsv, parse_rows, save_cts_tensor,
-                          save_matrix_tsv)
+from diagnokit.io import (_load_long, load_cts_tensor, load_matrix_tsv, parse_rows,
+                          save_cts_tensor, save_matrix_tsv)
 from diagnokit.types import CtsTensor
 
 
@@ -442,3 +442,53 @@ def test_rows_of_many_values_keep_every_check(rows, n_fields, line, message):
     with pytest.raises(ParseError, match=message) as err:
         parse_rows(rows, [2, 3], n_fields)
     assert err.value.line == line
+
+
+def _save_and_reorder(tensor, root, data):
+    """Save ``tensor`` under ``root``, then lay out each file's rows anew."""
+    save_cts_tensor(tensor, root / "t.tsv")
+    for part in ("mean", "variance"):
+        path = root / f"t_{part}.tsv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text(render([header], rows, data.draw(layouts(len(rows)), label=part)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.integers(1, 3), c=st.integers(1, 3), s=st.integers(1, 3), data=st.data())
+def test_mean_and_variance_in_independent_orders_load_the_same(tmp_path_factory, g, c, s,
+                                                               data):
+    """The mean and variance files of one tensor, each shuffled on its own,
+    load to the same arrays: the variance rows follow the mean file's axes."""
+    axes = [data.draw(names(n)) for n in (g, c, s)]
+    size = g * c * s
+    mean = data.draw(st.lists(finite_float, min_size=size, max_size=size))
+    var = data.draw(st.lists(st.floats(0, 1e300), min_size=size, max_size=size))
+    tensor = CtsTensor(genes=axes[0], cell_types=axes[1], samples=axes[2],
+                       mean=np.reshape(mean, (g, c, s)), variance=np.reshape(var, (g, c, s)))
+    root = tmp_path_factory.mktemp("orders")
+    _save_and_reorder(tensor, root, data)
+    loaded = load_cts_tensor(root / "t.tsv")
+    got = (loaded.genes, loaded.cell_types, loaded.samples)
+    assert [sorted(a) for a in got] == [sorted(a) for a in axes]
+    ix = np.ix_(*[[have.index(k) for k in want] for have, want in zip(got, axes)])
+    assert _same_bits(loaded.mean[ix], tensor.mean)
+    assert _same_bits(loaded.variance[ix], tensor.variance)
+
+
+@pytest.mark.parametrize("case,line,message", [
+    ("foreign_key", 3, "disagree: t_variance.tsv entry ('g1', 'c', 's1') is not in the mean"),
+    ("repeated_key", 3, "duplicate tensor entry ('g0', 'c', 's0')"),
+    ("dropped_key", None, "missing tensor entry ('g0', 'c', 's1')"),
+])
+def test_variance_keys_must_match_the_mean_file(tmp_path, case, line, message):
+    tensor = CtsTensor(genes=["g0"], cell_types=["c"], samples=["s0", "s1"],
+                       mean=np.ones((1, 1, 2)), variance=np.ones((1, 1, 2)))
+    save_cts_tensor(tensor, tmp_path / "t.tsv")
+    last = {"foreign_key": "g1\tc\ts1\t1.0", "repeated_key": "g0\tc\ts0\t1.0",
+            "dropped_key": ""}[case]
+    (tmp_path / "t_variance.tsv").write_text(
+        "gene\tcell_type\tsample\tvalue\ng0\tc\ts0\t1.0\n" + last + "\n")
+    with pytest.raises(ParseError) as err:
+        load_cts_tensor(tmp_path / "t.tsv")
+    assert err.value.line == line
+    assert message in str(err.value)

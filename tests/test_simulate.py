@@ -7,10 +7,10 @@ import pytest
 from diagnokit.errors import ValidationError
 from diagnokit.reference import signature_matrix
 from diagnokit.simulate import (GroundTruthBundle, RecoveryReport, SyntheticScenario,
-                                baseline_ols, baseline_reference_mean,
-                                evaluate_recovery, generate, nnls_proportions,
-                                pearson)
+                                evaluate_recovery, generate, pearson)
 from diagnokit.types import CtsTensor
+
+from deconv_baselines import baseline_ols, baseline_reference_mean, nnls_proportions
 
 
 def test_scenario_validation():
