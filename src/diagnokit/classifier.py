@@ -6,6 +6,15 @@ hidden activations, a stratified validation split, and early stopping on
 validation loss. Everything is implemented directly on numpy arrays so
 gradients can be checked against finite differences and attributions against
 closed forms.
+
+The network runs batched over sample matrices. Adam keeps the six weight
+arrays as views into one flat parameter vector, with one flat first and
+second moment, so each minibatch does one update over every weight.
+Integrated Gradients takes one sample or a sample matrix: it finds every
+row's ReLU kinks along its path as one padded array, sums width times
+d(logit)/d(hidden layer 1) over the path points in the 16-unit hidden space,
+and maps each row to the raw features once, in blocks of ``IG_BLOCK_ROWS``
+rows so that the (rows, points, 16) temporaries stay small.
 """
 from __future__ import annotations
 
@@ -22,6 +31,8 @@ from .types import CtsTensor, PairSelection, _check_unique, _freeze
 
 HIDDEN1 = 16
 HIDDEN2 = 8
+# rows per Integrated Gradients block: bounds the (rows, points, 16) temporaries
+IG_BLOCK_ROWS = 32
 FEATURE_TAGS = ("cts", "eqtl_beta", "eqtl_se", "eqtl_pval", "covariate")
 
 
@@ -54,6 +65,16 @@ class Dataset:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "sample_ids", ids)
+
+    def take(self, names) -> Dataset:
+        """The features ``names``, in that order; every name must be a feature."""
+        index = {n: j for j, n in enumerate(self.names)}
+        missing = [n for n in names if n not in index]
+        if missing:
+            raise ValidationError(f"dataset has no feature {missing[0]!r}")
+        cols = [index[n] for n in names]
+        return Dataset(values=self.values[:, cols], names=tuple(names),
+                       tags=tuple(self.tags[j] for j in cols), sample_ids=self.sample_ids)
 
 
 @dataclass(frozen=True)
@@ -93,6 +114,9 @@ class MlpModel:
         kept.flags.writeable = False
         if kept.ndim != 1 or kept.size != len(self.feature_names):
             raise ValidationError("kept mask must cover every raw feature")
+        if len(self.feature_tags) != len(self.feature_names):
+            raise ValidationError(f"{len(self.feature_tags)} feature tags for "
+                                  f"{len(self.feature_names)} feature names")
         object.__setattr__(self, "kept", kept)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "feature_tags", tuple(self.feature_tags))
@@ -321,6 +345,15 @@ def _he_init(rng: np.random.Generator, d: int):
     }
 
 
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views into ``flat``, one per array of ``like``, in its order and shapes."""
+    out, start = {}, 0
+    for k, a in like.items():
+        out[k] = flat[start:start + a.size].reshape(a.shape)
+        start += a.size
+    return out
+
+
 def _stratified_split(labels: np.ndarray, val_fraction: float,
                       rng: np.random.Generator):
     train_idx, val_idx = [], []
@@ -363,7 +396,12 @@ def train(dataset: Dataset, labels, config: TrainConfig) -> TrainResult:
     if d == 0:
         raise ValidationError("every feature has zero training variance")
 
-    net = SimpleNamespace(**_he_init(rng, d))
+    # the six weight arrays are views into one flat parameter vector, so
+    # each minibatch does one Adam update over every weight at once
+    init = _he_init(rng, d)
+    theta = np.concatenate([a.ravel() for a in init.values()])
+    net = SimpleNamespace(**_views(theta, init))
+    grad = np.empty_like(theta)
     model_kw = dict(mean=mean_all[kept], sd=sd_all[kept], kept=kept,
                     feature_names=dataset.names, feature_tags=dataset.tags,
                     dropout_rate=config.dropout_rate)
@@ -374,8 +412,8 @@ def train(dataset: Dataset, labels, config: TrainConfig) -> TrainResult:
     best = make_model()
     log: list[dict] = []
     xhat = (x_raw[:, kept] - mean_all[kept]) / sd_all[kept]
-    m_t = {k: np.zeros_like(v) for k, v in vars(net).items()}
-    v_t = {k: np.zeros_like(v) for k, v in vars(net).items()}
+    m_t = np.zeros_like(theta)
+    v_t = np.zeros_like(theta)
     step = 0
     best_val = math.inf
     stale = 0
@@ -388,14 +426,13 @@ def train(dataset: Dataset, labels, config: TrainConfig) -> TrainResult:
             grads, loss = _backprop(net, xhat[batch], y[batch], masks)
             train_loss += loss
             step += 1
-            for k, g in grads.items():
-                g = g / batch.size
-                m_t[k] = config.beta1 * m_t[k] + (1 - config.beta1) * g
-                v_t[k] = config.beta2 * v_t[k] + (1 - config.beta2) * g * g
-                m_hat = m_t[k] / (1 - config.beta1 ** step)
-                v_hat = v_t[k] / (1 - config.beta2 ** step)
-                setattr(net, k, getattr(net, k)
-                        - config.lr * m_hat / (np.sqrt(v_hat) + config.eps))
+            np.concatenate([a.ravel() for a in grads.values()], out=grad)
+            g = grad / batch.size
+            m_t = config.beta1 * m_t + (1 - config.beta1) * g
+            v_t = config.beta2 * v_t + (1 - config.beta2) * g * g
+            m_hat = m_t / (1 - config.beta1 ** step)
+            v_hat = v_t / (1 - config.beta2 ** step)
+            theta -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
         # built once per epoch: MlpModel rejects weights that went non-finite
         model = make_model()
         val_loss = _backprop(model, xhat[val_idx], y[val_idx])[1] / val_idx.size
@@ -412,62 +449,86 @@ def train(dataset: Dataset, labels, config: TrainConfig) -> TrainResult:
     return TrainResult(model=best, log=log, dropped_features=dropped)
 
 
-def _relu_segments(model: MlpModel, base: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Sorted breakpoints in t, 0 and 1 included, where the network's
-    gradient changes along the path.
+def _path_cuts(model: MlpModel, a1_0: np.ndarray, slope1: np.ndarray) -> np.ndarray:
+    """Each row's breakpoints in t where the gradient changes along its path,
+    sorted, 0 first, padded with 1s to the longest row: (rows, cuts).
 
     The logit is piecewise linear in t along base + t*delta: layer-1
-    pre-activations are linear in t, so their sign changes are exact roots;
-    within each resulting segment layer-2 pre-activations are linear in t as
-    well, giving a second exact subdivision. A zero slope gives an infinite
-    or NaN root, which no open interval contains.
+    pre-activations a1_0 + t*slope1 are linear in t, so their sign changes
+    are exact roots; within each resulting segment layer-2 pre-activations
+    are linear in t as well, giving a second exact subdivision. A root
+    outside (0, 1), or the infinite or NaN root of a zero slope, becomes
+    t = 1; repeated cuts only add segments of zero width.
     """
-    a1_0, a1_1 = _standardize(model, np.stack([base, base + delta])) @ model.w1.T + model.b1
-    slope1 = a1_1 - a1_0
+    rows = a1_0.shape[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = -a1_0 / slope1
-        level1 = np.unique(np.concatenate(([0.0, 1.0], t1[(0.0 < t1) & (t1 < 1.0)])))
-        lo, hi = level1[:-1, None], level1[1:, None]
+        t1[~((0.0 < t1) & (t1 < 1.0))] = 1.0
+        level1 = np.sort(np.concatenate((np.zeros((rows, 1)), t1, np.ones((rows, 1))),
+                                        axis=1), axis=1)
+        lo, hi = level1[:, :-1, None], level1[:, 1:, None]
         # within a segment h1 = (a1_0 + t*slope1) * active, so a2 is linear
-        a2 = np.maximum(a1_0 + level1[:, None] * slope1, 0.0) @ model.w2.T + model.b2
-        t2 = lo - a2[:-1] / ((a2[1:] - a2[:-1]) / (hi - lo))
-    return np.unique(np.concatenate((level1, t2[(lo < t2) & (t2 < hi)])))
+        a2 = (np.maximum(a1_0[:, None] + level1[:, :, None] * slope1[:, None], 0.0)
+              @ model.w2.T + model.b2)
+        t2 = lo - a2[:, :-1] / ((a2[:, 1:] - a2[:, :-1]) / (hi - lo))
+        t2[~((lo < t2) & (t2 < hi))] = 1.0
+    cuts = np.sort(np.concatenate((level1, t2.reshape(rows, -1)), axis=1), axis=1)
+    return cuts[:, :int((cuts < 1.0).sum(axis=1).max()) + 1]
 
 
 def integrated_gradients(model: MlpModel, x: np.ndarray,
                          baseline: np.ndarray | None = None,
                          steps: int = 200, method: str = "exact") -> np.ndarray:
-    """Integrated Gradients of the pre-sigmoid logit along the straight path.
+    """Integrated Gradients of the pre-sigmoid logit along the straight path,
+    for one sample (D,) or a sample matrix (n, D); same shape out.
 
     ``method="exact"`` integrates the piecewise-constant path gradient
     segment by segment (splitting at ReLU sign changes), so completeness
     holds to machine precision. ``method="midpoint"`` is the plain
-    ``steps``-point midpoint rule. Either way the path gradient is taken at
-    every evaluation point in one batched pass. Default baseline is the
-    training mean in raw space (zero in standardized space). Returns one
+    ``steps``-point midpoint rule. Both sum width x d(logit)/d(a1) over
+    their path points in the 16-unit hidden space and map each row to the
+    raw features once; rows go through in blocks of ``IG_BLOCK_ROWS``.
+    Default baseline is the training mean in raw space (zero in
+    standardized space); an explicit one has the shape of ``x``. Returns one
     attribution per raw feature (zero for dropped ones).
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
     if method not in ("exact", "midpoint"):
         raise ValidationError(f"unknown IG method {method!r}")
-    raw = _row(x)[0]
+    raw = np.asarray(x, dtype=np.float64)
+    xs = np.atleast_2d(raw)
+    a1_1 = _standardize(model, xs) @ model.w1.T + model.b1
     if baseline is None:
-        base = raw.copy()
-        base[model.kept] = model.mean
+        base = xs.copy()
+        base[:, model.kept] = model.mean
     else:
         base = np.asarray(baseline, dtype=np.float64)
-    if base.shape != raw.shape:
-        raise ValidationError("baseline dimension does not match input")
-    delta = raw - base
-    if not delta.any():
-        return np.zeros_like(raw)
-    if method == "midpoint":
-        t = (np.arange(1, steps + 1) - 0.5) / steps
-        return delta * input_gradient(model, base + t[:, None] * delta).sum(axis=0) / steps
-    cuts = _relu_segments(model, base, delta)
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    return delta * (np.diff(cuts) @ input_gradient(model, base + mid[:, None] * delta))
+        if base.shape != raw.shape:
+            raise ValidationError("baseline dimension does not match input")
+        base = np.atleast_2d(base)
+    delta = xs - base
+    a1_0 = _standardize(model, base) @ model.w1.T + model.b1
+    slope1 = a1_1 - a1_0
+    grid = (np.arange(1, steps + 1) - 0.5) / steps
+    hidden = np.empty_like(a1_0)
+    for r in range(0, xs.shape[0], IG_BLOCK_ROWS):
+        block = slice(r, r + IG_BLOCK_ROWS)
+        if method == "midpoint":
+            t = np.broadcast_to(grid, (a1_0[block].shape[0], steps))
+            width = np.full_like(t, 1.0 / steps)
+        else:
+            cuts = _path_cuts(model, a1_0[block], slope1[block])
+            t, width = 0.5 * (cuts[:, :-1] + cuts[:, 1:]), np.diff(cuts, axis=1)
+        a1 = a1_0[block, None] + t[..., None] * slope1[block, None]
+        da2 = model.w3[0] * (np.maximum(a1, 0.0) @ model.w2.T + model.b2 > 0)
+        da1 = (da2 @ model.w2) * (a1 > 0)
+        hidden[block] = (width[:, None] @ da1)[:, 0]
+    g = np.zeros_like(xs)
+    g[:, model.kept] = hidden @ model.w1 / model.sd
+    ig = delta * g
+    ig[~delta.any(axis=1)] = 0.0  # a row at its baseline: +0, not -0
+    return ig.reshape(raw.shape)
 
 
 def top_k_features(attributions, names, values=None,

@@ -227,16 +227,26 @@ def cmd_train(args) -> None:
     _finish_manifest(manifest, out, [out / "model.json", out / "train_log.json"])
 
 
+def _load_for_model(path, model):
+    """The dataset at ``path`` and its labels, its features joined to the
+    model's by name and put in the model's order."""
+    dataset, labels = load_dataset(path)
+    known = set(model.feature_names)
+    extra = [n for n in dataset.names if n not in known]
+    if extra:
+        raise ValidationError(f"dataset feature {extra[0]!r} is not in the model")
+    return dataset.take(model.feature_names), labels
+
+
 def cmd_attribute(args) -> None:
     manifest, out, config = _start_manifest(args, [args.checkpoint, args.dataset])
     with _stage(manifest, "read_s"):
         model = load_model(args.checkpoint)
-        dataset, _ = load_dataset(args.dataset)
+        dataset, _ = _load_for_model(args.dataset, model)
     steps = int(config.get("steps", 200))
     method = config.get("method", "exact")
     with _stage(manifest, "compute_s"):
-        attrs = np.stack([integrated_gradients(model, x, steps=steps, method=method)
-                          for x in dataset.values])
+        attrs = integrated_gradients(model, dataset.values, steps=steps, method=method)
     with _stage(manifest, "write_s"):
         write_rows(out / "attributions.tsv", "sample\t" + "\t".join(model.feature_names),
                    dataset.sample_ids, attrs)
@@ -262,7 +272,7 @@ def cmd_report(args) -> None:
         + ([args.knowledge] if args.knowledge else []))
     with _stage(manifest, "read_s"):
         model = load_model(args.checkpoint)
-        dataset, labels = load_dataset(args.dataset)
+        dataset, labels = _load_for_model(args.dataset, model)
         if args.sample not in dataset.sample_ids:
             raise ValidationError(f"sample {args.sample!r} not in dataset")
         knowledge = load_knowledge(args.knowledge) if args.knowledge else {}
@@ -309,7 +319,7 @@ def cmd_diverge(args) -> None:
     manifest, out, config = _start_manifest(args, [args.checkpoint, args.dataset])
     with _stage(manifest, "read_s"):
         model = load_model(args.checkpoint)
-        dataset, labels = load_dataset(args.dataset)
+        dataset, labels = _load_for_model(args.dataset, model)
     size = int(config.get("subset_size", DEFAULT_SUBSET_SIZE))
     threshold = float(config.get("ood_threshold", 1.0))
     with _stage(manifest, "compute_s"):

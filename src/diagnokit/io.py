@@ -24,6 +24,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from collections.abc import Sequence
 from itertools import repeat
 from pathlib import Path
@@ -111,8 +112,13 @@ def parse_rows(rows: list[str], linenos: Sequence[int], n_fields: int,
         # exact way below
         parts = [row.split("\t", n_keys) for row in rows]
         try:
-            values = np.loadtxt([p[-1] for p in parts], delimiter="\t", comments=None,
-                                ndmin=2)
+            with warnings.catch_warnings():
+                # rows whose value parts are all empty: the exact path below
+                # names the first bad line, so numpy's notice is noise
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                values = np.loadtxt([p[-1] for p in parts], delimiter="\t",
+                                    comments=None, ndmin=2)
         except ValueError:
             values = None
         if values is not None and values.shape == shape:

@@ -191,16 +191,22 @@ def _pearson_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def evaluate_recovery(estimate: CtsTensor, truth: CtsTensor) -> RecoveryReport:
     """Correlate estimate against truth per (gene, type) and per (sample, type).
 
+    The estimate is joined to the truth by (gene, cell type, sample): its
+    axes may list the same keys in any order, and are put in the truth's.
     Entries with zero variance on either side are excluded and counted.
     """
-    if (estimate.genes != truth.genes or estimate.cell_types != truth.cell_types
-            or estimate.samples != truth.samples):
-        raise ValidationError("estimate and truth axes do not match")
-    cts = estimate.cell_types
+    index = []
+    for ours, theirs in ((estimate.genes, truth.genes), (estimate.cell_types, truth.cell_types),
+                         (estimate.samples, truth.samples)):
+        if set(ours) != set(theirs):
+            raise ValidationError("estimate and truth axes do not match")
+        position = {k: i for i, k in enumerate(ours)}
+        index.append([position[k] for k in theirs])
+    est = estimate.mean[np.ix_(*index)]
+    cts = truth.cell_types
     # (G, C, N): per gene along samples; (C, N, G): per sample along genes
-    r_g, ok_g = _pearson_rows(estimate.mean, truth.mean)
-    r_s, ok_s = _pearson_rows(np.moveaxis(estimate.mean, 0, -1),
-                              np.moveaxis(truth.mean, 0, -1))
+    r_g, ok_g = _pearson_rows(est, truth.mean)
+    r_s, ok_s = _pearson_rows(np.moveaxis(est, 0, -1), np.moveaxis(truth.mean, 0, -1))
     return RecoveryReport(
         cell_types=list(cts),
         per_gene={ct: r_g[:, j][ok_g[:, j]].tolist() for j, ct in enumerate(cts)},

@@ -312,6 +312,25 @@ def test_dataset_rejects(change, message):
         Dataset(**{**fields, **change})
 
 
+def test_dataset_take_reorders_columns_by_name():
+    feats = Dataset(values=np.arange(6.0).reshape(2, 3), names=("a", "b", "c"),
+                    tags=("cts", "eqtl_beta", "covariate"), sample_ids=("s0", "s1"))
+    taken = feats.take(["c", "a"])
+    assert taken.names == ("c", "a") and taken.tags == ("covariate", "cts")
+    assert np.array_equal(taken.values, [[2.0, 0.0], [5.0, 3.0]])
+    assert taken.sample_ids == feats.sample_ids
+    with pytest.raises(ValidationError, match="dataset has no feature 'd'"):
+        feats.take(["a", "d"])
+
+
+def test_model_rejects_tags_that_do_not_match_names():
+    m = _model(np.random.default_rng(16), 3)
+    fields = {k: getattr(m, k) for k in ("w1", "b1", "w2", "b2", "w3", "b3", "mean", "sd",
+                                         "kept", "feature_names")}
+    with pytest.raises(ValidationError, match="2 feature tags for 3 feature names"):
+        MlpModel(**fields, feature_tags=("cts", "cts"))
+
+
 class TestBuildFeatures:
     def _tensor(self):
         return CtsTensor(genes=["g1", "g2"], cell_types=["ct1"],

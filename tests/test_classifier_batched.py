@@ -4,19 +4,28 @@ The reference functions below are the former one-sample-at-a-time forward
 pass, backpropagation, dropout draws, training loop and Integrated Gradients
 quadrature, kept verbatim as the oracle. Batching changes only the summation
 order, so agreement is required to 1e-12.
+
+Two later references sit between those and the current code: the one-row
+Integrated Gradients that evaluated the input gradient at each row's own
+path points (``integrated_gradients_rowwise``), and the training loop that
+kept Adam's state as six arrays per moment (``train_dict_adam``). The flat
+Adam buffer does the same elementwise operations, so training must match
+the latter bit for bit.
 """
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from diagnokit import classifier as clf
-from diagnokit.classifier import (HIDDEN1, HIDDEN2, Dataset, MlpModel,
+from diagnokit.classifier import (HIDDEN1, HIDDEN2, IG_BLOCK_ROWS, Dataset, MlpModel,
                                   TrainConfig, backprop_gradient, bce_loss,
                                   build_features, forward, input_gradient,
                                   integrated_gradients, logit, train)
+from diagnokit.errors import ValidationError
 from diagnokit.types import CtsTensor, PairSelection, pair_key
 
 TOL = 1e-12
@@ -203,6 +212,139 @@ def integrated_gradients_ref(model, raw, base, steps=200, method="exact"):
     return delta * total
 
 
+def _relu_segments_rowwise(model, base, delta):
+    """Sorted breakpoints in t, 0 and 1 included, where the network's
+    gradient changes along the path.
+
+    The logit is piecewise linear in t along base + t*delta: layer-1
+    pre-activations are linear in t, so their sign changes are exact roots;
+    within each resulting segment layer-2 pre-activations are linear in t as
+    well, giving a second exact subdivision. A zero slope gives an infinite
+    or NaN root, which no open interval contains.
+    """
+    a1_0, a1_1 = clf._standardize(model, np.stack([base, base + delta])) @ model.w1.T + model.b1
+    slope1 = a1_1 - a1_0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = -a1_0 / slope1
+        level1 = np.unique(np.concatenate(([0.0, 1.0], t1[(0.0 < t1) & (t1 < 1.0)])))
+        lo, hi = level1[:-1, None], level1[1:, None]
+        # within a segment h1 = (a1_0 + t*slope1) * active, so a2 is linear
+        a2 = np.maximum(a1_0 + level1[:, None] * slope1, 0.0) @ model.w2.T + model.b2
+        t2 = lo - a2[:-1] / ((a2[1:] - a2[:-1]) / (hi - lo))
+    return np.unique(np.concatenate((level1, t2[(lo < t2) & (t2 < hi)])))
+
+
+def integrated_gradients_rowwise(model, x, baseline=None, steps=200, method="exact"):
+    """Integrated Gradients of the pre-sigmoid logit along the straight path.
+
+    ``method="exact"`` integrates the piecewise-constant path gradient
+    segment by segment (splitting at ReLU sign changes), so completeness
+    holds to machine precision. ``method="midpoint"`` is the plain
+    ``steps``-point midpoint rule. Either way the path gradient is taken at
+    every evaluation point in one batched pass. Default baseline is the
+    training mean in raw space (zero in standardized space). Returns one
+    attribution per raw feature (zero for dropped ones).
+    """
+    if steps < 1:
+        raise ValidationError("steps must be >= 1")
+    if method not in ("exact", "midpoint"):
+        raise ValidationError(f"unknown IG method {method!r}")
+    raw = clf._row(x)[0]
+    if baseline is None:
+        base = raw.copy()
+        base[model.kept] = model.mean
+    else:
+        base = np.asarray(baseline, dtype=np.float64)
+    if base.shape != raw.shape:
+        raise ValidationError("baseline dimension does not match input")
+    delta = raw - base
+    if not delta.any():
+        return np.zeros_like(raw)
+    if method == "midpoint":
+        t = (np.arange(1, steps + 1) - 0.5) / steps
+        return delta * input_gradient(model, base + t[:, None] * delta).sum(axis=0) / steps
+    cuts = _relu_segments_rowwise(model, base, delta)
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    return delta * (np.diff(cuts) @ input_gradient(model, base + mid[:, None] * delta))
+
+
+def train_dict_adam(dataset: Dataset, labels, config: TrainConfig) -> clf.TrainResult:
+    """Fit the MLP; deterministic given ``config.seed``.
+
+    Standardization statistics come from the training split only; features
+    constant over the training split are dropped and recorded. Returns the
+    weights with the best validation loss seen.
+    """
+    y = np.asarray(labels, dtype=np.float64)
+    if len(dataset.sample_ids) != y.size or y.size < 4:
+        raise ValidationError("need matching features/labels, at least 4 samples")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValidationError("labels must be binary 0/1")
+    x_raw = dataset.values
+    if (y == 1).sum() < 2 or (y == 0).sum() < 2:
+        raise ValidationError("need at least 2 samples per class")
+
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 0x3C1)))
+    train_idx, val_idx = clf._stratified_split(y, config.val_fraction, rng)
+
+    mean_all = x_raw[train_idx].mean(axis=0)
+    sd_all = x_raw[train_idx].std(axis=0, ddof=0)
+    # a column of equal values can still get sd ~1e-17 from rounding in std
+    kept = np.ptp(x_raw[train_idx], axis=0) > 0
+    dropped = tuple(n for n, k in zip(dataset.names, kept) if not k)
+    d = int(kept.sum())
+    if d == 0:
+        raise ValidationError("every feature has zero training variance")
+
+    net = SimpleNamespace(**clf._he_init(rng, d))
+    model_kw = dict(mean=mean_all[kept], sd=sd_all[kept], kept=kept,
+                    feature_names=dataset.names, feature_tags=dataset.tags,
+                    dropout_rate=config.dropout_rate)
+
+    def make_model():
+        return MlpModel(**{k: v.copy() for k, v in vars(net).items()}, **model_kw)
+
+    best = make_model()
+    log: list[dict] = []
+    xhat = (x_raw[:, kept] - mean_all[kept]) / sd_all[kept]
+    m_t = {k: np.zeros_like(v) for k, v in vars(net).items()}
+    v_t = {k: np.zeros_like(v) for k, v in vars(net).items()}
+    step = 0
+    best_val = math.inf
+    stale = 0
+    for epoch in range(config.max_epochs):
+        order = train_idx[rng.permutation(train_idx.size)]
+        train_loss = 0.0
+        for start in range(0, order.size, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            masks = clf._dropout_masks(config.dropout_rate, rng, batch.size)
+            grads, loss = clf._backprop(net, xhat[batch], y[batch], masks)
+            train_loss += loss
+            step += 1
+            for k, g in grads.items():
+                g = g / batch.size
+                m_t[k] = config.beta1 * m_t[k] + (1 - config.beta1) * g
+                v_t[k] = config.beta2 * v_t[k] + (1 - config.beta2) * g * g
+                m_hat = m_t[k] / (1 - config.beta1 ** step)
+                v_hat = v_t[k] / (1 - config.beta2 ** step)
+                setattr(net, k, getattr(net, k)
+                        - config.lr * m_hat / (np.sqrt(v_hat) + config.eps))
+        # built once per epoch: MlpModel rejects weights that went non-finite
+        model = make_model()
+        val_loss = clf._backprop(model, xhat[val_idx], y[val_idx])[1] / val_idx.size
+        log.append({"epoch": epoch, "train_loss": train_loss / order.size,
+                    "val_loss": val_loss})
+        if val_loss < best_val - 1e-12:
+            best_val = val_loss
+            best = model
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    return clf.TrainResult(model=best, log=log, dropped_features=dropped)
+
+
 # ------------------------------------------------------------------ helpers
 
 def _model(rng, d, scale=0.6, kept=None, dropout_rate=0.2):
@@ -353,5 +495,121 @@ def test_integrated_gradients_match_reference(method):
         _close(integrated_gradients(m, x, base, steps=steps, method=method),
                integrated_gradients_ref(m, x, base, steps=steps, method=method))
         if method == "exact":
-            _close(clf._relu_segments(m, base, x - base),
+            _close(_relu_segments_rowwise(m, base, x - base),
                    _relu_segments_ref(m, base, x - base))
+
+
+# ------------------------------------------- sample matrices, flat-buffer Adam
+
+def _ig_rows(rng, n, d=9):
+    """A model that drops one feature, and n rows of which every fifth sits
+    at the default baseline."""
+    kept = np.ones(d, dtype=bool)
+    kept[d // 2] = False
+    m = _model(rng, d, scale=float(rng.uniform(0.6, 1.5)), kept=kept)
+    xs = rng.standard_normal((n, d)) * 3
+    xs[::5, kept] = m.mean
+    return m, xs
+
+
+@pytest.mark.parametrize("method", ["exact", "midpoint"])
+@pytest.mark.parametrize("baseline", ["default", "explicit"])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+def test_sample_matrix_ig_matches_rowwise_reference(method, baseline, n):
+    rng = np.random.default_rng(40 + n)
+    m, xs = _ig_rows(rng, n)
+    d = xs.shape[1]
+    if baseline == "default":
+        base, bases = None, [None] * n
+    else:
+        base = rng.standard_normal((n, d))
+        base[::5] = xs[::5]
+        bases = list(base)
+    steps = int(rng.integers(1, 80))
+    got = integrated_gradients(m, xs, base, steps=steps, method=method)
+    want = np.stack([integrated_gradients_rowwise(m, x, b, steps=steps, method=method)
+                     for x, b in zip(xs, bases)])
+    _close(got, want)
+    # a row at its baseline gets +0 everywhere, as the one-row code gave
+    assert not np.signbit(got[::5]).any() and not got[::5].any()
+    # a dropped feature gets no attribution, whatever its delta
+    assert not got[:, d // 2].any()
+
+
+def test_one_row_and_one_row_matrix_agree():
+    rng = np.random.default_rng(50)
+    m, xs = _ig_rows(rng, 3)
+    for method in ("exact", "midpoint"):
+        row = integrated_gradients(m, xs[1], method=method)
+        assert row.shape == (xs.shape[1],)
+        assert np.array_equal(row, integrated_gradients(m, xs[1:2], method=method)[0])
+    assert integrated_gradients(m, xs[:0]).shape == (0, xs.shape[1])
+
+
+def test_rows_do_not_depend_on_their_block():
+    """Padding a block to its longest row adds only zero-width segments, so
+    a row's attributions agree to 1e-12 whichever rows share its block."""
+    rng = np.random.default_rng(51)
+    m, xs = _ig_rows(rng, 2 * IG_BLOCK_ROWS + 5)
+    whole = integrated_gradients(m, xs)
+    _close(whole[::-1], integrated_gradients(m, xs[::-1]))
+    for i in (0, IG_BLOCK_ROWS - 1, IG_BLOCK_ROWS, len(xs) - 1):
+        _close(whole[i], integrated_gradients(m, xs[i]))
+
+
+def test_sample_matrix_ig_is_complete_per_row():
+    rng = np.random.default_rng(52)
+    for trial in range(4):
+        d = int(rng.integers(5, 40))
+        m = _model(rng, d, scale=float(rng.uniform(0.8, 2.0)))
+        xs = rng.standard_normal((70, d)) * 3
+        base = rng.standard_normal(xs.shape) if trial % 2 else None
+        attr = integrated_gradients(m, xs, base)
+        b = np.broadcast_to(m.mean, xs.shape) if base is None else base
+        gap = clf._forward_parts(m, clf._standardize(m, xs))[4] \
+            - clf._forward_parts(m, clf._standardize(m, b))[4]
+        assert (np.abs(attr.sum(axis=1) - gap) <= TOL * np.maximum(1.0, np.abs(gap))).all()
+
+
+def test_path_cuts_match_the_per_sample_segments():
+    rng = np.random.default_rng(53)
+    m, xs = _ig_rows(rng, 40, d=6)
+    base = xs.copy()
+    base[:, m.kept] = m.mean
+    a1_1 = clf._standardize(m, xs) @ m.w1.T + m.b1
+    a1_0 = clf._standardize(m, base) @ m.w1.T + m.b1
+    cuts = clf._path_cuts(m, a1_0, a1_1 - a1_0)
+    assert cuts.shape[1] > 2 and (np.diff(cuts, axis=1) >= 0).all()
+    assert (cuts[:, 0] == 0.0).all() and (cuts[:, -1] == 1.0).all()
+    for row, x, b in zip(cuts, xs, base):
+        want = _relu_segments_ref(m, b, x - b)
+        _close(np.unique(row), want)
+
+
+def test_sample_matrix_ig_rejects_bad_arguments():
+    rng = np.random.default_rng(54)
+    m, xs = _ig_rows(rng, 4)
+    with pytest.raises(ValidationError, match="steps"):
+        integrated_gradients(m, xs, steps=0, method="midpoint")
+    with pytest.raises(ValidationError, match="unknown IG method"):
+        integrated_gradients(m, xs, method="simpson")
+    for base in (np.zeros((3, xs.shape[1])), np.zeros(xs.shape[1])):
+        with pytest.raises(ValidationError, match="baseline"):
+            integrated_gradients(m, xs, base)
+    with pytest.raises(ValidationError, match="features"):
+        integrated_gradients(m, xs[:, 1:])
+
+
+@pytest.mark.parametrize("data", ["blobs", "build_features"])
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+@pytest.mark.parametrize("batch_size", [1, 7, 16])
+def test_flat_adam_matches_dict_adam_bit_for_bit(data, dropout_rate, batch_size):
+    rng = np.random.default_rng(55)
+    feats, labels = _blob_data(rng, d=4) if data == "blobs" else _cohort(rng)
+    config = TrainConfig(seed=6, max_epochs=12, patience=4, batch_size=batch_size,
+                         dropout_rate=dropout_rate)
+    got, want = train(feats, labels, config), train_dict_adam(feats, labels, config)
+    for k in WEIGHTS + ("mean", "sd", "kept"):
+        assert np.array_equal(getattr(got.model, k), getattr(want.model, k)), k
+    assert got.log == want.log and len(got.log) > 1
+    assert got.dropped_features == want.dropped_features

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagnokit
-from diagnokit.classifier import Dataset, save_dataset
+from diagnokit.classifier import Dataset, load_dataset, save_dataset
 from diagnokit.cli import CONFIG_KEYS, main
-from diagnokit.io import load_cts_tensor
+from diagnokit.io import load_cts_tensor, save_cts_tensor
+from diagnokit.types import CtsTensor
 
 SCENARIO = {"G": 6, "C": 2, "N": 10, "d1": 1, "d2": 0, "ref_cells_per_type": 6}
 MCMC = {"chains": 2, "iters": 30, "burnin": 15, "rounds": 1}
@@ -663,3 +664,115 @@ def test_tensor_loads_the_same_from_crlf_blank_lines_and_any_row_order(
                 [loaded.samples.index(s) for s in truth.samples])
     assert loaded.mean[ix].tobytes() == truth.mean.tobytes()
     assert loaded.variance[ix].tobytes() == truth.variance.tobytes()
+
+
+def _dataset_variant(dataset_path, path, columns):
+    """The fixture dataset with its features in the order ``columns``."""
+    feats, labels = load_dataset(dataset_path)
+    save_dataset(Dataset(values=feats.values[:, columns],
+                         names=[feats.names[j] for j in columns],
+                         tags=[feats.tags[j] for j in columns],
+                         sample_ids=feats.sample_ids), labels, path)
+    return path
+
+
+def _classifier_outputs(model_dir, dataset, out):
+    ckpt = ["--checkpoint", str(model_dir / "model.json"), "--dataset", str(dataset)]
+    assert main(["attribute", *ckpt, "--out", str(out / "attr")]) == 0
+    assert main(["report", *ckpt, "--sample", "p01", "--audience", "clinician",
+                 "--offline", "--out", str(out / "rep")]) == 0
+    assert main(["diverge", *ckpt, "--offline", "--out", str(out / "div")]) == 0
+    return [(out / f).read_bytes() for f in ("attr/attributions.tsv", "rep/report.json",
+                                              "rep/report.md", "div/divergence.json")]
+
+
+def test_features_join_the_model_by_name(model_dir, dataset_path, tmp_path):
+    """A dataset with its columns reversed gives the same bytes: each
+    classifier command puts the features in the model's order by name."""
+    n = len(load_dataset(dataset_path)[0].names)
+    reversed_path = _dataset_variant(dataset_path, tmp_path / "reversed.tsv",
+                                     list(range(n))[::-1])
+    assert (_classifier_outputs(model_dir, reversed_path, tmp_path / "b")
+            == _classifier_outputs(model_dir, dataset_path, tmp_path / "a"))
+
+
+@pytest.mark.parametrize("command", ["attribute", "report", "diverge"])
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_missing_or_extra_feature_exits_one_naming_it(model_dir, dataset_path, tmp_path,
+                                                      capsys, command, change):
+    feats, labels = load_dataset(dataset_path)
+    path = tmp_path / "d.tsv"
+    if change == "missing":
+        _dataset_variant(dataset_path, path, [0, 1, 2, 4])
+        message = "dataset has no feature 'pval:gA'"
+    else:
+        save_dataset(Dataset(values=np.hstack([feats.values, feats.values[:, :1]]),
+                             names=feats.names + ("cov:bmi",), tags=feats.tags + ("covariate",),
+                             sample_ids=feats.sample_ids), labels, path)
+        message = "dataset feature 'cov:bmi' is not in the model"
+    argv = [command, "--checkpoint", str(model_dir / "model.json"), "--dataset", str(path),
+            "--out", str(tmp_path / "out")]
+    if command == "report":
+        argv += ["--sample", "p01", "--audience", "patient", "--offline"]
+    elif command == "diverge":
+        argv += ["--offline"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_all_empty_value_parts_print_only_the_error(tmp_path, capfd):
+    """np.loadtxt's "input contained no data" notice does not reach stderr
+    ahead of the error that names the line."""
+    path = tmp_path / "d.tsv"
+    path.write_text("sample\tf1\tlabel\n#tags\tcts\t-\ns0\t\ns1\t\n")
+    capfd.readouterr()
+    assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capfd.readouterr().err == "error: line 3: expected 3 fields, got 2\n"
+
+
+@pytest.fixture(scope="module")
+def eval_dirs(sim_dir, tmp_path_factory):
+    """An estimate (the truth plus noise) and the recovery.json eval writes for it."""
+    root = tmp_path_factory.mktemp("eval")
+    truth = load_cts_tensor(sim_dir / "truth.tsv")
+    noise = np.random.default_rng(9).normal(0.0, 0.3, truth.mean.shape)
+    save_cts_tensor(CtsTensor(genes=truth.genes, cell_types=truth.cell_types,
+                              samples=truth.samples, mean=truth.mean + noise,
+                              variance=truth.variance), root / "est.tsv")
+    assert main(["eval", "--estimate", str(root / "est.tsv"), "--truth",
+                 str(sim_dir / "truth.tsv"), "--out", str(root / "out")]) == 0
+    return root
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_eval_joins_estimate_to_truth_by_key(sim_dir, eval_dirs, tmp_path_factory, data):
+    """recovery.json is byte-identical whatever order the estimate lists its
+    (gene, cell type, sample) rows in."""
+    root = tmp_path_factory.mktemp("perm")
+    for part in ("mean", "variance"):
+        header, *rows = (eval_dirs / f"est_{part}.tsv").read_text().splitlines()
+        order = data.draw(st.permutations(range(len(rows))), label=f"{part} order")
+        (root / f"est_{part}.tsv").write_text("\n".join([header, *[rows[i] for i in order]])
+                                             + "\n")
+    assert main(["eval", "--estimate", str(root / "est.tsv"), "--truth",
+                 str(sim_dir / "truth.tsv"), "--out", str(root / "out")]) == 0
+    assert ((root / "out" / "recovery.json").read_bytes()
+            == (eval_dirs / "out" / "recovery.json").read_bytes())
+
+
+@pytest.mark.parametrize("change", ["dropped", "foreign"])
+def test_eval_rejects_estimate_with_other_keys(sim_dir, eval_dirs, tmp_path, capsys, change):
+    for part in ("mean", "variance"):
+        header, *rows = (eval_dirs / f"est_{part}.tsv").read_text().splitlines()
+        # every entry of the first gene goes, or is renamed to a gene the truth lacks
+        gene = rows[0].split("\t")[0]
+        rows = [("gX" + r[len(gene):] if change == "foreign" else None)
+                if r.split("\t")[0] == gene else r for r in rows]
+        (tmp_path / f"est_{part}.tsv").write_text(
+            "\n".join([header, *[r for r in rows if r is not None]]) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--estimate", str(tmp_path / "est.tsv"), "--truth",
+                 str(sim_dir / "truth.tsv"), "--out", str(tmp_path / "out")]) == 1
+    assert "estimate and truth axes do not match" in capsys.readouterr().err
