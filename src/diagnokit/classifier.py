@@ -599,8 +599,7 @@ def save_dataset(dataset: Dataset, labels, path: str | Path) -> None:
         raise ValidationError(f"{y.size} labels for {len(dataset.sample_ids)} samples")
     if not np.isin(y, (0, 1)).all():
         raise ValidationError("labels must be 0 or 1")
-    header = ("sample\t" + "\t".join(dataset.names) + "\tlabel\n"
-              "#tags\t" + "\t".join(dataset.tags) + "\t-")
+    header = [(["sample"], dataset.names, ["label"]), (["#tags"], dataset.tags, ["-"])]
     write_rows(path, header, dataset.sample_ids, dataset.values,
                tails=[str(int(v)) for v in y.tolist()])
 
@@ -650,7 +649,7 @@ def _reject_repeat(ids: list[str], linenos, message: str) -> None:
 def save_eqtl_table(eqtl: dict[str, tuple[float, float, float]], path: str | Path) -> None:
     from .io import write_rows
     genes = sorted(eqtl)
-    write_rows(path, "gene\tbeta\tse\tpval", genes,
+    write_rows(path, [(["gene"], ["beta", "se", "pval"], [])], genes,
                np.array([eqtl[g] for g in genes], dtype=np.float64).reshape(-1, 3))
 
 

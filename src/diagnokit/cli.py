@@ -248,7 +248,7 @@ def cmd_attribute(args) -> None:
     with _stage(manifest, "compute_s"):
         attrs = integrated_gradients(model, dataset.values, steps=steps, method=method)
     with _stage(manifest, "write_s"):
-        write_rows(out / "attributions.tsv", "sample\t" + "\t".join(model.feature_names),
+        write_rows(out / "attributions.tsv", [(["sample"], model.feature_names, [])],
                    dataset.sample_ids, attrs)
     _finish_manifest(manifest, out, [out / "attributions.tsv"])
 

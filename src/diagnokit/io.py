@@ -7,7 +7,9 @@ Formats:
   * sample metadata JSON: list of ``{sample_id, proportions, bulk_cov, cts_cov}``
 
 Floats are rendered with ``repr`` (shortest round-tripping form, at most 17
-significant digits) so load(save(x)) is bit-exact for 64-bit floats.
+significant digits) so load(save(x)) is bit-exact for 64-bit floats. No name
+(gene, sample, cell type, feature, header field) may hold a tab or a line
+break: the writers raise ``ValidationError`` before creating any file.
 
 Every TSV format (these, the classifier dataset and the eQTL table) goes
 through one reader, ``read_rows`` + ``parse_rows``, and one writer,
@@ -17,9 +19,16 @@ otherwise with one tab count per row, one split of the whole body and one
 float parse; the writer formats all values in one ``repr`` pass. Readers
 accept any line end and skip empty lines; a malformed row raises
 ``ParseError`` with its line number.
+
+A tensor file in grid order, the row order ``save_cts_tensor`` writes and
+so what ``simulate`` and ``deconvolve`` write, is read from its bytes
+without a string per row (``_read_grid``). Any other order, line end or
+byte goes to the keyed reader, which gives the same arrays and is the only
+one that raises.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -53,23 +62,52 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 # np.loadtxt reads these as whitespace; float() rejects them
 _LOADTXT_SPACE = "\x1c\x1d\x1e\x1f"
+# every character at which str.splitlines ends a line
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
-def write_rows(path: str | Path, header: str, keys, values, tails=None) -> None:
+def _check_fields(fields: Sequence[str], what: str, tabs: int = 0) -> None:
+    """Raise ``ValidationError`` naming the first of ``fields`` that holds a
+    line break or other than ``tabs`` tabs: written, it would split its line
+    or shift the fields of its row.
+
+    One scan covers all fields, so keys of several fields are checked by
+    their tab count in all; their writer checks the names they are made of.
+    """
+    joined = "".join(fields)
+    if (joined.count("\t") == tabs * len(fields)
+            and not any(map(joined.__contains__, _LINE_BREAKS))):
+        return
+    for field in fields:
+        if field.count("\t") != tabs or any(map(field.__contains__, _LINE_BREAKS)):
+            raise ValidationError(f"{what} {field!r} holds a tab or a line break")
+
+
+def write_rows(path: str | Path, header, keys, values, tails=None) -> None:
     """Write ``header``, then one ``key<TAB>v1<TAB>...<TAB>vk`` line per row of
     the 2-D ``values``, each value as ``repr``; ``tails[i]``, when given, ends
     row i after one more tab.
 
-    Values are formatted in one pass over the whole block, not one call per
-    value.
+    ``header`` holds one ``(key names, value names, tail names)`` triple per
+    line, laid out like the rows: each key is as many fields as the first
+    line has key names, and no value names leave one empty field, as no
+    values do. A name or key that holds a line break, or a tab of its own,
+    raises ``ValidationError`` before the file is created. Values are
+    formatted in one pass over the whole block, not one call per value.
     """
     values = np.asarray(values, dtype=np.float64)
     n, k = values.shape
+    for line in header:
+        _check_fields([name for group in line for name in group], "header field")
+    key_names = header[0][0]
+    _check_fields(keys, key_names[0], tabs=len(key_names) - 1)
     cells = list(map(repr, values.ravel().tolist()))
     if k != 1:
         cells = ["\t".join(cells[i * k:(i + 1) * k]) for i in range(n)]
     columns = (keys, cells) if tails is None else (keys, cells, tails)
-    atomic_write_text(path, "\n".join([header, *map("\t".join, zip(*columns))]) + "\n")
+    lines = ["\t".join([*names, "\t".join(value_names), *tail_names])
+             for names, value_names, tail_names in header]
+    atomic_write_text(path, "\n".join([*lines, *map("\t".join, zip(*columns))]) + "\n")
 
 
 def read_rows(path: str | Path, n_header: int) -> tuple[list[str], list[str], Sequence[int]]:
@@ -152,7 +190,7 @@ def _raise_first_bad(rows, linenos, n_fields: int, n_keys: int) -> NoReturn:
 
 def save_matrix_tsv(genes: list[str], samples: list[str], values: np.ndarray,
                     path: str | Path) -> None:
-    write_rows(path, "gene\t" + "\t".join(samples), genes, values)
+    write_rows(path, [(["gene"], samples, [])], genes, values)
 
 
 def load_matrix_tsv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
@@ -182,7 +220,101 @@ def _tensor_paths(path: str | Path) -> tuple[Path, Path]:
     return Path(str(stem) + "_mean.tsv"), Path(str(stem) + "_variance.tsv")
 
 
-LONG_HEADER = "gene\tcell_type\tsample\tvalue"
+LONG_FIELDS = ("gene", "cell_type", "sample", "value")
+LONG_HEADER = "\t".join(LONG_FIELDS)
+
+
+def _grid_keys(genes: Sequence[str], cell_types: Sequence[str], samples: Sequence[str],
+               end: str) -> str:
+    """Every ``gene<TAB>cell_type<TAB>sample`` key of a long tensor file, each
+    followed by ``end``, in grid order: gene-major, then cell type, then
+    sample. This is the one row order ``save_cts_tensor`` writes and
+    ``_read_grid`` reads."""
+    if not samples:
+        return ""
+    prefixes = [f"{g}\t{c}\t" for g in genes for c in cell_types]
+    return "".join([p + (end + p).join(samples) + end for p in prefixes])
+
+
+_GRID_HEAD = (LONG_HEADER + "\n").encode()
+_ROW_SEPS = np.array([9, 9, 9, 10], dtype=np.uint8)  # a row's three tabs, then "\n"
+
+
+def _read_grid(path: str | Path, axes: list[list[str]] | None
+               ) -> tuple[list[str], list[str], list[str], np.ndarray] | None:
+    """Axes and values of a long tensor file whose rows are exactly the grid
+    of its axes, read from the file's bytes; None for any other file.
+
+    The axes are ``axes`` when given, else read from the leading rows, and
+    each must be unique. The file must be the exact header line, then rows
+    ``gene<TAB>cell_type<TAB>sample<TAB>value`` of printable ASCII, each
+    ended by ``\\n``, keyed in ``_grid_keys`` order. Then it holds each entry
+    once, in array order, and reads as the keyed reader reads it: one scan
+    finds every tab and line end, one comparison checks all keys, and one
+    ``np.loadtxt`` parses all values. Any other file (another order, line
+    end or byte, a blank line, a value ``np.loadtxt`` rejects) is left to the
+    keyed reader, which also names the line of any error.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError:
+        return None
+    if not data.startswith(_GRID_HEAD) or len(data) == len(_GRID_HEAD):
+        return None
+    off = len(_GRID_HEAD)
+    body = np.frombuffer(data, dtype=np.uint8, offset=off)
+    # no byte outside printable ASCII but the tabs and line ends found below:
+    # no "\r", no other line break, nothing np.loadtxt reads unlike float()
+    if body.max() > 0x7E:
+        return None
+    seps = np.flatnonzero(body < 0x20)
+    if seps.size == 0 or seps.size % 4 or seps[-1] != body.size - 1:
+        return None
+    rows = seps.reshape(-1, 4)
+    if (body[rows] != _ROW_SEPS).any():
+        return None
+    n = len(rows)
+
+    def key(i: int) -> tuple[bytes, bytes, bytes]:
+        start = off + (int(rows[i - 1, 3]) + 1 if i else 0)
+        t0, t1, t2 = (rows[i, :3] + off).tolist()
+        return data[start:t0], data[t0 + 1:t1], data[t1 + 1:t2]
+
+    if axes is None:
+        g0, c0, _ = key(0)
+        n_samples = next((i for i in range(1, n) if key(i)[:2] != (g0, c0)), n)
+        n_types = next((j for j in range(1, n // n_samples) if key(j * n_samples)[0] != g0),
+                       n // n_samples)
+        block = n_types * n_samples
+        axes = []
+        for field, step, count in ((0, block, n // block), (1, n_samples, n_types),
+                                   (2, 1, n_samples)):
+            axis = {}
+            for j in range(count):
+                if axis.setdefault(key(j * step)[field], j) != j:
+                    return None  # a repeated name: not a grid, so stop reading
+            axes.append([name.decode() for name in axis])
+    shape = tuple(map(len, axes))
+    # the first row is a cheap test of given axes before all keys are built
+    if math.prod(shape) != n or key(0) != tuple(axis[0].encode() for axis in axes):
+        return None
+    # each row's key runs to its third tab, its value on to its line end
+    in_key = np.repeat(np.tile([True, False], n), np.diff(rows[:, 2:].ravel() + 1, prepend=0))
+    if body[in_key].tobytes() != _grid_keys(*axes, "\t").encode():
+        return None
+    np.logical_not(in_key, out=in_key)
+    values_text = body[in_key].tobytes()  # one "value\n" per row
+    try:
+        with warnings.catch_warnings():
+            # every value empty: the keyed reader names the first bad line
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = np.loadtxt(io.BytesIO(values_text), delimiter="\t", comments=None,
+                                ndmin=1)
+    except ValueError:
+        return None
+    if values.shape != (n,):
+        return None
+    return axes[0], axes[1], axes[2], values.reshape(shape)
 
 
 def _load_long(path: str | Path, axes: list[list[str]] | None = None
@@ -192,8 +324,12 @@ def _load_long(path: str | Path, axes: list[list[str]] | None = None
 
     The axes are each gene, cell type and sample in order of first
     appearance, or ``axes`` when given: then a row keyed outside them raises
-    with its line number.
+    with its line number. A file in grid order is read by ``_read_grid``;
+    any other goes through the keyed reader below.
     """
+    grid = _read_grid(path, axes)
+    if grid is not None:
+        return grid
     header, rows, linenos = read_rows(path, 1)
     if header != [LONG_HEADER]:
         raise ParseError("bad long-format tensor header", line=1)
@@ -235,11 +371,14 @@ def save_cts_tensor(tensor: CtsTensor, path: str | Path) -> None:
     """Write mean and variance long-format TSVs; refuses invalid tensors."""
     if not isinstance(tensor, CtsTensor):
         raise ValidationError("save_cts_tensor expects a CtsTensor")
+    axes = tensor.genes, tensor.cell_types, tensor.samples
+    for name, axis in zip(LONG_FIELDS, axes):
+        _check_fields(axis, name)
     mean_path, var_path = _tensor_paths(path)
-    prefixes = [f"{g}\t{c}\t" for g in tensor.genes for c in tensor.cell_types]
-    keys = [p + s for p in prefixes for s in tensor.samples]
-    write_rows(mean_path, LONG_HEADER, keys, tensor.mean.reshape(-1, 1))
-    write_rows(var_path, LONG_HEADER, keys, tensor.variance.reshape(-1, 1))
+    keys = _grid_keys(*axes, "\n").split("\n")[:-1]
+    header = [(LONG_FIELDS[:3], LONG_FIELDS[3:], [])]
+    write_rows(mean_path, header, keys, tensor.mean.reshape(-1, 1))
+    write_rows(var_path, header, keys, tensor.variance.reshape(-1, 1))
 
 
 def load_cts_tensor(path: str | Path) -> CtsTensor:

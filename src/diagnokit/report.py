@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -283,6 +282,7 @@ class _UrllibSession:
     """The one ``requests``-style call LlmClient makes, on ``urllib.request``."""
 
     def post(self, url: str, json=None, headers=None, timeout=None) -> _Response:
+        import urllib.request  # with http.client, email and ssl: only LLM calls pay for it
         req = urllib.request.Request(url, data=_encode_json(json), headers=headers or {},
                                      method="POST")
         with urllib.request.urlopen(req, timeout=timeout) as resp:

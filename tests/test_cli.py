@@ -513,6 +513,15 @@ def test_cli_import_pulls_in_neither_numba_nor_requests():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_network_modules():
+    """Only an LLM call needs urllib.request, which pulls in http.client, email
+    and ssl; importing the CLI loads none of them."""
+    proc = _fresh_python("import sys, diagnokit.cli; print(sorted({'urllib.request', "
+                         "'http.client', 'email', 'ssl'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("command,key,nearest", [
     ("deconvolve", "iter", "iters"),
     ("deconvolve", "chain", "chains"),

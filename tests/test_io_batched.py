@@ -14,8 +14,12 @@ from hypothesis import strategies as st
 
 from diagnokit.classifier import FEATURE_TAGS, Dataset, load_dataset, save_dataset
 from diagnokit.errors import ParseError, ValidationError
-from diagnokit.io import (_load_long, load_cts_tensor, load_matrix_tsv, parse_rows,
-                          save_cts_tensor, save_matrix_tsv)
+from diagnokit import io
+from diagnokit.classifier import save_eqtl_table
+from diagnokit.io import (_load_long, _read_grid, load_cts_tensor, load_matrix_tsv,
+                          parse_rows, save_bulk_matrix, save_cts_tensor, save_matrix_tsv,
+                          write_rows)
+from diagnokit.types import BulkMatrix
 from diagnokit.types import CtsTensor
 
 
@@ -176,8 +180,9 @@ def load_dataset_loop(path):
 # every float64 but NaN: infinities, signed zeros and subnormals included
 any_float = st.floats(allow_nan=False)
 finite_float = st.floats(allow_nan=False, allow_infinity=False)
-# no tab and no character that str.splitlines treats as a line end
-name = st.text(alphabet="abxyzAB019_-.:|", min_size=1, max_size=4)
+# no tab and no character that str.splitlines treats as a line end; the
+# non-ASCII letter sends a tensor file to the keyed reader
+name = st.text(alphabet="abxyzAB019_-.:| é", min_size=1, max_size=4)
 bad_float = st.sampled_from(["abc", "", "1.0.0", "0x10", "1,5", "--1", "e5", "1e", "nan nan"])
 
 
@@ -492,3 +497,92 @@ def test_variance_keys_must_match_the_mean_file(tmp_path, case, line, message):
         load_cts_tensor(tmp_path / "t.tsv")
     assert err.value.line == line
     assert message in str(err.value)
+
+
+# ---------------------------------------------------------------- grid order
+
+def _grid_tensor():
+    return CtsTensor(genes=["g0", "g1"], cell_types=["c0", "c1", "c2"],
+                     samples=["s0", "s1", "s2", "s3"],
+                     mean=np.linspace(-1.5, 2.5, 24).reshape(2, 3, 4) / 3,
+                     variance=np.linspace(0.1, 9.7, 24).reshape(2, 3, 4) / 7)
+
+
+def test_saved_tensor_is_read_without_the_keyed_reader(tmp_path, monkeypatch):
+    tensor = _grid_tensor()
+    save_cts_tensor(tensor, tmp_path / "t.tsv")
+
+    def refuse(*args):
+        raise AssertionError("the keyed reader ran")
+
+    monkeypatch.setattr(io, "read_rows", refuse)
+    loaded = load_cts_tensor(tmp_path / "t.tsv")
+    assert (loaded.genes, loaded.cell_types, loaded.samples) == (
+        tensor.genes, tensor.cell_types, tensor.samples)
+    assert _same_bits(loaded.mean, tensor.mean)
+    assert _same_bits(loaded.variance, tensor.variance)
+
+
+def _perturb(text: str, kind: str) -> str:
+    header, *rows = text.split("\n")[:-1]
+    if kind == "swap":
+        rows[3], rows[4] = rows[4], rows[3]
+    elif kind == "repeat":
+        rows[5] = rows[4]
+    elif kind == "five_fields":
+        rows[2] += "\t1.0"
+    elif kind in ("1_0", "\x1c", "nan"):
+        key, _ = rows[6].rsplit("\t", 1)
+        rows[6] = key + "\t" + {"1_0": "1_0", "\x1c": "2.5\x1c", "nan": "nan"}[kind]
+    elif kind == "blank":
+        rows.insert(7, "")
+    lines = [header, *rows]
+    if kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    return "\n".join(lines) + ("" if kind == "no_final_newline" else "\n")
+
+
+@pytest.mark.parametrize("kind", ["swap", "crlf", "blank", "no_final_newline", "repeat",
+                                  "five_fields", "1_0", "\x1c", "nan"])
+def test_perturbed_grid_file_reads_like_loop_reader(tmp_path, kind):
+    """One change to a grid-order file: the arrays, or the ParseError line and
+    message, are the loop reader's. Only "nan" keeps the file in grid order."""
+    save_cts_tensor(_grid_tensor(), tmp_path / "t.tsv")
+    path = tmp_path / "t_mean.tsv"
+    path.write_bytes(_perturb(path.read_text(), kind).encode())
+    assert (_read_grid(path, None) is not None) == (kind == "nan")
+    _assert_tensor_agrees(path)
+
+
+@pytest.mark.parametrize("write", [
+    lambda d: save_cts_tensor(CtsTensor(genes=["a\tb", "c"], cell_types=["t"], samples=["s"],
+                                        mean=np.ones((2, 1, 1)), variance=np.ones((2, 1, 1))),
+                              d / "t.tsv"),
+    lambda d: save_cts_tensor(CtsTensor(genes=["g"], cell_types=["t\n"], samples=["s"],
+                                        mean=np.ones((1, 1, 1)), variance=np.ones((1, 1, 1))),
+                              d / "t.tsv"),
+    lambda d: save_cts_tensor(CtsTensor(genes=["g"], cell_types=["t"], samples=["s\u2028"],
+                                        mean=np.ones((1, 1, 1)), variance=np.ones((1, 1, 1))),
+                              d / "t.tsv"),
+    lambda d: save_bulk_matrix(BulkMatrix(genes=["a\nb"], samples=["s"], values=np.ones((1, 1))),
+                               d / "b.tsv"),
+    lambda d: save_bulk_matrix(BulkMatrix(genes=["x\r"], samples=["s"], values=np.ones((1, 1))),
+                               d / "b.tsv"),
+    lambda d: save_bulk_matrix(BulkMatrix(genes=["g"], samples=["s\tt"], values=np.ones((1, 1))),
+                               d / "b.tsv"),
+    lambda d: save_dataset(Dataset(values=np.ones((1, 1)), names=("f\x0b",), tags=("cts",),
+                                   sample_ids=("s",)), [1], d / "d.tsv"),
+    lambda d: save_dataset(Dataset(values=np.ones((1, 1)), names=("f",), tags=("cts",),
+                                   sample_ids=("s\t1",)), [1], d / "d.tsv"),
+    lambda d: save_eqtl_table({"g\x85": (0.1, 0.2, 0.3)}, d / "e.tsv"),
+    lambda d: write_rows(d / "w.tsv", [(["sample"], ["a", "b\x1e"], [])], ["s"],
+                         np.ones((1, 2))),
+], ids=["tensor_gene_tab", "tensor_type_newline", "tensor_sample_u2028", "bulk_gene_newline",
+        "bulk_gene_cr", "bulk_sample_tab", "dataset_feature_vt", "dataset_sample_tab",
+        "eqtl_gene_nel", "write_rows_header_rs"])
+def test_writers_refuse_names_that_break_rows(tmp_path, write):
+    """A name with a tab or a line break would write a file that its own
+    reader rejects or misreads; the writer refuses it and creates no file."""
+    with pytest.raises(ValidationError, match="holds a tab or a line break"):
+        write(tmp_path)
+    assert list(tmp_path.iterdir()) == []
