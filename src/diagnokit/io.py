@@ -286,14 +286,10 @@ def _read_grid(path: str | Path, axes: list[list[str]] | None
         n_types = next((j for j in range(1, n // n_samples) if key(j * n_samples)[0] != g0),
                        n // n_samples)
         block = n_types * n_samples
-        axes = []
-        for field, step, count in ((0, block, n // block), (1, n_samples, n_types),
-                                   (2, 1, n_samples)):
-            axis = {}
-            for j in range(count):
-                if axis.setdefault(key(j * step)[field], j) != j:
-                    return None  # a repeated name: not a grid, so stop reading
-            axes.append([name.decode() for name in axis])
+        # a repeated name shortens its axis, so the grid falls short of n rows
+        axes = [list(dict.fromkeys(key(j * step)[field].decode() for j in range(count)))
+                for field, step, count in ((0, block, n // block), (1, n_samples, n_types),
+                                           (2, 1, n_samples))]
     shape = tuple(map(len, axes))
     # the first row is a cheap test of given axes before all keys are built
     if math.prod(shape) != n or key(0) != tuple(axis[0].encode() for axis in axes):

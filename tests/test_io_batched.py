@@ -12,15 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagnokit.classifier import FEATURE_TAGS, Dataset, load_dataset, save_dataset
-from diagnokit.errors import ParseError, ValidationError
 from diagnokit import io
-from diagnokit.classifier import save_eqtl_table
+from diagnokit.classifier import (FEATURE_TAGS, Dataset, load_dataset, save_dataset,
+                                  save_eqtl_table)
+from diagnokit.errors import ParseError, ValidationError
 from diagnokit.io import (_load_long, _read_grid, load_cts_tensor, load_matrix_tsv,
                           parse_rows, save_bulk_matrix, save_cts_tensor, save_matrix_tsv,
                           write_rows)
-from diagnokit.types import BulkMatrix
-from diagnokit.types import CtsTensor
+from diagnokit.types import BulkMatrix, CtsTensor
 
 
 # ---------------------------------------------------------------- references
@@ -501,15 +500,19 @@ def test_variance_keys_must_match_the_mean_file(tmp_path, case, line, message):
 
 # ---------------------------------------------------------------- grid order
 
-def _grid_tensor():
-    return CtsTensor(genes=["g0", "g1"], cell_types=["c0", "c1", "c2"],
-                     samples=["s0", "s1", "s2", "s3"],
-                     mean=np.linspace(-1.5, 2.5, 24).reshape(2, 3, 4) / 3,
-                     variance=np.linspace(0.1, 9.7, 24).reshape(2, 3, 4) / 7)
+def _grid_tensor(shape=(2, 3, 4)):
+    size = np.prod(shape)
+    return CtsTensor(genes=[f"g{i}" for i in range(shape[0])],
+                     cell_types=[f"c{i}" for i in range(shape[1])],
+                     samples=[f"s {i}" for i in range(shape[2])],
+                     mean=np.linspace(-1.5, 2.5, size).reshape(shape) / 3,
+                     variance=np.linspace(0.1, 9.7, size).reshape(shape) / 7)
 
 
-def test_saved_tensor_is_read_without_the_keyed_reader(tmp_path, monkeypatch):
-    tensor = _grid_tensor()
+@pytest.mark.parametrize("shape", [(2, 3, 4), (1, 1, 1), (1, 1, 3), (3, 1, 1), (1, 2, 1),
+                                   (2, 1, 3)])
+def test_saved_tensor_is_read_without_the_keyed_reader(tmp_path, monkeypatch, shape):
+    tensor = _grid_tensor(shape)
     save_cts_tensor(tensor, tmp_path / "t.tsv")
 
     def refuse(*args):
@@ -531,19 +534,27 @@ def _perturb(text: str, kind: str) -> str:
         rows[5] = rows[4]
     elif kind == "five_fields":
         rows[2] += "\t1.0"
-    elif kind in ("1_0", "\x1c", "nan"):
+    elif kind in ("1_0", "\x1c", "nan", "empty_value"):
         key, _ = rows[6].rsplit("\t", 1)
-        rows[6] = key + "\t" + {"1_0": "1_0", "\x1c": "2.5\x1c", "nan": "nan"}[kind]
+        rows[6] = key + "\t" + {"1_0": "1_0", "\x1c": "2.5\x1c", "nan": "nan",
+                                "empty_value": ""}[kind]
+    elif kind in ("same_name", "u2028"):  # every row of sample "s 1" renamed
+        new = {"same_name": "s 0", "u2028": "s\u20281"}[kind]
+        rows = [row.replace("\ts 1\t", f"\t{new}\t") for row in rows]
     elif kind == "blank":
         rows.insert(7, "")
+    elif kind == "one_line":  # tabs for line ends: one row of 96 fields
+        rows = ["\t".join(rows)]
     lines = [header, *rows]
     if kind == "crlf":
         return "\r\n".join(lines) + "\r\n"
-    return "\n".join(lines) + ("" if kind == "no_final_newline" else "\n")
+    return ("\n".join(lines) + ("" if kind == "no_final_newline" else "\n")
+            + ("x" if kind == "trailing_text" else ""))
 
 
 @pytest.mark.parametrize("kind", ["swap", "crlf", "blank", "no_final_newline", "repeat",
-                                  "five_fields", "1_0", "\x1c", "nan"])
+                                  "five_fields", "1_0", "\x1c", "nan", "empty_value",
+                                  "same_name", "u2028", "trailing_text", "one_line"])
 def test_perturbed_grid_file_reads_like_loop_reader(tmp_path, kind):
     """One change to a grid-order file: the arrays, or the ParseError line and
     message, are the loop reader's. Only "nan" keeps the file in grid order."""
@@ -554,35 +565,42 @@ def test_perturbed_grid_file_reads_like_loop_reader(tmp_path, kind):
     _assert_tensor_agrees(path)
 
 
-@pytest.mark.parametrize("write", [
-    lambda d: save_cts_tensor(CtsTensor(genes=["a\tb", "c"], cell_types=["t"], samples=["s"],
-                                        mean=np.ones((2, 1, 1)), variance=np.ones((2, 1, 1))),
-                              d / "t.tsv"),
-    lambda d: save_cts_tensor(CtsTensor(genes=["g"], cell_types=["t\n"], samples=["s"],
-                                        mean=np.ones((1, 1, 1)), variance=np.ones((1, 1, 1))),
-                              d / "t.tsv"),
-    lambda d: save_cts_tensor(CtsTensor(genes=["g"], cell_types=["t"], samples=["s\u2028"],
-                                        mean=np.ones((1, 1, 1)), variance=np.ones((1, 1, 1))),
-                              d / "t.tsv"),
-    lambda d: save_bulk_matrix(BulkMatrix(genes=["a\nb"], samples=["s"], values=np.ones((1, 1))),
-                               d / "b.tsv"),
-    lambda d: save_bulk_matrix(BulkMatrix(genes=["x\r"], samples=["s"], values=np.ones((1, 1))),
-                               d / "b.tsv"),
-    lambda d: save_bulk_matrix(BulkMatrix(genes=["g"], samples=["s\tt"], values=np.ones((1, 1))),
-                               d / "b.tsv"),
-    lambda d: save_dataset(Dataset(values=np.ones((1, 1)), names=("f\x0b",), tags=("cts",),
-                                   sample_ids=("s",)), [1], d / "d.tsv"),
-    lambda d: save_dataset(Dataset(values=np.ones((1, 1)), names=("f",), tags=("cts",),
-                                   sample_ids=("s\t1",)), [1], d / "d.tsv"),
-    lambda d: save_eqtl_table({"g\x85": (0.1, 0.2, 0.3)}, d / "e.tsv"),
-    lambda d: write_rows(d / "w.tsv", [(["sample"], ["a", "b\x1e"], [])], ["s"],
-                         np.ones((1, 2))),
+def _tensor(genes=("g",), cell_types=("t",), samples=("s",)):
+    shape = (len(genes), len(cell_types), len(samples))
+    return CtsTensor(genes=list(genes), cell_types=list(cell_types), samples=list(samples),
+                     mean=np.ones(shape), variance=np.ones(shape))
+
+
+@pytest.mark.parametrize("write, name", [
+    (lambda d: save_cts_tensor(_tensor(genes=("a\tb", "c")), d / "t.tsv"), "gene 'a\\tb'"),
+    (lambda d: save_cts_tensor(_tensor(cell_types=("t\n",)), d / "t.tsv"), "cell_type 't\\n'"),
+    (lambda d: save_cts_tensor(_tensor(samples=("s\u2028",)), d / "t.tsv"),
+     "sample 's\\u2028'"),
+    (lambda d: save_bulk_matrix(BulkMatrix(genes=["a\nb"], samples=["s"],
+                                           values=np.ones((1, 1))), d / "b.tsv"),
+     "gene 'a\\nb'"),
+    (lambda d: save_bulk_matrix(BulkMatrix(genes=["x\r"], samples=["s"],
+                                           values=np.ones((1, 1))), d / "b.tsv"),
+     "gene 'x\\r'"),
+    (lambda d: save_bulk_matrix(BulkMatrix(genes=["g"], samples=["s\tt"],
+                                           values=np.ones((1, 1))), d / "b.tsv"),
+     "header field 's\\tt'"),
+    (lambda d: save_dataset(Dataset(values=np.ones((1, 1)), names=("f\x0b",), tags=("cts",),
+                                    sample_ids=("s",)), [1], d / "d.tsv"),
+     "header field 'f\\x0b'"),
+    (lambda d: save_dataset(Dataset(values=np.ones((1, 1)), names=("f",), tags=("cts",),
+                                    sample_ids=("s\t1",)), [1], d / "d.tsv"),
+     "sample 's\\t1'"),
+    (lambda d: save_eqtl_table({"g\x85": (0.1, 0.2, 0.3)}, d / "e.tsv"), "gene 'g\\x85'"),
+    (lambda d: write_rows(d / "w.tsv", [(["sample"], ["a", "b\x1e"], [])], ["s"],
+                          np.ones((1, 2))), "header field 'b\\x1e'"),
 ], ids=["tensor_gene_tab", "tensor_type_newline", "tensor_sample_u2028", "bulk_gene_newline",
         "bulk_gene_cr", "bulk_sample_tab", "dataset_feature_vt", "dataset_sample_tab",
         "eqtl_gene_nel", "write_rows_header_rs"])
-def test_writers_refuse_names_that_break_rows(tmp_path, write):
+def test_writers_refuse_names_that_break_rows(tmp_path, write, name):
     """A name with a tab or a line break would write a file that its own
-    reader rejects or misreads; the writer refuses it and creates no file."""
-    with pytest.raises(ValidationError, match="holds a tab or a line break"):
+    reader rejects or misreads; the writer names it and creates no file."""
+    with pytest.raises(ValidationError) as err:
         write(tmp_path)
+    assert str(err.value) == f"{name} holds a tab or a line break"
     assert list(tmp_path.iterdir()) == []
