@@ -253,7 +253,8 @@ def _read_grid(path: str | Path, axes: list[list[str]] | None
     finds every tab and line end, one comparison checks all keys, and one
     ``np.loadtxt`` parses all values. Any other file (another order, line
     end or byte, a blank line, a value ``np.loadtxt`` rejects) is left to the
-    keyed reader, which also names the line of any error.
+    keyed reader, which also names the line of any error; a file in another
+    order is told from a few of its rows, before a key per row is built.
     """
     try:
         data = Path(path).read_bytes()
@@ -281,19 +282,31 @@ def _read_grid(path: str | Path, axes: list[list[str]] | None
         return data[start:t0], data[t0 + 1:t1], data[t1 + 1:t2]
 
     if axes is None:
-        g0, c0, _ = key(0)
+        g0, c0, s0 = key(0)
         n_samples = next((i for i in range(1, n) if key(i)[:2] != (g0, c0)), n)
-        n_types = next((j for j in range(1, n // n_samples) if key(j * n_samples)[0] != g0),
-                       n // n_samples)
-        block = n_types * n_samples
-        # a repeated name shortens its axis, so the grid falls short of n rows
-        axes = [list(dict.fromkeys(key(j * step)[field].decode() for j in range(count)))
-                for field, step, count in ((0, block, n // block), (1, n_samples, n_types),
-                                           (2, 1, n_samples))]
-    shape = tuple(map(len, axes))
-    # the first row is a cheap test of given axes before all keys are built
-    if math.prod(shape) != n or key(0) != tuple(axis[0].encode() for axis in axes):
+        # row j * n_samples of the first gene is keyed (g0, c_j, s0): with unique
+        # keys, this finds at most one row per cell type before it stops
+        n_types = next((j for j in range(1, n // n_samples)
+                        if key(j * n_samples)[::2] != (g0, s0)), n // n_samples)
+        shape = (n // (n_types * n_samples), n_types, n_samples)
+
+        def name(field: int, j: int) -> bytes:  # the grid's j-th name of an axis
+            return key(j * (n_types * n_samples, n_samples, 1)[field])[field]
+    else:
+        shape = tuple(map(len, axes))
+
+        def name(field: int, j: int) -> bytes:
+            return axes[field][j].encode()
+    # five rows against the grid's keys: a file in another order is turned
+    # away here, before a key per row is built
+    if math.prod(shape) != n or any(
+            key(i) != tuple(map(name, range(3), np.unravel_index(i, shape)))
+            for i in (0, 1, shape[2], shape[1] * shape[2], n - 1) if i < n):
         return None
+    if axes is None:
+        # a repeated name shortens its axis, and so the key block of its grid
+        axes = [list(dict.fromkeys(name(field, j).decode() for j in range(size)))
+                for field, size in enumerate(shape)]
     # each row's key runs to its third tab, its value on to its line end
     in_key = np.repeat(np.tile([True, False], n), np.diff(rows[:, 2:].ravel() + 1, prepend=0))
     if body[in_key].tobytes() != _grid_keys(*axes, "\t").encode():

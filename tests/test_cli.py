@@ -507,16 +507,10 @@ def test_two_round_pipeline_runs_with_scipy_refused(sim_dir, selection_path, tmp
 
 
 def test_cli_import_pulls_in_neither_numba_nor_requests():
+    """Nor urllib.request, which only an LLM call needs and which pulls in
+    http.client, email and ssl."""
     proc = _fresh_python("import sys, diagnokit.cli; print(sorted({'numba', 'requests', "
-                         "'scipy.stats', 'scipy.optimize'} & set(sys.modules)))")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_cli_import_loads_no_network_modules():
-    """Only an LLM call needs urllib.request, which pulls in http.client, email
-    and ssl; importing the CLI loads none of them."""
-    proc = _fresh_python("import sys, diagnokit.cli; print(sorted({'urllib.request', "
+                         "'scipy.stats', 'scipy.optimize', 'urllib.request', "
                          "'http.client', 'email', 'ssl'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

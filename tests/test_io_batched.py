@@ -545,6 +545,8 @@ def _perturb(text: str, kind: str) -> str:
         rows.insert(7, "")
     elif kind == "one_line":  # tabs for line ends: one row of 96 fields
         rows = ["\t".join(rows)]
+    elif kind == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
     lines = [header, *rows]
     if kind == "crlf":
         return "\r\n".join(lines) + "\r\n"
@@ -554,7 +556,8 @@ def _perturb(text: str, kind: str) -> str:
 
 @pytest.mark.parametrize("kind", ["swap", "crlf", "blank", "no_final_newline", "repeat",
                                   "five_fields", "1_0", "\x1c", "nan", "empty_value",
-                                  "same_name", "u2028", "trailing_text", "one_line"])
+                                  "same_name", "u2028", "trailing_text", "one_line",
+                                  "shuffled"])
 def test_perturbed_grid_file_reads_like_loop_reader(tmp_path, kind):
     """One change to a grid-order file: the arrays, or the ParseError line and
     message, are the loop reader's. Only "nan" keeps the file in grid order."""
@@ -562,6 +565,48 @@ def test_perturbed_grid_file_reads_like_loop_reader(tmp_path, kind):
     path = tmp_path / "t_mean.tsv"
     path.write_bytes(_perturb(path.read_text(), kind).encode())
     assert (_read_grid(path, None) is not None) == (kind == "nan")
+    _assert_tensor_agrees(path)
+
+
+class _CountingBytes(bytes):
+    """A file's bytes that count the slices taken of them."""
+
+    def __getitem__(self, index):
+        self.taken += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("order", [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
+                                   "shuffled"],
+                         ids=["gene_sample_type", "type_gene_sample", "type_sample_gene",
+                              "sample_gene_type", "sample_type_gene", "shuffled"])
+def test_file_in_another_order_is_told_from_few_rows(tmp_path, monkeypatch, order):
+    """A tensor file whose rows follow another axis order, or none, goes to
+    the keyed reader after a few of its keys are read (each key is three
+    slices of the file's bytes), not one per row and before the grid's key
+    block is built, whether the axes are read from the file or given, as for
+    a variance file."""
+    shape = (8, 4, 10)
+    tensor = _grid_tensor(shape)
+    save_cts_tensor(tensor, tmp_path / "t.tsv")
+    path = tmp_path / "t_mean.tsv"
+    header, *rows = path.read_text().splitlines()
+    n = len(rows)
+    index = (np.random.default_rng(7).permutation(n) if order == "shuffled"
+             else np.arange(n).reshape(shape).transpose(order).ravel())
+    path.write_text("\n".join([header, *[rows[i] for i in index]]) + "\n")
+    data = _CountingBytes(path.read_bytes())
+    monkeypatch.setattr(io.Path, "read_bytes", lambda self: data)
+    monkeypatch.setattr(io, "_grid_keys", None)
+    data.taken = 0
+    assert _read_grid(path, None) is None
+    # three slices per key: one key per cell type and sample while the axes
+    # are measured, then four for each of five probed rows
+    assert data.taken <= 3 * (shape[1] + shape[2] + 4 * 5) < n
+    data.taken = 0
+    assert _read_grid(path, [tensor.genes, tensor.cell_types, tensor.samples]) is None
+    assert data.taken <= 3 * 5
+    monkeypatch.undo()
     _assert_tensor_agrees(path)
 
 
