@@ -5,9 +5,11 @@ The model, per gene g and sample i with proportions w_i:
     z_gi ~ N(mu_g, Sigma_g)
     x_gi = w_i' z_gi + gamma_g' c1_i + w_i' B_g c2_i + eps,  eps ~ N(0, s2_g)
 
-All conditionals are conjugate: z from a Gaussian, (gamma, B) from a joint
-Bayesian linear regression draw, s2 from an Inverse-Gamma. Multiple chains run
-from over-dispersed starts; convergence is checked with split R-hat on the
+All conditionals are conjugate: z from a Gaussian, drawn pathwise, (gamma, B)
+from a joint Bayesian linear regression draw, s2 from an Inverse-Gamma. A run
+takes chol(Sigma_g) once (a failure names the gene) and one eigendecomposition
+of the design Gram matrix (``kernels.prepare``), with no NaN path in the
+sweep. Multiple chains run from over-dispersed starts; convergence is checked with split R-hat on the
 per-(gene, cell type) sample-averaged draw trace, gated at the configured
 threshold. Two-stage prior refinement re-estimates (mu, Sigma) from posterior
 moments and redraws them through a Normal / Inverse-Wishart step: one normal
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import resolve_backend
+from .kernels import RunFactors, prepare, resolve_backend
 from .reference import DEFAULT_SHRINKAGE, ReferenceDataset, _regularize_spd_all, estimate_priors
 from .types import (AdjustmentParams, BulkMatrix, CtsTensor, GenePriors, PairSelection,
                     RefinementConfig, SampleMeta)
@@ -122,24 +124,21 @@ def _stack_inputs(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta])
         raise ValidationError("sample metas disagree on covariate lengths")
     c1 = np.stack([m.bulk_cov for m in metas])
     c2 = np.stack([m.cts_cov for m in metas])
-    sig_inv = np.linalg.inv(priors.sigma)
-    sig_inv = 0.5 * (sig_inv + np.transpose(sig_inv, (0, 2, 1)))
-    sig_inv_mu = np.einsum("gcd,gd->gc", sig_inv, priors.mu)
-    return w, c1, c2, sig_inv, sig_inv_mu
+    chol = _cholesky(priors.sigma, priors.genes, "prior covariance")
+    return c1, c2, prepare(w, c1, c2, chol, priors.mu)
 
 
-def _run_sweep(state: ChainState, x, w, c1, c2, sig_inv, sig_inv_mu,
-               hyper: HyperParams, sweep_fn) -> None:
+def _run_sweep(state: ChainState, x, factors: RunFactors, hyper: HyperParams,
+               sweep_fn) -> None:
     G, N = x.shape
-    C = w.shape[1]
-    p = c1.shape[1] + C * c2.shape[1]
+    C = factors.mu.shape[1]
+    p = factors.design.shape[1]
     rng = state.rng
     eps_z = rng.standard_normal((G, N, C))
     eps_coef = rng.standard_normal((G, max(p, 1)))[:, :p]
     gamma_draws = rng.gamma(hyper.noise_a0 + 0.5 * N, 1.0, G)
-    sweep_fn(x, w, c1, c2, sig_inv, sig_inv_mu, state.z, state.gamma, state.b,
-             state.noise_var, eps_z, eps_coef, gamma_draws,
-             1.0 / hyper.coef_prior_var, hyper.noise_b0,
+    sweep_fn(x, factors, state.z, state.gamma, state.b, state.noise_var, eps_z, eps_coef,
+             gamma_draws, 1.0 / hyper.coef_prior_var, hyper.noise_b0,
              hyper.update_coef, hyper.update_noise)
     state.iteration += 1
 
@@ -148,25 +147,24 @@ def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: GenePriors,
                 metas: list[SampleMeta], hyper: HyperParams | None = None) -> ChainState:
     """Advance the chain by one full sweep (z, then coefficients, then noise)."""
     hyper = hyper or HyperParams()
-    w, c1, c2, sig_inv, sig_inv_mu = _stack_inputs(bulk, priors, metas)
-    if state.z.shape != (bulk.n_genes, bulk.n_samples, w.shape[1]):
+    _, _, factors = _stack_inputs(bulk, priors, metas)
+    if state.z.shape != (bulk.n_genes, bulk.n_samples, factors.mu.shape[1]):
         raise ValidationError("chain state z shape does not match inputs")
-    _run_sweep(state, bulk.values, w, c1, c2, sig_inv, sig_inv_mu, hyper,
-               resolve_backend())
+    _run_sweep(state, bulk.values, factors, hyper, resolve_backend())
     return state
 
 
 def init_chain(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
                rng: np.random.Generator, overdispersion: float = 2.0) -> ChainState:
     """Over-dispersed start: prior draws with deviations scaled up."""
-    _, c1, c2, _, _ = _stack_inputs(bulk, priors, metas)
-    return _start_chain(priors, bulk.n_samples, c1, c2, rng, overdispersion)
+    c1, c2, factors = _stack_inputs(bulk, priors, metas)
+    return _start_chain(factors.chol, priors, bulk.n_samples, c1, c2, rng, overdispersion)
 
 
-def _start_chain(priors: GenePriors, n_samples: int, c1: np.ndarray, c2: np.ndarray,
-                 rng: np.random.Generator, overdispersion: float = 2.0) -> ChainState:
+def _start_chain(chol: np.ndarray, priors: GenePriors, n_samples: int, c1: np.ndarray,
+                 c2: np.ndarray, rng: np.random.Generator,
+                 overdispersion: float = 2.0) -> ChainState:
     G, C = priors.mu.shape
-    chol = np.linalg.cholesky(priors.sigma)
     eps = rng.standard_normal((G, n_samples, C))
     z0 = priors.mu[:, None, :] + overdispersion * np.einsum("gcd,gnd->gnc", chol, eps)
     return ChainState(z=z0, gamma=np.zeros((G, c1.shape[1])),
@@ -233,9 +231,9 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
     ``rescues``, when given, counts the genes whose sigma_hat needed more than
     the first jitter step (``_regularize_spd_all``)."""
     hyper = hyper or HyperParams()
-    w, c1, c2, sig_inv, sig_inv_mu = _stack_inputs(bulk, priors, metas)
+    c1, c2, factors = _stack_inputs(bulk, priors, metas)
     G, N = bulk.n_genes, bulk.n_samples
-    C = w.shape[1]
+    C = factors.mu.shape[1]
     if cell_types is None:
         cell_types = [f"ct{j}" for j in range(C)]
     sweep_fn = resolve_backend()
@@ -249,19 +247,20 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
     sum_outer = np.zeros((G, C, C))
     sum_noise = np.zeros(G)
     traces = np.empty((config.chains, kept, G, C))
+    sample_mean = np.full(N, 1.0 / N)
 
     for ci in range(config.chains):
         rng = np.random.default_rng(chain_seeds[ci])
-        state = _start_chain(priors, N, c1, c2, rng)
+        state = _start_chain(factors.chol, priors, N, c1, c2, rng)
         for it in range(config.iters):
-            _run_sweep(state, x, w, c1, c2, sig_inv, sig_inv_mu, hyper, sweep_fn)
+            _run_sweep(state, x, factors, hyper, sweep_fn)
             if it >= config.burnin:
                 k = it - config.burnin
                 sum_z += state.z
                 sum_z2 += state.z ** 2
                 sum_outer += np.swapaxes(state.z, 1, 2) @ state.z
                 sum_noise += state.noise_var
-                traces[ci, k] = state.z.mean(axis=1)
+                traces[ci, k] = sample_mean @ state.z
 
     total = config.chains * kept
     mean_z = sum_z / total
@@ -302,18 +301,17 @@ def _bartlett_iw(chol_inv: np.ndarray, nu: float, rng: np.random.Generator) -> n
     return np.swapaxes(t, 1, 2) @ t
 
 
-def _chol_of_inverse(sigma: np.ndarray, genes: list[str]) -> np.ndarray:
-    """chol(sigma^-1) of every matrix; the error names the first gene whose
-    inverse has no Cholesky factor."""
+def _cholesky(stack: np.ndarray, genes: list[str], what: str) -> np.ndarray:
+    """chol of every matrix of ``stack``; the ``ValidationError`` names the
+    first gene whose matrix has no Cholesky factor."""
     try:
-        return np.linalg.cholesky(np.linalg.inv(sigma))
+        return np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        for gene, s in zip(genes, sigma):
+        for gene, s in zip(genes, stack):
             try:
-                np.linalg.cholesky(np.linalg.inv(s))
+                np.linalg.cholesky(s)
             except np.linalg.LinAlgError:
-                raise ValidationError("inverse-Wishart scale is not positive "
-                                      f"definite for {gene!r}") from None
+                raise ValidationError(f"{what} is not positive definite for {gene!r}") from None
         raise
 
 
@@ -340,7 +338,9 @@ def refine_priors(summary: PosteriorSummary, priors: GenePriors,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x5EED)))
     mu_new = (rng.normal(summary.mu_hat, config.tau) if config.tau > 0
               else summary.mu_hat.copy())
-    chol_inv = _chol_of_inverse(summary.sigma_hat * (nu - C - 1), priors.genes)
+    # run_mcmc regularizes sigma_hat to be positive definite, so it has an inverse
+    chol_inv = _cholesky(np.linalg.inv(summary.sigma_hat * (nu - C - 1)), priors.genes,
+                         "inverse-Wishart scale")
     sigma_new = _bartlett_iw(chol_inv, nu, rng)
     pending = np.flatnonzero(~_spd(sigma_new))
     for _ in range(IW_TRIES - 1):

@@ -90,10 +90,10 @@ def write_rows(path: str | Path, header, keys, values, tails=None) -> None:
 
     ``header`` holds one ``(key names, value names, tail names)`` triple per
     line, laid out like the rows: each key is as many fields as the first
-    line has key names, and no value names leave one empty field, as no
-    values do. A name or key that holds a line break, or a tab of its own,
-    raises ``ValidationError`` before the file is created. Values are
-    formatted in one pass over the whole block, not one call per value.
+    line has key names; no value names, like no values, add no field. A
+    name or key that holds a line break, or a tab of its own, raises
+    ``ValidationError`` before the file is created. Values are formatted in
+    one pass over the whole block, not one call per value.
     """
     values = np.asarray(values, dtype=np.float64)
     n, k = values.shape
@@ -104,8 +104,8 @@ def write_rows(path: str | Path, header, keys, values, tails=None) -> None:
     cells = list(map(repr, values.ravel().tolist()))
     if k != 1:
         cells = ["\t".join(cells[i * k:(i + 1) * k]) for i in range(n)]
-    columns = (keys, cells) if tails is None else (keys, cells, tails)
-    lines = ["\t".join([*names, "\t".join(value_names), *tail_names])
+    columns = [c for c in (keys, cells if k else None, tails) if c is not None]
+    lines = ["\t".join([*names, *value_names, *tail_names])
              for names, value_names, tail_names in header]
     atomic_write_text(path, "\n".join([*lines, *map("\t".join, zip(*columns))]) + "\n")
 

@@ -1,96 +1,96 @@
 """Hot inner loop for the blocked Gibbs sampler: one full sweep over all genes.
 
 Genes are conditionally independent within a sweep, so each block runs once
-for all of them rather than once per gene. The z block factors all G·N tiny
-C×C precision matrices at once with a Cholesky written out over the small C
-axis as elementwise operations on (G, N) arrays; the coefficient block shares
-one design Gram matrix across genes and does one batched p×p factorization.
-All randomness is passed in as pre-generated draws, so a sweep is a
-deterministic function of its inputs.
-
-Per (gene g, sample i) the latent C-vector z is drawn from its exact Gaussian
-full conditional; coefficients get a conjugate Bayesian linear-regression
-draw (Normal prior, mean 0, variance 1/coef_prior_prec per coordinate); the
-noise variance gets an Inverse-Gamma draw expressed through a pre-generated
+for all of them. ``prepare`` computes once per run what a run does not change:
+A = chol(Sigma_g), a = A'w_i and one eigendecomposition of the design Gram
+matrix. Draws are passed in, so a sweep is a deterministic function of its
+inputs. z gets its exact Gaussian conditional by pathwise conditioning
+(Matheron's rule; Doucet 2010), where s = noise + |a|^2 >= noise > 0 keeps
+every square root real; the coefficients a conjugate linear-regression draw
+(Normal prior, variance 1/coef_prior_prec), elementwise in the Gram matrix's
+eigenbasis; the noise variance an Inverse-Gamma draw through a pre-generated
 Gamma(a0 + N/2, 1) variate.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 
-def _offset(gamma, b, design):
-    """Covariate part of the mean, gamma_g' c1_i + w_i' B_g c2_i, as (G, N)."""
-    theta = np.concatenate([gamma, b.reshape(b.shape[0], -1)], axis=1)
-    return theta @ design.T
+class RunFactors(NamedTuple):
+    """What a sweep needs that stays fixed for a run (see ``prepare``)."""
+
+    design: np.ndarray     # (N, p) rows [c1_i, w_i (x) c2_i]
+    gram_vals: np.ndarray  # (p,) eigenvalues of design'design, clipped at 0
+    gram_vecs: np.ndarray  # (p, p) their eigenvectors Q
+    chol: np.ndarray       # (G, C, C) lower Cholesky factor A of each prior covariance
+    mu: np.ndarray         # (G, C) prior means
+    a: np.ndarray          # (C, G, N) a = A'w_i
+    a_sq: np.ndarray       # (G, N) |a|^2
+    w_mu: np.ndarray       # (G, N) w_i'mu_g
 
 
-def _draw_z(r, w, sig_inv, sig_inv_mu, noise, eps_z):
-    """Exact Gaussian draw of every z[g, i] through one pass over the C axis.
+def prepare(w, c1, c2, chol, mu) -> RunFactors:
+    """The run's ``RunFactors`` from proportions, covariates and chol(Sigma)."""
+    N, C = w.shape
+    kron = (w[:, :, None] * c2[:, None, :]).reshape(N, C * c2.shape[1])
+    design = np.concatenate([c1, kron], axis=1)
+    gram_vals, gram_vecs = np.linalg.eigh(design.T @ design)
+    a = (chol.transpose(2, 0, 1).reshape(-1, C) @ w.T).reshape(C, len(chol), N)
+    return RunFactors(design, np.maximum(gram_vals, 0.0), gram_vecs, chol, mu,
+                      a, np.einsum("cgi,cgi->gi", a, a), mu @ w.T)
 
-    The precision sig_inv[g] + w_i w_i' / noise[g] is factored as L L'. The
-    draw is L'^{-1} (L^{-1} rhs + eps): the conditional mean plus a
-    perturbation with covariance (L L')^{-1}.
+
+def _draw_z(r, f: RunFactors, noise, eps_z, z):
+    """Write the exact Gaussian draw of every z[g, i] into ``z``; return w'z.
+
+    z = mu + A (eps + a ((r - w'mu)/s - beta a'eps)), beta = 1/(s + sqrt(s noise)),
+    whose mean is the Woodbury form of the conditional mean and whose
+    covariance A (I - beta a a')^2 A' = A (I - a a'/s) A' is the conditional
+    covariance. Each term is a (G, N) array, one per cell type.
     """
-    C = w.shape[1]
-    wt = w.T  # (C, N)
+    C = f.mu.shape[1]
     noise = noise[:, None]
-    scaled_r = r / noise  # (G, N)
-    # chol[i][j] holds L[:, :, i, j] and y[j] the forward solve, each as (G, N)
-    chol = [[None] * C for _ in range(C)]
-    y = [None] * C
-    for j in range(C):
-        for i in range(j, C):
-            acc = sig_inv[:, i, j, None] + (wt[i] * wt[j]) / noise
-            for k in range(j):
-                acc = acc - chol[i][k] * chol[j][k]
-            chol[i][j] = np.sqrt(acc) if i == j else acc / chol[j][j]
-        acc = sig_inv_mu[:, j, None] + wt[j] * scaled_r
-        for k in range(j):
-            acc = acc - chol[j][k] * y[k]
-        y[j] = acc / chol[j][j]
-    z = [None] * C
-    for i in range(C - 1, -1, -1):
-        acc = y[i] + eps_z[:, :, i]
-        for k in range(i + 1, C):
-            acc = acc - chol[k][i] * z[k]
-        z[i] = acc / chol[i][i]
-    return np.stack(z, axis=-1)
+    s = noise + f.a_sq
+    eps = [eps_z[:, :, c] for c in range(C)]
+    a_eps = f.a[0] * eps[0]
+    for c in range(1, C):
+        a_eps += f.a[c] * eps[c]
+    coef = (r - f.w_mu) / s - a_eps / (s + np.sqrt(s * noise))
+    u = [eps[c] + f.a[c] * coef for c in range(C)]
+    for c in range(C):
+        acc = f.mu[:, c, None] + f.chol[:, c, 0, None] * u[0]
+        for k in range(1, c + 1):
+            acc += f.chol[:, c, k, None] * u[k]
+        z[:, :, c] = acc
+    return f.w_mu + a_eps + f.a_sq * coef
 
 
-def sweep(x, w, c1, c2, sig_inv, sig_inv_mu, z, gamma, b, noise,
-          eps_z, eps_coef, gamma_draws, coef_prior_prec, b0,
-          update_coef, update_noise):
+def sweep(x, f: RunFactors, z, gamma, b, noise, eps_z, eps_coef, gamma_draws,
+          coef_prior_prec, b0, update_coef, update_noise):
     """One in-place sweep; ``x`` is the (G, N) bulk matrix.
 
-    A hand-written Cholesky gives NaN where LAPACK would raise, so a draw
-    that is not finite raises ``np.linalg.LinAlgError`` naming the gene.
+    A draw that is not finite (from a non-finite input) raises
+    ``np.linalg.LinAlgError`` naming the gene.
     """
-    G, N = x.shape
-    C = w.shape[1]
-    d1 = c1.shape[1]
-    d2 = c2.shape[1]
-    p = d1 + C * d2
-    # design rows [c1_i, w_i (x) c2_i] are gene-independent given w
-    kron = (w[:, :, None] * c2[:, None, :]).reshape(N, C * d2)
-    design = np.concatenate([c1, kron], axis=1)  # (N, p)
+    def offset():  # covariate part of the mean, gamma_g' c1_i + w_i' B_g c2_i
+        return np.concatenate([gamma, b.reshape(len(b), -1)], axis=1) @ f.design.T
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        r = x - _offset(gamma, b, design)
-        z[...] = _draw_z(r, w, sig_inv, sig_inv_mu, noise, eps_z)
-        wz = np.einsum("gic,ic->gi", z, w)  # (G, N)
+        wz = _draw_z(x - offset(), f, noise, eps_z, z)
 
-        if update_coef and p > 0:
-            a_mat = (design.T @ design) / noise[:, None, None] + coef_prior_prec * np.eye(p)
-            rhs_c = ((x - wz) @ design) / noise[:, None]
-            lc = np.linalg.cholesky(a_mat)
-            half = np.linalg.solve(lc, rhs_c[:, :, None])
-            theta = np.linalg.solve(np.swapaxes(lc, 1, 2), half + eps_coef[:, :, None])[:, :, 0]
-            gamma[...] = theta[:, :d1]
-            b[...] = theta[:, d1:].reshape(G, C, d2)
+        if update_coef and f.design.shape[1]:
+            # a_g = Q diag(gram_vals/noise_g + prec) Q', so the draw is
+            # elementwise in Q's basis
+            d = f.gram_vals / noise[:, None] + coef_prior_prec
+            rhs = (((x - wz) @ f.design) / noise[:, None]) @ f.gram_vecs
+            theta = (rhs / d + eps_coef / np.sqrt(d)) @ f.gram_vecs.T
+            gamma[...] = theta[:, :gamma.shape[1]]
+            b[...] = theta[:, gamma.shape[1]:].reshape(b.shape)
 
         if update_noise:
-            resid = x - wz - _offset(gamma, b, design)
+            resid = x - wz - offset()
             ss = np.einsum("gi,gi->g", resid, resid)
             noise[...] = (b0 + 0.5 * ss) / gamma_draws
 
@@ -103,11 +103,7 @@ def sweep(x, w, c1, c2, sig_inv, sig_inv_mu, z, gamma, b, noise,
 
 
 def resolve_backend():
-    """Return the sweep kernel.
-
-    ``engine`` looks the kernel up through this function on every run rather
-    than importing ``sweep`` directly, so a profiler can time every sweep by
-    replacing ``engine.resolve_backend`` with a wrapper; the benchmark's
-    per-layer tracer in ``perfbench/`` relies on that hook.
-    """
+    """Return the sweep kernel. ``engine`` looks it up here on every run, so a
+    profiler (the per-layer tracer in ``perfbench/``) can time every sweep by
+    replacing ``engine.resolve_backend`` with a wrapper."""
     return sweep

@@ -157,6 +157,29 @@ class TestRunMcmc:
             with pytest.raises(ValidationError, match="bulk genes in bulk order"):
                 run_mcmc(bulk, wrong, metas, RefinementConfig(chains=2, iters=8), seed=0)
 
+    def test_prior_without_cholesky_names_the_gene(self):
+        # rank-2 covariances plus a rounding-sized ridge: some have a least
+        # eigenvalue above 0, so GenePriors accepts them, and no Cholesky factor
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            v = rng.standard_normal((3, 2))
+            bad = v @ v.T + 1e-16 * rng.uniform() * np.eye(3)
+            bad = 0.5 * (bad + bad.T)
+            if np.linalg.eigvalsh(bad)[0] > 0:
+                try:
+                    np.linalg.cholesky(bad)
+                except np.linalg.LinAlgError:
+                    break
+        else:
+            pytest.fail("no covariance with eigenvalues above 0 and no Cholesky factor")
+        bulk, priors, metas = _toy_problem(C=3, G=3)
+        sigma = priors.sigma.copy()
+        sigma[1] = bad
+        priors = GenePriors(genes=priors.genes, mu=priors.mu, sigma=sigma,
+                            noise_var=priors.noise_var)
+        with pytest.raises(ValidationError, match="not positive definite for 'g1'"):
+            run_mcmc(bulk, priors, metas, RefinementConfig(chains=2, iters=8), seed=0)
+
 
 def test_gibbs_sweep_advances_state():
     bulk, priors, metas = _toy_problem(C=2, N=4, seed=6)

@@ -84,9 +84,9 @@ def load_long_loop(path):
 
 def save_matrix_loop(genes, samples, values):
     """Reference: the matrix text, one formatted line per gene."""
-    lines = ["gene\t" + "\t".join(samples)]
+    lines = ["\t".join(["gene", *samples])]
     for g, row in zip(genes, np.asarray(values)):
-        lines.append(g + "\t" + "\t".join(_fmt(v) for v in row))
+        lines.append("\t".join([g, *map(_fmt, row)]))
     return "\n".join(lines) + "\n"
 
 
@@ -118,10 +118,10 @@ def load_matrix_loop(path):
 
 def save_dataset_loop(dataset, labels):
     """Reference: the dataset text, one formatted line per sample."""
-    lines = ["sample\t" + "\t".join(dataset.names) + "\tlabel",
-             "#tags\t" + "\t".join(dataset.tags) + "\t-"]
+    lines = ["\t".join(["sample", *dataset.names, "label"]),
+             "\t".join(["#tags", *dataset.tags, "-"])]
     for sample_id, row, lab in zip(dataset.sample_ids, dataset.values, labels):
-        lines.append(sample_id + "\t" + "\t".join(_fmt(v) for v in row) + "\t" + str(int(lab)))
+        lines.append("\t".join([sample_id, *map(_fmt, row), str(int(lab))]))
     return "\n".join(lines) + "\n"
 
 
@@ -347,6 +347,34 @@ def test_dataset_writer_matches_loop_writer(tmp_path_factory, n, d, data):
     path = tmp_path_factory.mktemp("io") / "d.tsv"
     save_dataset(ds, labels, path)
     assert path.read_text() == save_dataset_loop(ds, labels)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=st.integers(0, 3), n=st.integers(0, 4), data=st.data())
+def test_matrix_round_trips_with_any_number_of_samples(tmp_path_factory, g, n, data):
+    genes, samples = data.draw(names(g)), data.draw(names(n))
+    values = np.array(data.draw(st.lists(any_float, min_size=g * n, max_size=g * n)))
+    values = values.reshape(g, n)
+    path = tmp_path_factory.mktemp("io") / "m.tsv"
+    save_matrix_tsv(genes, samples, values, path)
+    got_genes, got_samples, got = load_matrix_tsv(path)
+    assert (got_genes, got_samples) == (genes, samples)
+    assert got.shape == (g, n) and np.array_equal(got, values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), d=st.integers(0, 3), data=st.data())
+def test_dataset_round_trips_with_any_number_of_features(tmp_path_factory, n, d, data):
+    values = np.array(data.draw(st.lists(finite_float, min_size=n * d, max_size=n * d)))
+    ds = Dataset(values=values.reshape(n, d), names=tuple(data.draw(names(d))),
+                 tags=("cts",) * d, sample_ids=tuple(data.draw(names(n))))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    path = tmp_path_factory.mktemp("io") / "d.tsv"
+    save_dataset(ds, labels, path)
+    got, got_labels = load_dataset(path)
+    assert (got.names, got.tags, got.sample_ids) == (ds.names, ds.tags, ds.sample_ids)
+    assert got.values.shape == (n, d) and np.array_equal(got.values, ds.values)
+    assert np.array_equal(got_labels, labels)
 
 
 # ---------------------------------------------------------------- malformed
