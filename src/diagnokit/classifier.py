@@ -27,6 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .io import atomic_write_text, parse_rows, read_rows, write_rows
 from .types import CtsTensor, PairSelection, _check_unique, _freeze
 
 HIDDEN1 = 16
@@ -560,7 +561,6 @@ def save_model(result_or_model, path: str | Path) -> None:
         "feature_tags": list(model.feature_tags),
         "dropout_rate": model.dropout_rate,
     }
-    from .io import atomic_write_text
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
@@ -591,7 +591,6 @@ def load_model(path: str | Path) -> MlpModel:
 
 def save_dataset(dataset: Dataset, labels, path: str | Path) -> None:
     """Dataset TSV: one sample per row, header = sample + feature names + label."""
-    from .io import write_rows
     if not dataset.sample_ids:
         raise ValidationError("cannot save an empty dataset")
     y = np.asarray(labels)
@@ -607,7 +606,6 @@ def save_dataset(dataset: Dataset, labels, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> tuple[Dataset, np.ndarray]:
     """Read and validate a dataset TSV; every rejection names its line
     (field counts, tags, duplicate sample IDs, values, labels other than 0/1)."""
-    from .io import parse_rows, read_rows
     head, rows, linenos = read_rows(path, 2)
     if not linenos:
         raise ParseError("dataset needs a header, a tag row, and data", line=1)
@@ -647,14 +645,12 @@ def _reject_repeat(ids: list[str], linenos, message: str) -> None:
 
 
 def save_eqtl_table(eqtl: dict[str, tuple[float, float, float]], path: str | Path) -> None:
-    from .io import write_rows
     genes = sorted(eqtl)
     write_rows(path, [(["gene"], ["beta", "se", "pval"], [])], genes,
                np.array([eqtl[g] for g in genes], dtype=np.float64).reshape(-1, 3))
 
 
 def load_eqtl_table(path: str | Path) -> dict[str, tuple[float, float, float]]:
-    from .io import parse_rows, read_rows
     header, rows, linenos = read_rows(path, 1)
     if header != ["gene\tbeta\tse\tpval"]:
         raise ParseError("bad eQTL table header", line=1)

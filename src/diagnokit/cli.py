@@ -24,18 +24,19 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classifier import (TrainConfig, forward, integrated_gradients, load_dataset,
-                         load_model, save_model, top_k_features, train)
-from .divergence import (DEFAULT_SUBSET_SIZE, ood_subset, run_divergence,
+from .classifier import (TrainConfig, integrated_gradients, load_dataset, load_model,
+                         save_model, train)
+from .divergence import (DEFAULT_SUBSET_SIZE, OOD_THRESHOLD, ood_subset, run_divergence,
                          reports_markdown, save_reports, symbolic_conflict_subset)
 from .engine import deconvolve
 from .errors import DiagnokitError, ValidationError
 from .geneselect import load_marker_list, select_pairs, save_selection, load_selection
-from .io import (atomic_write_text, load_bulk_matrix, load_cts_tensor, load_json,
-                 load_reference, load_sample_meta, save_bulk_matrix, save_cts_tensor,
-                 save_json, save_reference, save_sample_meta, write_rows)
-from .report import (FeatureReading, LlmClient, PromptInput, generate_report,
-                     load_knowledge, render_markdown, report_to_json)
+from .io import (_tensor_paths, atomic_write_text, load_bulk_matrix, load_cts_tensor,
+                 load_json, load_reference, load_sample_meta, save_bulk_matrix,
+                 save_cts_tensor, save_json, save_reference, save_sample_meta, write_rows)
+from .reference import DEFAULT_SHRINKAGE
+from .report import (DEFAULT_MODEL, ENV_URL, LlmClient, generate_report, load_knowledge,
+                     prompt_input, render_markdown, report_to_json)
 from .simulate import SyntheticScenario, evaluate_recovery, generate
 from .types import RefinementConfig
 
@@ -171,10 +172,8 @@ def cmd_select_genes(args) -> None:
     with _stage(manifest, "read_s"):
         ref = load_reference(args.ref, args.labels)
         markers = load_marker_list(args.markers) if args.markers else set()
-    kwargs = {k: config[k] for k in
-              ("fdr_threshold", "lfc_threshold", "noise_quantile") if k in config}
     with _stage(manifest, "compute_s"):
-        selection = select_pairs(ref, markers, **kwargs)
+        selection = select_pairs(ref, markers, **config)
     with _stage(manifest, "write_s"):
         save_selection(selection, out / "selection.json")
     _finish_manifest(manifest, out, [out / "selection.json"])
@@ -189,7 +188,7 @@ def cmd_deconvolve(args) -> None:
         metas = load_sample_meta(args.meta, ref.cell_types)
         selection = load_selection(args.selection)
     rc = _pick(config, RefinementConfig)
-    shrinkage = float(config.get("shrinkage", 0.5))
+    shrinkage = float(config.get("shrinkage", DEFAULT_SHRINKAGE))
     with _stage(manifest, "compute_s"):
         summary = deconvolve(bulk, ref, selection, metas, rc, seed=args.seed,
                              shrinkage=shrinkage)
@@ -209,7 +208,7 @@ def cmd_deconvolve(args) -> None:
         # the data files are still written and the exit code stays 0
         print(f"warning: MCMC did not converge: max R-hat {diagnostics['max_rhat']}, "
               f"threshold {rc.rhat_threshold}", file=sys.stderr)
-    _finish_manifest(manifest, out, [out / "cts_mean.tsv", out / "cts_variance.tsv",
+    _finish_manifest(manifest, out, [*_tensor_paths(out / "cts.tsv"),
                                      out / "diagnostics.json"])
 
 
@@ -243,10 +242,10 @@ def cmd_attribute(args) -> None:
     with _stage(manifest, "read_s"):
         model = load_model(args.checkpoint)
         dataset, _ = _load_for_model(args.dataset, model)
-    steps = int(config.get("steps", 200))
-    method = config.get("method", "exact")
+    if "steps" in config:
+        config["steps"] = int(config["steps"])
     with _stage(manifest, "compute_s"):
-        attrs = integrated_gradients(model, dataset.values, steps=steps, method=method)
+        attrs = integrated_gradients(model, dataset.values, **config)
     with _stage(manifest, "write_s"):
         write_rows(out / "attributions.tsv", [(["sample"], model.feature_names, [])],
                    dataset.sample_ids, attrs)
@@ -266,6 +265,14 @@ def _population_stats(dataset, labels) -> dict[str, tuple[float, float, float]]:
             for name, a, b, s in zip(dataset.names, mean_ad, mean_non, sd)}
 
 
+def _llm_client(args, config: dict) -> LlmClient | None:
+    """The LLM client for ``report`` and ``diverge``: None under ``--offline``
+    or when no endpoint is set in the environment."""
+    if args.offline or not os.environ.get(ENV_URL):
+        return None
+    return LlmClient.from_env(model=config.get("model", DEFAULT_MODEL))
+
+
 def cmd_report(args) -> None:
     manifest, out, config = _start_manifest(
         args, [args.checkpoint, args.dataset]
@@ -278,22 +285,11 @@ def cmd_report(args) -> None:
         knowledge = load_knowledge(args.knowledge) if args.knowledge else {}
     with _stage(manifest, "compute_s"):
         x = dataset.values[dataset.sample_ids.index(args.sample)]
-        prob = forward(model, x)
-        attr = integrated_gradients(model, x)
-        k = min(int(config.get("top_k", 5)), len(dataset.names))
-        top = top_k_features(attr, dataset.names, x, k=k)
-        strategy = args.strategy
-        stats = _population_stats(dataset, labels) if strategy != "direct" else None
-        inp = PromptInput(predicted_label="AD" if prob >= 0.5 else "nonAD",
-                          probability=prob,
-                          top_features=tuple(FeatureReading(name=n, value=v, attribution=a)
-                                             for n, v, a in top),
-                          audience=args.audience, strategy=strategy,
-                          domain_knowledge=knowledge, population_stats=stats)
-        client = None
-        if not args.offline and os.environ.get("DIAGNO_LLM_URL"):
-            client = LlmClient.from_env(model=config.get("model", "gpt-4o-mini"))
-        report = generate_report(inp, client)
+        stats = _population_stats(dataset, labels) if args.strategy != "direct" else None
+        top_k = {"k": int(config["top_k"])} if "top_k" in config else {}
+        inp = prompt_input(model, x, dataset.names, args.audience, args.strategy,
+                           domain_knowledge=knowledge, population_stats=stats, **top_k)
+        report = generate_report(inp, _llm_client(args, config))
     with _stage(manifest, "write_s"):
         save_json(report_to_json(report), out / "report.json")
         atomic_write_text(out / "report.md", render_markdown(report))
@@ -301,7 +297,6 @@ def cmd_report(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    from .io import _tensor_paths
     est_paths = [str(p) for p in _tensor_paths(args.estimate)]
     truth_paths = [str(p) for p in _tensor_paths(args.truth)]
     manifest, out, _config = _start_manifest(args, est_paths + truth_paths)
@@ -321,7 +316,7 @@ def cmd_diverge(args) -> None:
         model = load_model(args.checkpoint)
         dataset, labels = _load_for_model(args.dataset, model)
     size = int(config.get("subset_size", DEFAULT_SUBSET_SIZE))
-    threshold = float(config.get("ood_threshold", 1.0))
+    threshold = float(config.get("ood_threshold", OOD_THRESHOLD))
     with _stage(manifest, "compute_s"):
         mean = np.zeros(model.kept.size)
         sd = np.ones(model.kept.size)
@@ -331,10 +326,7 @@ def cmd_diverge(args) -> None:
             "symbolic-conflict": symbolic_conflict_subset(dataset, labels, size),
             "ood": ood_subset(dataset, mean, sd, size=size, threshold=threshold),
         }
-        client = None
-        if not args.offline and os.environ.get("DIAGNO_LLM_URL"):
-            client = LlmClient.from_env(model=config.get("model", "gpt-4o-mini"))
-        reports = run_divergence(model, dataset, labels, subsets, client)
+        reports = run_divergence(model, dataset, labels, subsets, _llm_client(args, config))
     with _stage(manifest, "write_s"):
         save_reports(reports, out / "divergence.json")
         atomic_write_text(out / "divergence.md", reports_markdown(reports))

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (Dataset, MlpModel, _probability, forward, integrated_gradients,
-                         top_k_features)
+from .classifier import Dataset, MlpModel, _probability
 from .errors import ValidationError
-from .report import LlmClient, PromptInput, build_prompt, parse_llm_decision
+from .io import atomic_write_text
+from .report import (DECISION_THRESHOLD, LlmClient, build_prompt, parse_llm_decision,
+                     prompt_input)
 
 DEFAULT_SUBSET_SIZE = 100
 OOD_THRESHOLD = 1.0  # z-score units
@@ -43,6 +44,14 @@ class DivergenceReport:
         object.__setattr__(self, "case_table", tuple(self.case_table))
 
 
+def _negative_beta(dataset: Dataset) -> np.ndarray:
+    """Per sample: does any eqtl_beta-tagged feature read below zero?"""
+    beta = np.array([t == "eqtl_beta" for t in dataset.tags])
+    if not beta.any():
+        raise ValidationError("dataset has no eqtl_beta-tagged features")
+    return (dataset.values[:, beta] < 0).any(axis=1)
+
+
 def symbolic_conflict_subset(dataset: Dataset, labels,
                              size: int = DEFAULT_SUBSET_SIZE) -> list[int]:
     """Indices of up to ``size`` AD-labeled samples with any negative BETA.
@@ -54,10 +63,7 @@ def symbolic_conflict_subset(dataset: Dataset, labels,
         raise ValidationError("features and labels must have equal length")
     if size < 1:
         raise ValidationError("size must be positive")
-    beta = np.array([t == "eqtl_beta" for t in dataset.tags])
-    if not beta.any():
-        raise ValidationError("dataset has no eqtl_beta-tagged features")
-    out = np.flatnonzero((y == 1) & (dataset.values[:, beta] < 0).any(axis=1))[:size]
+    out = np.flatnonzero((y == 1) & _negative_beta(dataset))[:size]
     if not out.size:
         raise ValidationError("symbolic-conflict subset is empty")
     return out.tolist()
@@ -86,23 +92,12 @@ def ood_subset(dataset: Dataset, train_mean, train_sd,
 def sign_rule_predict(dataset: Dataset) -> np.ndarray:
     """Heuristic stand-in for the LLM's documented failure mode, one call per
     sample: nonAD (0) whenever any eQTL effect size is negative, else AD (1)."""
-    beta_mask = np.array([t == "eqtl_beta" for t in dataset.tags])
-    if not beta_mask.any():
-        raise ValidationError("sign rule needs eqtl_beta-tagged features")
-    return np.where((dataset.values[:, beta_mask] < 0).any(axis=1), 0, 1)
+    return np.where(_negative_beta(dataset), 0, 1)
 
 
 def _llm_decision(client: LlmClient, model: MlpModel, x: np.ndarray,
                   names: tuple[str, ...]) -> int | None:
-    prob = forward(model, x)
-    attr = integrated_gradients(model, x)
-    top = top_k_features(attr, names, x, k=min(5, len(names)))
-    from .report import FeatureReading
-    inp = PromptInput(
-        predicted_label="AD" if prob >= 0.5 else "nonAD", probability=prob,
-        top_features=tuple(FeatureReading(name=n, value=v, attribution=a)
-                           for n, v, a in top),
-        audience="clinician", strategy="direct")
+    inp = prompt_input(model, x, names, "clinician")
     try:
         decision = parse_llm_decision(client.complete(build_prompt(inp)))
     except Exception:
@@ -119,7 +114,7 @@ def run_divergence(model: MlpModel, dataset: Dataset, labels,
     y = np.asarray(labels)
     if not subsets:
         raise ValidationError("no subsets provided")
-    mlp_pred = (_probability(model, dataset.values) >= 0.5).astype(int)
+    mlp_pred = (_probability(model, dataset.values) >= DECISION_THRESHOLD).astype(int)
     reports = []
     for name, idx in subsets.items():
         if not idx:
@@ -149,23 +144,15 @@ def run_divergence(model: MlpModel, dataset: Dataset, labels,
 
 
 def save_reports(reports: list[DivergenceReport], path: str | Path) -> None:
-    payload = [{"subset_name": r.subset_name, "subset_size": r.subset_size,
-                "mlp_accuracy": r.mlp_accuracy, "llm_accuracy": r.llm_accuracy,
-                "case_table": list(r.case_table)} for r in reports]
-    from .io import atomic_write_text
+    # vars, not asdict: asdict would deep-copy every case's feature dict
+    payload = [vars(r) for r in reports]
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_reports(path: str | Path) -> list[DivergenceReport]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return [DivergenceReport(subset_name=r["subset_name"],
-                             subset_size=int(r["subset_size"]),
-                             mlp_accuracy=float(r["mlp_accuracy"]),
-                             llm_accuracy=(None if r.get("llm_accuracy") is None
-                                           else float(r["llm_accuracy"])),
-                             case_table=tuple(r.get("case_table", ())))
-            for r in payload]
+    return [DivergenceReport(**r) for r in payload]
 
 
 def reports_markdown(reports: list[DivergenceReport],

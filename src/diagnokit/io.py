@@ -42,6 +42,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .reference import ReferenceDataset
 from .types import BulkMatrix, CtsTensor, SampleMeta
 
 
@@ -445,9 +446,7 @@ def save_reference(ref, path: str | Path, labels_path: str | Path) -> None:
     save_json(dict(zip(ref.cells, ref.cell_type_labels)), labels_path)
 
 
-def load_reference(path: str | Path, labels_path: str | Path):
-    from .reference import ReferenceDataset
-
+def load_reference(path: str | Path, labels_path: str | Path) -> ReferenceDataset:
     genes, cells, values = load_matrix_tsv(path)
     labels = load_json(labels_path)
     if not (isinstance(labels, dict) and all(isinstance(v, str) for v in labels.values())):

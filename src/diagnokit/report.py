@@ -1,6 +1,7 @@
 """Diagnostic report generation: prompts, offline rendering, and an LLM client.
 
-Three prompting strategies (direct, step-by-step, step-by-step with domain
+``prompt_input`` builds every prompt's input from one model row. Three
+prompting strategies (direct, step-by-step, step-by-step with domain
 knowledge) all end with a machine-parseable ``DECISION: <AD|nonAD>`` stanza.
 A deterministic offline renderer produces audience-specific reports without
 network access; the HTTP client path parses completions, retries once on a
@@ -11,9 +12,12 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
+from .classifier import MlpModel, forward, integrated_gradients, top_k_features
 from .errors import ValidationError
 
 AUDIENCES = ("clinician", "patient")
@@ -89,6 +93,23 @@ class PromptInput:
             raise ValidationError(f"audience must be one of {AUDIENCES}")
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"strategy must be one of {STRATEGIES}")
+
+
+def prompt_input(model: MlpModel, x: np.ndarray, names, audience: str,
+                 strategy: str = "direct", k: int = 5,
+                 domain_knowledge: dict[str, str] | None = None,
+                 population_stats: dict[str, tuple[float, float, float]] | None = None
+                 ) -> PromptInput:
+    """The prompt input for one raw sample row: the model's probability,
+    labelled at ``DECISION_THRESHOLD``, and the row's top ``k`` features by
+    Integrated Gradients attribution (``k`` clipped to the feature count)."""
+    prob = forward(model, x)
+    top = top_k_features(integrated_gradients(model, x), names, x, k=min(k, len(names)))
+    return PromptInput(
+        predicted_label="AD" if prob >= DECISION_THRESHOLD else "nonAD", probability=prob,
+        top_features=tuple(FeatureReading(name=n, value=v, attribution=a) for n, v, a in top),
+        audience=audience, strategy=strategy, domain_knowledge=domain_knowledge or {},
+        population_stats=population_stats)
 
 
 @dataclass(frozen=True)
@@ -262,45 +283,27 @@ def parse_llm_decision(completion: str) -> str | None:
     return None
 
 
-class _Response:
-    def __init__(self, body: bytes):
-        self._body = body
-
-    def raise_for_status(self) -> None:
-        """Nothing to check: ``urlopen`` raises ``HTTPError`` on a 4xx/5xx reply."""
-
-    def json(self):
-        return json.loads(self._body)
-
-
-def _encode_json(obj) -> bytes:
-    # ``post`` keeps requests' ``json=`` keyword, which shadows the module there
-    return json.dumps(obj).encode("utf-8")
-
-
-class _UrllibSession:
-    """The one ``requests``-style call LlmClient makes, on ``urllib.request``."""
-
-    def post(self, url: str, json=None, headers=None, timeout=None) -> _Response:
-        import urllib.request  # with http.client, email and ssl: only LLM calls pay for it
-        req = urllib.request.Request(url, data=_encode_json(json), headers=headers or {},
-                                     method="POST")
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return _Response(resp.read())
+def _post_json(url: str, payload: dict, headers: dict, timeout: float) -> dict:
+    """POST ``payload`` as JSON, return the decoded reply; HTTPError on 4xx/5xx."""
+    import urllib.request  # with http.client, email and ssl: only LLM calls pay for it
+    req = urllib.request.Request(url, data=json.dumps(payload).encode("utf-8"),
+                                 headers=headers, method="POST")
+    with urllib.request.urlopen(req, timeout=timeout) as resp:
+        return json.loads(resp.read())
 
 
 class LlmClient:
     """Minimal chat-completion client. Stateless; safe for concurrent use."""
 
     def __init__(self, url: str, api_key: str, model: str = DEFAULT_MODEL,
-                 timeout: float = DEFAULT_TIMEOUT, session=None):
+                 timeout: float = DEFAULT_TIMEOUT, post=_post_json):
         if not url:
             raise ValidationError("LLM client requires a URL")
         self.url = url
         self.api_key = api_key
         self.model = model
         self.timeout = timeout
-        self._session = session or _UrllibSession()
+        self._post = post
 
     @classmethod
     def from_env(cls, model: str = DEFAULT_MODEL) -> "LlmClient":
@@ -316,10 +319,7 @@ class LlmClient:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        resp = self._session.post(self.url, json=payload, headers=headers,
-                                  timeout=self.timeout)
-        resp.raise_for_status()
-        body = resp.json()
+        body = self._post(self.url, payload, headers, self.timeout)
         try:
             return body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -366,30 +366,15 @@ def generate_report(inp: PromptInput, client: LlmClient | None = None) -> Diagno
             return report
         warnings.append(f"attempt {attempt + 1}: unparseable completion")
     offline = render_offline(inp)
-    return DiagnosticReport(decision=offline.decision, rationale=offline.rationale,
-                            recommendations=offline.recommendations,
-                            audience=offline.audience,
-                            source_probability=offline.source_probability,
-                            generator="offline",
-                            warnings=offline.warnings + tuple(warnings))
+    return replace(offline, warnings=offline.warnings + tuple(warnings))
 
 
 def report_to_json(report: DiagnosticReport) -> dict:
-    return {"decision": report.decision, "rationale": report.rationale,
-            "recommendations": list(report.recommendations),
-            "audience": report.audience,
-            "source_probability": report.source_probability,
-            "generator": report.generator, "warnings": list(report.warnings)}
+    return asdict(report)
 
 
 def report_from_json(payload: dict) -> DiagnosticReport:
-    return DiagnosticReport(decision=payload["decision"],
-                            rationale=payload["rationale"],
-                            recommendations=tuple(payload["recommendations"]),
-                            audience=payload["audience"],
-                            source_probability=float(payload["source_probability"]),
-                            generator=payload["generator"],
-                            warnings=tuple(payload.get("warnings", ())))
+    return DiagnosticReport(**payload)
 
 
 def render_markdown(report: DiagnosticReport) -> str:

@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagnokit
-from diagnokit.classifier import Dataset, load_dataset, save_dataset
+from diagnokit.classifier import Dataset, load_dataset, load_model, save_dataset
 from diagnokit.cli import CONFIG_KEYS, main
 from diagnokit.io import load_cts_tensor, save_cts_tensor
+from diagnokit.report import build_prompt, prompt_input
 from diagnokit.types import CtsTensor
 
 SCENARIO = {"G": 6, "C": 2, "N": 10, "d1": 1, "d2": 0, "ref_cells_per_type": 6}
@@ -211,6 +214,85 @@ def test_diverge_offline(model_dir, dataset_path, tmp_path):
     assert all(r["llm_accuracy"] is None for r in reports)
     md = (out / "divergence.md").read_text()
     assert md.startswith("| Case | Features | Label | MLP | LLM | Key Insight |")
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    """Answers every POST with a completion that names the fixture's features,
+    gives one recommendation and decides AD."""
+
+    seen: list = []
+    content = ("cts:gA|ct1, beta:gA, se:gA, pval:gA and cov:age drove the call.\n"
+               "- Confirm with clinical testing.\nDECISION: AD\n")
+
+    def do_POST(self):
+        self.seen.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+        reply = json.dumps({"choices": [{"message": {"content": self.content}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """A local chat server, with DIAGNO_LLM_URL pointing at it."""
+    server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
+    _ChatHandler.seen = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    monkeypatch.setenv("DIAGNO_LLM_URL", f"http://127.0.0.1:{server.server_port}/v1")
+    monkeypatch.delenv("DIAGNO_LLM_KEY", raising=False)
+    yield
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_report_and_diverge_ask_the_llm(model_dir, dataset_path, tmp_path, chat_server):
+    cfg = tmp_path / "llm.json"
+    cfg.write_text(json.dumps({"model": "test-model"}))
+    common = ["--checkpoint", str(model_dir / "model.json"), "--dataset", str(dataset_path),
+              "--config", str(cfg)]
+    assert main(["report", *common, "--sample", "p01", "--audience", "clinician",
+                 "--out", str(tmp_path / "rep")]) == 0
+    report = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert report["generator"] == "llm"
+    assert report["decision"] == "AD"
+    assert main(["diverge", *common, "--out", str(tmp_path / "div")]) == 0
+    reports = json.loads((tmp_path / "div" / "divergence.json").read_text())
+    # one prompt per case, each built from its row by the shared prompt builder
+    model = load_model(model_dir / "model.json")
+    dataset, _ = load_dataset(dataset_path)
+    samples = ["p01"] + [row["sample"] for r in reports for row in r["case_table"]]
+    want = [build_prompt(prompt_input(model, dataset.values[dataset.sample_ids.index(s)],
+                                      dataset.names, "clinician")) for s in samples]
+    assert [body["messages"][0]["content"] for body in _ChatHandler.seen] == want
+    assert all(row["llm_pred"] == 1 for r in reports for row in r["case_table"])
+    conflict = next(r for r in reports if r["subset_name"] == "symbolic-conflict")
+    assert conflict["llm_accuracy"] == 1.0  # every case there is labelled AD
+    assert all(r["llm_accuracy"] is not None for r in reports)
+    assert {body["model"] for body in _ChatHandler.seen} == {"test-model"}
+
+
+@pytest.mark.parametrize("command,extra,data_file", [
+    ("report", ["--sample", "p01", "--audience", "patient"], "report.json"),
+    ("diverge", [], "divergence.json"),
+])
+def test_offline_or_unset_url_asks_no_llm(model_dir, dataset_path, tmp_path, chat_server,
+                                          monkeypatch, command, extra, data_file):
+    argv = [command, "--checkpoint", str(model_dir / "model.json"),
+            "--dataset", str(dataset_path), *extra]
+    assert main([*argv, "--offline", "--out", str(tmp_path / "offline")]) == 0
+    monkeypatch.delenv("DIAGNO_LLM_URL")
+    assert main([*argv, "--out", str(tmp_path / "unset")]) == 0
+    assert _ChatHandler.seen == []
+    offline = (tmp_path / "offline" / data_file).read_bytes()
+    assert offline == (tmp_path / "unset" / data_file).read_bytes()
 
 
 class TestDatasetValidation:

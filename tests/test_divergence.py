@@ -26,15 +26,8 @@ def _ds(rows, sids=None):
                    sample_ids=sids)
 
 
-class _AlwaysAdSession:
-    def post(self, url, json=None, headers=None, timeout=None):
-        class R:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"choices": [{"message": {"content": "DECISION: AD"}}]}
-        return R()
+def _always_ad(url, payload, headers, timeout):
+    return {"choices": [{"message": {"content": "DECISION: AD"}}]}
 
 
 class _ZeroModel:
@@ -184,8 +177,7 @@ class TestRunDivergence:
 
     def test_llm_column_with_mock_client(self):
         model = _zero_model()
-        client = LlmClient(url="http://example.test", api_key="",
-                           session=_AlwaysAdSession())
+        client = LlmClient(url="http://example.test", api_key="", post=_always_ad)
         feats = _ds([_fv(0.0, -0.1), _fv(0.0, 0.1)], sids=["a", "b"])
         reports = run_divergence(model, feats, [1, 1], {"all": [0, 1]}, client)
         assert reports[0].llm_accuracy == 1.0  # mock always answers AD

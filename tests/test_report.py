@@ -6,16 +6,20 @@ import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagnokit.classifier import (HIDDEN1, HIDDEN2, MlpModel, forward, integrated_gradients,
+                                  top_k_features)
 from diagnokit.errors import ValidationError
 from diagnokit.report import (AUDIENCES, PATIENT_BLOCKLIST, STRATEGIES,
                               DiagnosticReport, FeatureReading, LlmClient,
                               PromptInput, build_prompt, generate_report,
-                              load_knowledge, parse_llm_decision, render_markdown,
-                              render_offline, report_from_json, report_to_json)
+                              load_knowledge, parse_llm_decision, prompt_input,
+                              render_markdown, render_offline, report_from_json,
+                              report_to_json)
 
 SAFE_NAMES = ("cts:GENE1|typeA", "beta:GENE1", "se:GENE1", "pval:GENE1",
               "cov:age", "cov:smoking", "cts:GENE2|typeB", "beta:GENE2")
@@ -40,35 +44,19 @@ def _stats(feats):
     return {f.name: (1.0, 0.0, 0.5) for f in feats}
 
 
-class _FakeResponse:
-    def __init__(self, content):
-        self._content = content
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return {"choices": [{"message": {"content": self._content}}]}
-
-
-class _FakeSession:
-    """Records requests; replays scripted completions in order."""
-
-    def __init__(self, completions):
-        self.completions = list(completions)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
-        if isinstance(self.completions[0], Exception):
-            raise self.completions.pop(0)
-        return _FakeResponse(self.completions.pop(0))
-
-
 def _client(completions):
-    session = _FakeSession(completions)
-    return LlmClient(url="http://example.test/v1", api_key="k",
-                     session=session), session
+    """A client whose transport records requests and replays scripted
+    completions in order."""
+    completions = list(completions)
+    requests = []
+
+    def post(url, payload, headers, timeout):
+        requests.append({"url": url, "json": payload, "headers": headers})
+        if isinstance(completions[0], Exception):
+            raise completions.pop(0)
+        return {"choices": [{"message": {"content": completions.pop(0)}}]}
+
+    return LlmClient(url="http://example.test/v1", api_key="k", post=post), requests
 
 
 prompt_inputs = st.builds(
@@ -195,6 +183,41 @@ class TestDecisionThreshold:
         assert below.decision == "nonAD"
 
 
+class TestPromptInputFromModel:
+    """prompt_input: one model row to the prompt input shared by report and diverge."""
+
+    NAMES = ("cts:GENE1|typeA", "beta:GENE1", "se:GENE1", "cov:age")
+
+    def _model(self, seed=None):
+        shapes = {"w1": (HIDDEN1, 4), "b1": (HIDDEN1,), "w2": (HIDDEN2, HIDDEN1),
+                  "b2": (HIDDEN2,), "w3": (1, HIDDEN2), "b3": (1,)}
+        rng = None if seed is None else np.random.default_rng(seed)
+        weights = {k: np.zeros(s) if rng is None else rng.standard_normal(s)
+                   for k, s in shapes.items()}
+        return MlpModel(**weights, mean=np.zeros(4), sd=np.ones(4),
+                        kept=np.ones(4, dtype=bool), feature_names=self.NAMES,
+                        feature_tags=("cts", "eqtl_beta", "eqtl_se", "covariate"))
+
+    def test_zero_model_sits_on_the_threshold_and_reads_ad(self):
+        inp = prompt_input(self._model(), np.array([1.0, -0.5, 0.1, 70.0]), self.NAMES,
+                           "patient")
+        assert inp.probability == 0.5
+        assert inp.predicted_label == "AD"
+        assert (inp.audience, inp.strategy, inp.domain_knowledge) == ("patient", "direct", {})
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [1, 3, 4, 9])
+    def test_top_features_are_the_integrated_gradients_top_k(self, seed, k):
+        model = self._model(seed)
+        x = np.random.default_rng(100 + seed).normal(0.0, 2.0, 4)
+        inp = prompt_input(model, x, self.NAMES, "clinician", k=k)
+        want = top_k_features(integrated_gradients(model, x), self.NAMES, x, k=min(k, 4))
+        assert len(inp.top_features) == min(k, 4)  # k above the feature count is clipped
+        assert [(f.name, f.value, f.attribution) for f in inp.top_features] == want
+        assert inp.probability == forward(model, x)
+        assert inp.predicted_label == ("AD" if inp.probability >= 0.5 else "nonAD")
+
+
 class TestPatientFixtures:
     def test_patient_a_high_probability_lipid_feature(self):
         # p = 0.83 with an APOE lipid-pathway driver: AD decision and an
@@ -237,23 +260,23 @@ class TestGenerateReport:
         assert generate_report(inp) == render_offline(inp)
 
     def test_well_formed_completion_accepted(self):
-        client, session = _client([self._good_completion()])
+        client, requests = _client([self._good_completion()])
         report = generate_report(_input(), client)
         assert report.generator == "llm"
         assert report.decision == "AD"
         assert report.recommendations == ("Order confirmatory imaging.",
                                           "Review medications.")
-        assert len(session.requests) == 1
-        assert session.requests[0]["json"]["temperature"] == 0
-        assert session.requests[0]["headers"]["Authorization"] == "Bearer k"
+        assert len(requests) == 1
+        assert requests[0]["json"]["temperature"] == 0
+        assert requests[0]["headers"]["Authorization"] == "Bearer k"
 
     def test_missing_feature_name_triggers_retry(self):
         bad = "- Do a thing.\nDECISION: AD\n"  # no feature mentioned
-        client, session = _client([bad, self._good_completion()])
+        client, requests = _client([bad, self._good_completion()])
         report = generate_report(_input(), client)
         assert report.generator == "llm"
-        assert len(session.requests) == 2
-        assert "could not be parsed" in session.requests[1]["json"][
+        assert len(requests) == 2
+        assert "could not be parsed" in requests[1]["json"][
             "messages"][0]["content"]
 
     def test_garbage_twice_falls_back_offline(self):
