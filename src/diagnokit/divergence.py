@@ -149,12 +149,6 @@ def save_reports(reports: list[DivergenceReport], path: str | Path) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def load_reports(path: str | Path) -> list[DivergenceReport]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return [DivergenceReport(**r) for r in payload]
-
-
 def reports_markdown(reports: list[DivergenceReport],
                      insights: dict[str, str] | None = None) -> str:
     """Markdown case table: Case, Features, Label, MLP, LLM, Key Insight."""

@@ -132,17 +132,6 @@ def benjamini_hochberg(pvalues) -> np.ndarray:
     return out
 
 
-def log2_fold_change(a, b, pseudo: float = 1e-9) -> float:
-    """log2 ratio of group means on the linear (base-2 exponentiated) scale."""
-    if not pseudo > 0:
-        raise ValidationError("pseudo must be positive")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ma = np.exp2(a).mean()
-    mb = np.exp2(b).mean()
-    return float(np.log2((ma + pseudo) / (mb + pseudo)))
-
-
 def stability_scores(ref: ReferenceDataset, fdr_threshold: float,
                      lfc_threshold: float) -> dict[tuple[str, str], float]:
     """One-vs-rest stability set before noise suppression.

@@ -16,15 +16,17 @@ through one reader, ``read_rows`` + ``parse_rows``, and one writer,
 ``write_rows``. Both work on the whole file at once: the reader parses the
 values of all rows with one ``np.loadtxt`` when rows hold many values, and
 otherwise with one tab count per row, one split of the whole body and one
-float parse; the writer formats all values in one ``repr`` pass. Readers
-accept any line end and skip empty lines; a malformed row raises
-``ParseError`` with its line number.
+float parse; the writer calls ``repr`` once per distinct value when values
+repeat down a column (a prior written for every sample, a constant
+feature), else once per value. Readers accept any line end and skip empty
+lines; a malformed row raises ``ParseError`` with its line number.
 
 A tensor file in grid order, the row order ``save_cts_tensor`` writes and
 so what ``simulate`` and ``deconvolve`` write, is read from its bytes
-without a string per row (``_read_grid``). Any other order, line end or
-byte goes to the keyed reader, which gives the same arrays and is the only
-one that raises.
+without a string per row (``_read_grid``), its values parsed as one line of
+samples per (gene, cell type). Any other order, line end or byte goes to
+the keyed reader, which gives the same arrays and is the only one that
+raises.
 """
 from __future__ import annotations
 
@@ -84,6 +86,22 @@ def _check_fields(fields: Sequence[str], what: str, tabs: int = 0) -> None:
             raise ValidationError(f"{what} {field!r} holds a tab or a line break")
 
 
+def _format_values(values: np.ndarray) -> list[str]:
+    """``repr`` of every value of the 2-D ``values``, in row-major order.
+
+    When some value equals the one above it in its column, each distinct bit
+    pattern is formatted once and the strings are gathered by index: bits,
+    not values, so ``-0.0`` stays apart from ``0.0`` and every NaN prints
+    ``nan``. A block with no such repeat is formatted value by value.
+    """
+    bits = values.view(np.int64)
+    if not (bits[1:] == bits[:-1]).any():
+        return list(map(repr, values.ravel().tolist()))
+    distinct, index = np.unique(bits.ravel(), return_inverse=True)
+    cells = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return cells[index].tolist()
+
+
 def write_rows(path: str | Path, header, keys, values, tails=None) -> None:
     """Write ``header``, then one ``key<TAB>v1<TAB>...<TAB>vk`` line per row of
     the 2-D ``values``, each value as ``repr``; ``tails[i]``, when given, ends
@@ -93,8 +111,8 @@ def write_rows(path: str | Path, header, keys, values, tails=None) -> None:
     line, laid out like the rows: each key is as many fields as the first
     line has key names; no value names, like no values, add no field. A
     name or key that holds a line break, or a tab of its own, raises
-    ``ValidationError`` before the file is created. Values are formatted in
-    one pass over the whole block, not one call per value.
+    ``ValidationError`` before the file is created. Values are formatted by
+    ``_format_values``: once per distinct value when a column repeats them.
     """
     values = np.asarray(values, dtype=np.float64)
     n, k = values.shape
@@ -102,7 +120,7 @@ def write_rows(path: str | Path, header, keys, values, tails=None) -> None:
         _check_fields([name for group in line for name in group], "header field")
     key_names = header[0][0]
     _check_fields(keys, key_names[0], tabs=len(key_names) - 1)
-    cells = list(map(repr, values.ravel().tolist()))
+    cells = _format_values(values)
     if k != 1:
         cells = ["\t".join(cells[i * k:(i + 1) * k]) for i in range(n)]
     columns = [c for c in (keys, cells if k else None, tails) if c is not None]
@@ -252,10 +270,12 @@ def _read_grid(path: str | Path, axes: list[list[str]] | None
     ended by ``\\n``, keyed in ``_grid_keys`` order. Then it holds each entry
     once, in array order, and reads as the keyed reader reads it: one scan
     finds every tab and line end, one comparison checks all keys, and one
-    ``np.loadtxt`` parses all values. Any other file (another order, line
-    end or byte, a blank line, a value ``np.loadtxt`` rejects) is left to the
-    keyed reader, which also names the line of any error; a file in another
-    order is told from a few of its rows, before a key per row is built.
+    ``np.loadtxt`` parses all values, given the samples of each (gene, cell
+    type) as one tab-separated line, so that it pays per pair, not per row.
+    Any other file (another order, line end or byte, a blank line, a value
+    ``np.loadtxt`` rejects, an empty one included) is left to the keyed
+    reader, which also names the line of any error; a file in another order
+    is told from a few of its rows, before a key per row is built.
     """
     try:
         data = Path(path).read_bytes()
@@ -313,16 +333,21 @@ def _read_grid(path: str | Path, axes: list[list[str]] | None
     if body[in_key].tobytes() != _grid_keys(*axes, "\t").encode():
         return None
     np.logical_not(in_key, out=in_key)
-    values_text = body[in_key].tobytes()  # one "value\n" per row
+    values_text = body[in_key]  # one "value\n" per row
+    # the samples of each (gene, cell type) as one line: every line end but
+    # each N-th becomes a tab, so np.loadtxt pays per pair, not per value
+    ends = np.cumsum(rows[:, 3] - rows[:, 2]) - 1
+    values_text[ends.reshape(-1, shape[2])[:, :-1]] = 9
     try:
         with warnings.catch_warnings():
-            # every value empty: the keyed reader names the first bad line
+            # one sample per pair and every value empty: the keyed reader
+            # names the first bad line
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(io.BytesIO(values_text), delimiter="\t", comments=None,
-                                ndmin=1)
+            values = np.loadtxt(io.BytesIO(values_text.tobytes()), delimiter="\t",
+                                comments=None, ndmin=2)
     except ValueError:
         return None
-    if values.shape != (n,):
+    if values.shape != (n // shape[2], shape[2]):
         return None
     return axes[0], axes[1], axes[2], values.reshape(shape)
 

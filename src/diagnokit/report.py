@@ -373,10 +373,6 @@ def report_to_json(report: DiagnosticReport) -> dict:
     return asdict(report)
 
 
-def report_from_json(payload: dict) -> DiagnosticReport:
-    return DiagnosticReport(**payload)
-
-
 def render_markdown(report: DiagnosticReport) -> str:
     lines = [f"# Diagnostic report ({report.audience})",
              "",

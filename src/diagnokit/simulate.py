@@ -127,21 +127,6 @@ def generate(scenario: SyntheticScenario) -> GroundTruthBundle:
                              true_params=true_params, noise=noise, true_sigma=sigmas)
 
 
-def pearson(a, b) -> float:
-    """Sample Pearson correlation; rejects degenerate inputs."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.size < 2:
-        raise ValidationError("pearson needs two equal-length vectors of size >= 2")
-    da = a - a.mean()
-    db = b - b.mean()
-    na = float(da @ da)
-    nb = float(db @ db)
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("pearson undefined for zero-variance input")
-    return float(np.clip((da @ db) / np.sqrt(na * nb), -1.0, 1.0))
-
-
 @dataclass(frozen=True)
 class RecoveryReport:
     """Per-gene and per-sample PCC distributions per cell type."""
@@ -173,7 +158,7 @@ class RecoveryReport:
 
 
 def _pearson_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``pearson`` along the last axis for every row at once.
+    """Sample Pearson correlation along the last axis, for every row at once.
 
     Returns (r, defined): r is meaningful where ``defined``, that is where the
     rows hold at least 2 values and neither side has zero variance.

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from diagnokit.classifier import Dataset
-from diagnokit.divergence import (DivergenceReport, load_reports, ood_subset,
+from diagnokit.divergence import (DivergenceReport, ood_subset,
                                   reports_markdown, run_divergence, save_reports,
                                   sign_rule_predict, symbolic_conflict_subset)
 from diagnokit.errors import ValidationError
 from diagnokit.report import LlmClient
+
+from oracles import load_reports
 
 NAMES = ("cts:APP|neuron", "beta:APP", "se:APP", "pval:APP")
 TAGS = ("cts", "eqtl_beta", "eqtl_se", "eqtl_pval")

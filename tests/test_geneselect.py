@@ -9,9 +9,11 @@ from scipy.stats import mannwhitneyu
 
 from diagnokit.errors import ParseError, ValidationError
 from diagnokit.geneselect import (benjamini_hochberg, load_marker_list,
-                                  load_selection, log2_fold_change, save_selection,
+                                  load_selection, save_selection,
                                   select_pairs, stability_scores, wilcoxon_rank_sum)
 from diagnokit.reference import ReferenceDataset
+
+from oracles import log2_fold_change
 
 
 class TestWilcoxon:

@@ -182,6 +182,15 @@ finite_float = st.floats(allow_nan=False, allow_infinity=False)
 # no tab and no character that str.splitlines treats as a line end; the
 # non-ASCII letter sends a tensor file to the keyed reader
 name = st.text(alphabet="abxyzAB019_-.:| é", min_size=1, max_size=4)
+# a small pool, so that values repeat down a column and the writer formats
+# each distinct bit pattern once: signed zeros side by side, subnormals,
+# infinities, and NaNs that differ in sign and payload
+FINITE_POOL = [0.0, -0.0, 5e-324, -2.5e-310, 1.0, 0.1, -7.25, 1e300]
+NAN_POOL = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                     0x7FFFFFFFFFFFFFFF, 0xFFF0000000000001], dtype=np.uint64
+                    ).view(np.float64).tolist()
+pooled_finite = st.one_of(st.sampled_from(FINITE_POOL), finite_float)
+pooled_any = st.one_of(st.sampled_from(FINITE_POOL + [np.inf, -np.inf] + NAN_POOL), any_float)
 bad_float = st.sampled_from(["abc", "", "1.0.0", "0x10", "1,5", "--1", "e5", "1e", "nan nan"])
 
 
@@ -315,7 +324,7 @@ def test_dataset_matches_loop_reader(tmp_path_factory, spec):
 @given(g=st.integers(1, 3), c=st.integers(1, 3), s=st.integers(1, 3), data=st.data())
 def test_tensor_writer_matches_loop_writer(tmp_path_factory, g, c, s, data):
     genes, cell_types, samples = data.draw(names(g)), data.draw(names(c)), data.draw(names(s))
-    mean = np.array(data.draw(st.lists(finite_float, min_size=g * c * s,
+    mean = np.array(data.draw(st.lists(pooled_finite, min_size=g * c * s,
                                        max_size=g * c * s))).reshape(g, c, s)
     t = CtsTensor(genes=genes, cell_types=cell_types, samples=samples,
                   mean=mean, variance=np.abs(mean))
@@ -327,11 +336,12 @@ def test_tensor_writer_matches_loop_writer(tmp_path_factory, g, c, s, data):
 
 
 @settings(max_examples=30, deadline=None)
-@given(g=st.integers(1, 4), n=st.integers(0, 4), data=st.data())
-def test_matrix_writer_matches_loop_writer(tmp_path_factory, g, n, data):
+@given(g=st.integers(1, 4), n=st.integers(0, 4), transposed=st.booleans(), data=st.data())
+def test_matrix_writer_matches_loop_writer(tmp_path_factory, g, n, transposed, data):
+    """Also for NaNs of any payload and for a transposed view of the values."""
     genes, samples = data.draw(names(g)), data.draw(names(n))
-    values = np.array(data.draw(st.lists(any_float, min_size=g * n, max_size=g * n)))
-    values = values.reshape(g, n)
+    values = np.array(data.draw(st.lists(pooled_any, min_size=g * n, max_size=g * n)))
+    values = values.reshape(n, g).T if transposed else values.reshape(g, n)
     path = tmp_path_factory.mktemp("io") / "m.tsv"
     save_matrix_tsv(genes, samples, values, path)
     assert path.read_text() == save_matrix_loop(genes, samples, values)
@@ -340,7 +350,7 @@ def test_matrix_writer_matches_loop_writer(tmp_path_factory, g, n, data):
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 4), d=st.integers(0, 3), data=st.data())
 def test_dataset_writer_matches_loop_writer(tmp_path_factory, n, d, data):
-    values = np.array(data.draw(st.lists(finite_float, min_size=n * d, max_size=n * d)))
+    values = np.array(data.draw(st.lists(pooled_finite, min_size=n * d, max_size=n * d)))
     ds = Dataset(values=values.reshape(n, d), names=tuple(data.draw(names(d))),
                  tags=("cts",) * d, sample_ids=tuple(data.draw(names(n))))
     labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
@@ -552,6 +562,53 @@ def test_saved_tensor_is_read_without_the_keyed_reader(tmp_path, monkeypatch, sh
         tensor.genes, tensor.cell_types, tensor.samples)
     assert _same_bits(loaded.mean, tensor.mean)
     assert _same_bits(loaded.variance, tensor.variance)
+
+
+def _keyed(path, axes=None):
+    """``_load_long`` with the grid reader turned off: the keyed reader only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_read_grid", lambda *args: None)
+        return _load_long(path, axes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=st.integers(1, 3), c=st.integers(1, 3), s=st.sampled_from([1, 2, 5]),
+       data=st.data())
+def test_grid_reader_gives_the_keyed_readers_bits(tmp_path_factory, g, c, s, data):
+    """The samples of each (gene, cell type) are parsed as one line: with one
+    sample or many, the grid reader gives the keyed reader's axes and bits,
+    NaN payloads, signed zeros and infinities included."""
+    axes = [f"g{i}" for i in range(g)], [f"c{i}" for i in range(c)], [f"s{i}" for i in range(s)]
+    values = np.array(data.draw(st.lists(pooled_any, min_size=g * c * s,
+                                         max_size=g * c * s))).reshape(g, c, s)
+    path = _write(tmp_path_factory, save_long_loop(*axes, values))
+    for given_axes in (None, [list(a) for a in axes]):
+        keyed = _keyed(path, given_axes)
+        grid = _read_grid(path, given_axes)
+        assert grid is not None
+        assert grid[:3] == keyed[:3] == tuple(map(list, axes))
+        assert _same_bits(grid[3], keyed[3])
+
+
+@pytest.mark.parametrize("token", ["", "abc", "0x10", "nan nan"])
+@pytest.mark.parametrize("n_samples, sample", [(1, 0), (3, 0), (3, 1), (3, 2)],
+                         ids=["only", "first", "middle", "last"])
+def test_bad_value_in_a_pair_goes_to_the_keyed_reader(tmp_path, token, n_samples, sample):
+    """A value np.loadtxt rejects, at any sample of a (gene, cell type),
+    leaves the grid reader, and the keyed reader names its line."""
+    shape = (2, 2, n_samples)
+    tensor = _grid_tensor(shape)
+    save_cts_tensor(tensor, tmp_path / "t.tsv")
+    path = tmp_path / "t_mean.tsv"
+    lines = path.read_text().split("\n")
+    row = 1 + np.ravel_multi_index((1, 0, sample), shape)  # gene g1, type c0
+    lines[row] = lines[row].rsplit("\t", 1)[0] + "\t" + token
+    path.write_text("\n".join(lines))
+    assert _read_grid(path, None) is None
+    with pytest.raises(ParseError) as err:
+        _load_long(path)
+    assert err.value.line == row + 1
+    _assert_tensor_agrees(path)
 
 
 def _perturb(text: str, kind: str) -> str:

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from diagnokit import geneselect
-from diagnokit.geneselect import (_rank_with_ties, benjamini_hochberg, log2_fold_change,
-                                  select_pairs, stability_scores, wilcoxon_rank_sum)
+from diagnokit.geneselect import (_rank_with_ties, benjamini_hochberg, select_pairs,
+                                  stability_scores, wilcoxon_rank_sum)
 from diagnokit.reference import (N_PSEUDO_REPLICATES, ReferenceDataset, _NOISE_FLOOR,
                                  _regularize_spd, estimate_priors, signature_matrix)
 from diagnokit.simulate import SyntheticScenario, generate
+
+from oracles import log2_fold_change
 
 
 # ---------------------------------------------------------------- references

@@ -18,8 +18,9 @@ from diagnokit.report import (AUDIENCES, PATIENT_BLOCKLIST, STRATEGIES,
                               DiagnosticReport, FeatureReading, LlmClient,
                               PromptInput, build_prompt, generate_report,
                               load_knowledge, parse_llm_decision, prompt_input,
-                              render_markdown, render_offline, report_from_json,
-                              report_to_json)
+                              render_markdown, render_offline, report_to_json)
+
+from oracles import report_from_json
 
 SAFE_NAMES = ("cts:GENE1|typeA", "beta:GENE1", "se:GENE1", "pval:GENE1",
               "cov:age", "cov:smoking", "cts:GENE2|typeB", "beta:GENE2")

@@ -7,10 +7,11 @@ import pytest
 from diagnokit.errors import ValidationError
 from diagnokit.reference import signature_matrix
 from diagnokit.simulate import (GroundTruthBundle, RecoveryReport, SyntheticScenario,
-                                evaluate_recovery, generate, pearson)
+                                evaluate_recovery, generate)
 from diagnokit.types import CtsTensor
 
 from deconv_baselines import baseline_ols, baseline_reference_mean, nnls_proportions
+from oracles import pearson
 
 
 def test_scenario_validation():
