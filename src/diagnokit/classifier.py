@@ -126,10 +126,6 @@ class MlpModel:
         if not 0 <= self.dropout_rate < 1:
             raise ValidationError("dropout_rate must lie in [0, 1)")
 
-    @property
-    def input_dim(self) -> int:
-        return int(self.kept.sum())
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -215,11 +211,6 @@ def build_features(cts: CtsTensor, selection: PairSelection,
     return Dataset(values=x, names=names, tags=tags, sample_ids=cts.samples)
 
 
-def _row(x: np.ndarray) -> np.ndarray:
-    """One sample's raw values as a one-row matrix."""
-    return np.asarray(x, dtype=np.float64)[None]
-
-
 def _standardize(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Kept features of a raw sample matrix (n, D), standardized."""
     if x.ndim != 2 or x.shape[1] != model.kept.size:
@@ -269,17 +260,9 @@ def _probability(model: MlpModel, x: np.ndarray,
     return _sigmoid(_forward_parts(model, _standardize(model, x), masks)[4])
 
 
-def forward(model: MlpModel, x: np.ndarray,
-            training: bool = False, seed: int = 0) -> float:
-    """Predicted probability for one sample. Dropout applies only in training."""
-    masks = (_dropout_masks(model.dropout_rate, np.random.default_rng(seed), 1)
-             if training else None)
-    return float(_probability(model, _row(x), masks)[0])
-
-
-def logit(model: MlpModel, x: np.ndarray) -> float:
-    """Pre-sigmoid output (no dropout)."""
-    return float(_forward_parts(model, _standardize(model, _row(x)))[4][0])
+def forward(model: MlpModel, x: np.ndarray) -> float:
+    """Predicted probability for one raw sample (D,), without dropout."""
+    return float(_probability(model, np.asarray(x, dtype=np.float64)[None])[0])
 
 
 def _backprop(net, xhat: np.ndarray, y: np.ndarray,
@@ -302,30 +285,6 @@ def _backprop(net, xhat: np.ndarray, y: np.ndarray,
     return {"w1": da1.T @ xhat, "b1": da1.sum(axis=0),
             "w2": da2.T @ h1, "b2": da2.sum(axis=0),
             "w3": (dlogit @ h2)[None, :], "b3": dlogit.sum(keepdims=True)}, loss
-
-
-def backprop_gradient(model: MlpModel, x: np.ndarray,
-                      y: float) -> dict[str, np.ndarray]:
-    """Analytic BCE gradient w.r.t. all weights and biases (dropout off)."""
-    if y not in (0, 1) and not 0 <= y <= 1:
-        raise ValidationError("label must lie in [0, 1]")
-    return _backprop(model, _standardize(model, _row(x)), np.array([float(y)]))[0]
-
-
-def bce_loss(model: MlpModel, x: np.ndarray, y: float) -> float:
-    return _backprop(model, _standardize(model, _row(x)), np.array([float(y)]))[1]
-
-
-def input_gradient(model: MlpModel, raw: np.ndarray) -> np.ndarray:
-    """Gradient of the pre-sigmoid logit w.r.t. the raw (unstandardized)
-    input: one sample (D,) or a sample matrix (n, D), same shape out."""
-    raw = np.asarray(raw, dtype=np.float64)
-    a1, _, a2, _, _ = _forward_parts(model, _standardize(model, np.atleast_2d(raw)))
-    da2 = model.w3[0] * (a2 > 0)
-    da1 = (da2 @ model.w2) * (a1 > 0)
-    g = np.zeros((a1.shape[0], model.kept.size))
-    g[:, model.kept] = (da1 @ model.w1) / model.sd
-    return g.reshape(raw.shape)
 
 
 @dataclass(frozen=True)
@@ -642,22 +601,3 @@ def _reject_repeat(ids: list[str], linenos, message: str) -> None:
     for i, lineno in zip(ids, linenos):
         if first.setdefault(i, lineno) != lineno:
             raise ParseError(message.format(i, first[i]), line=lineno)
-
-
-def save_eqtl_table(eqtl: dict[str, tuple[float, float, float]], path: str | Path) -> None:
-    genes = sorted(eqtl)
-    write_rows(path, [(["gene"], ["beta", "se", "pval"], [])], genes,
-               np.array([eqtl[g] for g in genes], dtype=np.float64).reshape(-1, 3))
-
-
-def load_eqtl_table(path: str | Path) -> dict[str, tuple[float, float, float]]:
-    header, rows, linenos = read_rows(path, 1)
-    if header != ["gene\tbeta\tse\tpval"]:
-        raise ParseError("bad eQTL table header", line=1)
-    (genes,), stats = parse_rows(rows, linenos, 4)
-    _reject_repeat(genes, linenos, "duplicate gene {!r}")
-    bad = ~np.isfinite(stats).all(axis=1)
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise ParseError(f"non-finite beta, se or pval for {genes[r]!r}", line=linenos[r])
-    return dict(zip(genes, map(tuple, stats.tolist())))

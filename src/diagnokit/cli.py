@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,18 +68,42 @@ class RunManifest:
                           json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
-# The --config keys each command reads: the fields of the dataclass it builds
-# from the config, plus the keys it reads itself.
+def _kinds(cls) -> dict[str, str]:
+    """Each field of a config dataclass and its annotation."""
+    return {f.name: f.type for f in fields(cls)}
+
+
+# The --config keys each command reads, each with the kind of value it takes:
+# the fields of the dataclass the command builds from the config, annotated,
+# plus the keys it reads itself, with the kind its reader converts to.
 CONFIG_KEYS = {
-    "simulate": set(SyntheticScenario.__dataclass_fields__),
-    "select-genes": {"fdr_threshold", "lfc_threshold", "noise_quantile"},
-    "deconvolve": set(RefinementConfig.__dataclass_fields__) | {"shrinkage"},
-    "train": set(TrainConfig.__dataclass_fields__),
-    "attribute": {"steps", "method"},
-    "report": {"top_k", "model"},
-    "eval": set(),
-    "diverge": {"subset_size", "ood_threshold", "model"},
+    "simulate": _kinds(SyntheticScenario),
+    "select-genes": dict.fromkeys(("fdr_threshold", "lfc_threshold", "noise_quantile"),
+                                  "float"),
+    "deconvolve": {**_kinds(RefinementConfig), "shrinkage": "float"},
+    "train": _kinds(TrainConfig),
+    "attribute": {"steps": "int", "method": "str"},
+    "report": {"top_k": "int", "model": "str"},
+    "eval": {},
+    "diverge": {"subset_size": "int", "ood_threshold": "float", "model": "str"},
 }
+
+# The JSON values a key of each checked kind takes; bools are not numbers here.
+# Other kinds (tuples) are left to the dataclass that takes them.
+_JSON_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "str": ((str,), "a string")}
+
+
+def _check_kind(command: str, key: str, value, kind: str) -> None:
+    """Raise a ``ValidationError`` naming ``key`` unless ``value`` is of ``kind``
+    (an annotation such as ``int`` or ``float | None``)."""
+    first, *rest = kind.split(" | ")
+    if first not in _JSON_KINDS or (value is None and "None" in rest):
+        return
+    types, name = _JSON_KINDS[first]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValidationError(f"config key {key!r} for {command} must be {name}, "
+                              f"got {json.dumps(value)}")
 
 
 def _load_config(path: str | None, command: str) -> dict:
@@ -94,6 +118,8 @@ def _load_config(path: str | None, command: str) -> dict:
         close = difflib.get_close_matches(unknown[0], known, n=1)
         hint = f"did you mean {close[0]!r}?" if close else f"known keys: {known}"
         raise ValidationError(f"unknown config key {unknown[0]!r} for {command}; {hint}")
+    for key, value in cfg.items():
+        _check_kind(command, key, value, CONFIG_KEYS[command][key])
     return cfg
 
 
@@ -242,8 +268,6 @@ def cmd_attribute(args) -> None:
     with _stage(manifest, "read_s"):
         model = load_model(args.checkpoint)
         dataset, _ = _load_for_model(args.dataset, model)
-    if "steps" in config:
-        config["steps"] = int(config["steps"])
     with _stage(manifest, "compute_s"):
         attrs = integrated_gradients(model, dataset.values, **config)
     with _stage(manifest, "write_s"):
@@ -286,7 +310,7 @@ def cmd_report(args) -> None:
     with _stage(manifest, "compute_s"):
         x = dataset.values[dataset.sample_ids.index(args.sample)]
         stats = _population_stats(dataset, labels) if args.strategy != "direct" else None
-        top_k = {"k": int(config["top_k"])} if "top_k" in config else {}
+        top_k = {"k": config["top_k"]} if "top_k" in config else {}
         inp = prompt_input(model, x, dataset.names, args.audience, args.strategy,
                            domain_knowledge=knowledge, population_stats=stats, **top_k)
         report = generate_report(inp, _llm_client(args, config))
@@ -315,7 +339,7 @@ def cmd_diverge(args) -> None:
     with _stage(manifest, "read_s"):
         model = load_model(args.checkpoint)
         dataset, labels = _load_for_model(args.dataset, model)
-    size = int(config.get("subset_size", DEFAULT_SUBSET_SIZE))
+    size = config.get("subset_size", DEFAULT_SUBSET_SIZE)
     threshold = float(config.get("ood_threshold", OOD_THRESHOLD))
     with _stage(manifest, "compute_s"):
         mean = np.zeros(model.kept.size)

@@ -89,12 +89,6 @@ def ood_subset(dataset: Dataset, train_mean, train_sd,
     return out.tolist()
 
 
-def sign_rule_predict(dataset: Dataset) -> np.ndarray:
-    """Heuristic stand-in for the LLM's documented failure mode, one call per
-    sample: nonAD (0) whenever any eQTL effect size is negative, else AD (1)."""
-    return np.where(_negative_beta(dataset), 0, 1)
-
-
 def _llm_decision(client: LlmClient, model: MlpModel, x: np.ndarray,
                   names: tuple[str, ...]) -> int | None:
     inp = prompt_input(model, x, names, "clinician")

@@ -29,8 +29,11 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import RunFactors, prepare, resolve_backend
 from .reference import DEFAULT_SHRINKAGE, ReferenceDataset, _regularize_spd_all, estimate_priors
-from .types import (AdjustmentParams, BulkMatrix, CtsTensor, GenePriors, PairSelection,
-                    RefinementConfig, SampleMeta)
+from .types import (BulkMatrix, CtsTensor, GenePriors, PairSelection, RefinementConfig,
+                    SampleMeta)
+
+# scale of a chain's start around the prior mean, in prior standard deviations
+OVERDISPERSION = 2.0
 
 
 @dataclass(frozen=True)
@@ -81,22 +84,6 @@ class PosteriorSummary:
     rescues: dict[str, int] | None = None  # numerical rescue counts, deconvolve only
 
 
-def z_conditional(mu: np.ndarray, sigma: np.ndarray, noise_var: float, x_gi: float,
-                  meta: SampleMeta, adj: AdjustmentParams) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Gaussian full conditional of z for one (gene, sample), given the
-    gene's prior mean, covariance and noise variance."""
-    w = meta.proportions
-    r = float(x_gi) - float(adj.gamma @ meta.bulk_cov) - float(w @ (adj.b @ meta.cts_cov))
-    if not np.isfinite(r):
-        raise ValidationError("non-finite residual target")
-    sig_inv = np.linalg.inv(sigma)
-    prec = sig_inv + np.outer(w, w) / noise_var
-    cov = np.linalg.inv(prec)
-    cov = 0.5 * (cov + cov.T)
-    mean = cov @ (sig_inv @ mu + w * (r / noise_var))
-    return mean, cov
-
-
 def _align_metas(samples: list[str], metas: list[SampleMeta]) -> list[SampleMeta]:
     """Order ``metas`` like the bulk columns, joining on ``sample_id``."""
     counts = Counter(m.sample_id for m in metas)
@@ -143,30 +130,12 @@ def _run_sweep(state: ChainState, x, factors: RunFactors, hyper: HyperParams,
     state.iteration += 1
 
 
-def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: GenePriors,
-                metas: list[SampleMeta], hyper: HyperParams | None = None) -> ChainState:
-    """Advance the chain by one full sweep (z, then coefficients, then noise)."""
-    hyper = hyper or HyperParams()
-    _, _, factors = _stack_inputs(bulk, priors, metas)
-    if state.z.shape != (bulk.n_genes, bulk.n_samples, factors.mu.shape[1]):
-        raise ValidationError("chain state z shape does not match inputs")
-    _run_sweep(state, bulk.values, factors, hyper, resolve_backend())
-    return state
-
-
-def init_chain(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
-               rng: np.random.Generator, overdispersion: float = 2.0) -> ChainState:
-    """Over-dispersed start: prior draws with deviations scaled up."""
-    c1, c2, factors = _stack_inputs(bulk, priors, metas)
-    return _start_chain(factors.chol, priors, bulk.n_samples, c1, c2, rng, overdispersion)
-
-
 def _start_chain(chol: np.ndarray, priors: GenePriors, n_samples: int, c1: np.ndarray,
-                 c2: np.ndarray, rng: np.random.Generator,
-                 overdispersion: float = 2.0) -> ChainState:
+                 c2: np.ndarray, rng: np.random.Generator) -> ChainState:
+    """Over-dispersed start: prior draws with deviations scaled up."""
     G, C = priors.mu.shape
     eps = rng.standard_normal((G, n_samples, C))
-    z0 = priors.mu[:, None, :] + overdispersion * np.einsum("gcd,gnd->gnc", chol, eps)
+    z0 = priors.mu[:, None, :] + OVERDISPERSION * np.einsum("gcd,gnd->gnc", chol, eps)
     return ChainState(z=z0, gamma=np.zeros((G, c1.shape[1])),
                       b=np.zeros((G, C, c2.shape[1])), noise_var=priors.noise_var.copy(),
                       iteration=0, rng=rng)

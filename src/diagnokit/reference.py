@@ -116,32 +116,32 @@ def estimate_priors(ref: ReferenceDataset, shrinkage: float = DEFAULT_SHRINKAGE,
                       noise_var=noise_vars)
 
 
+SPD_TRIES = 60
+
+
 def _regularize_spd_all(sigma: np.ndarray, trace_s: np.ndarray,
                         rescues: dict[str, int] | None = None) -> np.ndarray:
-    """``_regularize_spd`` of each matrix of a (G, C, C) stack: the first jitter
-    step for all at once, the doubling loop only for those it leaves indefinite.
-    Those are added to ``rescues["spd_jitter"]`` when ``rescues`` is given."""
+    """Each matrix of a (G, C, C) stack, symmetrized, plus the smallest jitter
+    ``eps * 2**k`` times the identity (k < ``SPD_TRIES``) that makes it positive
+    definite, with eps = 1e-6 trace / C, or 1e-8 for a trace that is not
+    positive. Every matrix takes the first step at once; only those it leaves
+    indefinite go through the doubling loop, all of them together, and are
+    added to ``rescues["spd_jitter"]`` when ``rescues`` is given."""
     C = sigma.shape[-1]
     sigma = 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
-    eps = np.where(trace_s > 0, 1e-6 * trace_s / C, 1e-8)
-    spd = sigma + eps[:, None, None] * np.eye(C)
-    rescued = np.flatnonzero(~(np.linalg.eigvalsh(spd).min(axis=1) > 0))
-    for g in rescued:
-        spd[g] = _regularize_spd(sigma[g], trace_s[g])
+    jitter = np.where(trace_s > 0, 1e-6 * trace_s / C, 1e-8)
+    spd = sigma + jitter[:, None, None] * np.eye(C)
+    pending = np.flatnonzero(~(np.linalg.eigvalsh(spd).min(axis=1) > 0))
     if rescues is not None:
-        rescues["spd_jitter"] += rescued.size
+        rescues["spd_jitter"] += pending.size
+    for _ in range(SPD_TRIES - 1):
+        if not pending.size:
+            break
+        jitter[pending] *= 2.0
+        trial = sigma[pending] + jitter[pending, None, None] * np.eye(C)
+        ok = np.linalg.eigvalsh(trial).min(axis=1) > 0
+        spd[pending[ok]] = trial[ok]
+        pending = pending[~ok]
+    if pending.size:
+        raise ValidationError("could not regularize covariance to positive definite")
     return spd
-
-
-def _regularize_spd(sigma: np.ndarray, trace_s: float) -> np.ndarray:
-    """Add scaled identity jitter until the matrix is positive definite."""
-    c = sigma.shape[0]
-    eps = 1e-6 * trace_s / c if trace_s > 0 else 1e-8
-    sigma = 0.5 * (sigma + sigma.T)
-    jitter = eps
-    for _ in range(60):
-        trial = sigma + jitter * np.eye(c)
-        if np.linalg.eigvalsh(trial).min() > 0:
-            return trial
-        jitter *= 2.0
-    raise ValidationError("could not regularize covariance to positive definite")

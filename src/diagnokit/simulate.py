@@ -10,7 +10,7 @@ estimator reads the reference.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +52,16 @@ class SyntheticScenario:
         object.__setattr__(self, "dirichlet_alpha", alpha)
         if self.noise_sd < 0 or self.covariate_effect_scale < 0:
             raise ValidationError("noise_sd and covariate_effect_scale must be >= 0")
+        if self.expr_sd < 0 or self.ref_cell_sd < 0:
+            raise ValidationError("expr_sd and ref_cell_sd must be >= 0")
+        if not self.sigma_scale > 0:
+            raise ValidationError("sigma_scale must be positive")
+        rho = tuple(self.sigma_rho_range)
+        # rho in [0, 1) keeps every shared-component covariance positive definite
+        if len(rho) != 2 or not 0 <= rho[0] <= rho[1] < 1:
+            raise ValidationError("sigma_rho_range must be two values lo <= hi in [0, 1)")
+        if self.ref_cells_per_type < 2:
+            raise ValidationError("ref_cells_per_type must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -64,7 +74,6 @@ class GroundTruthBundle:
     ref: ReferenceDataset
     true_params: list[AdjustmentParams]
     noise: np.ndarray  # (G, N) stored observation noise
-    true_sigma: np.ndarray = field(repr=False, default=None)  # (G, C, C)
 
 
 def _shared_component_cov(rng: np.random.Generator, C: int,
@@ -124,7 +133,7 @@ def generate(scenario: SyntheticScenario) -> GroundTruthBundle:
     ref = ReferenceDataset(genes=genes, cells=cells, cell_type_labels=labels,
                            values=np.column_stack(cols))
     return GroundTruthBundle(bulk=bulk, true_z=true_z, metas=metas, ref=ref,
-                             true_params=true_params, noise=noise, true_sigma=sigmas)
+                             true_params=true_params, noise=noise)
 
 
 @dataclass(frozen=True)

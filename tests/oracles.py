@@ -1,7 +1,8 @@
-"""Scalar reference functions the tests check the library against.
+"""Reference functions the tests check the library against.
 
-No command uses them: each is the plain, one-case form of what a library
-function computes in bulk.
+No command uses them. Most are the plain, one-case form of what a library
+function computes in bulk; the rest are steps and readers only the tests
+take (one Gibbs sweep, the eQTL table, the sign rule).
 """
 from __future__ import annotations
 
@@ -10,9 +11,16 @@ from pathlib import Path
 
 import numpy as np
 
-from diagnokit.divergence import DivergenceReport
-from diagnokit.errors import ValidationError
+from diagnokit.classifier import (Dataset, MlpModel, _backprop, _forward_parts,
+                                  _reject_repeat, _standardize)
+from diagnokit.divergence import DivergenceReport, _negative_beta
+from diagnokit.engine import (ChainState, HyperParams, _run_sweep, _stack_inputs,
+                              _start_chain)
+from diagnokit.errors import ParseError, ValidationError
+from diagnokit.io import parse_rows, read_rows, write_rows
+from diagnokit.kernels import resolve_backend
 from diagnokit.report import DiagnosticReport
+from diagnokit.types import AdjustmentParams, BulkMatrix, GenePriors, SampleMeta
 
 
 def pearson(a, b) -> float:
@@ -55,3 +63,125 @@ def load_reports(path: str | Path) -> list[DivergenceReport]:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     return [DivergenceReport(**r) for r in payload]
+
+
+# -------------------------------------------------------------------- engine
+
+def z_conditional(mu: np.ndarray, sigma: np.ndarray, noise_var: float, x_gi: float,
+                  meta: SampleMeta, adj: AdjustmentParams) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Gaussian full conditional of z for one (gene, sample), given the
+    gene's prior mean, covariance and noise variance.
+
+    ``kernels`` draws z from it for every (gene, sample) at once, pathwise."""
+    w = meta.proportions
+    r = float(x_gi) - float(adj.gamma @ meta.bulk_cov) - float(w @ (adj.b @ meta.cts_cov))
+    if not np.isfinite(r):
+        raise ValidationError("non-finite residual target")
+    sig_inv = np.linalg.inv(sigma)
+    prec = sig_inv + np.outer(w, w) / noise_var
+    cov = np.linalg.inv(prec)
+    cov = 0.5 * (cov + cov.T)
+    mean = cov @ (sig_inv @ mu + w * (r / noise_var))
+    return mean, cov
+
+
+def init_chain(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
+               rng: np.random.Generator) -> ChainState:
+    """One chain's over-dispersed start, as ``engine.run_mcmc`` starts each."""
+    c1, c2, factors = _stack_inputs(bulk, priors, metas)
+    return _start_chain(factors.chol, priors, bulk.n_samples, c1, c2, rng)
+
+
+def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: GenePriors,
+                metas: list[SampleMeta], hyper: HyperParams | None = None) -> ChainState:
+    """Advance the chain by one full sweep (z, then coefficients, then noise),
+    as each iteration of ``engine.run_mcmc`` does."""
+    hyper = hyper or HyperParams()
+    _, _, factors = _stack_inputs(bulk, priors, metas)
+    if state.z.shape != (bulk.n_genes, bulk.n_samples, factors.mu.shape[1]):
+        raise ValidationError("chain state z shape does not match inputs")
+    _run_sweep(state, bulk.values, factors, hyper, resolve_backend())
+    return state
+
+
+# ----------------------------------------------------------------- reference
+
+def regularize_spd(sigma: np.ndarray, trace_s: float) -> np.ndarray:
+    """Add scaled identity jitter until the matrix is positive definite.
+
+    ``reference._regularize_spd_all`` does it for a stack of matrices at once."""
+    c = sigma.shape[0]
+    eps = 1e-6 * trace_s / c if trace_s > 0 else 1e-8
+    sigma = 0.5 * (sigma + sigma.T)
+    jitter = eps
+    for _ in range(60):
+        trial = sigma + jitter * np.eye(c)
+        if np.linalg.eigvalsh(trial).min() > 0:
+            return trial
+        jitter *= 2.0
+    raise ValidationError("could not regularize covariance to positive definite")
+
+
+# ---------------------------------------------------------------- classifier
+# One raw sample in, through the batched network code with a one-row matrix.
+
+def _row(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)[None]
+
+
+def logit(model: MlpModel, x: np.ndarray) -> float:
+    """Pre-sigmoid output (no dropout)."""
+    return float(_forward_parts(model, _standardize(model, _row(x)))[4][0])
+
+
+def backprop_gradient(model: MlpModel, x: np.ndarray,
+                      y: float) -> dict[str, np.ndarray]:
+    """Analytic BCE gradient w.r.t. all weights and biases (dropout off)."""
+    if y not in (0, 1) and not 0 <= y <= 1:
+        raise ValidationError("label must lie in [0, 1]")
+    return _backprop(model, _standardize(model, _row(x)), np.array([float(y)]))[0]
+
+
+def bce_loss(model: MlpModel, x: np.ndarray, y: float) -> float:
+    return _backprop(model, _standardize(model, _row(x)), np.array([float(y)]))[1]
+
+
+def input_gradient(model: MlpModel, raw: np.ndarray) -> np.ndarray:
+    """Gradient of the pre-sigmoid logit w.r.t. the raw (unstandardized)
+    input: one sample (D,) or a sample matrix (n, D), same shape out."""
+    raw = np.asarray(raw, dtype=np.float64)
+    a1, _, a2, _, _ = _forward_parts(model, _standardize(model, np.atleast_2d(raw)))
+    da2 = model.w3[0] * (a2 > 0)
+    da1 = (da2 @ model.w2) * (a1 > 0)
+    g = np.zeros((a1.shape[0], model.kept.size))
+    g[:, model.kept] = (da1 @ model.w1) / model.sd
+    return g.reshape(raw.shape)
+
+
+def save_eqtl_table(eqtl: dict[str, tuple[float, float, float]], path: str | Path) -> None:
+    """A gene-keyed eQTL table (beta, se, pval) as TSV."""
+    genes = sorted(eqtl)
+    write_rows(path, [(["gene"], ["beta", "se", "pval"], [])], genes,
+               np.array([eqtl[g] for g in genes], dtype=np.float64).reshape(-1, 3))
+
+
+def load_eqtl_table(path: str | Path) -> dict[str, tuple[float, float, float]]:
+    """The inverse of ``save_eqtl_table``; every rejection names its line."""
+    header, rows, linenos = read_rows(path, 1)
+    if header != ["gene\tbeta\tse\tpval"]:
+        raise ParseError("bad eQTL table header", line=1)
+    (genes,), stats = parse_rows(rows, linenos, 4)
+    _reject_repeat(genes, linenos, "duplicate gene {!r}")
+    bad = ~np.isfinite(stats).all(axis=1)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ParseError(f"non-finite beta, se or pval for {genes[r]!r}", line=linenos[r])
+    return dict(zip(genes, map(tuple, stats.tolist())))
+
+
+# ---------------------------------------------------------------- divergence
+
+def sign_rule_predict(dataset: Dataset) -> np.ndarray:
+    """Heuristic stand-in for the LLM's documented failure mode, one call per
+    sample: nonAD (0) whenever any eQTL effect size is negative, else AD (1)."""
+    return np.where(_negative_beta(dataset), 0, 1)

@@ -12,25 +12,23 @@ import time
 import numpy as np
 import pytest
 
-from diagnokit.classifier import (Dataset, TrainConfig, backprop_gradient,
-                                  bce_loss, forward, integrated_gradients, logit,
+from diagnokit.classifier import (Dataset, TrainConfig, forward, integrated_gradients,
                                   top_k_features, train)
 from diagnokit.classifier import HIDDEN1, HIDDEN2, MlpModel
 from diagnokit.cli import main
-from diagnokit.divergence import (ood_subset, sign_rule_predict,
-                                  symbolic_conflict_subset)
-from diagnokit.engine import (AdjustmentParams, HyperParams, deconvolve, run_mcmc,
-                              split_rhat, z_conditional)
+from diagnokit.divergence import ood_subset, symbolic_conflict_subset
+from diagnokit.engine import HyperParams, deconvolve, run_mcmc, split_rhat
 from diagnokit.geneselect import (benjamini_hochberg, select_pairs,
                                   wilcoxon_rank_sum)
 from diagnokit.reference import ReferenceDataset
 from diagnokit.report import (PATIENT_BLOCKLIST, FeatureReading, PromptInput,
                               build_prompt, render_offline)
 from diagnokit.simulate import SyntheticScenario, evaluate_recovery, generate
-from diagnokit.types import (BulkMatrix, GenePriors, PairSelection,
+from diagnokit.types import (AdjustmentParams, BulkMatrix, GenePriors, PairSelection,
                              RefinementConfig, SampleMeta, pair_key)
 
 from deconv_baselines import baseline_ols, nnls_proportions
+from oracles import backprop_gradient, bce_loss, logit, sign_rule_predict, z_conditional
 
 
 def _verdict(n: int, ok: bool, desc: str) -> None:

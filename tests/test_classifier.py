@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from diagnokit.classifier import (HIDDEN1, HIDDEN2, Dataset, MlpModel,
-                                  TrainConfig, backprop_gradient, bce_loss,
+                                  TrainConfig, _dropout_masks, _probability,
                                   build_features, forward, integrated_gradients,
-                                  load_dataset, load_eqtl_table, load_model, logit,
-                                  save_dataset, save_eqtl_table, save_model,
+                                  load_dataset, load_model, save_dataset, save_model,
                                   top_k_features, train)
 from diagnokit.errors import ParseError, ValidationError
 from diagnokit.types import CtsTensor, PairSelection, pair_key
+
+from oracles import backprop_gradient, bce_loss, load_eqtl_table, logit, save_eqtl_table
 
 
 def _model(rng, d, scale=0.4, mean=None, sd=None, kept=None):
@@ -87,17 +88,22 @@ class TestForward:
         assert forward(m, x) == pytest.approx(1.0 / (1.0 + np.exp(-4.25)), abs=1e-12)
 
     def test_inference_is_seed_independent(self):
+        # forward draws no dropout mask: it is the mask-free probability
         rng = np.random.default_rng(1)
         m = _model(rng, 4)
         x = rng.standard_normal(4)
-        assert forward(m, x, training=False, seed=1) == forward(
-            m, x, training=False, seed=99)
+        assert forward(m, x) == _probability(m, x[None])[0]
+        for seed in (1, 99):
+            masks = _dropout_masks(0.0, np.random.default_rng(seed), 1)
+            assert _probability(m, x[None], masks)[0] == forward(m, x)
 
     def test_training_dropout_changes_output(self):
         rng = np.random.default_rng(2)
         m = _model(rng, 4)
         x = rng.standard_normal(4)
-        outs = {forward(m, x, training=True, seed=s) for s in range(5)}
+        outs = {_probability(m, x[None],
+                             _dropout_masks(m.dropout_rate, np.random.default_rng(s), 1))[0]
+                for s in range(5)}
         assert len(outs) > 1
 
     def test_dimension_mismatch(self):
@@ -248,7 +254,7 @@ class TestTrain:
                         sample_ids=feats.sample_ids)
         res = train(feats, ys, TrainConfig(seed=3, max_epochs=2))
         assert res.dropped_features == ("const",)
-        assert res.model.input_dim == 2
+        assert res.model.kept.sum() == 2
         # inference still accepts the full-width vector
         forward(res.model, feats.values[0])
 

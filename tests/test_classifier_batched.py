@@ -22,11 +22,12 @@ import pytest
 
 from diagnokit import classifier as clf
 from diagnokit.classifier import (HIDDEN1, HIDDEN2, IG_BLOCK_ROWS, Dataset, MlpModel,
-                                  TrainConfig, backprop_gradient, bce_loss,
-                                  build_features, forward, input_gradient,
-                                  integrated_gradients, logit, train)
+                                  TrainConfig, build_features, forward,
+                                  integrated_gradients, train)
 from diagnokit.errors import ValidationError
 from diagnokit.types import CtsTensor, PairSelection, pair_key
+
+from oracles import backprop_gradient, bce_loss, input_gradient, logit
 
 TOL = 1e-12
 WEIGHTS = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -249,7 +250,7 @@ def integrated_gradients_rowwise(model, x, baseline=None, steps=200, method="exa
         raise ValidationError("steps must be >= 1")
     if method not in ("exact", "midpoint"):
         raise ValidationError(f"unknown IG method {method!r}")
-    raw = clf._row(x)[0]
+    raw = np.asarray(x, dtype=np.float64)
     if baseline is None:
         base = raw.copy()
         base[model.kept] = model.mean
@@ -446,7 +447,8 @@ def test_single_sample_functions_match_reference():
         _close(logit(m, x), lg)
         _close(forward(m, x), _sigmoid_ref(lg))
         masks = _dropout_masks_ref(m, np.random.default_rng(trial))
-        _close(forward(m, x, training=True, seed=trial),
+        train_masks = clf._dropout_masks(m.dropout_rate, np.random.default_rng(trial), 1)
+        _close(clf._probability(m, x[None], train_masks)[0],
                _sigmoid_ref(_forward_parts_ref(m, xhat, masks)[4]))
         _close(input_gradient(m, x), _input_gradient_ref(m, x))
         xs = rng.standard_normal((5, d))

@@ -618,6 +618,61 @@ def test_unknown_config_key_is_one(sim_dir, selection_path, tmp_path, capsys,
     assert (f"did you mean {nearest!r}" if nearest else "known keys") in err
 
 
+@pytest.mark.parametrize("command,config,key", [
+    ("deconvolve", {"iters": "100"}, "iters"),
+    ("deconvolve", {"iters": 30.5}, "iters"),
+    ("deconvolve", {"chains": 2.0}, "chains"),
+    ("deconvolve", {"rounds": 1.5}, "rounds"),
+    ("deconvolve", {"tau": "x"}, "tau"),
+    ("deconvolve", {"tau": None}, "tau"),
+    ("deconvolve", {"burnin": True}, "burnin"),
+    ("deconvolve", {"shrinkage": "0.5"}, "shrinkage"),
+    ("train", {"batch_size": 2.5}, "batch_size"),
+    ("train", {"max_epochs": "5"}, "max_epochs"),
+    ("train", {"patience": 1.5}, "patience"),
+    ("attribute", {"steps": "x"}, "steps"),
+    ("attribute", {"steps": 2.5}, "steps"),
+    ("diverge", {"subset_size": "x"}, "subset_size"),
+    ("diverge", {"model": 5}, "model"),
+    ("simulate", {"G": 2.5}, "G"),
+    ("simulate", {"ref_cells_per_type": 0}, "ref_cells_per_type"),
+    ("simulate", {"expr_sd": -1}, "expr_sd"),
+    ("simulate", {"ref_cell_sd": -1}, "ref_cell_sd"),
+    ("simulate", {"sigma_scale": -1}, "sigma_scale"),
+    ("simulate", {"sigma_rho_range": [0.5, 1.5]}, "sigma_rho_range"),
+])
+def test_config_value_of_wrong_kind_or_range_is_one(sim_dir, selection_path, model_dir,
+                                                    dataset_path, tmp_path, capsys,
+                                                    command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**MCMC, **config} if command == "deconvolve" else config))
+    out = tmp_path / "out"
+    ckpt = ["--checkpoint", str(model_dir / "model.json")]
+    argv = {
+        "deconvolve": _deconvolve_args(sim_dir, sim_dir / "meta.json", selection_path,
+                                       out, cfg),
+        "train": ["train", "--dataset", str(dataset_path)],
+        "attribute": ["attribute", *ckpt, "--dataset", str(dataset_path)],
+        "diverge": ["diverge", *ckpt, "--dataset", str(dataset_path), "--offline"],
+        "simulate": ["simulate"],
+    }[command]
+    if command != "deconvolve":
+        argv += ["--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_config_numbers_and_nulls_of_the_right_kind_are_taken(sim_dir, selection_path,
+                                                              tmp_path):
+    # an integer is a number; null is taken where the field may be None
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**MCMC, "tau": 0, "rhat_threshold": 2, "shrinkage": 1,
+                               "burnin": None, "nu": None}))
+    assert main(_deconvolve_args(sim_dir, sim_dir / "meta.json", selection_path,
+                                 tmp_path / "out", cfg)) == 0
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("case", ["missing", "directory"])
     def test_unreadable_config_is_one(self, tmp_path, capsys, case):

@@ -7,11 +7,11 @@ import pytest
 from diagnokit.classifier import Dataset
 from diagnokit.divergence import (DivergenceReport, ood_subset,
                                   reports_markdown, run_divergence, save_reports,
-                                  sign_rule_predict, symbolic_conflict_subset)
+                                  symbolic_conflict_subset)
 from diagnokit.errors import ValidationError
 from diagnokit.report import LlmClient
 
-from oracles import load_reports
+from oracles import load_reports, logit, sign_rule_predict
 
 NAMES = ("cts:APP|neuron", "beta:APP", "se:APP", "pval:APP")
 TAGS = ("cts", "eqtl_beta", "eqtl_se", "eqtl_pval")
@@ -158,7 +158,7 @@ class TestRunDivergence:
         assert [r["sample"] for r in reports[0].case_table] == ["a", "b", "c"]
 
     def test_predictions_match_single_sample_forward(self):
-        from diagnokit.classifier import HIDDEN1, HIDDEN2, MlpModel, forward, logit
+        from diagnokit.classifier import HIDDEN1, HIDDEN2, MlpModel, forward
         rng = np.random.default_rng(3)
         w = dict(w1=rng.standard_normal((HIDDEN1, 4)), b1=rng.standard_normal(HIDDEN1),
                  w2=rng.standard_normal((HIDDEN2, HIDDEN1)),

@@ -4,13 +4,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from diagnokit.engine import (ChainState, HyperParams, PosteriorSummary, gibbs_sweep,
-                              init_chain, refine_priors, run_mcmc, split_rhat,
-                              split_rhat_all, z_conditional)
+from diagnokit.engine import (ChainState, HyperParams, PosteriorSummary, refine_priors,
+                              run_mcmc, split_rhat, split_rhat_all)
 from diagnokit.errors import ValidationError
 from diagnokit.reference import _regularize_spd_all
 from diagnokit.types import (AdjustmentParams, BulkMatrix, GenePriors,
                              RefinementConfig, SampleMeta)
+
+from oracles import gibbs_sweep, init_chain, z_conditional
 
 
 def _meta(w, d1=0, d2=0, sid="s0"):

@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagnokit import io
-from diagnokit.classifier import (FEATURE_TAGS, Dataset, load_dataset, save_dataset,
-                                  save_eqtl_table)
+from diagnokit.classifier import FEATURE_TAGS, Dataset, load_dataset, save_dataset
 from diagnokit.errors import ParseError, ValidationError
 from diagnokit.io import (_load_long, _read_grid, load_cts_tensor, load_matrix_tsv,
                           parse_rows, save_bulk_matrix, save_cts_tensor, save_matrix_tsv,
                           write_rows)
 from diagnokit.types import BulkMatrix, CtsTensor
 
+from oracles import save_eqtl_table
 
 # ---------------------------------------------------------------- references
 

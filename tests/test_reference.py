@@ -6,8 +6,9 @@ import pytest
 
 from diagnokit.errors import ValidationError
 from diagnokit.io import load_reference, save_reference
-from diagnokit.reference import (ReferenceDataset, _regularize_spd, estimate_priors,
-                                 signature_matrix)
+from diagnokit.reference import ReferenceDataset, estimate_priors, signature_matrix
+
+from oracles import regularize_spd
 
 
 def _ref(values, labels, genes=None):
@@ -76,7 +77,7 @@ def test_estimate_priors_shrinkage_validation():
 
 def test_regularize_spd_fixes_indefinite():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-    fixed = _regularize_spd(bad, np.trace(bad))
+    fixed = regularize_spd(bad, np.trace(bad))
     assert np.linalg.eigvalsh(fixed).min() > 0
 
 

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from diagnokit import geneselect
+from diagnokit.errors import ValidationError
 from diagnokit.geneselect import (_rank_with_ties, benjamini_hochberg, select_pairs,
                                   stability_scores, wilcoxon_rank_sum)
 from diagnokit.reference import (N_PSEUDO_REPLICATES, ReferenceDataset, _NOISE_FLOOR,
-                                 _regularize_spd, estimate_priors, signature_matrix)
+                                 _regularize_spd_all, estimate_priors, signature_matrix)
 from diagnokit.simulate import SyntheticScenario, generate
 
-from oracles import log2_fold_change
+from oracles import log2_fold_change, regularize_spd
 
 
 # ---------------------------------------------------------------- references
@@ -123,7 +124,7 @@ def estimate_priors_loop(ref, shrinkage=0.5, seed=0):
                 reps[r, c] = ref.values[g, idx[sub]].mean()
         S = np.atleast_2d(np.cov(reps.T, ddof=1)) * rescale
         sigma = (1.0 - shrinkage) * S + shrinkage * np.diag(np.diag(S))
-        sigmas.append(_regularize_spd(sigma, np.trace(S)))
+        sigmas.append(regularize_spd(sigma, np.trace(S)))
     return mus, np.stack(sigmas), noise_vars
 
 
@@ -289,13 +290,45 @@ def test_priors_gene_that_needs_jitter(monkeypatch):
         scale = np.trace(a, axis1=-2, axis2=-1)[..., None] / a.shape[-1]
         return real(a) - 2.5e-6 * scale
 
-    calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", strict)
-    monkeypatch.setattr("diagnokit.reference._regularize_spd",
-                        lambda s, t: calls.append(t) or _regularize_spd(s, t))
     _assert_priors_match(ref, 0.0)
-    assert len(calls) == 1
+    rescues = {"spd_jitter": 0}
+    estimate_priors(ref, shrinkage=0.0, rescues=rescues)
+    assert rescues == {"spd_jitter": 1}
     sigma = estimate_priors(ref, shrinkage=0.0).sigma[0]
     jitter = sigma[0, 0] - sigma[0, 1]
     assert jitter == pytest.approx(4e-6 * np.trace(sigma - jitter * np.eye(3)) / 3,
                                    rel=1e-9)
+
+
+def test_one_jitter_loop_matches_the_per_gene_loop():
+    """Matrices that need no doubling of the first jitter step, one, and
+    several go through one batched loop: each comes out as the per-gene loop
+    leaves it, bit for bit, and only those that needed a doubling count as
+    rescued."""
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    # smallest eigenvalue in units of about the first step, 1e-6 * trace / 3;
+    # the doublings each needs are 0, 0, 1, 7, 15 and 0
+    lows = np.array([1e5, 0.0, -1.5, -100.0, -3e4, 1e5]) * 1e-6 * 2 / 3
+    sigma = np.stack([q @ np.diag([low, 1.0, 1.0]) @ q.T for low in lows])
+    sigma[1] += 1e-9 * np.triu(np.ones((3, 3)), 1)  # asymmetric by a hair
+    trace = np.trace(sigma, axis1=1, axis2=2)
+    rescues = {"spd_jitter": 0}
+    got = _regularize_spd_all(sigma, trace, rescues)
+    want = np.stack([regularize_spd(s, t) for s, t in zip(sigma, trace)])
+    assert np.array_equal(got, want)
+    eps = 1e-6 * trace / 3
+    sym = 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
+    doublings = np.log2((got - sym)[:, 0, 0] / eps)
+    np.testing.assert_allclose(doublings, [0, 0, 1, 7, 15, 0], atol=1e-6)
+    assert rescues == {"spd_jitter": 3}
+
+
+def test_jitter_loop_gives_up_after_sixty_steps():
+    sigma = np.stack([np.eye(2), np.diag([-1e30, 1.0])])
+    rescues = {"spd_jitter": 0}
+    with pytest.raises(ValidationError, match="could not regularize"):
+        _regularize_spd_all(sigma, np.trace(sigma, axis1=1, axis2=2), rescues)
+    with pytest.raises(ValidationError, match="could not regularize"):
+        regularize_spd(sigma[1], np.trace(sigma[1]))

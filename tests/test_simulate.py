@@ -21,6 +21,22 @@ def test_scenario_validation():
         SyntheticScenario(C=2, dirichlet_alpha=(1.0,))
     with pytest.raises(ValidationError):
         SyntheticScenario(noise_sd=-1.0)
+    # each of these used to fail inside generate, with no field named
+    for bad, field in (({"ref_cells_per_type": 0}, "ref_cells_per_type"),
+                       ({"ref_cells_per_type": 1}, "ref_cells_per_type"),
+                       ({"expr_sd": -1.0}, "expr_sd"),
+                       ({"ref_cell_sd": -1.0}, "ref_cell_sd"),
+                       ({"sigma_scale": -1.0}, "sigma_scale"),
+                       ({"sigma_scale": 0.0}, "sigma_scale"),
+                       ({"sigma_rho_range": (0.5, 1.5)}, "sigma_rho_range"),
+                       ({"sigma_rho_range": (-0.1, 0.5)}, "sigma_rho_range"),
+                       ({"sigma_rho_range": (0.9, 0.5)}, "sigma_rho_range"),
+                       ({"sigma_rho_range": (0.5,)}, "sigma_rho_range")):
+        with pytest.raises(ValidationError, match=field):
+            SyntheticScenario(**bad)
+    # the edges of the valid ranges still generate
+    generate(SyntheticScenario(G=3, N=4, expr_sd=0.0, ref_cell_sd=0.0,
+                               sigma_rho_range=(0.0, 0.0), ref_cells_per_type=2))
 
 
 def test_generate_deterministic():
