@@ -12,9 +12,9 @@ arrays as views into one flat parameter vector, with one flat first and
 second moment, so each minibatch does one update over every weight.
 Integrated Gradients takes one sample or a sample matrix: it finds every
 row's ReLU kinks along its path as one padded array, sums width times
-d(logit)/d(hidden layer 1) over the path points in the 16-unit hidden space,
-and maps each row to the raw features once, in blocks of ``IG_BLOCK_ROWS``
-rows so that the (rows, points, 16) temporaries stay small.
+d(logit)/d(hidden layer 1) over the segment midpoints in the 16-unit hidden
+space, and maps each row to the raw features once, in blocks of
+``IG_BLOCK_ROWS`` rows so that the (rows, points, 16) temporaries stay small.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .io import atomic_write_text, parse_rows, read_rows, write_rows
+from .io import atomic_write_text, load_json, parse_rows, read_rows, write_rows
 from .types import CtsTensor, PairSelection, _check_unique, _freeze
 
 HIDDEN1 = 16
@@ -97,7 +97,6 @@ class MlpModel:
     kept: np.ndarray          # boolean mask over the raw feature axis
     feature_names: tuple[str, ...]
     feature_tags: tuple[str, ...]
-    dropout_rate: float = 0.2
 
     def __post_init__(self):
         d = int(self.kept.sum())
@@ -123,8 +122,6 @@ class MlpModel:
         object.__setattr__(self, "feature_tags", tuple(self.feature_tags))
         if (self.sd <= 0).any():
             raise ValidationError("standardization sd must be positive for kept features")
-        if not 0 <= self.dropout_rate < 1:
-            raise ValidationError("dropout_rate must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -157,14 +154,12 @@ class TrainConfig:
 
 def build_features(cts: CtsTensor, selection: PairSelection,
                    eqtl: dict[str, tuple[float, float, float]],
-                   covariates: dict[str, dict[str, float]] | None = None,
-                   missing_genes: list[str] | None = None) -> Dataset:
+                   covariates: dict[str, dict[str, float]] | None = None) -> Dataset:
     """Concatenate CTS posterior means, eQTL summaries, and covariates.
 
     Ordering is deterministic: selected pairs sorted lexicographically, then
     selected genes sorted (three entries BETA, SE, PVAL each), then covariate
-    names sorted. Genes absent from the eQTL table contribute no eQTL features
-    and are appended to ``missing_genes`` when provided.
+    names sorted. Genes absent from the eQTL table contribute no eQTL features.
     """
     gene_index = {g: i for i, g in enumerate(cts.genes)}
     ct_index = {c: j for j, c in enumerate(cts.cell_types)}
@@ -175,9 +170,6 @@ def build_features(cts: CtsTensor, selection: PairSelection,
     pairs = sorted(selection.pairs)
     genes = selection.genes()
     present = [g for g in genes if g in eqtl]
-    absent = [g for g in genes if g not in eqtl]
-    if missing_genes is not None:
-        missing_genes.extend(absent)
 
     covariates = covariates or {}
     cov_names: list[str] = []
@@ -363,8 +355,7 @@ def train(dataset: Dataset, labels, config: TrainConfig) -> TrainResult:
     net = SimpleNamespace(**_views(theta, init))
     grad = np.empty_like(theta)
     model_kw = dict(mean=mean_all[kept], sd=sd_all[kept], kept=kept,
-                    feature_names=dataset.names, feature_tags=dataset.tags,
-                    dropout_rate=config.dropout_rate)
+                    feature_names=dataset.names, feature_tags=dataset.tags)
 
     def make_model():
         return MlpModel(**{k: v.copy() for k, v in vars(net).items()}, **model_kw)
@@ -437,25 +428,19 @@ def _path_cuts(model: MlpModel, a1_0: np.ndarray, slope1: np.ndarray) -> np.ndar
 
 
 def integrated_gradients(model: MlpModel, x: np.ndarray,
-                         baseline: np.ndarray | None = None,
-                         steps: int = 200, method: str = "exact") -> np.ndarray:
+                         baseline: np.ndarray | None = None) -> np.ndarray:
     """Integrated Gradients of the pre-sigmoid logit along the straight path,
     for one sample (D,) or a sample matrix (n, D); same shape out.
 
-    ``method="exact"`` integrates the piecewise-constant path gradient
-    segment by segment (splitting at ReLU sign changes), so completeness
-    holds to machine precision. ``method="midpoint"`` is the plain
-    ``steps``-point midpoint rule. Both sum width x d(logit)/d(a1) over
-    their path points in the 16-unit hidden space and map each row to the
-    raw features once; rows go through in blocks of ``IG_BLOCK_ROWS``.
+    The path gradient is piecewise constant, so it is integrated exactly,
+    segment by segment (splitting at ReLU sign changes), and completeness
+    holds to machine precision. Width x d(logit)/d(a1) is summed over the
+    segment midpoints in the 16-unit hidden space and each row is mapped to
+    the raw features once; rows go through in blocks of ``IG_BLOCK_ROWS``.
     Default baseline is the training mean in raw space (zero in
     standardized space); an explicit one has the shape of ``x``. Returns one
     attribution per raw feature (zero for dropped ones).
     """
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
-    if method not in ("exact", "midpoint"):
-        raise ValidationError(f"unknown IG method {method!r}")
     raw = np.asarray(x, dtype=np.float64)
     xs = np.atleast_2d(raw)
     a1_1 = _standardize(model, xs) @ model.w1.T + model.b1
@@ -470,16 +455,11 @@ def integrated_gradients(model: MlpModel, x: np.ndarray,
     delta = xs - base
     a1_0 = _standardize(model, base) @ model.w1.T + model.b1
     slope1 = a1_1 - a1_0
-    grid = (np.arange(1, steps + 1) - 0.5) / steps
     hidden = np.empty_like(a1_0)
     for r in range(0, xs.shape[0], IG_BLOCK_ROWS):
         block = slice(r, r + IG_BLOCK_ROWS)
-        if method == "midpoint":
-            t = np.broadcast_to(grid, (a1_0[block].shape[0], steps))
-            width = np.full_like(t, 1.0 / steps)
-        else:
-            cuts = _path_cuts(model, a1_0[block], slope1[block])
-            t, width = 0.5 * (cuts[:, :-1] + cuts[:, 1:]), np.diff(cuts, axis=1)
+        cuts = _path_cuts(model, a1_0[block], slope1[block])
+        t, width = 0.5 * (cuts[:, :-1] + cuts[:, 1:]), np.diff(cuts, axis=1)
         a1 = a1_0[block, None] + t[..., None] * slope1[block, None]
         da2 = model.w3[0] * (np.maximum(a1, 0.0) @ model.w2.T + model.b2 > 0)
         da1 = (da2 @ model.w2) * (a1 > 0)
@@ -508,7 +488,7 @@ def top_k_features(attributions, names, values=None,
 
 
 def save_model(result_or_model, path: str | Path) -> None:
-    """Checkpoint JSON: weights, standardization, names/tags, dropout rate."""
+    """Checkpoint JSON: weights, standardization, names and tags."""
     model = result_or_model.model if isinstance(result_or_model, TrainResult) else result_or_model
     payload = {
         "w1": model.w1.tolist(), "b1": model.b1.tolist(),
@@ -518,23 +498,19 @@ def save_model(result_or_model, path: str | Path) -> None:
         "kept": model.kept.astype(int).tolist(),
         "feature_names": list(model.feature_names),
         "feature_tags": list(model.feature_tags),
-        "dropout_rate": model.dropout_rate,
     }
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def load_model(path: str | Path) -> MlpModel:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad checkpoint JSON: {exc}") from exc
+    """The inverse of ``save_model``; a ``dropout_rate`` key that older
+    checkpoints hold is ignored."""
+    payload = load_json(path)
     if not isinstance(payload, dict):
         raise ParseError("checkpoint must be a JSON object")
     try:
         arrays = {name: np.array(payload[name], dtype=np.float64)
                   for name in ("w1", "b1", "w2", "b2", "w3", "b3", "mean", "sd", "kept")}
-        dropout_rate = float(payload["dropout_rate"])
         names, tags = payload["feature_names"], payload["feature_tags"]
     except KeyError as exc:
         raise ParseError(f"checkpoint missing field {exc.args[0]!r}") from exc
@@ -545,7 +521,7 @@ def load_model(path: str | Path) -> MlpModel:
         raise ParseError("checkpoint feature_names and feature_tags must be lists of strings")
     kept = arrays.pop("kept").astype(bool)
     return MlpModel(**arrays, kept=kept, feature_names=tuple(names),
-                    feature_tags=tuple(tags), dropout_rate=dropout_rate)
+                    feature_tags=tuple(tags))
 
 
 def save_dataset(dataset: Dataset, labels, path: str | Path) -> None:

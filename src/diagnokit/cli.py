@@ -69,8 +69,9 @@ class RunManifest:
 
 
 def _kinds(cls) -> dict[str, str]:
-    """Each field of a config dataclass and its annotation."""
-    return {f.name: f.type for f in fields(cls)}
+    """Each field of a config dataclass and its annotation, except ``seed``,
+    which comes from ``--seed``."""
+    return {f.name: f.type for f in fields(cls) if f.name != "seed"}
 
 
 # The --config keys each command reads, each with the kind of value it takes:
@@ -82,26 +83,38 @@ CONFIG_KEYS = {
                                   "float"),
     "deconvolve": {**_kinds(RefinementConfig), "shrinkage": "float"},
     "train": _kinds(TrainConfig),
-    "attribute": {"steps": "int", "method": "str"},
+    "attribute": {},
     "report": {"top_k": "int", "model": "str"},
     "eval": {},
     "diverge": {"subset_size": "int", "ood_threshold": "float", "model": "str"},
 }
 
-# The JSON values a key of each checked kind takes; bools are not numbers here.
-# Other kinds (tuples) are left to the dataclass that takes them.
-_JSON_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-               "str": ((str,), "a string")}
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The test each kind of config value passes, and its name in an error;
+# bools are not numbers here, and a tuple is a JSON list.
+_JSON_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[float, ...]": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                          "a list of numbers"),
+    "tuple[float, float]": (lambda v: isinstance(v, list) and len(v) == 2
+                            and all(map(_is_number, v)), "a list of two numbers"),
+}
 
 
 def _check_kind(command: str, key: str, value, kind: str) -> None:
     """Raise a ``ValidationError`` naming ``key`` unless ``value`` is of ``kind``
     (an annotation such as ``int`` or ``float | None``)."""
     first, *rest = kind.split(" | ")
-    if first not in _JSON_KINDS or (value is None and "None" in rest):
+    if value is None and "None" in rest:
         return
-    types, name = _JSON_KINDS[first]
-    if isinstance(value, bool) or not isinstance(value, types):
+    test, name = _JSON_KINDS[first]
+    if not test(value):
         raise ValidationError(f"config key {key!r} for {command} must be {name}, "
                               f"got {json.dumps(value)}")
 
@@ -116,7 +129,8 @@ def _load_config(path: str | None, command: str) -> dict:
     unknown = sorted(set(cfg) - set(known))
     if unknown:
         close = difflib.get_close_matches(unknown[0], known, n=1)
-        hint = f"did you mean {close[0]!r}?" if close else f"known keys: {known}"
+        hint = ("pass it as --seed" if unknown[0] == "seed" else
+                f"did you mean {close[0]!r}?" if close else f"known keys: {known}")
         raise ValidationError(f"unknown config key {unknown[0]!r} for {command}; {hint}")
     for key, value in cfg.items():
         _check_kind(command, key, value, CONFIG_KEYS[command][key])
@@ -264,12 +278,12 @@ def _load_for_model(path, model):
 
 
 def cmd_attribute(args) -> None:
-    manifest, out, config = _start_manifest(args, [args.checkpoint, args.dataset])
+    manifest, out, _config = _start_manifest(args, [args.checkpoint, args.dataset])
     with _stage(manifest, "read_s"):
         model = load_model(args.checkpoint)
         dataset, _ = _load_for_model(args.dataset, model)
     with _stage(manifest, "compute_s"):
-        attrs = integrated_gradients(model, dataset.values, **config)
+        attrs = integrated_gradients(model, dataset.values)
     with _stage(manifest, "write_s"):
         write_rows(out / "attributions.tsv", [(["sample"], model.feature_names, [])],
                    dataset.sample_ids, attrs)

@@ -143,20 +143,18 @@ def save_reports(reports: list[DivergenceReport], path: str | Path) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def reports_markdown(reports: list[DivergenceReport],
-                     insights: dict[str, str] | None = None) -> str:
-    """Markdown case table: Case, Features, Label, MLP, LLM, Key Insight."""
-    insights = insights or {}
+def reports_markdown(reports: list[DivergenceReport]) -> str:
+    """Markdown case table: Case, Features, Label, MLP, LLM, and a Key Insight
+    column left empty for the reader."""
     lines = ["| Case | Features | Label | MLP | LLM | Key Insight |",
              "| --- | --- | --- | --- | --- | --- |"]
     for r in reports:
         for row in r.case_table:
             shown = "; ".join(f"{n}={v:.4g}" for n, v in row["features"].items())
             llm = row.get("llm_pred")
-            lines.append("| {case} | {feat} | {lab} | {mlp} | {llm} | {ins} |".format(
+            lines.append("| {case} | {feat} | {lab} | {mlp} | {llm} |  |".format(
                 case=f"{r.subset_name}:{row['sample']}", feat=shown,
                 lab="AD" if row["label"] == 1 else "nonAD",
                 mlp="AD" if row["mlp_pred"] == 1 else "nonAD",
-                llm="-" if llm is None else ("AD" if llm == 1 else "nonAD"),
-                ins=insights.get(row["sample"], "")))
+                llm="-" if llm is None else ("AD" if llm == 1 else "nonAD")))
     return "\n".join(lines) + "\n"

@@ -59,7 +59,6 @@ class ChainState:
     gamma: np.ndarray      # (G, d1)
     b: np.ndarray          # (G, C, d2)
     noise_var: np.ndarray  # (G,)
-    iteration: int
     rng: np.random.Generator
 
     def __post_init__(self):
@@ -127,7 +126,6 @@ def _run_sweep(state: ChainState, x, factors: RunFactors, hyper: HyperParams,
     sweep_fn(x, factors, state.z, state.gamma, state.b, state.noise_var, eps_z, eps_coef,
              gamma_draws, 1.0 / hyper.coef_prior_var, hyper.noise_b0,
              hyper.update_coef, hyper.update_noise)
-    state.iteration += 1
 
 
 def _start_chain(chol: np.ndarray, priors: GenePriors, n_samples: int, c1: np.ndarray,
@@ -138,45 +136,20 @@ def _start_chain(chol: np.ndarray, priors: GenePriors, n_samples: int, c1: np.nd
     z0 = priors.mu[:, None, :] + OVERDISPERSION * np.einsum("gcd,gnd->gnc", chol, eps)
     return ChainState(z=z0, gamma=np.zeros((G, c1.shape[1])),
                       b=np.zeros((G, C, c2.shape[1])), noise_var=priors.noise_var.copy(),
-                      iteration=0, rng=rng)
+                      rng=rng)
 
 
-def split_rhat(chains: list[np.ndarray]) -> float:
-    """Split Gelman-Rubin statistic over >= 2 scalar chains.
+def split_rhat(traces) -> np.ndarray:
+    """Split Gelman-Rubin statistic of every scalar trace in one array pass.
 
-    Each chain is halved; between/within variances are computed over the
+    ``traces`` is array-like, (chains, draws, ...); the result has the
+    trailing shape. Each chain is halved, an odd-length one after dropping
+    its first draw, and the between/within variances are taken over the
     half-chains. A fully degenerate set (zero within-chain variance and
-    identical halves) is defined as converged, R-hat = 1.0. Odd-length
-    chains are trimmed by one leading element.
+    identical halves) is converged, R-hat 1.0; constant but offset chains
+    give inf. It is NaN everywhere when fewer than 4 draws are retained.
     """
-    if len(chains) < 2:
-        raise ValidationError("split_rhat needs at least 2 chains")
-    halves = []
-    for c in chains:
-        c = np.asarray(c, dtype=np.float64)
-        if c.size % 2 == 1:
-            c = c[1:]
-        if c.size < 4:
-            raise ValidationError("each chain needs at least 4 retained draws")
-        mid = c.size // 2
-        halves.extend([c[:mid], c[mid:]])
-    n = min(h.size for h in halves)
-    halves = np.stack([h[:n] for h in halves])
-    means = halves.mean(axis=1)
-    w_var = halves.var(axis=1, ddof=1).mean()
-    b_var = n * means.var(ddof=1)
-    if w_var == 0.0:
-        return 1.0 if b_var == 0.0 else float("inf")
-    return float(np.sqrt(((n - 1) / n * w_var + b_var / n) / w_var))
-
-
-def split_rhat_all(traces: np.ndarray) -> np.ndarray:
-    """``split_rhat`` of every scalar trace in one array pass.
-
-    ``traces`` has shape (chains, draws, ...); the result has the trailing
-    shape. It is NaN everywhere when fewer than 4 draws are retained, and
-    follows ``split_rhat`` otherwise, degenerate sets included.
-    """
+    traces = np.asarray(traces, dtype=np.float64)
     m, draws = traces.shape[:2]
     rest = traces.shape[2:]
     if draws < 4:
@@ -240,7 +213,7 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
                                     rescues)
     noise_hat = sum_noise / total
 
-    rhat = split_rhat_all(traces)
+    rhat = split_rhat(traces)
     finite = rhat[np.isfinite(rhat)]
     converged = bool(finite.size == rhat.size and finite.size > 0
                      and finite.max() < config.rhat_threshold)

@@ -28,11 +28,7 @@ DROPOUT_CEILING = 0.95
 
 def load_marker_list(path: str | Path) -> set[tuple[str, str]]:
     """Parse a ``{gene: [cell_types]}`` JSON file into a pair set."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad marker JSON: {exc}") from exc
+    raw = load_json(path)
     if not isinstance(raw, dict):
         raise ParseError("marker file must be a JSON object of gene -> [cell types]")
     pairs = set()

@@ -19,6 +19,7 @@ import numpy as np
 
 from .classifier import MlpModel, forward, integrated_gradients, top_k_features
 from .errors import ValidationError
+from .io import load_json
 
 AUDIENCES = ("clinician", "patient")
 STRATEGIES = ("direct", "step", "step-domain")
@@ -56,16 +57,10 @@ class FeatureReading:
     name: str
     value: float
     attribution: float
-    reference_range: tuple[float, float, str] | None = None  # (low, high, unit)
 
     def __post_init__(self):
         if not self.name:
             raise ValidationError("feature name must be non-empty")
-        if self.reference_range is not None:
-            low, high, _unit = self.reference_range
-            if not low < high:
-                raise ValidationError(
-                    f"reference range for {self.name!r} must satisfy low < high")
 
 
 @dataclass(frozen=True)
@@ -139,14 +134,6 @@ class DiagnosticReport:
             raise ValidationError("generator must be 'llm' or 'offline'")
 
 
-def _feature_line(f: FeatureReading) -> str:
-    line = f"- {f.name}: value {f.value:.5g}, attribution {f.attribution:+.5g}"
-    if f.reference_range is not None:
-        low, high, unit = f.reference_range
-        line += f" (reference {low:g}-{high:g} {unit})".rstrip()
-    return line
-
-
 def _population_section(inp: PromptInput) -> str:
     lines = ["Section 1 - population context:"]
     for f in inp.top_features:
@@ -169,7 +156,8 @@ def build_prompt(inp: PromptInput) -> str:
         "",
         "Case features (most influential first):",
     ]
-    feature_lines = [_feature_line(f) for f in inp.top_features]
+    feature_lines = [f"- {f.name}: value {f.value:.5g}, attribution {f.attribution:+.5g}"
+                     for f in inp.top_features]
     parts = ["\n".join(header + feature_lines)]
 
     if inp.strategy in ("step", "step-domain"):
@@ -389,8 +377,7 @@ def render_markdown(report: DiagnosticReport) -> str:
 
 
 def load_knowledge(path: str | Path) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_json(path)
     if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
         raise ValidationError("knowledge file must be a JSON object of key -> snippet")
     return raw

@@ -85,6 +85,36 @@ def z_conditional(mu: np.ndarray, sigma: np.ndarray, noise_var: float, x_gi: flo
     return mean, cov
 
 
+def split_rhat_scalar(chains: list[np.ndarray]) -> float:
+    """Split Gelman-Rubin statistic over >= 2 scalar chains.
+
+    Each chain is halved; between/within variances are computed over the
+    half-chains. A fully degenerate set (zero within-chain variance and
+    identical halves) is defined as converged, R-hat = 1.0. Odd-length
+    chains are trimmed by one leading element.
+
+    ``engine.split_rhat`` computes it for every trace at once."""
+    if len(chains) < 2:
+        raise ValidationError("split_rhat needs at least 2 chains")
+    halves = []
+    for c in chains:
+        c = np.asarray(c, dtype=np.float64)
+        if c.size % 2 == 1:
+            c = c[1:]
+        if c.size < 4:
+            raise ValidationError("each chain needs at least 4 retained draws")
+        mid = c.size // 2
+        halves.extend([c[:mid], c[mid:]])
+    n = min(h.size for h in halves)
+    halves = np.stack([h[:n] for h in halves])
+    means = halves.mean(axis=1)
+    w_var = halves.var(axis=1, ddof=1).mean()
+    b_var = n * means.var(ddof=1)
+    if w_var == 0.0:
+        return 1.0 if b_var == 0.0 else float("inf")
+    return float(np.sqrt(((n - 1) / n * w_var + b_var / n) / w_var))
+
+
 def init_chain(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
                rng: np.random.Generator) -> ChainState:
     """One chain's over-dispersed start, as ``engine.run_mcmc`` starts each."""
@@ -156,6 +186,29 @@ def input_gradient(model: MlpModel, raw: np.ndarray) -> np.ndarray:
     g = np.zeros((a1.shape[0], model.kept.size))
     g[:, model.kept] = (da1 @ model.w1) / model.sd
     return g.reshape(raw.shape)
+
+
+def integrated_gradients_midpoint(model: MlpModel, x: np.ndarray,
+                                  baseline: np.ndarray | None = None,
+                                  steps: int = 200) -> np.ndarray:
+    """Integrated Gradients by the plain ``steps``-point midpoint rule of
+    Sundararajan et al. 2017, for one sample (D,) or a sample matrix (n, D).
+
+    ``classifier.integrated_gradients`` integrates the same path exactly."""
+    raw = np.asarray(x, dtype=np.float64)
+    xs = np.atleast_2d(raw)
+    if baseline is None:
+        base = xs.copy()
+        base[:, model.kept] = model.mean
+    else:
+        base = np.atleast_2d(np.asarray(baseline, dtype=np.float64))
+    delta = xs - base
+    t = (np.arange(1, steps + 1) - 0.5) / steps
+    points = base[:, None] + t[:, None] * delta[:, None]  # (n, steps, D)
+    grads = input_gradient(model, points.reshape(-1, xs.shape[1])).reshape(points.shape)
+    ig = delta * grads.sum(axis=1) / steps
+    ig[~delta.any(axis=1)] = 0.0  # a row at its baseline: +0, not -0
+    return ig.reshape(raw.shape)
 
 
 def save_eqtl_table(eqtl: dict[str, tuple[float, float, float]], path: str | Path) -> None:

@@ -198,7 +198,7 @@ def test_acceptance_5_classifier_and_attributions():
         m = _rand_model(rng, 6)
         x = rng.standard_normal(6) * 2
         base = rng.standard_normal(6)
-        attr = integrated_gradients(m, x, base, steps=200)
+        attr = integrated_gradients(m, x, base)
         comp_err = max(comp_err, abs(attr.sum() - (logit(m, x) - logit(m, base))))
     ok &= comp_err < 1e-3
 

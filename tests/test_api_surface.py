@@ -16,13 +16,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "diagnokit"
 
-# Public names kept without a caller, each with its reason. A tracer target
-# alone is not a user: wrapping a function that nothing calls measures nothing.
-KEPT = {
-    "engine.split_rhat": "perfbench's tracer wraps it for engine.rhat_s until the "
-                         "tracer traces split_rhat_all (ROADMAP item 1)",
-}
-
 
 def _module_of(node: ast.ImportFrom) -> str | None:
     """The diagnokit module an import reads from ("" for the package itself),
@@ -118,11 +111,6 @@ def _unused() -> list[str]:
 
 
 def test_every_public_name_has_a_user():
-    unused = [n for n in _unused() if n not in KEPT]
+    unused = _unused()
     assert not unused, (f"public names with no user outside the tests: {unused}; "
                         "move test-only ones to tests/oracles.py")
-
-
-def test_kept_names_still_exist_and_lack_a_caller():
-    # an entry whose name gained a caller, or is gone, is stale
-    assert set(KEPT) <= set(_unused())

@@ -1,6 +1,8 @@
 """MLP forward/backward oracles, Integrated Gradients, and training behavior."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from diagnokit.classifier import (HIDDEN1, HIDDEN2, Dataset, MlpModel,
 from diagnokit.errors import ParseError, ValidationError
 from diagnokit.types import CtsTensor, PairSelection, pair_key
 
-from oracles import backprop_gradient, bce_loss, load_eqtl_table, logit, save_eqtl_table
+from oracles import (backprop_gradient, bce_loss, integrated_gradients_midpoint,
+                     load_eqtl_table, logit, save_eqtl_table)
 
 
 def _model(rng, d, scale=0.4, mean=None, sd=None, kept=None):
@@ -102,7 +105,8 @@ class TestForward:
         m = _model(rng, 4)
         x = rng.standard_normal(4)
         outs = {_probability(m, x[None],
-                             _dropout_masks(m.dropout_rate, np.random.default_rng(s), 1))[0]
+                             _dropout_masks(TrainConfig().dropout_rate,
+                                            np.random.default_rng(s), 1))[0]
                 for s in range(5)}
         assert len(outs) > 1
 
@@ -180,8 +184,8 @@ class TestIntegratedGradients:
         m = _model(rng, 5, scale=0.5)
         x = rng.standard_normal(5)
         exact = integrated_gradients(m, x)
-        errs = [np.abs(integrated_gradients(m, x, steps=s, method="midpoint")
-                       - exact).max() for s in (10, 100, 1000)]
+        errs = [np.abs(integrated_gradients_midpoint(m, x, steps=s) - exact).max()
+                for s in (10, 100, 1000)]
         assert errs[2] < errs[0]
         assert errs[2] < 1e-3
 
@@ -368,12 +372,10 @@ class TestBuildFeatures:
         assert x[feats.names.index("se:g1")] == 0.061
         assert x[feats.names.index("pval:g1")] == 0.436
 
-    def test_missing_eqtl_gene_recorded(self):
+    def test_missing_eqtl_gene_gets_no_features(self):
         sel = self._selection({("g1", "ct1"), ("g2", "ct1")})
-        missing: list[str] = []
-        feats = build_features(self._tensor(), sel, {"g1": (0.1, 0.2, 0.3)},
-                               missing_genes=missing)
-        assert missing == ["g2"]
+        feats = build_features(self._tensor(), sel, {"g1": (0.1, 0.2, 0.3)})
+        assert "beta:g1" in feats.names
         assert "beta:g2" not in feats.names
 
     def test_sample_order_equivariance(self):
@@ -405,6 +407,18 @@ class TestSerialization:
         assert loaded.feature_names == m.feature_names
         x = rng.standard_normal(5)
         assert forward(loaded, x) == forward(m, x)
+
+    def test_checkpoint_holding_a_dropout_rate_loads_as_before(self, tmp_path):
+        # checkpoints written before the model lost its unused dropout_rate
+        m = _model(np.random.default_rng(19), 4)
+        save_model(m, tmp_path / "m.json")
+        payload = json.loads((tmp_path / "m.json").read_text())
+        assert "dropout_rate" not in payload
+        (tmp_path / "old.json").write_text(json.dumps({**payload, "dropout_rate": 0.2}))
+        old, new = load_model(tmp_path / "old.json"), load_model(tmp_path / "m.json")
+        for k in ("w1", "b1", "w2", "b2", "w3", "b3", "mean", "sd", "kept"):
+            assert np.array_equal(getattr(old, k), getattr(new, k)), k
+        assert (old.feature_names, old.feature_tags) == (new.feature_names, new.feature_tags)
 
     def test_dataset_roundtrip(self, tmp_path):
         rng = np.random.default_rng(17)

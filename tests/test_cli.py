@@ -379,6 +379,29 @@ def test_malformed_checkpoint_is_one(model_dir, dataset_path, tmp_path, capsys, 
     assert "error: checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["invalid_json", "not_utf8"])
+@pytest.mark.parametrize("command", ["select-genes", "report"])
+def test_unreadable_markers_or_knowledge_is_one(sim_dir, model_dir, dataset_path, tmp_path,
+                                                capsys, command, case):
+    bad = tmp_path / "input.json"
+    if case == "invalid_json":
+        bad.write_text('{\n  "a": "one",\n  "b":\n}\n')
+    else:
+        bad.write_bytes('{"g0001": ["ct\u00e9"]}'.encode("latin-1"))
+    if command == "select-genes":
+        argv = ["select-genes", "--ref", str(sim_dir / "reference.tsv"),
+                "--labels", str(sim_dir / "reference_labels.json"), "--markers", str(bad)]
+    else:
+        argv = ["report", "--checkpoint", str(model_dir / "model.json"),
+                "--dataset", str(dataset_path), "--sample", "p01", "--audience", "clinician",
+                "--strategy", "step-domain", "--offline", "--knowledge", str(bad)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case == "invalid_json":
+        assert "line 4: invalid JSON in input.json" in err
+
+
 @pytest.mark.parametrize("labels", [None, "t0", ["t0", "t1"], "non_string"],
                          ids=["null", "string", "list", "non_string"])
 def test_label_sidecar_must_map_cells_to_names(sim_dir, tmp_path, capsys, labels):
@@ -640,6 +663,12 @@ def test_unknown_config_key_is_one(sim_dir, selection_path, tmp_path, capsys,
     ("simulate", {"ref_cell_sd": -1}, "ref_cell_sd"),
     ("simulate", {"sigma_scale": -1}, "sigma_scale"),
     ("simulate", {"sigma_rho_range": [0.5, 1.5]}, "sigma_rho_range"),
+    ("simulate", {"sigma_rho_range": 0.5}, "sigma_rho_range"),
+    ("simulate", {"dirichlet_alpha": 3}, "dirichlet_alpha"),
+    ("simulate", {"dirichlet_alpha": ["x", 1, 1]}, "dirichlet_alpha"),
+    ("simulate", {"sigma_rho_range": [0.5, "a"]}, "sigma_rho_range"),
+    ("simulate", {"sigma_rho_range": [0.5, 0.6, 0.7]}, "sigma_rho_range"),
+    ("simulate", {"dirichlet_alpha": [1, True, 1]}, "dirichlet_alpha"),
 ])
 def test_config_value_of_wrong_kind_or_range_is_one(sim_dir, selection_path, model_dir,
                                                     dataset_path, tmp_path, capsys,
@@ -661,6 +690,25 @@ def test_config_value_of_wrong_kind_or_range_is_one(sim_dir, selection_path, mod
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_seed_in_config_is_refused_for_the_option(dataset_path, tmp_path, capsys, command):
+    # --seed sets the seed; a config "seed" was taken and then overridden
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5}))
+    argv = ["simulate"] if command == "simulate" else ["train", "--dataset", str(dataset_path)]
+    assert main([*argv, "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown config key 'seed' for {command}; pass it as --seed" in err
+
+
+def test_scenario_lists_of_numbers_are_taken(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SCENARIO, "dirichlet_alpha": [2, 1.5],
+                               "sigma_rho_range": [0, 0.5]}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
 
 
 def test_config_numbers_and_nulls_of_the_right_kind_are_taken(sim_dir, selection_path,

@@ -208,6 +208,6 @@ def test_reports_markdown_columns():
         llm_accuracy=0.0,
         case_table=({"sample": "case1", "features": {"beta:APP": -0.03185},
                      "label": 1, "mlp_pred": 1, "llm_pred": 0},))]
-    md = reports_markdown(reports, insights={"case1": "sign-rule failure"})
+    md = reports_markdown(reports)
     assert md.splitlines()[0] == "| Case | Features | Label | MLP | LLM | Key Insight |"
-    assert "| conflict:case1 | beta:APP=-0.03185 | AD | AD | nonAD | sign-rule failure |" in md
+    assert "| conflict:case1 | beta:APP=-0.03185 | AD | AD | nonAD |  |" in md

@@ -4,14 +4,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from diagnokit import engine
 from diagnokit.engine import (ChainState, HyperParams, PosteriorSummary, refine_priors,
-                              run_mcmc, split_rhat, split_rhat_all)
+                              run_mcmc, split_rhat)
 from diagnokit.errors import ValidationError
 from diagnokit.reference import _regularize_spd_all
-from diagnokit.types import (AdjustmentParams, BulkMatrix, GenePriors,
-                             RefinementConfig, SampleMeta)
+from diagnokit.simulate import SyntheticScenario, generate
+from diagnokit.types import (AdjustmentParams, BulkMatrix, GenePriors, PairSelection,
+                             RefinementConfig, SampleMeta, pair_key)
 
-from oracles import gibbs_sweep, init_chain, z_conditional
+from oracles import gibbs_sweep, init_chain, split_rhat_scalar, z_conditional
 
 
 def _meta(w, d1=0, d2=0, sid="s0"):
@@ -82,9 +84,9 @@ class TestSplitRhat:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            split_rhat([np.zeros(100)])
+            split_rhat_scalar([np.zeros(100)])
         with pytest.raises(ValidationError):
-            split_rhat([np.zeros(3), np.zeros(3)])
+            split_rhat_scalar([np.zeros(3), np.zeros(3)])
 
     @pytest.mark.parametrize("chains,draws", [(2, 4), (2, 5), (3, 17), (4, 40)])
     def test_array_pass_matches_scalar(self, chains, draws):
@@ -94,14 +96,14 @@ class TestSplitRhat:
         traces[:, :, 1, 1] = np.arange(chains)[:, None]  # constant, offset: inf
         traces[1:, :, 2, 2] = traces[0, :, 2, 2]      # identical chains
         traces[:, :, 3] += 4.0 * np.arange(chains)[:, None, None]  # not mixed
-        got = split_rhat_all(traces)
-        want = np.array([[split_rhat(list(traces[:, :, g, c])) for c in range(3)]
+        got = split_rhat(traces)
+        want = np.array([[split_rhat_scalar(list(traces[:, :, g, c])) for c in range(3)]
                          for g in range(6)])
         assert got[0, 0] == 1.0 and got[1, 1] == np.inf
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_array_pass_undefined_below_four_draws(self):
-        assert np.isnan(split_rhat_all(np.zeros((3, 3, 2, 2)))).all()
+        assert np.isnan(split_rhat(np.zeros((3, 3, 2, 2)))).all()
 
 
 def _toy_problem(C=2, N=6, G=1, seed=0, d1=0, d2=0):
@@ -182,13 +184,32 @@ class TestRunMcmc:
             run_mcmc(bulk, priors, metas, RefinementConfig(chains=2, iters=8), seed=0)
 
 
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_split_rhat_runs_once_per_round_through_the_module(monkeypatch, rounds):
+    # perfbench's tracer times R-hat by replacing engine.split_rhat
+    bundle = generate(SyntheticScenario(G=4, C=2, N=8, d1=0, d2=0,
+                                        ref_cells_per_type=10, seed=1))
+    pairs = {(g, c) for g in bundle.bulk.genes for c in bundle.true_z.cell_types}
+    selection = PairSelection(pairs=frozenset(pairs),
+                              provenance={pair_key(*p): "marker" for p in pairs})
+    cfg = RefinementConfig(chains=2, iters=12, burnin=6, rounds=rounds)
+    shapes = []
+
+    def counted(traces):
+        shapes.append(traces.shape)
+        return split_rhat(traces)
+
+    monkeypatch.setattr(engine, "split_rhat", counted)
+    engine.deconvolve(bundle.bulk, bundle.ref, selection, bundle.metas, cfg, seed=3)
+    assert shapes == [(2, 6, 4, 2)] * rounds
+
+
 def test_gibbs_sweep_advances_state():
     bulk, priors, metas = _toy_problem(C=2, N=4, seed=6)
     rng = np.random.default_rng(0)
     state = init_chain(bulk, priors, metas, rng)
     z_before = state.z.copy()
     gibbs_sweep(state, bulk, priors, metas)
-    assert state.iteration == 1
     assert not np.array_equal(state.z, z_before)
 
 
@@ -196,7 +217,7 @@ def test_chain_state_validation():
     with pytest.raises(ValidationError):
         ChainState(z=np.zeros((1, 1, 1)), gamma=np.zeros((1, 0)),
                    b=np.zeros((1, 1, 0)), noise_var=np.array([0.0]),
-                   iteration=0, rng=np.random.default_rng(0))
+                   rng=np.random.default_rng(0))
 
 
 class TestRefinePriors:

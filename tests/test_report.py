@@ -26,9 +26,8 @@ SAFE_NAMES = ("cts:GENE1|typeA", "beta:GENE1", "se:GENE1", "pval:GENE1",
               "cov:age", "cov:smoking", "cts:GENE2|typeB", "beta:GENE2")
 
 
-def _reading(name="cts:GENE1|typeA", value=1.0, attribution=0.5, rng=None):
-    return FeatureReading(name=name, value=value, attribution=attribution,
-                          reference_range=rng)
+def _reading(name="cts:GENE1|typeA", value=1.0, attribution=0.5):
+    return FeatureReading(name=name, value=value, attribution=attribution)
 
 
 def _input(probability=0.7, audience="clinician", strategy="direct",
@@ -134,10 +133,6 @@ class TestBuildPrompt:
                      knowledge={"b": "two", "a": "one"})
         assert build_prompt(inp) == build_prompt(inp)
 
-    def test_reference_range_rendered(self):
-        f = _reading(rng=(0.0, 2.0, "mmol/L"))
-        assert "reference 0-2 mmol/L" in build_prompt(_input(features=(f,)))
-
 
 class TestPromptInputValidation:
     def test_bad_probability(self):
@@ -154,10 +149,6 @@ class TestPromptInputValidation:
             _input(audience="lawyer")
         with pytest.raises(ValidationError):
             _input(strategy="zero-shot-cot")
-
-    def test_bad_reference_range(self):
-        with pytest.raises(ValidationError, match="low < high"):
-            _reading(rng=(2.0, 1.0, "x"))
 
 
 class TestDecisionParsing:
