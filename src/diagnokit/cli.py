@@ -14,6 +14,7 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -91,19 +92,21 @@ CONFIG_KEYS = {
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 # The test each kind of config value passes, and its name in an error;
-# bools are not numbers here, and a tuple is a JSON list.
+# bools are not numbers here, nor are JSON's NaN and Infinity, and a tuple
+# is a JSON list.
 _JSON_KINDS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (_is_number, "a number"),
+    "float": (_is_number, "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "tuple[float, ...]": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-                          "a list of numbers"),
+                          "a list of finite numbers"),
     "tuple[float, float]": (lambda v: isinstance(v, list) and len(v) == 2
-                            and all(map(_is_number, v)), "a list of two numbers"),
+                            and all(map(_is_number, v)), "a list of two finite numbers"),
 }
 
 

@@ -5,12 +5,17 @@ The model, per gene g and sample i with proportions w_i:
     z_gi ~ N(mu_g, Sigma_g)
     x_gi = w_i' z_gi + gamma_g' c1_i + w_i' B_g c2_i + eps,  eps ~ N(0, s2_g)
 
-All conditionals are conjugate: z from a Gaussian, drawn pathwise, (gamma, B)
-from a joint Bayesian linear regression draw, s2 from an Inverse-Gamma. A run
-takes chol(Sigma_g) once (a failure names the gene) and one eigendecomposition
-of the design Gram matrix (``kernels.prepare``), with no NaN path in the
-sweep. Multiple chains run from over-dispersed starts; convergence is checked with split R-hat on the
-per-(gene, cell type) sample-averaged draw trace, gated at the configured
+All conditionals are conjugate: (gamma, B) from a joint Bayesian linear
+regression draw, s2 from an Inverse-Gamma, z from a Gaussian, drawn pathwise.
+A run takes chol(Sigma_g) once (a failure names the gene) and one
+eigendecomposition of the design Gram matrix (``kernels.prepare``), with no
+NaN path in the sweep. A chain's state holds w_i'z_gi, the only way the
+(gamma, B) and s2 draws read z; burn-in sweeps draw only w'z, kept sweeps
+draw z in full (``kernels.sweep``). Each chain has its own SFC64 stream
+spawned from the seed, and starts from an over-dispersed w'z0, as for a prior
+draw of z with its deviations scaled up, so the chains' first (gamma, B, s2)
+draws differ. Convergence is checked with split R-hat on the per-(gene, cell
+type) sample-averaged trace of the kept draws, gated at the configured
 threshold. Two-stage prior refinement re-estimates (mu, Sigma) from posterior
 moments and redraws them through a Normal / Inverse-Wishart step: one normal
 draw for every mean, and every covariance from the Bartlett decomposition
@@ -53,9 +58,9 @@ class HyperParams:
 
 @dataclass
 class ChainState:
-    """Mutable state of one Gibbs chain."""
+    """Mutable state of one Gibbs chain; z enters it only as w'z."""
 
-    z: np.ndarray          # (G, N, C)
+    wz: np.ndarray         # (G, N) w_i'z_gi
     gamma: np.ndarray      # (G, d1)
     b: np.ndarray          # (G, C, d2)
     noise_var: np.ndarray  # (G,)
@@ -64,7 +69,7 @@ class ChainState:
     def __post_init__(self):
         if (self.noise_var <= 0).any():
             raise ValidationError("noise_var must stay positive")
-        for arr in (self.z, self.gamma, self.b, self.noise_var):
+        for arr in (self.wz, self.gamma, self.b, self.noise_var):
             if not np.isfinite(arr).all():
                 raise ValidationError("chain state contains non-finite values")
 
@@ -115,28 +120,29 @@ def _stack_inputs(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta])
 
 
 def _run_sweep(state: ChainState, x, factors: RunFactors, hyper: HyperParams,
-               sweep_fn) -> None:
+               sweep_fn, z: np.ndarray | None = None) -> None:
+    """One sweep of ``state``: a kept sweep draws z into the (G, N, C) buffer
+    ``z``, a burn-in sweep (``z`` None) only w'z."""
     G, N = x.shape
-    C = factors.mu.shape[1]
     p = factors.design.shape[1]
     rng = state.rng
-    eps_z = rng.standard_normal((G, N, C))
     eps_coef = rng.standard_normal((G, max(p, 1)))[:, :p]
     gamma_draws = rng.gamma(hyper.noise_a0 + 0.5 * N, 1.0, G)
-    sweep_fn(x, factors, state.z, state.gamma, state.b, state.noise_var, eps_z, eps_coef,
-             gamma_draws, 1.0 / hyper.coef_prior_var, hyper.noise_b0,
+    eps_z = rng.standard_normal((G, N) if z is None else z.shape)
+    sweep_fn(x, factors, state.wz, z, state.gamma, state.b, state.noise_var, eps_z,
+             eps_coef, gamma_draws, 1.0 / hyper.coef_prior_var, hyper.noise_b0,
              hyper.update_coef, hyper.update_noise)
 
 
-def _start_chain(chol: np.ndarray, priors: GenePriors, n_samples: int, c1: np.ndarray,
-                 c2: np.ndarray, rng: np.random.Generator) -> ChainState:
-    """Over-dispersed start: prior draws with deviations scaled up."""
-    G, C = priors.mu.shape
-    eps = rng.standard_normal((G, n_samples, C))
-    z0 = priors.mu[:, None, :] + OVERDISPERSION * np.einsum("gcd,gnd->gnc", chol, eps)
-    return ChainState(z=z0, gamma=np.zeros((G, c1.shape[1])),
-                      b=np.zeros((G, C, c2.shape[1])), noise_var=priors.noise_var.copy(),
-                      rng=rng)
+def _start_chain(factors: RunFactors, noise_var: np.ndarray, d1: int, d2: int,
+                 rng: np.random.Generator) -> ChainState:
+    """Over-dispersed start: w'z0 for a prior draw z0 = mu + OVERDISPERSION A eps,
+    that is w'mu + OVERDISPERSION a'eps, drawn as w'mu + OVERDISPERSION |a| xi."""
+    G, C = factors.mu.shape
+    xi = rng.standard_normal(factors.a_sq.shape)
+    wz0 = factors.w_mu + OVERDISPERSION * np.sqrt(factors.a_sq) * xi
+    return ChainState(wz=wz0, gamma=np.zeros((G, d1)), b=np.zeros((G, C, d2)),
+                      noise_var=noise_var.copy(), rng=rng)
 
 
 def split_rhat(traces) -> np.ndarray:
@@ -190,19 +196,21 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
     sum_noise = np.zeros(G)
     traces = np.empty((config.chains, kept, G, C))
     sample_mean = np.full(N, 1.0 / N)
+    z = np.empty((G, N, C))  # each kept sweep's z draw
 
     for ci in range(config.chains):
-        rng = np.random.default_rng(chain_seeds[ci])
-        state = _start_chain(factors.chol, priors, N, c1, c2, rng)
+        rng = np.random.Generator(np.random.SFC64(chain_seeds[ci]))
+        state = _start_chain(factors, priors.noise_var, c1.shape[1], c2.shape[1], rng)
         for it in range(config.iters):
-            _run_sweep(state, x, factors, hyper, sweep_fn)
-            if it >= config.burnin:
-                k = it - config.burnin
-                sum_z += state.z
-                sum_z2 += state.z ** 2
-                sum_outer += np.swapaxes(state.z, 1, 2) @ state.z
-                sum_noise += state.noise_var
-                traces[ci, k] = sample_mean @ state.z
+            if it < config.burnin:
+                _run_sweep(state, x, factors, hyper, sweep_fn)
+                continue
+            _run_sweep(state, x, factors, hyper, sweep_fn, z)
+            sum_z += z
+            sum_z2 += z ** 2
+            sum_outer += np.swapaxes(z, 1, 2) @ z
+            sum_noise += state.noise_var
+            traces[ci, it - config.burnin] = sample_mean @ z
 
     total = config.chains * kept
     mean_z = sum_z / total

@@ -4,12 +4,17 @@ Genes are conditionally independent within a sweep, so each block runs once
 for all of them. ``prepare`` computes once per run what a run does not change:
 A = chol(Sigma_g), a = A'w_i and one eigendecomposition of the design Gram
 matrix. Draws are passed in, so a sweep is a deterministic function of its
-inputs. z gets its exact Gaussian conditional by pathwise conditioning
-(Matheron's rule; Doucet 2010), where s = noise + |a|^2 >= noise > 0 keeps
-every square root real; the coefficients a conjugate linear-regression draw
-(Normal prior, variance 1/coef_prior_prec), elementwise in the Gram matrix's
-eigenbasis; the noise variance an Inverse-Gamma draw through a pre-generated
-Gamma(a0 + N/2, 1) variate.
+inputs. A sweep draws the coefficients, then the noise variance, then z. The
+first two read z only through w_i'z_gi, which the chain state keeps: the
+coefficients get a conjugate linear-regression draw (Normal prior, variance
+1/coef_prior_prec), elementwise in the Gram matrix's eigenbasis; the noise
+variance an Inverse-Gamma draw through a pre-generated Gamma(a0 + N/2, 1)
+variate. A kept sweep then draws z from its exact Gaussian conditional by
+pathwise conditioning (Matheron's rule; Doucet 2010), where
+s = noise + |a|^2 >= noise > 0 keeps every square root real. A burn-in sweep
+needs no z, so it draws only w'z from its 1-D conditional, one normal per
+(gene, sample) (the collapsed step of Liu, Wong & Kong 1994; van Dyk & Park
+2008); the chain on (coefficients, noise) keeps the same transition law.
 """
 from __future__ import annotations
 
@@ -67,19 +72,27 @@ def _draw_z(r, f: RunFactors, noise, eps_z, z):
     return f.w_mu + a_eps + f.a_sq * coef
 
 
-def sweep(x, f: RunFactors, z, gamma, b, noise, eps_z, eps_coef, gamma_draws,
-          coef_prior_prec, b0, update_coef, update_noise):
-    """One in-place sweep; ``x`` is the (G, N) bulk matrix.
+def _draw_wz(r, f: RunFactors, noise, xi):
+    """The exact draw of every w'z[g, i] alone: mean w'mu + |a|^2 (r - w'mu)/s,
+    variance w'(Sigma - Sigma w w'Sigma/s)w = |a|^2 noise/s, with one standard
+    normal ``xi`` per (gene, sample)."""
+    noise = noise[:, None]
+    k = f.a_sq / (noise + f.a_sq)  # |a|^2/s
+    return f.w_mu + k * (r - f.w_mu) + np.sqrt(k * noise) * xi
 
-    A draw that is not finite (from a non-finite input) raises
+
+def sweep(x, f: RunFactors, wz, z, gamma, b, noise, eps_z, eps_coef, gamma_draws,
+          coef_prior_prec, b0, update_coef, update_noise):
+    """One in-place sweep; ``x`` is the (G, N) bulk matrix and ``wz`` the
+    chain's (G, N) w_i'z_gi, which the coefficient and noise draws read.
+
+    With a (G, N, C) buffer ``z`` (a kept sweep), ``eps_z`` is (G, N, C) and
+    z is drawn into ``z``; with ``z`` None (a burn-in sweep), ``eps_z`` is
+    (G, N) and only w'z is drawn. Either way ``wz`` is then the new w'z. A draw
+    that is not finite (from a non-finite input) raises
     ``np.linalg.LinAlgError`` naming the gene.
     """
-    def offset():  # covariate part of the mean, gamma_g' c1_i + w_i' B_g c2_i
-        return np.concatenate([gamma, b.reshape(len(b), -1)], axis=1) @ f.design.T
-
     with np.errstate(invalid="ignore", divide="ignore"):
-        wz = _draw_z(x - offset(), f, noise, eps_z, z)
-
         if update_coef and f.design.shape[1]:
             # a_g = Q diag(gram_vals/noise_g + prec) Q', so the draw is
             # elementwise in Q's basis
@@ -89,13 +102,19 @@ def sweep(x, f: RunFactors, z, gamma, b, noise, eps_z, eps_coef, gamma_draws,
             gamma[...] = theta[:, :gamma.shape[1]]
             b[...] = theta[:, gamma.shape[1]:].reshape(b.shape)
 
+        # x less the covariate part of the mean, gamma_g' c1_i + w_i' B_g c2_i
+        r = x - np.concatenate([gamma, b.reshape(len(b), -1)], axis=1) @ f.design.T
         if update_noise:
-            resid = x - wz - offset()
+            resid = r - wz
             ss = np.einsum("gi,gi->g", resid, resid)
             noise[...] = (b0 + 0.5 * ss) / gamma_draws
 
-    finite = (np.isfinite(z).all(axis=(1, 2)) & np.isfinite(gamma).all(axis=1)
+        wz[...] = _draw_wz(r, f, noise, eps_z) if z is None else _draw_z(r, f, noise, eps_z, z)
+
+    finite = (np.isfinite(wz).all(axis=1) & np.isfinite(gamma).all(axis=1)
               & np.isfinite(b).all(axis=(1, 2)) & np.isfinite(noise))
+    if z is not None:
+        finite &= np.isfinite(z).all(axis=(1, 2))
     if not finite.all():
         bad = int(np.argmin(finite))
         raise np.linalg.LinAlgError(

@@ -119,18 +119,20 @@ def init_chain(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
                rng: np.random.Generator) -> ChainState:
     """One chain's over-dispersed start, as ``engine.run_mcmc`` starts each."""
     c1, c2, factors = _stack_inputs(bulk, priors, metas)
-    return _start_chain(factors.chol, priors, bulk.n_samples, c1, c2, rng)
+    return _start_chain(factors, priors.noise_var, c1.shape[1], c2.shape[1], rng)
 
 
 def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: GenePriors,
-                metas: list[SampleMeta], hyper: HyperParams | None = None) -> ChainState:
-    """Advance the chain by one full sweep (z, then coefficients, then noise),
-    as each iteration of ``engine.run_mcmc`` does."""
+                metas: list[SampleMeta], hyper: HyperParams | None = None,
+                z: np.ndarray | None = None) -> ChainState:
+    """Advance the chain by one sweep (coefficients, then noise, then w'z), as
+    each iteration of ``engine.run_mcmc`` does: a kept sweep when a (G, N, C)
+    buffer ``z`` is given, which receives the z draw, a burn-in sweep if not."""
     hyper = hyper or HyperParams()
     _, _, factors = _stack_inputs(bulk, priors, metas)
-    if state.z.shape != (bulk.n_genes, bulk.n_samples, factors.mu.shape[1]):
-        raise ValidationError("chain state z shape does not match inputs")
-    _run_sweep(state, bulk.values, factors, hyper, resolve_backend())
+    if state.wz.shape != (bulk.n_genes, bulk.n_samples):
+        raise ValidationError("chain state w'z shape does not match inputs")
+    _run_sweep(state, bulk.values, factors, hyper, resolve_backend(), z)
     return state
 
 

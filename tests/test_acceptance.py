@@ -192,7 +192,7 @@ def test_acceptance_5_classifier_and_attributions():
         denom = max(abs(fd), abs(grads[name][idx]), 1e-8)
         ok &= abs(fd - grads[name][idx]) / denom < 1e-4
 
-    # IG completeness at the default 200-step budget
+    # IG completeness of the exact piecewise-linear path integral
     comp_err = 0.0
     for _ in range(10):
         m = _rand_model(rng, 6)

@@ -669,6 +669,10 @@ def test_unknown_config_key_is_one(sim_dir, selection_path, tmp_path, capsys,
     ("simulate", {"sigma_rho_range": [0.5, "a"]}, "sigma_rho_range"),
     ("simulate", {"sigma_rho_range": [0.5, 0.6, 0.7]}, "sigma_rho_range"),
     ("simulate", {"dirichlet_alpha": [1, True, 1]}, "dirichlet_alpha"),
+    # JSON's NaN and Infinity parse as floats but are no number of a scenario
+    ("simulate", {"noise_sd": float("nan")}, "noise_sd"),
+    ("simulate", {"expr_mean": float("inf")}, "expr_mean"),
+    ("simulate", {"dirichlet_alpha": [float("nan"), 1, 1]}, "dirichlet_alpha"),
 ])
 def test_config_value_of_wrong_kind_or_range_is_one(sim_dir, selection_path, model_dir,
                                                     dataset_path, tmp_path, capsys,

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from diagnokit import engine
+from diagnokit import engine, kernels
 from diagnokit.engine import (ChainState, HyperParams, PosteriorSummary, refine_priors,
                               run_mcmc, split_rhat)
 from diagnokit.errors import ValidationError
@@ -204,18 +204,69 @@ def test_split_rhat_runs_once_per_round_through_the_module(monkeypatch, rounds):
     assert shapes == [(2, 6, 4, 2)] * rounds
 
 
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_every_sweep_goes_through_the_module_hook(monkeypatch, rounds):
+    # perfbench's tracer times every sweep by replacing engine.resolve_backend
+    bundle = generate(SyntheticScenario(G=4, C=2, N=8, d1=1, d2=1,
+                                        ref_cells_per_type=10, seed=2))
+    pairs = {(g, c) for g in bundle.bulk.genes for c in bundle.true_z.cell_types}
+    selection = PairSelection(pairs=frozenset(pairs),
+                              provenance={pair_key(*p): "marker" for p in pairs})
+    cfg = RefinementConfig(chains=3, iters=10, burnin=4, rounds=rounds)
+    kept = []
+
+    def counted(x, f, wz, z, *rest):
+        kept.append(z is not None)
+        return kernels.sweep(x, f, wz, z, *rest)
+
+    monkeypatch.setattr(engine, "resolve_backend", lambda: counted)
+    engine.deconvolve(bundle.bulk, bundle.ref, selection, bundle.metas, cfg, seed=4)
+    assert len(kept) == cfg.chains * cfg.iters * rounds
+    assert kept == ([False] * cfg.burnin + [True] * (cfg.iters - cfg.burnin)) \
+        * (cfg.chains * rounds)
+
+
 def test_gibbs_sweep_advances_state():
-    bulk, priors, metas = _toy_problem(C=2, N=4, seed=6)
-    rng = np.random.default_rng(0)
-    state = init_chain(bulk, priors, metas, rng)
-    z_before = state.z.copy()
-    gibbs_sweep(state, bulk, priors, metas)
-    assert not np.array_equal(state.z, z_before)
+    bulk, priors, metas = _toy_problem(C=2, N=4, seed=6, d1=1, d2=1)
+    w = np.stack([m.proportions for m in metas])
+    for z in (None, np.zeros((1, 4, 2))):  # a burn-in, then a kept sweep
+        state = init_chain(bulk, priors, metas, np.random.default_rng(0))
+        before = [a.copy() for a in (state.wz, state.gamma, state.b, state.noise_var)]
+        gibbs_sweep(state, bulk, priors, metas, z=z)
+        after = (state.wz, state.gamma, state.b, state.noise_var)
+        assert not any(np.array_equal(u, v) for u, v in zip(before, after))
+    np.testing.assert_allclose(state.wz, np.einsum("gic,ic->gi", z, w), rtol=1e-12)
+
+
+def test_chains_that_differ_only_in_their_start_differ_after_one_sweep():
+    # the over-dispersed start reaches the first (gamma, B, noise) draw
+    bulk, priors, metas = _toy_problem(C=2, N=6, G=3, seed=7, d1=1, d2=1)
+    states = []
+    for start_seed in (1, 2):
+        state = init_chain(bulk, priors, metas, np.random.default_rng(start_seed))
+        state.rng = np.random.default_rng(99)  # the same sweep draws for both
+        states.append(gibbs_sweep(state, bulk, priors, metas))
+    a, b = states
+    assert not np.array_equal(a.gamma, b.gamma)
+    assert not np.array_equal(a.b, b.b)
+    assert (a.noise_var != b.noise_var).all()
+
+
+def test_chain_starts_are_over_dispersed():
+    # w'z0 = w'mu + OVERDISPERSION a'eps: mean w'mu, variance OVERDISPERSION^2 |a|^2
+    bulk, priors, metas = _toy_problem(C=3, N=5, G=2, seed=8)
+    _, _, factors = engine._stack_inputs(bulk, priors, metas)
+    rng = np.random.default_rng(5)
+    starts = np.stack([init_chain(bulk, priors, metas, rng).wz for _ in range(4000)])
+    se = engine.OVERDISPERSION * np.sqrt(factors.a_sq / len(starts))
+    assert (np.abs(starts.mean(axis=0) - factors.w_mu) < 4.0 * se).all()
+    np.testing.assert_allclose(starts.var(axis=0),
+                               engine.OVERDISPERSION ** 2 * factors.a_sq, rtol=0.1)
 
 
 def test_chain_state_validation():
     with pytest.raises(ValidationError):
-        ChainState(z=np.zeros((1, 1, 1)), gamma=np.zeros((1, 0)),
+        ChainState(wz=np.zeros((1, 1)), gamma=np.zeros((1, 0)),
                    b=np.zeros((1, 1, 0)), noise_var=np.array([0.0]),
                    rng=np.random.default_rng(0))
 
