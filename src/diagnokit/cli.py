@@ -318,6 +318,9 @@ def cmd_report(args) -> None:
     manifest, out, config = _start_manifest(
         args, [args.checkpoint, args.dataset]
         + ([args.knowledge] if args.knowledge else []))
+    if config.get("top_k", 1) < 1:
+        raise ValidationError("config key 'top_k' for report must be at least 1, "
+                              f"got {config['top_k']}")
     with _stage(manifest, "read_s"):
         model = load_model(args.checkpoint)
         dataset, labels = _load_for_model(args.dataset, model)

@@ -6,23 +6,26 @@ The model, per gene g and sample i with proportions w_i:
     x_gi = w_i' z_gi + gamma_g' c1_i + w_i' B_g c2_i + eps,  eps ~ N(0, s2_g)
 
 All conditionals are conjugate: (gamma, B) from a joint Bayesian linear
-regression draw, s2 from an Inverse-Gamma, z from a Gaussian, drawn pathwise.
-A run takes chol(Sigma_g) once (a failure names the gene) and one
-eigendecomposition of the design Gram matrix (``kernels.prepare``), with no
-NaN path in the sweep. A chain's state holds w_i'z_gi, the only way the
-(gamma, B) and s2 draws read z; burn-in sweeps draw only w'z, kept sweeps
-draw z in full (``kernels.sweep``). Each chain has its own SFC64 stream
-spawned from the seed, and starts from an over-dispersed w'z0, as for a prior
-draw of z with its deviations scaled up, so the chains' first (gamma, B, s2)
-draws differ. Convergence is checked with split R-hat on the per-(gene, cell
-type) sample-averaged trace of the kept draws, gated at the configured
-threshold. Two-stage prior refinement re-estimates (mu, Sigma) from posterior
-moments and redraws them through a Normal / Inverse-Wishart step: one normal
-draw for every mean, and every covariance from the Bartlett decomposition
-(Smith & Hocking 1972), Sigma = T'T with T = (chol(scale^-1) A)^-1 for a
-lower-triangular A of chi and standard normal draws, all genes in one array
-pass. Draws that are not finite and positive definite are redrawn; the
-redraws and the covariance jitter rescues are counted, never silent.
+regression draw, s2 from an Inverse-Gamma, and z from a Gaussian. A run takes
+chol(Sigma_g) once (a failure names the gene) and one eigendecomposition of
+the design Gram matrix (``kernels.prepare``), with no NaN path in the sweep.
+A chain's state holds w_i'z_gi, the only way the (gamma, B) and s2 draws read
+z, and every sweep draws only w'z (``kernels.sweep``). Each chain has its own
+SFC64 stream spawned from the seed, and starts from an over-dispersed w'z0,
+as for a prior draw of z with its deviations scaled up, so the chains' first
+(gamma, B, s2) draws differ. The posterior moments are Rao-Blackwellized
+(Gelfand & Smith 1990): each kept sweep's z conditional, mean
+m = mu + (Sigma w) q and covariance V = Sigma - (Sigma w)(Sigma w)'/s, enters
+through running sums of q, q^2 and 1/s, so no sweep draws z. Convergence is
+checked with split R-hat on the per-(gene, cell type) sample-averaged trace
+of m, gated at the configured threshold. Two-stage prior refinement
+re-estimates (mu, Sigma) from posterior moments and redraws them through a
+Normal / Inverse-Wishart step: one normal draw for every mean, and every
+covariance from the Bartlett decomposition (Smith & Hocking 1972),
+Sigma = T'T with T = (chol(scale^-1) A)^-1 for a lower-triangular A of chi
+and standard normal draws, all genes in one array pass. Draws that are not
+finite and positive definite are redrawn; the redraws and the covariance
+jitter rescues are counted, never silent.
 """
 from __future__ import annotations
 
@@ -120,18 +123,17 @@ def _stack_inputs(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta])
 
 
 def _run_sweep(state: ChainState, x, factors: RunFactors, hyper: HyperParams,
-               sweep_fn, z: np.ndarray | None = None) -> None:
-    """One sweep of ``state``: a kept sweep draws z into the (G, N, C) buffer
-    ``z``, a burn-in sweep (``z`` None) only w'z."""
+               sweep_fn):
+    """One sweep of ``state``; returns the sweep's (q, s) (``kernels.sweep``)."""
     G, N = x.shape
     p = factors.design.shape[1]
     rng = state.rng
     eps_coef = rng.standard_normal((G, max(p, 1)))[:, :p]
     gamma_draws = rng.gamma(hyper.noise_a0 + 0.5 * N, 1.0, G)
-    eps_z = rng.standard_normal((G, N) if z is None else z.shape)
-    sweep_fn(x, factors, state.wz, z, state.gamma, state.b, state.noise_var, eps_z,
-             eps_coef, gamma_draws, 1.0 / hyper.coef_prior_var, hyper.noise_b0,
-             hyper.update_coef, hyper.update_noise)
+    xi = rng.standard_normal((G, N))
+    return sweep_fn(x, factors, state.wz, state.gamma, state.b, state.noise_var, xi,
+                    eps_coef, gamma_draws, 1.0 / hyper.coef_prior_var, hyper.noise_b0,
+                    hyper.update_coef, hyper.update_noise)
 
 
 def _start_chain(factors: RunFactors, noise_var: np.ndarray, d1: int, d2: int,
@@ -174,7 +176,8 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
              hyper: HyperParams | None = None,
              cell_types: list[str] | None = None,
              rescues: dict[str, int] | None = None) -> PosteriorSummary:
-    """Multi-chain Gibbs sampling with pooled posterior moments and R-hat.
+    """Multi-chain Gibbs sampling with pooled Rao-Blackwellized posterior moments
+    and R-hat.
 
     ``rescues``, when given, counts the genes whose sigma_hat needed more than
     the first jitter step (``_regularize_spd_all``)."""
@@ -190,33 +193,39 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
     master = np.random.SeedSequence(entropy=(seed, 0xD1A6))
     chain_seeds = master.spawn(config.chains)
 
-    sum_z = np.zeros((G, N, C))
-    sum_z2 = np.zeros((G, N, C))
-    sum_outer = np.zeros((G, C, C))
+    sum_q = np.zeros((G, N))
+    sum_q2 = np.zeros((G, N))
+    sum_inv_s = np.zeros((G, N))
     sum_noise = np.zeros(G)
     traces = np.empty((config.chains, kept, G, C))
-    sample_mean = np.full(N, 1.0 / N)
-    z = np.empty((G, N, C))  # each kept sweep's z draw
+    sigma_w, mu = factors.sigma_w, factors.mu
 
     for ci in range(config.chains):
         rng = np.random.Generator(np.random.SFC64(chain_seeds[ci]))
         state = _start_chain(factors, priors.noise_var, c1.shape[1], c2.shape[1], rng)
         for it in range(config.iters):
+            q, s = _run_sweep(state, x, factors, hyper, sweep_fn)
             if it < config.burnin:
-                _run_sweep(state, x, factors, hyper, sweep_fn)
                 continue
-            _run_sweep(state, x, factors, hyper, sweep_fn, z)
-            sum_z += z
-            sum_z2 += z ** 2
-            sum_outer += np.swapaxes(z, 1, 2) @ z
+            sum_q += q
+            sum_q2 += q * q
+            sum_inv_s += 1.0 / s
             sum_noise += state.noise_var
-            traces[ci, it - config.burnin] = sample_mean @ z
+            # the sample average of the conditional mean m = mu + (Sigma w) q
+            traces[ci, it - config.burnin] = mu + np.einsum("gci,gi->gc", sigma_w, q) / N
 
     total = config.chains * kept
-    mean_z = sum_z / total
-    var_z = np.maximum(sum_z2 / total - mean_z ** 2, 0.0)
-    mu_hat = mean_z.mean(axis=1)
-    sigma_hat = sum_outer / (total * N) - np.einsum("gc,gd->gcd", mu_hat, mu_hat)
+    mean_q, mean_q2, mean_inv_s = sum_q / total, sum_q2 / total, sum_inv_s / total
+    mean = mu[:, :, None] + sigma_w * mean_q[:, None, :]
+    # E[V] + Var(m) per cell type: Sigma_cc - (Sigma w)_c^2 (E[1/s] - Var(q))
+    var = np.maximum(np.diagonal(priors.sigma, axis1=1, axis2=2)[:, :, None]
+                     + sigma_w ** 2 * (mean_q2 - mean_q ** 2 - mean_inv_s)[:, None, :], 0.0)
+    mu_hat = mean.mean(axis=2)
+    # the average of m m' + V over kept sweeps and samples, less mu_hat mu_hat'
+    shift = mu_hat - mu
+    sigma_hat = (priors.sigma
+                 + np.einsum("gci,gdi,gi->gcd", sigma_w, sigma_w, mean_q2 - mean_inv_s) / N
+                 - np.einsum("gc,gd->gcd", shift, shift))
     sigma_hat = _regularize_spd_all(sigma_hat, np.trace(sigma_hat, axis1=1, axis2=2),
                                     rescues)
     noise_hat = sum_noise / total
@@ -227,8 +236,7 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
                      and finite.max() < config.rhat_threshold)
 
     cts = CtsTensor(genes=bulk.genes, cell_types=cell_types, samples=bulk.samples,
-                    mean=np.transpose(mean_z, (0, 2, 1)),
-                    variance=np.transpose(var_z, (0, 2, 1)))
+                    mean=mean, variance=var)
     return PosteriorSummary(cts=cts, mu_hat=mu_hat, sigma_hat=sigma_hat,
                             noise_hat=noise_hat, rhat=rhat, converged=converged)
 
@@ -312,7 +320,6 @@ def refine_priors(summary: PosteriorSummary, priors: GenePriors,
 def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection,
                metas: list[SampleMeta], config: RefinementConfig, seed: int,
                shrinkage: float = DEFAULT_SHRINKAGE,
-               hyper: HyperParams | None = None,
                round_summaries: list | None = None) -> PosteriorSummary:
     """Full pipeline: priors -> restrict to selected genes -> iterated MCMC.
 
@@ -325,6 +332,7 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
     """
     cell_types = ref.cell_types
     C = len(cell_types)
+    config.resolved_nu(C)  # a bad nu fails now, not after a round of sampling
     bulk_genes, known_types = set(bulk.genes), set(cell_types)
     for g, c in selection.pairs:
         if g not in bulk_genes or c not in known_types:
@@ -352,7 +360,7 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
         priors = bulk_priors.take(sampled_genes)
         for rnd in range(config.rounds):
             summary = run_mcmc(sub_bulk, priors, metas, config, seed + rnd,
-                               hyper=hyper, cell_types=cell_types, rescues=rescues)
+                               cell_types=cell_types, rescues=rescues)
             if round_summaries is not None:
                 round_summaries.append(summary)
             if rnd + 1 < config.rounds:

@@ -72,7 +72,8 @@ def z_conditional(mu: np.ndarray, sigma: np.ndarray, noise_var: float, x_gi: flo
     """Exact Gaussian full conditional of z for one (gene, sample), given the
     gene's prior mean, covariance and noise variance.
 
-    ``kernels`` draws z from it for every (gene, sample) at once, pathwise."""
+    ``engine.run_mcmc`` averages its moments over kept sweeps, for every
+    (gene, sample) at once, from each sweep's (q, s)."""
     w = meta.proportions
     r = float(x_gi) - float(adj.gamma @ meta.bulk_cov) - float(w @ (adj.b @ meta.cts_cov))
     if not np.isfinite(r):
@@ -123,16 +124,14 @@ def init_chain(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
 
 
 def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: GenePriors,
-                metas: list[SampleMeta], hyper: HyperParams | None = None,
-                z: np.ndarray | None = None) -> ChainState:
+                metas: list[SampleMeta], hyper: HyperParams | None = None) -> ChainState:
     """Advance the chain by one sweep (coefficients, then noise, then w'z), as
-    each iteration of ``engine.run_mcmc`` does: a kept sweep when a (G, N, C)
-    buffer ``z`` is given, which receives the z draw, a burn-in sweep if not."""
+    each iteration of ``engine.run_mcmc`` does."""
     hyper = hyper or HyperParams()
     _, _, factors = _stack_inputs(bulk, priors, metas)
     if state.wz.shape != (bulk.n_genes, bulk.n_samples):
         raise ValidationError("chain state w'z shape does not match inputs")
-    _run_sweep(state, bulk.values, factors, hyper, resolve_backend(), z)
+    _run_sweep(state, bulk.values, factors, hyper, resolve_backend())
     return state
 
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagnokit
+from diagnokit import engine
 from diagnokit.classifier import Dataset, load_dataset, load_model, save_dataset
 from diagnokit.cli import CONFIG_KEYS, main
 from diagnokit.io import load_cts_tensor, save_cts_tensor
@@ -673,6 +674,11 @@ def test_unknown_config_key_is_one(sim_dir, selection_path, tmp_path, capsys,
     ("simulate", {"noise_sd": float("nan")}, "noise_sd"),
     ("simulate", {"expr_mean": float("inf")}, "expr_mean"),
     ("simulate", {"dirichlet_alpha": [float("nan"), 1, 1]}, "dirichlet_alpha"),
+    # report keeps the top_k features of the prompt, so at least one
+    ("report", {"top_k": 0}, "top_k"),
+    ("report", {"top_k": -2}, "top_k"),
+    ("report", {"top_k": 2.5}, "top_k"),
+    ("report", {"top_k": True}, "top_k"),
 ])
 def test_config_value_of_wrong_kind_or_range_is_one(sim_dir, selection_path, model_dir,
                                                     dataset_path, tmp_path, capsys,
@@ -687,6 +693,8 @@ def test_config_value_of_wrong_kind_or_range_is_one(sim_dir, selection_path, mod
         "train": ["train", "--dataset", str(dataset_path)],
         "attribute": ["attribute", *ckpt, "--dataset", str(dataset_path)],
         "diverge": ["diverge", *ckpt, "--dataset", str(dataset_path), "--offline"],
+        "report": ["report", *ckpt, "--dataset", str(dataset_path), "--sample", "p01",
+                   "--audience", "clinician", "--offline"],
         "simulate": ["simulate"],
     }[command]
     if command != "deconvolve":
@@ -694,6 +702,22 @@ def test_config_value_of_wrong_kind_or_range_is_one(sim_dir, selection_path, mod
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("nu", [1, 3.5])
+def test_bad_nu_exits_before_the_first_sweep(sim_dir, selection_path, tmp_path, capsys,
+                                             monkeypatch, nu):
+    # nu (at least C + 2 = 4 here) is used only to refine the priors, after a
+    # whole round of sampling
+    calls = []
+    monkeypatch.setattr(engine, "resolve_backend", lambda: lambda *a: calls.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**MCMC, "nu": nu, "rounds": 2}))
+    argv = _deconvolve_args(sim_dir, sim_dir / "meta.json", selection_path,
+                            tmp_path / "out", cfg)
+    assert main(argv) == 1
+    assert calls == []
+    assert "nu must be >= C + 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["simulate", "train"])

@@ -1,6 +1,8 @@
 """Gibbs engine oracles: conditionals, convergence diagnostics, refinement."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -213,29 +215,83 @@ def test_every_sweep_goes_through_the_module_hook(monkeypatch, rounds):
     selection = PairSelection(pairs=frozenset(pairs),
                               provenance={pair_key(*p): "marker" for p in pairs})
     cfg = RefinementConfig(chains=3, iters=10, burnin=4, rounds=rounds)
-    kept = []
+    shapes = []
 
-    def counted(x, f, wz, z, *rest):
-        kept.append(z is not None)
-        return kernels.sweep(x, f, wz, z, *rest)
+    def counted(x, *rest):
+        q, s = kernels.sweep(x, *rest)
+        shapes.append((q.shape, s.shape))
+        return q, s
 
     monkeypatch.setattr(engine, "resolve_backend", lambda: counted)
     engine.deconvolve(bundle.bulk, bundle.ref, selection, bundle.metas, cfg, seed=4)
-    assert len(kept) == cfg.chains * cfg.iters * rounds
-    assert kept == ([False] * cfg.burnin + [True] * (cfg.iters - cfg.burnin)) \
-        * (cfg.chains * rounds)
+    assert shapes == [((4, 8), (4, 8))] * (cfg.chains * cfg.iters * rounds)
+
+
+def _kept_states(monkeypatch, cfg):
+    """Patch the sweep hook so that the (gamma, B, noise) after each of a
+    ``run_mcmc`` call's kept sweeps is appended to the returned list."""
+    states, calls = [], itertools.count()
+
+    def recorded(x, f, wz, gamma, b, noise, *rest):
+        out = kernels.sweep(x, f, wz, gamma, b, noise, *rest)
+        if next(calls) % cfg.iters >= cfg.burnin:
+            states.append((gamma.copy(), b.copy(), noise.copy()))
+        return out
+
+    monkeypatch.setattr(engine, "resolve_backend", lambda: recorded)
+    return states
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+@pytest.mark.parametrize("C,N,G,d1,d2,burnin", [
+    (3, 5, 2, 1, 1, 4),
+    (1, 4, 2, 0, 0, 3),  # one cell type, no covariates
+    (2, 6, 3, 0, 2, 0),  # no burn-in
+    (4, 3, 1, 2, 0, 5),  # an odd number of kept sweeps
+])
+def test_posterior_moments_average_the_z_conditionals_of_the_kept_states(
+        monkeypatch, C, N, G, d1, d2, burnin, fixed):
+    # the Rao-Blackwellized moments, against z_conditional in each kept state:
+    # mean E[m], variance E[V] + Var(m), sigma_hat the average of m m' + V
+    # less mu_hat mu_hat', over kept sweeps and samples; with the coefficients
+    # and noise fixed, every kept state is the same
+    bulk, priors, metas = _toy_problem(C=C, N=N, G=G, seed=11 + C, d1=d1, d2=d2)
+    cfg = RefinementConfig(chains=2, iters=12, burnin=burnin, rounds=1)
+    hyper = HyperParams(update_coef=not fixed, update_noise=not fixed)
+    states = _kept_states(monkeypatch, cfg)
+    summary = run_mcmc(bulk, priors, metas, cfg, seed=5, hyper=hyper)
+    assert len(states) == cfg.chains * (cfg.iters - cfg.burnin)
+    m = np.empty((len(states), G, N, C))
+    v = np.empty((len(states), G, N, C, C))
+    for t, (gamma, b, noise) in enumerate(states):
+        for g in range(G):
+            adj = AdjustmentParams(gamma=gamma[g], b=b[g])
+            for i, meta in enumerate(metas):
+                m[t, g, i], v[t, g, i] = z_conditional(priors.mu[g], priors.sigma[g],
+                                                       noise[g], bulk.values[g, i], meta, adj)
+    mean = m.mean(axis=0)
+    var = np.diagonal(v.mean(axis=0), axis1=-2, axis2=-1) + m.var(axis=0)
+    mu_hat = mean.mean(axis=1)
+    second = (m[..., :, None] * m[..., None, :] + v).mean(axis=(0, 2))
+    sigma_hat = second - mu_hat[:, :, None] * mu_hat[:, None, :]
+    sigma_hat = _regularize_spd_all(sigma_hat, np.trace(sigma_hat, axis1=1, axis2=2))
+    tol = dict(rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(summary.cts.mean, np.swapaxes(mean, 1, 2), **tol)
+    np.testing.assert_allclose(summary.cts.variance, np.swapaxes(var, 1, 2), **tol)
+    np.testing.assert_allclose(summary.mu_hat, mu_hat, **tol)
+    np.testing.assert_allclose(summary.sigma_hat, sigma_hat, **tol)
+    # R-hat reads the sample-averaged trace of m, per chain
+    traces = m.mean(axis=2).reshape(cfg.chains, cfg.iters - cfg.burnin, G, C)
+    np.testing.assert_allclose(summary.rhat, split_rhat(traces), **tol)
 
 
 def test_gibbs_sweep_advances_state():
     bulk, priors, metas = _toy_problem(C=2, N=4, seed=6, d1=1, d2=1)
-    w = np.stack([m.proportions for m in metas])
-    for z in (None, np.zeros((1, 4, 2))):  # a burn-in, then a kept sweep
-        state = init_chain(bulk, priors, metas, np.random.default_rng(0))
-        before = [a.copy() for a in (state.wz, state.gamma, state.b, state.noise_var)]
-        gibbs_sweep(state, bulk, priors, metas, z=z)
-        after = (state.wz, state.gamma, state.b, state.noise_var)
-        assert not any(np.array_equal(u, v) for u, v in zip(before, after))
-    np.testing.assert_allclose(state.wz, np.einsum("gic,ic->gi", z, w), rtol=1e-12)
+    state = init_chain(bulk, priors, metas, np.random.default_rng(0))
+    before = [a.copy() for a in (state.wz, state.gamma, state.b, state.noise_var)]
+    gibbs_sweep(state, bulk, priors, metas)
+    after = (state.wz, state.gamma, state.b, state.noise_var)
+    assert not any(np.array_equal(u, v) for u, v in zip(before, after))
 
 
 def test_chains_that_differ_only_in_their_start_differ_after_one_sweep():

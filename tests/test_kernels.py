@@ -1,45 +1,15 @@
 """Batched Gibbs sweep against the per-gene reference loop it replaced, and
-the pathwise z draw, the burn-in w'z draw and the eigenbasis coefficient draw
-against their oracles."""
+the w'z draw, the z conditional given by the sweep's (q, s) and the
+eigenbasis coefficient draw against their oracles."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from diagnokit.kernels import _draw_z, prepare, resolve_backend, sweep
+from diagnokit.kernels import prepare, resolve_backend, sweep
 from diagnokit.types import AdjustmentParams, SampleMeta
 
 from oracles import z_conditional
-
-
-def draw_z_cholesky(r, w, sig_inv, sig_inv_mu, noise, eps_z):
-    """Reference: the former z block. It factors every precision
-    sig_inv[g] + w_i w_i' / noise[g] as L L' with a Cholesky written out over
-    the C axis and returns L'^{-1} (L^{-1} rhs + eps)."""
-    C = w.shape[1]
-    wt = w.T  # (C, N)
-    noise = noise[:, None]
-    scaled_r = r / noise  # (G, N)
-    # chol[i][j] holds L[:, :, i, j] and y[j] the forward solve, each as (G, N)
-    chol = [[None] * C for _ in range(C)]
-    y = [None] * C
-    for j in range(C):
-        for i in range(j, C):
-            acc = sig_inv[:, i, j, None] + (wt[i] * wt[j]) / noise
-            for k in range(j):
-                acc = acc - chol[i][k] * chol[j][k]
-            chol[i][j] = np.sqrt(acc) if i == j else acc / chol[j][j]
-        acc = sig_inv_mu[:, j, None] + wt[j] * scaled_r
-        for k in range(j):
-            acc = acc - chol[j][k] * y[k]
-        y[j] = acc / chol[j][j]
-    z = [None] * C
-    for i in range(C - 1, -1, -1):
-        acc = y[i] + eps_z[:, :, i]
-        for k in range(i + 1, C):
-            acc = acc - chol[k][i] * z[k]
-        z[i] = acc / chol[i][i]
-    return np.stack(z, axis=-1)
 
 
 def coef_noise_per_gene(x, w, c1, c2, wz, gamma, b, noise, eps_coef, gamma_draws,
@@ -73,9 +43,11 @@ def coef_noise_per_gene(x, w, c1, c2, wz, gamma, b, noise, eps_coef, gamma_draws
             noise[g] = (b0 + 0.5 * ss) / gamma_draws[g]
 
 
-def z_per_gene(x, w, c1, c2, sig_inv, sig_inv_mu, z, gamma, b, noise, eps_z):
-    """Reference for a kept sweep's z block: one gene at a time, a LAPACK
-    Cholesky of each precision and solves. Returns w'z."""
+def wz_per_gene(x, w, c1, c2, sig_inv, sig_inv_mu, gamma, b, noise, xi):
+    """Reference for the w'z block: one gene at a time, a LAPACK Cholesky
+    L L' of each precision and solves for z's conditional mean m and
+    covariance V; returns w'm + sqrt(w'Vw) xi."""
+    wz = np.empty_like(xi)
     for g in range(x.shape[0]):
         offset = c1 @ gamma[g] + np.einsum("ic,ic->i", w, c2 @ b[g].T)
         r = x[g] - offset  # (N,)
@@ -84,17 +56,16 @@ def z_per_gene(x, w, c1, c2, sig_inv, sig_inv_mu, z, gamma, b, noise, eps_z):
         rhs = sig_inv_mu[g][None, :] + w * (r / noise[g])[:, None]
         half = np.linalg.solve(chol, rhs[:, :, None])
         mean = np.linalg.solve(np.transpose(chol, (0, 2, 1)), half)[:, :, 0]
-        pert = np.linalg.solve(np.transpose(chol, (0, 2, 1)), eps_z[g][:, :, None])[:, :, 0]
-        z[g] = mean + pert
-    return np.einsum("gic,ic->gi", z, w)
+        half_w = np.linalg.solve(chol, w[:, :, None])[:, :, 0]  # w'Vw = |L^-1 w|^2
+        wz[g] = np.einsum("ic,ic->i", w, mean) + np.sqrt((half_w ** 2).sum(axis=1)) * xi[g]
+    return wz
 
 
 def _problem(G, N, C, d1, d2, seed):
-    """Inputs, a start state and one kept sweep's draws, as the engine builds
-    them.
+    """Inputs, a start state and one sweep's draws, as the engine builds them.
 
-    ``inputs`` are (x, w, c1, c2, sigma, mu); ``state`` is (w'z, a z buffer,
-    gamma, B, noise)."""
+    ``inputs`` are (x, w, c1, c2, sigma, mu); ``state`` is (w'z, gamma, B,
+    noise)."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((G, C, C))
     sigma = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(C)
@@ -102,10 +73,9 @@ def _problem(G, N, C, d1, d2, seed):
     p = d1 + C * d2
     inputs = (rng.normal(5.0, 2.0, (G, N)), rng.dirichlet(np.ones(C), N),
               rng.standard_normal((N, d1)), rng.standard_normal((N, d2)), sigma, mu)
-    state = (rng.normal(5.0, 2.0, (G, N)), np.zeros((G, N, C)),
-             rng.standard_normal((G, d1)), rng.standard_normal((G, C, d2)),
-             rng.uniform(0.1, 2.0, G))
-    draws = (rng.standard_normal((G, N, C)), rng.standard_normal((G, p)),
+    state = (rng.normal(5.0, 2.0, (G, N)), rng.standard_normal((G, d1)),
+             rng.standard_normal((G, C, d2)), rng.uniform(0.1, 2.0, G))
+    draws = (rng.standard_normal((G, N)), rng.standard_normal((G, p)),
              rng.gamma(2.0 + 0.5 * N, 1.0, G), 0.1, 1.0)
     return inputs, state, draws
 
@@ -123,32 +93,6 @@ def _precision_inputs(inputs):
     return (*inputs[:4], sig_inv, np.einsum("gcd,gd->gc", sig_inv, mu))
 
 
-def _precision(sig_inv, w, noise):
-    """Every (gene, sample) precision sig_inv[g] + w_i w_i' / noise[g]."""
-    return sig_inv[:, None] + (w[:, :, None] * w[:, None, :])[None] / noise[:, None, None, None]
-
-
-def _pathwise_map(sigma, w, noise):
-    """S = A (I - beta a a') per (gene, sample), A = chol(sigma), a = A'w:
-    the linear part of the pathwise draw, written with matrices."""
-    chol = np.linalg.cholesky(sigma)
-    a = np.einsum("gkc,ik->gic", chol, w)
-    s = noise[:, None] + (a * a).sum(axis=-1)
-    beta = 1.0 / (s + np.sqrt(s * noise[:, None]))
-    proj = np.eye(w.shape[1]) - beta[..., None, None] * a[..., :, None] * a[..., None, :]
-    return chol[:, None] @ proj
-
-
-def _reference_z_draws(inputs, noise, eps_z):
-    """The reference's normals for the kernel's z normals: L' S eps, L L' the
-    precision. L' S is orthogonal, so these are standard normals too, and they
-    give the reference the kernel's draw."""
-    sig_inv, w = _precision_inputs(inputs)[4], inputs[1]
-    chol_prec = np.linalg.cholesky(_precision(sig_inv, w, noise))
-    rot = np.swapaxes(chol_prec, -1, -2) @ _pathwise_map(inputs[4], w, noise)
-    return (rot @ eps_z[..., None])[..., 0]
-
-
 def _reference_coef_draws(inputs, noise, eps_coef, prec):
     """The same for the coefficient normals: L_c' M eps_coef, L_c L_c' =
     D'D/noise + prec I, M = Q diag(eigvals/noise + prec)^(-1/2) from
@@ -163,11 +107,6 @@ def _reference_coef_draws(inputs, noise, eps_coef, prec):
     chol_coef = np.linalg.cholesky(gram / noise[:, None, None] + prec * np.eye(p))
     rot_coef = np.swapaxes(chol_coef, 1, 2) @ (vecs / np.sqrt(d)[:, None, :])
     return (rot_coef @ eps_coef[..., None])[..., 0]
-
-
-def _offset(inputs, gamma, b):
-    _, w, c1, c2 = inputs[:4]
-    return gamma @ c1.T + np.einsum("ic,gcd,id->gi", w, b, c2)
 
 
 SHAPES = [  # (G, N, C, d1, d2)
@@ -187,78 +126,63 @@ SHAPES = [  # (G, N, C, d1, d2)
 def test_batched_sweep_matches_per_gene_reference(shape, update_coef, update_noise):
     inputs, state, draws = _problem(*shape, seed=sum(shape))
     factors, ref_inputs = _factors(inputs), _precision_inputs(inputs)
-    eps_z, eps_coef, gamma_draws, prec, b0 = draws
+    xi, eps_coef, gamma_draws, prec, b0 = draws
     ours = [s.copy() for s in state]
-    ref_wz, ref_z, *ref_rest = [s.copy() for s in state]
-    gamma, b, noise = ref_rest
+    ref_wz, gamma, b, noise = [s.copy() for s in state]
     for _ in range(3):  # later sweeps start from updated w'z, coefficients and noise
         sweep(inputs[0], factors, *ours, *draws, update_coef, update_noise)
         coef_noise_per_gene(*ref_inputs[:4], ref_wz, gamma, b, noise,
                             _reference_coef_draws(inputs, noise, eps_coef, prec),
                             gamma_draws, prec, b0, update_coef, update_noise)
-        ref_wz = z_per_gene(*ref_inputs, ref_z, gamma, b, noise,
-                            _reference_z_draws(inputs, noise, eps_z))
-    ref = (ref_wz, ref_z, gamma, b, noise)
-    for name, a, r in zip(("wz", "z", "gamma", "b", "noise"), ours, ref):
+        ref_wz = wz_per_gene(*ref_inputs, gamma, b, noise, xi)
+    ref = (ref_wz, gamma, b, noise)
+    for name, a, r in zip(("wz", "gamma", "b", "noise"), ours, ref):
         np.testing.assert_allclose(a, r, rtol=1e-12, atol=1e-12, err_msg=name)
     if not update_coef:
-        assert np.array_equal(ours[2], state[2]) and np.array_equal(ours[3], state[3])
+        assert np.array_equal(ours[1], state[1]) and np.array_equal(ours[2], state[2])
     if not update_noise:
-        assert np.array_equal(ours[4], state[4])
+        assert np.array_equal(ours[3], state[3])
 
 
 def _swept(inputs, factors, state, draws, update_coef=True, update_noise=True):
-    out = [None if s is None else s.copy() for s in state]
-    sweep(inputs[0], factors, *out, *draws, update_coef, update_noise)
-    return out
+    """The state after one sweep, and the sweep's (q, s)."""
+    out = [s.copy() for s in state]
+    q, s = sweep(inputs[0], factors, *out, *draws, update_coef, update_noise)
+    return out, q, s
 
 
-def _burnin(state, draws, xi=None):
-    """A burn-in sweep's state and draws from a kept sweep's: no z buffer, and
-    one normal per (gene, sample), by default the first cell type's."""
-    return (state[0], None, *state[2:]), (draws[0][..., 0] if xi is None else xi, *draws[1:])
+def _conditionals(inputs, gamma, b, noise):
+    """``z_conditional``'s mean and covariance for every (gene, sample)."""
+    x, w, c1, c2, sigma, mu = inputs
+    G, N = x.shape
+    C = w.shape[1]
+    mean, cov = np.empty((G, N, C)), np.empty((G, N, C, C))
+    for g in range(G):
+        adj = AdjustmentParams(gamma=gamma[g], b=b[g])
+        for i in range(N):
+            meta = SampleMeta(sample_id="s", proportions=w[i], bulk_cov=c1[i], cts_cov=c2[i])
+            mean[g, i], cov[g, i] = z_conditional(mu[g], sigma[g], noise[g], x[g, i], meta, adj)
+    return mean, cov
 
 
 @pytest.mark.parametrize("update_noise", [True, False])
 @pytest.mark.parametrize("update_coef", [True, False])
 @pytest.mark.parametrize("shape", SHAPES)
-def test_pathwise_z_draw_is_the_exact_conditional(shape, update_coef, update_noise):
-    """Per (gene, sample): the draw is affine in eps, its mean is the
-    precision-Cholesky reference's, and its linear map S has S S' = prec^-1.
-    It conditions on the coefficients and noise the same sweep drew first."""
-    G, N, C = shape[:3]
+def test_z_conditional_from_q_and_s_is_exact(shape, update_coef, update_noise):
+    """Per (gene, sample), given the coefficients and noise the same sweep
+    drew: m = mu + (Sigma w) q and V = Sigma - (Sigma w)(Sigma w)'/s are z's
+    conditional mean and covariance."""
     inputs, state, draws = _problem(*shape, seed=sum(shape) + 1)
     factors = _factors(inputs)
-    x, w, _, _, sig_inv, sig_inv_mu = _precision_inputs(inputs)
-    flags = (update_coef, update_noise)
-    zero = np.zeros((G, N, C))
-    swept = _swept(inputs, factors, state, (zero, *draws[1:]), *flags)
-    z0, gamma, b, noise = swept[1:]
-    r = x - _offset(inputs, gamma, b)
-    mean = draw_z_cholesky(r, w, sig_inv, sig_inv_mu, noise, zero)
-    np.testing.assert_allclose(z0, mean, rtol=1e-12, atol=1e-12)
-
-    cols = []
-    for c in range(C):
-        unit = zero.copy()
-        unit[:, :, c] = 1.0
-        cols.append(_swept(inputs, factors, state, (unit, *draws[1:]), *flags)[1] - z0)
-    lin = np.stack(cols, axis=-1)  # (G, N, C, C): S per (gene, sample)
-    prod = lin @ np.swapaxes(lin, -1, -2) @ _precision(sig_inv, w, noise)
-    np.testing.assert_allclose(prod, np.broadcast_to(np.eye(C), prod.shape), atol=1e-12)
-    z = _swept(inputs, factors, state, draws, *flags)[1]
-    np.testing.assert_allclose(z, z0 + (lin @ draws[0][..., None])[..., 0],
-                               rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("shape", SHAPES)
-def test_pathwise_z_draw_returns_w_dot_z(shape):
-    inputs, state, draws = _problem(*shape, seed=sum(shape) + 2)
-    factors = _factors(inputs)
-    r = inputs[0] - _offset(inputs, state[2], state[3])
-    z = np.empty_like(state[1])
-    wz = _draw_z(r, factors, state[4], draws[0], z)
-    np.testing.assert_allclose(wz, np.einsum("gic,ic->gi", z, inputs[1]), rtol=1e-12)
+    (_, gamma, b, noise), q, s = _swept(inputs, factors, state, draws,
+                                        update_coef, update_noise)
+    sigma_w = np.swapaxes(factors.sigma_w, 1, 2)  # (G, N, C)
+    m = inputs[5][:, None, :] + sigma_w * q[..., None]
+    v = (inputs[4][:, None] - sigma_w[..., :, None] * sigma_w[..., None, :]
+         / s[..., None, None])
+    want_m, want_v = _conditionals(inputs, gamma, b, noise)
+    np.testing.assert_allclose(m, want_m, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(v, want_v, rtol=1e-12, atol=1e-12)
 
 
 def _coef_oracle(inputs, state, draws, factors):
@@ -266,13 +190,13 @@ def _coef_oracle(inputs, state, draws, factors):
     solve(D'D/noise + prec I, D'(x - w'z)/noise); and its linear map M against
     M M' = (D'D/noise + prec I)^-1."""
     x = inputs[0]
-    design, prec, wz, noise = factors.design, draws[3], state[0], state[4]
+    design, prec, wz, noise = factors.design, draws[3], state[0], state[3]
     p = design.shape[1]
     eps_coef = np.zeros_like(draws[1])
 
     def theta(eps):
-        out = _swept(inputs, factors, state, (draws[0], eps, *draws[2:]), True, False)
-        return np.concatenate([out[2], out[3].reshape(len(x), -1)], axis=1)
+        out = _swept(inputs, factors, state, (draws[0], eps, *draws[2:]), True, False)[0]
+        return np.concatenate([out[1], out[2].reshape(len(x), -1)], axis=1)
 
     mean = theta(eps_coef)
     a_mat = design.T @ design / noise[:, None, None] + prec * np.eye(p)
@@ -310,62 +234,38 @@ def test_coefficient_draw_with_rank_deficient_design():
 @pytest.mark.parametrize("update_coef", [True, False])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_burnin_w_dot_z_draw_is_the_exact_conditional(shape, update_coef, update_noise):
-    """Per (gene, sample), given the coefficients and noise the same sweep drew
-    first: the draw's mean is w'm and its variance w'Vw, for the mean m and
+    """Every sweep's w'z draw (the burn-in sweep's before kept sweeps drew z
+    too), per (gene, sample), given the coefficients and noise the same sweep
+    drew first: its mean is w'm and its variance w'Vw, for the mean m and
     covariance V of z's conditional."""
     G, N = shape[:2]
     inputs, state, draws = _problem(*shape, seed=sum(shape) + 4)
     factors = _factors(inputs)
     flags = (update_coef, update_noise)
-    mean, _, gamma, b, noise = _swept(inputs, factors, *_burnin(state, draws, np.zeros((G, N))),
-                                      *flags)
-    sd = _swept(inputs, factors, *_burnin(state, draws, np.ones((G, N))), *flags)[0] - mean
-    x, w, c1, c2, sigma, mu = inputs
-    want_mean, want_var = np.empty((G, N)), np.empty((G, N))
-    for g in range(G):
-        adj = AdjustmentParams(gamma=gamma[g], b=b[g])
-        for i in range(N):
-            meta = SampleMeta(sample_id="s", proportions=w[i], bulk_cov=c1[i], cts_cov=c2[i])
-            m, v = z_conditional(mu[g], sigma[g], noise[g], x[g, i], meta, adj)
-            want_mean[g, i], want_var[g, i] = w[i] @ m, w[i] @ v @ w[i]
-    np.testing.assert_allclose(mean, want_mean, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(sd ** 2, want_var, rtol=1e-12, atol=1e-12)
-
-
-@pytest.mark.parametrize("shape", SHAPES)
-def test_burnin_and_kept_sweeps_agree_on_matched_draws(shape):
-    """With xi = a'eps/|a|, a burn-in sweep leaves the kept sweep's w'z, so the
-    next sweep draws the same coefficients and noise after either."""
-    inputs, state, draws = _problem(*shape, seed=sum(shape) + 5)
-    factors = _factors(inputs)
-    xi = np.einsum("cgi,gic->gi", factors.a, draws[0]) / np.sqrt(factors.a_sq)
-    kept = _swept(inputs, factors, state, draws)
-    burn = _swept(inputs, factors, *_burnin(state, draws, xi))
-    np.testing.assert_allclose(burn[0], kept[0], rtol=1e-12, atol=1e-12)
-    later = _problem(*shape, seed=sum(shape) + 6)[2]
-    after_kept = _swept(inputs, factors, kept, later)
-    after_burn = _swept(inputs, factors, (burn[0], kept[1], *burn[2:]), later)
-    for name, u, v in zip(("gamma", "b", "noise"), after_kept[2:], after_burn[2:]):
-        np.testing.assert_allclose(u, v, rtol=1e-12, atol=1e-12, err_msg=name)
+    mean, gamma, b, noise = _swept(inputs, factors, state, (np.zeros((G, N)), *draws[1:]),
+                                   *flags)[0]
+    sd = _swept(inputs, factors, state, (np.ones((G, N)), *draws[1:]), *flags)[0][0] - mean
+    w = inputs[1]
+    m, v = _conditionals(inputs, gamma, b, noise)
+    np.testing.assert_allclose(mean, np.einsum("gic,ic->gi", m, w), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(sd ** 2, np.einsum("ic,gicd,id->gi", w, v, w),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_sweep_is_bitwise_deterministic():
     inputs, state, draws = _problem(9, 13, 3, 2, 1, seed=5)
     factors = _factors(inputs)
-    for args in ((state, draws), _burnin(state, draws)):  # a kept and a burn-in sweep
-        a = _swept(inputs, factors, *args)
-        b = _swept(inputs, factors, *args)
-        for u, v in zip(a, b):
-            assert (u is None and v is None) or np.array_equal(u, v)
+    (a, *qs_a), (b, *qs_b) = (_swept(inputs, factors, state, draws) for _ in range(2))
+    for u, v in zip(a + qs_a, b + qs_b):
+        assert np.array_equal(u, v)
 
 
 def test_non_finite_bulk_value_raises_naming_the_gene():
     inputs, state, draws = _problem(6, 10, 3, 1, 1, seed=2)
     x = inputs[0].copy()
     x[4, 7] = np.nan
-    for args in ((state, draws), _burnin(state, draws)):
-        with pytest.raises(np.linalg.LinAlgError, match="gene index 4"):
-            _swept((x, *inputs[1:]), _factors(inputs), *args)
+    with pytest.raises(np.linalg.LinAlgError, match="gene index 4"):
+        _swept((x, *inputs[1:]), _factors(inputs), state, draws)
 
 
 def test_non_finite_prior_mean_raises_naming_the_gene():
@@ -374,9 +274,8 @@ def test_non_finite_prior_mean_raises_naming_the_gene():
     inputs, state, draws = _problem(4, 5, 2, 0, 0, seed=3)
     mu = inputs[5].copy()
     mu[2, 1] = np.inf
-    for args in ((state, draws), _burnin(state, draws)):
-        with pytest.raises(np.linalg.LinAlgError, match="gene index 2"):
-            _swept(inputs, _factors((*inputs[:5], mu)), *args)
+    with pytest.raises(np.linalg.LinAlgError, match="gene index 2"):
+        _swept(inputs, _factors((*inputs[:5], mu)), state, draws)
 
 
 def test_resolve_backend_returns_the_kernel():
