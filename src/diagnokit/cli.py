@@ -36,8 +36,9 @@ from .io import (_tensor_paths, atomic_write_text, load_bulk_matrix, load_cts_te
                  load_json, load_reference, load_sample_meta, save_bulk_matrix,
                  save_cts_tensor, save_json, save_reference, save_sample_meta, write_rows)
 from .reference import DEFAULT_SHRINKAGE
-from .report import (DEFAULT_MODEL, ENV_URL, LlmClient, generate_report, load_knowledge,
-                     prompt_input, render_markdown, report_to_json)
+from .report import (AUDIENCES, DEFAULT_MODEL, ENV_URL, STRATEGIES, LlmClient,
+                     generate_report, load_knowledge, prompt_input, render_markdown,
+                     report_to_json)
 from .simulate import SyntheticScenario, evaluate_recovery, generate
 from .types import RefinementConfig
 
@@ -235,9 +236,10 @@ def cmd_deconvolve(args) -> None:
     with _stage(manifest, "compute_s"):
         summary = deconvolve(bulk, ref, selection, metas, rc, seed=args.seed,
                              shrinkage=shrinkage)
-    finite = summary.rhat[np.isfinite(summary.rhat)]
+    rhat = summary.rhat[summary.estimated]  # the pairs written from the sampler
+    finite = rhat[np.isfinite(rhat)]
     diagnostics = {
-        "converged": bool(summary.converged),
+        "converged": bool((rhat < rc.rhat_threshold).all()),
         "max_rhat": float(finite.max()) if finite.size else None,
         "rhat_threshold": rc.rhat_threshold,
         "estimated_pairs": int(summary.estimated.sum()),
@@ -247,10 +249,13 @@ def cmd_deconvolve(args) -> None:
     with _stage(manifest, "write_s"):
         save_cts_tensor(summary.cts, out / "cts.tsv")
         save_json(diagnostics, out / "diagnostics.json")
-    if not summary.converged:
+    if not diagnostics["converged"]:
         # the data files are still written and the exit code stays 0
-        print(f"warning: MCMC did not converge: max R-hat {diagnostics['max_rhat']}, "
-              f"threshold {rc.rhat_threshold}", file=sys.stderr)
+        why = (f"max R-hat {diagnostics['max_rhat']}, threshold {rc.rhat_threshold}"
+               if finite.size else "R-hat is undefined for every selected pair (split "
+               "R-hat needs at least 4 kept draws per chain; this run keeps "
+               f"{rc.iters - rc.burnin})")
+        print(f"warning: MCMC did not converge: {why}", file=sys.stderr)
     _finish_manifest(manifest, out, [*_tensor_paths(out / "cts.tsv"),
                                      out / "diagnostics.json"])
 
@@ -426,9 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--sample", required=True)
-    p.add_argument("--audience", choices=["clinician", "patient"], required=True)
-    p.add_argument("--strategy", choices=["direct", "step", "step-domain"],
-                   default="direct")
+    p.add_argument("--audience", choices=AUDIENCES, required=True)
+    p.add_argument("--strategy", choices=STRATEGIES, default="direct")
     p.add_argument("--knowledge")
     p.add_argument("--offline", action="store_true")
     p.set_defaults(func=cmd_report)

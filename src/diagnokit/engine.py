@@ -5,20 +5,21 @@ The model, per gene g and sample i with proportions w_i:
     z_gi ~ N(mu_g, Sigma_g)
     x_gi = w_i' z_gi + gamma_g' c1_i + w_i' B_g c2_i + eps,  eps ~ N(0, s2_g)
 
-All conditionals are conjugate: (gamma, B) from a joint Bayesian linear
-regression draw, s2 from an Inverse-Gamma, and z from a Gaussian. A run takes
+All conditionals are conjugate: the coefficients theta = (gamma, vec B), one
+block in the design matrix's column order, from a Bayesian linear regression
+draw, s2 from an Inverse-Gamma, and w'z from its 1-D Gaussian. A run takes
 chol(Sigma_g) once (a failure names the gene) and one eigendecomposition of
 the design Gram matrix (``kernels.prepare``), with no NaN path in the sweep.
-A chain's state holds w_i'z_gi, the only way the (gamma, B) and s2 draws read
-z, and every sweep draws only w'z (``kernels.sweep``). Each chain has its own
-SFC64 stream spawned from the seed, and starts from an over-dispersed w'z0,
-as for a prior draw of z with its deviations scaled up, so the chains' first
-(gamma, B, s2) draws differ. The posterior moments are Rao-Blackwellized
+A chain's state holds theta, s2 and w_i'z_gi, the only way the theta and s2
+draws read z; no sweep draws z itself (``kernels.sweep``). Each chain has its
+own SFC64 stream spawned from the seed, and starts from an over-dispersed
+w'z0, as for a prior draw of z with its deviations scaled up, so the chains'
+first (theta, s2) draws differ. The posterior moments are Rao-Blackwellized
 (Gelfand & Smith 1990): each kept sweep's z conditional, mean
 m = mu + (Sigma w) q and covariance V = Sigma - (Sigma w)(Sigma w)'/s, enters
-through running sums of q, q^2 and 1/s, so no sweep draws z. Convergence is
-checked with split R-hat on the per-(gene, cell type) sample-averaged trace
-of m, gated at the configured threshold. Two-stage prior refinement
+through running sums of q, q^2 and 1/s. Split R-hat reads the per-(gene, cell
+type) sample-averaged trace of m; ``deconvolve`` keeps it for the pairs it
+writes from the sampler. Two-stage prior refinement
 re-estimates (mu, Sigma) from posterior moments and redraws them through a
 Normal / Inverse-Wishart step: one normal draw for every mean, and every
 covariance from the Bartlett decomposition (Smith & Hocking 1972),
@@ -64,15 +65,14 @@ class ChainState:
     """Mutable state of one Gibbs chain; z enters it only as w'z."""
 
     wz: np.ndarray         # (G, N) w_i'z_gi
-    gamma: np.ndarray      # (G, d1)
-    b: np.ndarray          # (G, C, d2)
+    theta: np.ndarray      # (G, d1 + C d2) (gamma, vec B), the design's column order
     noise_var: np.ndarray  # (G,)
     rng: np.random.Generator
 
     def __post_init__(self):
         if (self.noise_var <= 0).any():
             raise ValidationError("noise_var must stay positive")
-        for arr in (self.wz, self.gamma, self.b, self.noise_var):
+        for arr in (self.wz, self.theta, self.noise_var):
             if not np.isfinite(arr).all():
                 raise ValidationError("chain state contains non-finite values")
 
@@ -86,7 +86,6 @@ class PosteriorSummary:
     sigma_hat: np.ndarray    # (G, C, C)
     noise_hat: np.ndarray    # (G,)
     rhat: np.ndarray         # (G, C), nan where undefined
-    converged: bool
     estimated: np.ndarray | None = None  # (G, C) bool mask, deconvolve only
     rescues: dict[str, int] | None = None  # numerical rescue counts, deconvolve only
 
@@ -119,7 +118,7 @@ def _stack_inputs(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta])
     c1 = np.stack([m.bulk_cov for m in metas])
     c2 = np.stack([m.cts_cov for m in metas])
     chol = _cholesky(priors.sigma, priors.genes, "prior covariance")
-    return c1, c2, prepare(w, c1, c2, chol, priors.mu)
+    return prepare(w, c1, c2, chol, priors.mu)
 
 
 def _run_sweep(state: ChainState, x, factors: RunFactors, hyper: HyperParams,
@@ -131,19 +130,18 @@ def _run_sweep(state: ChainState, x, factors: RunFactors, hyper: HyperParams,
     eps_coef = rng.standard_normal((G, max(p, 1)))[:, :p]
     gamma_draws = rng.gamma(hyper.noise_a0 + 0.5 * N, 1.0, G)
     xi = rng.standard_normal((G, N))
-    return sweep_fn(x, factors, state.wz, state.gamma, state.b, state.noise_var, xi,
+    return sweep_fn(x, factors, state.wz, state.theta, state.noise_var, xi,
                     eps_coef, gamma_draws, 1.0 / hyper.coef_prior_var, hyper.noise_b0,
                     hyper.update_coef, hyper.update_noise)
 
 
-def _start_chain(factors: RunFactors, noise_var: np.ndarray, d1: int, d2: int,
+def _start_chain(factors: RunFactors, noise_var: np.ndarray,
                  rng: np.random.Generator) -> ChainState:
     """Over-dispersed start: w'z0 for a prior draw z0 = mu + OVERDISPERSION A eps,
     that is w'mu + OVERDISPERSION a'eps, drawn as w'mu + OVERDISPERSION |a| xi."""
-    G, C = factors.mu.shape
     xi = rng.standard_normal(factors.a_sq.shape)
     wz0 = factors.w_mu + OVERDISPERSION * np.sqrt(factors.a_sq) * xi
-    return ChainState(wz=wz0, gamma=np.zeros((G, d1)), b=np.zeros((G, C, d2)),
+    return ChainState(wz=wz0, theta=np.zeros((len(wz0), factors.design.shape[1])),
                       noise_var=noise_var.copy(), rng=rng)
 
 
@@ -182,7 +180,7 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
     ``rescues``, when given, counts the genes whose sigma_hat needed more than
     the first jitter step (``_regularize_spd_all``)."""
     hyper = hyper or HyperParams()
-    c1, c2, factors = _stack_inputs(bulk, priors, metas)
+    factors = _stack_inputs(bulk, priors, metas)
     G, N = bulk.n_genes, bulk.n_samples
     C = factors.mu.shape[1]
     if cell_types is None:
@@ -202,7 +200,7 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
 
     for ci in range(config.chains):
         rng = np.random.Generator(np.random.SFC64(chain_seeds[ci]))
-        state = _start_chain(factors, priors.noise_var, c1.shape[1], c2.shape[1], rng)
+        state = _start_chain(factors, priors.noise_var, rng)
         for it in range(config.iters):
             q, s = _run_sweep(state, x, factors, hyper, sweep_fn)
             if it < config.burnin:
@@ -230,15 +228,10 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
                                     rescues)
     noise_hat = sum_noise / total
 
-    rhat = split_rhat(traces)
-    finite = rhat[np.isfinite(rhat)]
-    converged = bool(finite.size == rhat.size and finite.size > 0
-                     and finite.max() < config.rhat_threshold)
-
     cts = CtsTensor(genes=bulk.genes, cell_types=cell_types, samples=bulk.samples,
                     mean=mean, variance=var)
     return PosteriorSummary(cts=cts, mu_hat=mu_hat, sigma_hat=sigma_hat,
-                            noise_hat=noise_hat, rhat=rhat, converged=converged)
+                            noise_hat=noise_hat, rhat=split_rhat(traces))
 
 
 IW_TRIES = 100
@@ -325,7 +318,8 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
 
     Runs ``config.rounds`` MCMC passes with a refinement step between passes.
     Output entries for unselected (gene, cell type) pairs carry the reference
-    prior mean/variance and are flagged False in ``estimated``. ``rescues``
+    prior mean/variance, are flagged False in ``estimated`` and have R-hat NaN,
+    so ``rhat[estimated]`` covers exactly the sampled outputs. ``rescues``
     counts the numerical rescues of the whole run: covariances that needed
     more than the first jitter step (``spd_jitter``) and inverse-Wishart
     redraws (``iw_redraws``), each summed over rounds.
@@ -351,7 +345,6 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
     mean = np.repeat(mu_hat[:, :, None], N, axis=2)
     var = np.repeat(np.diagonal(sigma_hat, axis1=1, axis2=2)[:, :, None], N, axis=2)
     rhat = np.full((bulk.n_genes, C), np.nan)
-    converged = True
 
     if rows.size:
         sampled_genes = [bulk.genes[gi] for gi in rows]
@@ -365,7 +358,6 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
                 round_summaries.append(summary)
             if rnd + 1 < config.rounds:
                 priors = refine_priors(summary, priors, config, seed + rnd, rescues)
-        converged = summary.converged
         picked = estimated[rows]
         mean[rows] = np.where(picked[:, :, None], summary.cts.mean, mean[rows])
         var[rows] = np.where(picked[:, :, None], summary.cts.variance, var[rows])
@@ -377,5 +369,5 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
     cts = CtsTensor(genes=bulk.genes, cell_types=cell_types, samples=bulk.samples,
                     mean=mean, variance=var)
     return PosteriorSummary(cts=cts, mu_hat=mu_hat, sigma_hat=sigma_hat,
-                            noise_hat=noise_hat, rhat=rhat, converged=converged,
-                            estimated=estimated, rescues=rescues)
+                            noise_hat=noise_hat, rhat=rhat, estimated=estimated,
+                            rescues=rescues)

@@ -4,8 +4,9 @@ Genes are conditionally independent within a sweep, so each block runs once
 for all of them. ``prepare`` computes once per run what a run does not change:
 |a|^2 and Sigma_g w_i from A = chol(Sigma_g) and a = A'w_i, and one
 eigendecomposition of the design Gram matrix. Draws are passed in, so a sweep
-is a deterministic function of its inputs. A sweep draws the coefficients,
-then the noise variance, then w'z; the first two read z only through
+is a deterministic function of its inputs. A sweep draws the coefficients
+theta = (gamma, vec B), one (G, d1 + C d2) block in the design's column
+order, then the noise variance, then w'z; the first two read z only through
 w_i'z_gi, which the chain state keeps. The coefficients get a conjugate
 linear-regression draw (Normal prior, variance 1/coef_prior_prec),
 elementwise in the Gram matrix's eigenbasis; the noise variance an
@@ -56,26 +57,25 @@ def _draw_wz(r, f: RunFactors, noise, xi):
     return f.w_mu + f.a_sq * q + np.sqrt(f.a_sq * noise / s) * xi, q, s
 
 
-def sweep(x, f: RunFactors, wz, gamma, b, noise, xi, eps_coef, gamma_draws,
+def sweep(x, f: RunFactors, wz, theta, noise, xi, eps_coef, gamma_draws,
           coef_prior_prec, b0, update_coef, update_noise):
-    """One in-place sweep; ``x`` is the (G, N) bulk matrix and ``wz`` the
-    chain's (G, N) w_i'z_gi, which the coefficient and noise draws read and
-    the sweep then redraws. Returns the (G, N) arrays (q, s) of the new
-    conditional of z (see the module docstring). A draw that is not finite
-    (from a non-finite input) raises ``np.linalg.LinAlgError`` naming the gene.
+    """One in-place sweep; ``x`` is the (G, N) bulk matrix, ``wz`` the chain's
+    (G, N) w_i'z_gi, which the coefficient and noise draws read and the sweep
+    then redraws, and ``theta`` its (G, p) coefficients. Returns the (G, N)
+    arrays (q, s) of the new conditional of z (see the module docstring). A
+    draw that is not finite (from a non-finite input) raises
+    ``np.linalg.LinAlgError`` naming the gene.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
-        if update_coef and f.design.shape[1]:
+        if update_coef:
             # a_g = Q diag(gram_vals/noise_g + prec) Q', so the draw is
             # elementwise in Q's basis
             d = f.gram_vals / noise[:, None] + coef_prior_prec
             rhs = (((x - wz) @ f.design) / noise[:, None]) @ f.gram_vecs
-            theta = (rhs / d + eps_coef / np.sqrt(d)) @ f.gram_vecs.T
-            gamma[...] = theta[:, :gamma.shape[1]]
-            b[...] = theta[:, gamma.shape[1]:].reshape(b.shape)
+            theta[...] = (rhs / d + eps_coef / np.sqrt(d)) @ f.gram_vecs.T
 
         # x less the covariate part of the mean, gamma_g' c1_i + w_i' B_g c2_i
-        r = x - np.concatenate([gamma, b.reshape(len(b), -1)], axis=1) @ f.design.T
+        r = x - theta @ f.design.T
         if update_noise:
             resid = r - wz
             ss = np.einsum("gi,gi->g", resid, resid)
@@ -83,8 +83,7 @@ def sweep(x, f: RunFactors, wz, gamma, b, noise, xi, eps_coef, gamma_draws,
 
         wz[...], q, s = _draw_wz(r, f, noise, xi)
 
-    finite = (np.isfinite(wz).all(axis=1) & np.isfinite(gamma).all(axis=1)
-              & np.isfinite(b).all(axis=(1, 2)) & np.isfinite(noise))
+    finite = np.isfinite(wz).all(axis=1) & np.isfinite(theta).all(axis=1) & np.isfinite(noise)
     if not finite.all():
         bad = int(np.argmin(finite))
         raise np.linalg.LinAlgError(

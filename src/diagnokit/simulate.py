@@ -122,16 +122,12 @@ def generate(scenario: SyntheticScenario) -> GroundTruthBundle:
     M = sc.ref_cells_per_type
     donors = mus[:, None, :] + np.einsum(
         "gcd,gmd->gmc", chols, rng.standard_normal((G, M, C)))  # (G, M, C)
-    cells = []
-    labels = []
-    cols = []
-    for j, ct in enumerate(cell_types):
-        for k in range(M):
-            cells.append(f"{ct}_cell{k:03d}")
-            labels.append(ct)
-            cols.append(donors[:, k, j] + rng.normal(0.0, sc.ref_cell_sd, G))
-    ref = ReferenceDataset(genes=genes, cells=cells, cell_type_labels=labels,
-                           values=np.column_stack(cols))
+    # cell k of type j is column j*M + k, with G normals of its own
+    cell_noise = rng.normal(0.0, sc.ref_cell_sd, (C, M, G))
+    values = (np.swapaxes(donors, 1, 2) + np.moveaxis(cell_noise, 2, 0)).reshape(G, C * M)
+    cells = [f"{ct}_cell{k:03d}" for ct in cell_types for k in range(M)]
+    labels = [ct for ct in cell_types for _ in range(M)]
+    ref = ReferenceDataset(genes=genes, cells=cells, cell_type_labels=labels, values=values)
     return GroundTruthBundle(bulk=bulk, true_z=true_z, metas=metas, ref=ref,
                              true_params=true_params, noise=noise)
 

@@ -119,8 +119,7 @@ def split_rhat_scalar(chains: list[np.ndarray]) -> float:
 def init_chain(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
                rng: np.random.Generator) -> ChainState:
     """One chain's over-dispersed start, as ``engine.run_mcmc`` starts each."""
-    c1, c2, factors = _stack_inputs(bulk, priors, metas)
-    return _start_chain(factors, priors.noise_var, c1.shape[1], c2.shape[1], rng)
+    return _start_chain(_stack_inputs(bulk, priors, metas), priors.noise_var, rng)
 
 
 def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: GenePriors,
@@ -128,7 +127,7 @@ def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: GenePriors,
     """Advance the chain by one sweep (coefficients, then noise, then w'z), as
     each iteration of ``engine.run_mcmc`` does."""
     hyper = hyper or HyperParams()
-    _, _, factors = _stack_inputs(bulk, priors, metas)
+    factors = _stack_inputs(bulk, priors, metas)
     if state.wz.shape != (bulk.n_genes, bulk.n_samples):
         raise ValidationError("chain state w'z shape does not match inputs")
     _run_sweep(state, bulk.values, factors, hyper, resolve_backend())

@@ -452,6 +452,49 @@ def test_deconvolve_warns_when_not_converged(sim_dir, selection_path, tmp_path, 
         assert (tmp_path / "dec" / name).exists()
 
 
+def test_deconvolve_verdict_covers_only_the_selected_pairs(sim_dir, tmp_path, capsys,
+                                                          monkeypatch):
+    # g0000 is sampled for ct1 only, so its ct2 output is the reference prior;
+    # that pair's R-hat is the only one above the threshold
+    records = [{"gene": g, "cell_type": c, "provenance": "marker", "score": 1.0}
+               for g, c in (("g0000", "ct1"), ("g0001", "ct1"), ("g0001", "ct2"))]
+    sel = tmp_path / "selection.json"
+    sel.write_text(json.dumps(records))
+    rhats = []
+
+    def unselected_high(traces):
+        rhat = np.ones(traces.shape[2:])
+        rhat[0, 1] = 2.0  # (g0000, ct2): sampled rows g0000, g0001
+        rhats.append(rhat)
+        return rhat
+
+    monkeypatch.setattr(engine, "split_rhat", unselected_high)
+    cfg = tmp_path / "mcmc.json"
+    cfg.write_text(json.dumps(MCMC))
+    assert main(_deconvolve_args(sim_dir, sim_dir / "meta.json", sel,
+                                 tmp_path / "dec", cfg)) == 0
+    assert len(rhats) == MCMC["rounds"]
+    diag = json.loads((tmp_path / "dec" / "diagnostics.json").read_text())
+    assert diag["converged"] is True and diag["max_rhat"] == 1.0
+    assert diag["estimated_pairs"] == 3
+    assert capsys.readouterr().err == ""
+
+
+def test_deconvolve_says_when_no_selected_pair_has_an_rhat(sim_dir, selection_path,
+                                                           tmp_path, capsys):
+    # split R-hat needs 4 kept draws per chain; this run keeps 2
+    cfg = tmp_path / "mcmc.json"
+    cfg.write_text(json.dumps({"chains": 2, "iters": 5, "burnin": 3, "rounds": 1}))
+    assert main(_deconvolve_args(sim_dir, sim_dir / "meta.json", selection_path,
+                                 tmp_path / "dec", cfg)) == 0
+    diag = json.loads((tmp_path / "dec" / "diagnostics.json").read_text())
+    assert diag["converged"] is False and diag["max_rhat"] is None
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+    assert "None" not in err[0]
+    assert "R-hat is undefined" in err[0] and "keeps 2" in err[0]
+
+
 class TestSampleMeta:
     """meta.json is joined to the bulk columns by sample_id, and malformed
     files are input errors (exit 1), not runtime errors."""

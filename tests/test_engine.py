@@ -228,14 +228,14 @@ def test_every_sweep_goes_through_the_module_hook(monkeypatch, rounds):
 
 
 def _kept_states(monkeypatch, cfg):
-    """Patch the sweep hook so that the (gamma, B, noise) after each of a
+    """Patch the sweep hook so that the (theta, noise) after each of a
     ``run_mcmc`` call's kept sweeps is appended to the returned list."""
     states, calls = [], itertools.count()
 
-    def recorded(x, f, wz, gamma, b, noise, *rest):
-        out = kernels.sweep(x, f, wz, gamma, b, noise, *rest)
+    def recorded(x, f, wz, theta, noise, *rest):
+        out = kernels.sweep(x, f, wz, theta, noise, *rest)
         if next(calls) % cfg.iters >= cfg.burnin:
-            states.append((gamma.copy(), b.copy(), noise.copy()))
+            states.append((theta.copy(), noise.copy()))
         return out
 
     monkeypatch.setattr(engine, "resolve_backend", lambda: recorded)
@@ -263,9 +263,9 @@ def test_posterior_moments_average_the_z_conditionals_of_the_kept_states(
     assert len(states) == cfg.chains * (cfg.iters - cfg.burnin)
     m = np.empty((len(states), G, N, C))
     v = np.empty((len(states), G, N, C, C))
-    for t, (gamma, b, noise) in enumerate(states):
+    for t, (theta, noise) in enumerate(states):
         for g in range(G):
-            adj = AdjustmentParams(gamma=gamma[g], b=b[g])
+            adj = AdjustmentParams(gamma=theta[g, :d1], b=theta[g, d1:].reshape(C, d2))
             for i, meta in enumerate(metas):
                 m[t, g, i], v[t, g, i] = z_conditional(priors.mu[g], priors.sigma[g],
                                                        noise[g], bulk.values[g, i], meta, adj)
@@ -288,9 +288,9 @@ def test_posterior_moments_average_the_z_conditionals_of_the_kept_states(
 def test_gibbs_sweep_advances_state():
     bulk, priors, metas = _toy_problem(C=2, N=4, seed=6, d1=1, d2=1)
     state = init_chain(bulk, priors, metas, np.random.default_rng(0))
-    before = [a.copy() for a in (state.wz, state.gamma, state.b, state.noise_var)]
+    before = [a.copy() for a in (state.wz, state.theta, state.noise_var)]
     gibbs_sweep(state, bulk, priors, metas)
-    after = (state.wz, state.gamma, state.b, state.noise_var)
+    after = (state.wz, state.theta, state.noise_var)
     assert not any(np.array_equal(u, v) for u, v in zip(before, after))
 
 
@@ -303,15 +303,15 @@ def test_chains_that_differ_only_in_their_start_differ_after_one_sweep():
         state.rng = np.random.default_rng(99)  # the same sweep draws for both
         states.append(gibbs_sweep(state, bulk, priors, metas))
     a, b = states
-    assert not np.array_equal(a.gamma, b.gamma)
-    assert not np.array_equal(a.b, b.b)
+    assert not np.array_equal(a.theta[:, :1], b.theta[:, :1])  # gamma (d1 = 1)
+    assert not np.array_equal(a.theta[:, 1:], b.theta[:, 1:])  # vec B
     assert (a.noise_var != b.noise_var).all()
 
 
 def test_chain_starts_are_over_dispersed():
     # w'z0 = w'mu + OVERDISPERSION a'eps: mean w'mu, variance OVERDISPERSION^2 |a|^2
     bulk, priors, metas = _toy_problem(C=3, N=5, G=2, seed=8)
-    _, _, factors = engine._stack_inputs(bulk, priors, metas)
+    factors = engine._stack_inputs(bulk, priors, metas)
     rng = np.random.default_rng(5)
     starts = np.stack([init_chain(bulk, priors, metas, rng).wz for _ in range(4000)])
     se = engine.OVERDISPERSION * np.sqrt(factors.a_sq / len(starts))
@@ -322,8 +322,7 @@ def test_chain_starts_are_over_dispersed():
 
 def test_chain_state_validation():
     with pytest.raises(ValidationError):
-        ChainState(wz=np.zeros((1, 1)), gamma=np.zeros((1, 0)),
-                   b=np.zeros((1, 1, 0)), noise_var=np.array([0.0]),
+        ChainState(wz=np.zeros((1, 1)), theta=np.zeros((1, 0)), noise_var=np.array([0.0]),
                    rng=np.random.default_rng(0))
 
 
@@ -354,7 +353,7 @@ def _posterior(sigma_hat, mu_hat=None):
     G, C, _ = sigma_hat.shape
     mu_hat = np.zeros((G, C)) if mu_hat is None else mu_hat
     return PosteriorSummary(cts=None, mu_hat=mu_hat, sigma_hat=sigma_hat,
-                            noise_hat=np.ones(G), rhat=np.ones((G, C)), converged=True)
+                            noise_hat=np.ones(G), rhat=np.ones((G, C)))
 
 
 def _copies(sigma, G):

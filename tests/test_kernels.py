@@ -64,8 +64,8 @@ def wz_per_gene(x, w, c1, c2, sig_inv, sig_inv_mu, gamma, b, noise, xi):
 def _problem(G, N, C, d1, d2, seed):
     """Inputs, a start state and one sweep's draws, as the engine builds them.
 
-    ``inputs`` are (x, w, c1, c2, sigma, mu); ``state`` is (w'z, gamma, B,
-    noise)."""
+    ``inputs`` are (x, w, c1, c2, sigma, mu); ``state`` is (w'z, theta, noise)
+    with theta = (gamma, vec B)."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((G, C, C))
     sigma = a @ np.swapaxes(a, 1, 2) + 0.5 * np.eye(C)
@@ -73,11 +73,19 @@ def _problem(G, N, C, d1, d2, seed):
     p = d1 + C * d2
     inputs = (rng.normal(5.0, 2.0, (G, N)), rng.dirichlet(np.ones(C), N),
               rng.standard_normal((N, d1)), rng.standard_normal((N, d2)), sigma, mu)
-    state = (rng.normal(5.0, 2.0, (G, N)), rng.standard_normal((G, d1)),
-             rng.standard_normal((G, C, d2)), rng.uniform(0.1, 2.0, G))
+    wz, gamma, b = (rng.normal(5.0, 2.0, (G, N)), rng.standard_normal((G, d1)),
+                    rng.standard_normal((G, C, d2)))
+    state = (wz, np.concatenate([gamma, b.reshape(G, -1)], axis=1), rng.uniform(0.1, 2.0, G))
     draws = (rng.standard_normal((G, N)), rng.standard_normal((G, p)),
              rng.gamma(2.0 + 0.5 * N, 1.0, G), 0.1, 1.0)
     return inputs, state, draws
+
+
+def _gamma_b(inputs, theta):
+    """(gamma, B) from theta, in the shapes the per-gene references take."""
+    _, w, c1, c2 = inputs[:4]
+    d1 = c1.shape[1]
+    return theta[:, :d1], theta[:, d1:].reshape(len(theta), w.shape[1], c2.shape[1])
 
 
 def _factors(inputs):
@@ -128,20 +136,22 @@ def test_batched_sweep_matches_per_gene_reference(shape, update_coef, update_noi
     factors, ref_inputs = _factors(inputs), _precision_inputs(inputs)
     xi, eps_coef, gamma_draws, prec, b0 = draws
     ours = [s.copy() for s in state]
-    ref_wz, gamma, b, noise = [s.copy() for s in state]
+    ref_wz, noise = state[0].copy(), state[2].copy()
+    gamma, b = (a.copy() for a in _gamma_b(inputs, state[1]))
     for _ in range(3):  # later sweeps start from updated w'z, coefficients and noise
         sweep(inputs[0], factors, *ours, *draws, update_coef, update_noise)
         coef_noise_per_gene(*ref_inputs[:4], ref_wz, gamma, b, noise,
                             _reference_coef_draws(inputs, noise, eps_coef, prec),
                             gamma_draws, prec, b0, update_coef, update_noise)
         ref_wz = wz_per_gene(*ref_inputs, gamma, b, noise, xi)
+    got = (ours[0], *_gamma_b(inputs, ours[1]), ours[2])
     ref = (ref_wz, gamma, b, noise)
-    for name, a, r in zip(("wz", "gamma", "b", "noise"), ours, ref):
+    for name, a, r in zip(("wz", "gamma", "b", "noise"), got, ref):
         np.testing.assert_allclose(a, r, rtol=1e-12, atol=1e-12, err_msg=name)
     if not update_coef:
-        assert np.array_equal(ours[1], state[1]) and np.array_equal(ours[2], state[2])
+        assert np.array_equal(ours[1], state[1])
     if not update_noise:
-        assert np.array_equal(ours[3], state[3])
+        assert np.array_equal(ours[2], state[2])
 
 
 def _swept(inputs, factors, state, draws, update_coef=True, update_noise=True):
@@ -151,9 +161,10 @@ def _swept(inputs, factors, state, draws, update_coef=True, update_noise=True):
     return out, q, s
 
 
-def _conditionals(inputs, gamma, b, noise):
+def _conditionals(inputs, theta, noise):
     """``z_conditional``'s mean and covariance for every (gene, sample)."""
     x, w, c1, c2, sigma, mu = inputs
+    gamma, b = _gamma_b(inputs, theta)
     G, N = x.shape
     C = w.shape[1]
     mean, cov = np.empty((G, N, C)), np.empty((G, N, C, C))
@@ -174,13 +185,13 @@ def test_z_conditional_from_q_and_s_is_exact(shape, update_coef, update_noise):
     conditional mean and covariance."""
     inputs, state, draws = _problem(*shape, seed=sum(shape) + 1)
     factors = _factors(inputs)
-    (_, gamma, b, noise), q, s = _swept(inputs, factors, state, draws,
-                                        update_coef, update_noise)
+    (_, theta, noise), q, s = _swept(inputs, factors, state, draws,
+                                     update_coef, update_noise)
     sigma_w = np.swapaxes(factors.sigma_w, 1, 2)  # (G, N, C)
     m = inputs[5][:, None, :] + sigma_w * q[..., None]
     v = (inputs[4][:, None] - sigma_w[..., :, None] * sigma_w[..., None, :]
          / s[..., None, None])
-    want_m, want_v = _conditionals(inputs, gamma, b, noise)
+    want_m, want_v = _conditionals(inputs, theta, noise)
     np.testing.assert_allclose(m, want_m, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(v, want_v, rtol=1e-12, atol=1e-12)
 
@@ -190,13 +201,12 @@ def _coef_oracle(inputs, state, draws, factors):
     solve(D'D/noise + prec I, D'(x - w'z)/noise); and its linear map M against
     M M' = (D'D/noise + prec I)^-1."""
     x = inputs[0]
-    design, prec, wz, noise = factors.design, draws[3], state[0], state[3]
+    design, prec, wz, noise = factors.design, draws[3], state[0], state[2]
     p = design.shape[1]
     eps_coef = np.zeros_like(draws[1])
 
     def theta(eps):
-        out = _swept(inputs, factors, state, (draws[0], eps, *draws[2:]), True, False)[0]
-        return np.concatenate([out[1], out[2].reshape(len(x), -1)], axis=1)
+        return _swept(inputs, factors, state, (draws[0], eps, *draws[2:]), True, False)[0][1]
 
     mean = theta(eps_coef)
     a_mat = design.T @ design / noise[:, None, None] + prec * np.eye(p)
@@ -242,11 +252,11 @@ def test_burnin_w_dot_z_draw_is_the_exact_conditional(shape, update_coef, update
     inputs, state, draws = _problem(*shape, seed=sum(shape) + 4)
     factors = _factors(inputs)
     flags = (update_coef, update_noise)
-    mean, gamma, b, noise = _swept(inputs, factors, state, (np.zeros((G, N)), *draws[1:]),
-                                   *flags)[0]
+    mean, theta, noise = _swept(inputs, factors, state, (np.zeros((G, N)), *draws[1:]),
+                                *flags)[0]
     sd = _swept(inputs, factors, state, (np.ones((G, N)), *draws[1:]), *flags)[0][0] - mean
     w = inputs[1]
-    m, v = _conditionals(inputs, gamma, b, noise)
+    m, v = _conditionals(inputs, theta, noise)
     np.testing.assert_allclose(mean, np.einsum("gic,ic->gi", m, w), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(sd ** 2, np.einsum("ic,gicd,id->gi", w, v, w),
                                rtol=1e-12, atol=1e-12)

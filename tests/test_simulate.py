@@ -1,6 +1,8 @@
 """Synthetic generator consistency, evaluation metrics, and baselines."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,47 @@ def test_generate_deterministic():
     b = generate(SyntheticScenario(G=5, N=6, seed=11, ref_cells_per_type=6))
     assert np.array_equal(a.bulk.values, b.bulk.values)
     assert np.array_equal(a.ref.values, b.ref.values)
+
+
+def _old_reference(donors, rng, cell_types, ref_cell_sd):
+    """The per-cell loop ``generate`` used to build the reference with: G
+    normals per cell, type by type, added to the cell's donor vector."""
+    G, M, _ = donors.shape
+    cells, labels, cols = [], [], []
+    for j, ct in enumerate(cell_types):
+        for k in range(M):
+            cells.append(f"{ct}_cell{k:03d}")
+            labels.append(ct)
+            cols.append(donors[:, k, j] + rng.normal(0.0, ref_cell_sd, G))
+    return cells, labels, np.column_stack(cols)
+
+
+@pytest.mark.parametrize("seed", [1, 101])
+def test_reference_matches_the_per_cell_loop_bit_for_bit(monkeypatch, seed):
+    sc = SyntheticScenario(G=12, C=3, N=5, ref_cells_per_type=7, seed=seed)
+    states = []
+
+    class Recording(np.random.Generator):
+        def normal(self, *args, **kwargs):
+            states.append(self.bit_generator.state)
+            return super().normal(*args, **kwargs)
+
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: Recording(make(s).bit_generator))
+    bundle = generate(sc)
+    monkeypatch.undo()
+    # the reference draw comes last, and the sd scales it only, so with sd 0
+    # the reference holds the donor vectors themselves
+    zero = generate(dataclasses.replace(sc, ref_cell_sd=0.0)).ref.values
+    donors = np.swapaxes(zero.reshape(sc.G, sc.C, sc.ref_cells_per_type), 1, 2)
+    rng = np.random.Generator(np.random.PCG64())
+    # the reference's normals follow those of mu, gamma and B
+    rng.bit_generator.state = states[3]
+    cells, labels, values = _old_reference(donors, rng, bundle.true_z.cell_types,
+                                           sc.ref_cell_sd)
+    assert bundle.ref.cells == cells and bundle.ref.cell_type_labels == labels
+    assert np.array_equal(bundle.ref.values, values)
+    assert bundle.ref.values.flags.c_contiguous
 
 
 def test_mixture_reconstruction_exact():
