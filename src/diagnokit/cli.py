@@ -32,8 +32,8 @@ from .divergence import (DEFAULT_SUBSET_SIZE, OOD_THRESHOLD, ood_subset, run_div
 from .engine import deconvolve
 from .errors import DiagnokitError, ValidationError
 from .geneselect import load_marker_list, select_pairs, save_selection, load_selection
-from .io import (_tensor_paths, atomic_write_text, load_bulk_matrix, load_cts_tensor,
-                 load_json, load_reference, load_sample_meta, save_bulk_matrix,
+from .io import (_is_json_number, _tensor_paths, atomic_write_text, load_bulk_matrix,
+                 load_cts_tensor, load_json, load_reference, load_sample_meta, save_bulk_matrix,
                  save_cts_tensor, save_json, save_reference, save_sample_meta, write_rows)
 from .reference import DEFAULT_SHRINKAGE
 from .report import (AUDIENCES, DEFAULT_MODEL, ENV_URL, STRATEGIES, LlmClient,
@@ -93,8 +93,7 @@ CONFIG_KEYS = {
 
 
 def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    return _is_json_number(value) and math.isfinite(value)
 
 
 # The test each kind of config value passes, and its name in an error;

@@ -43,21 +43,19 @@ from .types import (BulkMatrix, CtsTensor, GenePriors, PairSelection, Refinement
 
 # scale of a chain's start around the prior mean, in prior standard deviations
 OVERDISPERSION = 2.0
+# weakly informative hyperpriors of the non-z blocks: theta ~ N(0, COEF_PRIOR_VAR I),
+# s2 ~ Inverse-Gamma(NOISE_A0, NOISE_B0)
+COEF_PRIOR_VAR = 10.0
+NOISE_A0 = 2.0
+NOISE_B0 = 1.0
 
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Weakly informative hyperpriors for the non-z blocks."""
+    """Which non-z blocks a sweep draws; a block not drawn keeps its value."""
 
-    coef_prior_var: float = 10.0
-    noise_a0: float = 2.0
-    noise_b0: float = 1.0
     update_coef: bool = True
     update_noise: bool = True
-
-    def __post_init__(self):
-        if not (self.coef_prior_var > 0 and self.noise_a0 > 0 and self.noise_b0 > 0):
-            raise ValidationError("hyperparameters must be positive")
 
 
 @dataclass
@@ -128,10 +126,10 @@ def _run_sweep(state: ChainState, x, factors: RunFactors, hyper: HyperParams,
     p = factors.design.shape[1]
     rng = state.rng
     eps_coef = rng.standard_normal((G, max(p, 1)))[:, :p]
-    gamma_draws = rng.gamma(hyper.noise_a0 + 0.5 * N, 1.0, G)
+    gamma_draws = rng.gamma(NOISE_A0 + 0.5 * N, 1.0, G)
     xi = rng.standard_normal((G, N))
     return sweep_fn(x, factors, state.wz, state.theta, state.noise_var, xi,
-                    eps_coef, gamma_draws, 1.0 / hyper.coef_prior_var, hyper.noise_b0,
+                    eps_coef, gamma_draws, 1.0 / COEF_PRIOR_VAR, NOISE_B0,
                     hyper.update_coef, hyper.update_noise)
 
 

@@ -3,7 +3,10 @@
 Three filters: curated marker pairs, a one-vs-rest differential-expression
 stability test (Wilcoxon rank-sum + Benjamini-Hochberg + log2 fold change),
 and noise suppression (weak-score quantile cut plus a dropout ceiling).
-Markers always survive; the final set is the union.
+Markers always survive; the final set is the union. One batched call,
+``rank_sum_tests``, runs every rank-sum test of a reference (its two-sample
+front ``wilcoxon_rank_sum`` is in ``tests/oracles.py``), and selection works
+on (gene, cell type) arrays: a score array, a keep mask and a marker mask.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .io import atomic_write_text, load_json
+from .io import _is_json_number, atomic_write_text, load_json
 from .reference import ReferenceDataset
 from .types import PairSelection, pair_key
 
@@ -33,8 +36,8 @@ def load_marker_list(path: str | Path) -> set[tuple[str, str]]:
         raise ParseError("marker file must be a JSON object of gene -> [cell types]")
     pairs = set()
     for gene, cell_types in raw.items():
-        if not isinstance(cell_types, list):
-            raise ParseError(f"marker entry for {gene!r} must be a list")
+        if not (isinstance(cell_types, list) and all(isinstance(c, str) for c in cell_types)):
+            raise ParseError(f"marker entry for {gene!r} must be a list of cell-type names")
         for ct in cell_types:
             pairs.add((gene, ct))
     return pairs
@@ -76,39 +79,45 @@ def _rank_with_ties(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, tie_sum
 
 
-def wilcoxon_rank_sum(a, b) -> tuple[float, float]:
-    """Two-sided Wilcoxon / Mann-Whitney rank-sum test.
+def rank_sum_tests(x, member) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided Wilcoxon / Mann-Whitney rank-sum tests, one per (row, group).
 
-    Returns (U, p). Mid-ranks for ties; exact enumeration of rank
-    assignments when n1 + n2 <= 12, otherwise a normal approximation with
-    tie-corrected variance and continuity correction.
+    ``x`` is an (R, n) float array, ``member`` an (n, K) bool matrix whose
+    column k marks test k's first sample in every row. Returns (U, p), both
+    (R, K), from one ranking of each row (mid-ranks for ties). p is exact for
+    rows of at most ``EXACT_ENUMERATION_MAX_N`` values: every split's U is one
+    column of ranks @ splits', and sums of mid-ranks (multiples of 0.5) are
+    exact in any order. Longer rows get the normal approximation with
+    tie-corrected variance and continuity correction (p = 1 for a row of ties).
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size < 1 or b.size < 1:
-        raise ValidationError("wilcoxon_rank_sum requires non-empty inputs")
-    n1, n2 = a.size, b.size
-    n = n1 + n2
-    ranks, tie_sum = _rank_with_ties(np.concatenate([a, b]))
-    offset = n1 * (n1 + 1) / 2.0
-    u = ranks[:n1].sum() - offset
-    mean_u = n1 * n2 / 2.0
+    n = x.shape[-1]
+    n1 = member.sum(axis=0)
+    n2 = n - n1
+    ranks, tie_sum = _rank_with_ties(x)
+    u = ranks @ member - n1 * (n1 + 1) / 2.0
+    diff = u - n1 * n2 / 2.0
 
     if n <= EXACT_ENUMERATION_MAX_N:
-        # the pooled ranks do not depend on the split, so each of the
-        # C(n, n1) assignments is a sum of n1 of them (half-integers: exact)
-        splits = np.array(list(itertools.combinations(range(n), n1)))
-        u_perm = ranks[splits].sum(axis=1) - offset
-        return u, float(np.mean(np.abs(u_perm - mean_u) >= abs(u - mean_u) - 1e-12))
+        p = np.empty(u.shape)
+        for k in np.unique(n1).tolist():
+            combos = np.array(list(itertools.combinations(range(n), k)))
+            splits = np.zeros((len(combos), n))
+            np.put_along_axis(splits, combos, 1.0, axis=1)
+            dev_perm = ranks @ splits.T  # |U - n1 n2 / 2| of every split, in place
+            dev_perm -= k * (k + 1) / 2.0 + k * (n - k) / 2.0
+            np.abs(dev_perm, out=dev_perm)
+            tests = n1 == k
+            dev = np.abs(diff[:, tests]) - 1e-12
+            p[:, tests] = (dev_perm[:, :, None] >= dev[:, None, :]).mean(axis=1)
+        return u, p
 
-    var_u = n1 * n2 / 12.0 * ((n + 1) - tie_sum / (n * (n - 1)))
-    if var_u <= 0:
-        return u, 1.0  # all values tied
-    diff = u - mean_u
-    cc = 0.5 if diff != 0 else 0.0
-    z = (abs(diff) - cc) / math.sqrt(var_u)
-    p = math.erfc(max(z, 0.0) / math.sqrt(2.0))
-    return u, min(p, 1.0)
+    var_u = n1 * n2 / 12.0 * ((n + 1) - tie_sum[:, None] / (n * (n - 1)))
+    spread = var_u > 0
+    cc = np.where(diff != 0, 0.5, 0.0)
+    z = (np.abs(diff) - cc) / np.sqrt(np.where(spread, var_u, 1.0))
+    half_z = (np.maximum(z, 0.0) / math.sqrt(2.0)).ravel()
+    erfc = np.fromiter(map(math.erfc, half_z), np.float64, half_z.size).reshape(z.shape)
+    return u, np.where(spread, np.minimum(erfc, 1.0), 1.0)
 
 
 def benjamini_hochberg(pvalues) -> np.ndarray:
@@ -129,45 +138,30 @@ def benjamini_hochberg(pvalues) -> np.ndarray:
 
 
 def stability_scores(ref: ReferenceDataset, fdr_threshold: float,
-                     lfc_threshold: float) -> dict[tuple[str, str], float]:
+                     lfc_threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """One-vs-rest stability set before noise suppression.
 
-    Returns pair -> DE score (-log10 adjusted p times |log2 FC|) for pairs
-    passing both the BH-adjusted p and fold-change thresholds. The pooled
-    sample of every one-vs-rest test of a gene is its whole reference row, so
-    each gene is ranked once for all of its tests.
+    Returns (G, C) arrays (score, keep): the DE score -log10(adjusted p) *
+    |log2 FC| of every (gene, cell type), and whether the pair passes both
+    the BH-adjusted p and the fold-change thresholds. The pooled sample of
+    every one-vs-rest test of a gene is its whole reference row, so one
+    ``rank_sum_tests`` call tests every pair.
     """
     types = ref.cell_types
-    if len(types) < 2:
-        return {}  # one-vs-rest needs a rest
     x = ref.values
-    n = x.shape[1]
+    if len(types) < 2:  # one-vs-rest needs a rest
+        return np.zeros((len(x), len(types))), np.zeros((len(x), len(types)), dtype=bool)
     member = np.array(ref.cell_type_labels)[:, None] == np.array(types)[None, :]
     onehot = member.astype(np.float64)  # cells x types
     n1 = member.sum(axis=0)
-    n2 = n - n1
-
-    if n <= EXACT_ENUMERATION_MAX_N:
-        p = np.array([[wilcoxon_rank_sum(row[m], row[~m])[1] for m in member.T]
-                      for row in x])
-    else:
-        ranks, tie_sum = _rank_with_ties(x)
-        u = ranks @ onehot - n1 * (n1 + 1) / 2.0
-        var_u = n1 * n2 / 12.0 * ((n + 1) - tie_sum[:, None] / (n * (n - 1)))
-        spread = var_u > 0  # else every value of the gene is tied: p = 1
-        diff = u - n1 * n2 / 2.0
-        cc = np.where(diff != 0, 0.5, 0.0)
-        z = (np.abs(diff) - cc) / np.sqrt(np.where(spread, var_u, 1.0))
-        half_z = (np.maximum(z, 0.0) / math.sqrt(2.0)).ravel()
-        erfc = np.fromiter(map(math.erfc, half_z), np.float64, half_z.size).reshape(z.shape)
-        p = np.where(spread, np.minimum(erfc, 1.0), 1.0)
+    n2 = x.shape[1] - n1
+    _, p = rank_sum_tests(x, member)
 
     lin = np.exp2(x) @ np.hstack([onehot, 1.0 - onehot])  # per-type and rest sums
     lfc = np.log2((lin[:, :len(types)] / n1 + 1e-9) / (lin[:, len(types):] / n2 + 1e-9))
     adjusted = benjamini_hochberg(p.ravel()).reshape(p.shape)
     score = -np.log10(np.maximum(adjusted, 1e-300)) * np.abs(lfc)
-    keep = (adjusted < fdr_threshold) & (np.abs(lfc) > lfc_threshold)
-    return {(ref.genes[g], types[c]): float(score[g, c]) for g, c in zip(*np.nonzero(keep))}
+    return score, (adjusted < fdr_threshold) & (np.abs(lfc) > lfc_threshold)
 
 
 def select_pairs(ref: ReferenceDataset, markers: set[tuple[str, str]],
@@ -188,31 +182,26 @@ def select_pairs(ref: ReferenceDataset, markers: set[tuple[str, str]],
     if not 0 < noise_quantile < 1:
         raise ValidationError("noise_quantile must lie in (0, 1)")
 
-    types = ref.cell_types
-    gene_set = set(ref.genes)
-    dropout = (ref.values == 0).mean(axis=1)
+    genes, types = ref.genes, ref.cell_types
+    score, keep = stability_scores(ref, fdr_threshold, lfc_threshold)
+    if keep.any():
+        keep &= score >= np.quantile(score[keep], noise_quantile, method="lower")
+    keep &= ((ref.values == 0).mean(axis=1) <= DROPOUT_CEILING)[:, None]
 
-    stability = stability_scores(ref, fdr_threshold, lfc_threshold)
+    gene_index = {g: i for i, g in enumerate(genes)}
+    type_index = {c: j for j, c in enumerate(types)}
+    marker = np.zeros(keep.shape, dtype=bool)
+    for g, c in markers:
+        if g in gene_index and c in type_index:
+            marker[gene_index[g], type_index[c]] = True
 
-    if stability:
-        cut = float(np.quantile(list(stability.values()), noise_quantile, method="lower"))
-        stability = {pair: s for pair, s in stability.items() if s >= cut}
-    gene_index = {g: i for i, g in enumerate(ref.genes)}
-    stability = {pair: s for pair, s in stability.items()
-                 if dropout[gene_index[pair[0]]] <= DROPOUT_CEILING}
-
-    marker_pairs = {(g, c) for g, c in markers if g in gene_set and c in set(types)}
-    pairs = marker_pairs | set(stability)
-    provenance = {}
-    scores = {}
-    for pair in pairs:
-        key = pair_key(*pair)
-        in_marker = pair in marker_pairs
-        in_stab = pair in stability
-        provenance[key] = "both" if (in_marker and in_stab) else (
-            "marker" if in_marker else "stability")
-        scores[key] = float(stability.get(pair, 0.0))
-    return PairSelection(pairs=frozenset(pairs), provenance=provenance, scores=scores)
+    rows, cols = np.nonzero(marker | keep)
+    pairs = [(genes[g], types[c]) for g, c in zip(rows.tolist(), cols.tolist())]
+    keys = [pair_key(*pair) for pair in pairs]
+    tags = np.where(keep, np.where(marker, "both", "stability"), "marker")[rows, cols]
+    scores = np.where(keep, score, 0.0)[rows, cols]
+    return PairSelection(pairs=frozenset(pairs), provenance=dict(zip(keys, tags.tolist())),
+                         scores=dict(zip(keys, scores.tolist())))
 
 
 def save_selection(selection: PairSelection, path: str | Path) -> None:
@@ -236,11 +225,13 @@ def load_selection(path: str | Path) -> PairSelection:
         if missing:
             raise ParseError(f"selection record {k} lacks {', '.join(missing)}")
         pair = (rec["gene"], rec["cell_type"])
+        if not all(isinstance(name, str) for name in pair):
+            raise ParseError(f"selection record {k} has a gene or cell_type that is not a string")
         if rec["provenance"] not in PairSelection.VALID_TAGS:
             raise ParseError(f"selection record {k} has provenance {rec['provenance']!r}, "
                              f"not one of {', '.join(PairSelection.VALID_TAGS)}")
         score = rec["score"]
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
+        if not _is_json_number(score):
             raise ParseError(f"selection record {k} has non-numeric score {score!r}")
         pairs.add(pair)
         provenance[pair_key(*pair)] = rec["provenance"]

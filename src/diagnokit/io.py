@@ -4,19 +4,21 @@ Formats:
   * matrix TSV: header ``gene<TAB>sample1...``, one gene per row
   * tensor TSV (long): header ``gene<TAB>cell_type<TAB>sample<TAB>value``,
     one file each for mean and variance
-  * sample metadata JSON: list of ``{sample_id, proportions, bulk_cov, cts_cov}``
+  * sample metadata JSON: list of ``{sample_id, proportions, bulk_cov, cts_cov}``,
+    a string ID and JSON numbers (not bools, not numbers written as strings)
 
 Floats are rendered with ``repr`` (shortest round-tripping form, at most 17
 significant digits) so load(save(x)) is bit-exact for 64-bit floats. No name
 (gene, sample, cell type, feature, header field) may hold a tab or a line
 break: the writers raise ``ValidationError`` before creating any file.
 
-Every TSV format (these, the classifier dataset and the eQTL table) goes
-through one reader, ``read_rows`` + ``parse_rows``, and one writer,
-``write_rows``. Both work on the whole file at once: the reader parses the
-values of all rows with one ``np.loadtxt`` when rows hold many values, and
-otherwise with one tab count per row, one split of the whole body and one
-float parse; the writer calls ``repr`` once per distinct value when values
+Every TSV format (these and the classifier dataset) goes through one
+reader, ``read_rows`` + ``parse_rows``, and one writer, ``write_rows``; the
+eQTL table in ``tests/oracles.py`` is a test fixture that no command reads.
+Both work on the whole file at once: the reader parses the values of all
+rows with one ``np.loadtxt`` when rows hold many values, and otherwise with
+one tab count per row, one split of the whole body and one float parse; the
+writer calls ``repr`` once per distinct value when values
 repeat down a column (a prior written for every sample, a constant
 feature), else once per value. Readers accept any line end and skip empty
 lines; a malformed row raises ``ParseError`` with its line number.
@@ -445,8 +447,8 @@ def load_sample_meta(path: str | Path, cell_types: list[str]) -> list[SampleMeta
         raise ParseError("sample metadata must be a JSON list of records")
     metas = []
     for k, rec in enumerate(records):
-        if not isinstance(rec, dict) or "sample_id" not in rec:
-            raise ParseError(f"sample metadata record {k} is not an object with a 'sample_id'")
+        if not (isinstance(rec, dict) and isinstance(rec.get("sample_id"), str)):
+            raise ParseError(f"sample metadata record {k} lacks a string 'sample_id'")
         sid = rec["sample_id"]
         props = rec.get("proportions")
         if not isinstance(props, dict):
@@ -454,14 +456,14 @@ def load_sample_meta(path: str | Path, cell_types: list[str]) -> list[SampleMeta
         missing = [c for c in cell_types if c not in props]
         if missing:
             raise ValidationError(f"sample {sid!r} missing proportions for {missing}")
-        try:
-            proportions = np.array([props[c] for c in cell_types], dtype=np.float64)
-            bulk_cov = np.array(rec.get("bulk_cov", []), dtype=np.float64)
-            cts_cov = np.array(rec.get("cts_cov", []), dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"sample {sid!r}: non-numeric value ({exc})") from exc
-        metas.append(SampleMeta(sample_id=sid, proportions=proportions,
-                                bulk_cov=bulk_cov, cts_cov=cts_cov))
+        values = {"proportions": [props[c] for c in cell_types],
+                  "bulk_cov": rec.get("bulk_cov", []), "cts_cov": rec.get("cts_cov", [])}
+        for name, v in values.items():
+            if not (isinstance(v, list) and all(map(_is_json_number, v))):
+                raise ParseError(f"sample {sid!r}: {name} must be JSON numbers, "
+                                 f"got {json.dumps(v)}")
+        metas.append(SampleMeta(sample_id=sid, **{name: np.array(v, dtype=np.float64)
+                                                  for name, v in values.items()}))
     return metas
 
 
@@ -486,6 +488,11 @@ def load_reference(path: str | Path, labels_path: str | Path) -> ReferenceDatase
 
 def save_json(obj, path: str | Path) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _is_json_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool (nor a string of digits)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_json(path: str | Path):

@@ -17,6 +17,7 @@ from diagnokit.divergence import DivergenceReport, _negative_beta
 from diagnokit.engine import (ChainState, HyperParams, _run_sweep, _stack_inputs,
                               _start_chain)
 from diagnokit.errors import ParseError, ValidationError
+from diagnokit.geneselect import rank_sum_tests
 from diagnokit.io import parse_rows, read_rows, write_rows
 from diagnokit.kernels import resolve_backend
 from diagnokit.report import DiagnosticReport
@@ -51,6 +52,20 @@ def log2_fold_change(a, b, pseudo: float = 1e-9) -> float:
     ma = np.exp2(a).mean()
     mb = np.exp2(b).mean()
     return float(np.log2((ma + pseudo) / (mb + pseudo)))
+
+
+def wilcoxon_rank_sum(a, b) -> tuple[float, float]:
+    """Two-sided Wilcoxon / Mann-Whitney rank-sum test of two samples: (U, p).
+
+    The one-row, one-group case of ``geneselect.rank_sum_tests``, which
+    ``geneselect.stability_scores`` calls for every pair at once."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.size < 1 or b.size < 1:
+        raise ValidationError("wilcoxon_rank_sum requires non-empty inputs")
+    member = np.arange(a.size + b.size) < a.size
+    u, p = rank_sum_tests(np.concatenate([a, b])[None], member[:, None])
+    return float(u[0, 0]), float(p[0, 0])
 
 
 def report_from_json(payload: dict) -> DiagnosticReport:

@@ -18,8 +18,7 @@ from diagnokit.classifier import HIDDEN1, HIDDEN2, MlpModel
 from diagnokit.cli import main
 from diagnokit.divergence import ood_subset, symbolic_conflict_subset
 from diagnokit.engine import HyperParams, deconvolve, run_mcmc, split_rhat
-from diagnokit.geneselect import (benjamini_hochberg, select_pairs,
-                                  wilcoxon_rank_sum)
+from diagnokit.geneselect import benjamini_hochberg, select_pairs
 from diagnokit.reference import ReferenceDataset
 from diagnokit.report import (PATIENT_BLOCKLIST, FeatureReading, PromptInput,
                               build_prompt, render_offline)
@@ -28,7 +27,8 @@ from diagnokit.types import (AdjustmentParams, BulkMatrix, GenePriors, PairSelec
                              RefinementConfig, SampleMeta, pair_key)
 
 from deconv_baselines import baseline_ols, nnls_proportions
-from oracles import backprop_gradient, bce_loss, logit, sign_rule_predict, z_conditional
+from oracles import (backprop_gradient, bce_loss, logit, sign_rule_predict,
+                     wilcoxon_rank_sum, z_conditional)
 
 
 def _verdict(n: int, ok: bool, desc: str) -> None:

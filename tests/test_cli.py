@@ -380,13 +380,15 @@ def test_malformed_checkpoint_is_one(model_dir, dataset_path, tmp_path, capsys, 
     assert "error: checkpoint" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["invalid_json", "not_utf8"])
+@pytest.mark.parametrize("case", ["invalid_json", "not_utf8", "nested_entry"])
 @pytest.mark.parametrize("command", ["select-genes", "report"])
 def test_unreadable_markers_or_knowledge_is_one(sim_dir, model_dir, dataset_path, tmp_path,
                                                 capsys, command, case):
     bad = tmp_path / "input.json"
     if case == "invalid_json":
         bad.write_text('{\n  "a": "one",\n  "b":\n}\n')
+    elif case == "nested_entry":  # a list where a name or a snippet belongs
+        bad.write_text('{"g0001": [["ct1"]]}')
     else:
         bad.write_bytes('{"g0001": ["ct\u00e9"]}'.encode("latin-1"))
     if command == "select-genes":
@@ -538,9 +540,11 @@ class TestSampleMeta:
         assert "line " in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["not_a_list", "no_sample_id", "no_proportions",
-                                      "non_numeric", "ragged_covariates"])
-    def test_malformed_record_is_one(self, sim_dir, selection_path, tmp_path, case):
+                                      "non_numeric", "ragged_covariates", "list_sample_id",
+                                      "string_proportions", "bool_covariate"])
+    def test_malformed_record_is_one(self, sim_dir, selection_path, tmp_path, capsys, case):
         records = self._records(sim_dir)
+        sid = records[2]["sample_id"]
         if case == "not_a_list":
             records = {r["sample_id"]: r for r in records}
         elif case == "no_sample_id":
@@ -549,16 +553,29 @@ class TestSampleMeta:
             del records[2]["proportions"]
         elif case == "ragged_covariates":
             records[2]["bulk_cov"].append(1.0)
+        elif case == "list_sample_id":
+            records[2]["sample_id"] = [records[2]["sample_id"]]
+        elif case == "string_proportions":
+            # a number written as a JSON string is not read as the number
+            records[2]["proportions"] = {c: str(w) for c, w in records[2]["proportions"].items()}
+        elif case == "bool_covariate":
+            records[2]["bulk_cov"][0] = True
         else:
             first = next(iter(records[2]["proportions"]))
             records[2]["proportions"][first] = "high"
         assert self._run(sim_dir, selection_path, tmp_path,
                          json.dumps(records), case) == 1
+        # each rejection names the record
+        err = capsys.readouterr().err
+        if case == "list_sample_id":
+            assert "sample metadata record 2" in err
+        elif case in ("string_proportions", "bool_covariate"):
+            assert f"sample {sid!r}" in err
 
 
 @pytest.mark.parametrize("case", ["not_a_list", "no_gene", "no_cell_type",
                                   "no_provenance", "no_score", "non_numeric_score",
-                                  "bad_provenance"])
+                                  "bad_provenance", "list_gene", "object_cell_type"])
 def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, case):
     records = json.loads(selection_path.read_text())
     assert records
@@ -568,6 +585,10 @@ def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, c
         del records[0][case[3:]]
     elif case == "non_numeric_score":
         records[0]["score"] = "high"
+    elif case == "list_gene":
+        records[0]["gene"] = [records[0]["gene"]]
+    elif case == "object_cell_type":
+        records[0]["cell_type"] = {"name": records[0]["cell_type"]}
     else:
         records[0]["provenance"] = "curated"
     sel = tmp_path / "selection.json"

@@ -11,12 +11,12 @@ import pytest
 from diagnokit import geneselect
 from diagnokit.errors import ValidationError
 from diagnokit.geneselect import (_rank_with_ties, benjamini_hochberg, select_pairs,
-                                  stability_scores, wilcoxon_rank_sum)
+                                  stability_scores)
 from diagnokit.reference import (N_PSEUDO_REPLICATES, ReferenceDataset, _NOISE_FLOOR,
                                  _regularize_spd_all, estimate_priors, signature_matrix)
 from diagnokit.simulate import SyntheticScenario, generate
 
-from oracles import log2_fold_change, regularize_spd
+from oracles import log2_fold_change, regularize_spd, wilcoxon_rank_sum
 
 
 # ---------------------------------------------------------------- references
@@ -170,6 +170,14 @@ def _case(name):
     return _ref(values, labels)
 
 
+def _stability(ref, fdr_threshold, lfc_threshold):
+    """``stability_scores``'s (score, keep) arrays as pair -> score of the
+    kept pairs, the form of ``stability_scores_loop``."""
+    score, keep = stability_scores(ref, fdr_threshold, lfc_threshold)
+    return {(ref.genes[g], ref.cell_types[c]): float(score[g, c])
+            for g, c in zip(*np.nonzero(keep))}
+
+
 def _assert_same_scores(got, want, keeps_all=False):
     """Same pairs, and scores to 1e-12 relative. With thresholds that keep
     every pair, fold changes near 0 are kept too: the rounding of their two
@@ -217,7 +225,7 @@ def test_stability_scores_match_loop(name):
     ref = _case(name)
     # the last pair of thresholds keeps every tested pair
     for fdr, lfc in ((0.05, 0.5), (0.5, 0.1), (2.0, -1.0)):
-        got = stability_scores(ref, fdr, lfc)
+        got = _stability(ref, fdr, lfc)
         _assert_same_scores(got, stability_scores_loop(ref, fdr, lfc), keeps_all=lfc < 0)
     n_types = len(ref.cell_types)
     assert len(got) == (len(ref.genes) * n_types if n_types > 1 else 0)
@@ -242,7 +250,7 @@ def test_pvalues_match_loop_and_tied_genes_get_one(monkeypatch):
 def test_stability_scores_match_loop_on_simulated_reference():
     ref = generate(SyntheticScenario(G=60, C=4, N=5, ref_cells_per_type=17, seed=9)).ref
     want = stability_scores_loop(ref, 0.01, 1.0)
-    _assert_same_scores(stability_scores(ref, 0.01, 1.0), want)
+    _assert_same_scores(_stability(ref, 0.01, 1.0), want)
     assert want
     assert select_pairs(ref, set()).pairs <= frozenset(want)
 
