@@ -27,14 +27,18 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .io import atomic_write_text, load_json, parse_rows, read_rows, write_rows
-from .types import CtsTensor, PairSelection, _check_unique, _freeze
+from .io import _is_number, atomic_write_text, load_json, parse_rows, read_rows, write_rows
+from .types import CtsTensor, PairSelection, _check_unique, _freeze, _positions
 
 HIDDEN1 = 16
 HIDDEN2 = 8
 # rows per Integrated Gradients block: bounds the (rows, points, 16) temporaries
 IG_BLOCK_ROWS = 32
 FEATURE_TAGS = ("cts", "eqtl_beta", "eqtl_se", "eqtl_pval", "covariate")
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,11 +73,7 @@ class Dataset:
 
     def take(self, names) -> Dataset:
         """The features ``names``, in that order; every name must be a feature."""
-        index = {n: j for j, n in enumerate(self.names)}
-        missing = [n for n in names if n not in index]
-        if missing:
-            raise ValidationError(f"dataset has no feature {missing[0]!r}")
-        cols = [index[n] for n in names]
+        cols = _positions(self.names, names, "dataset features")
         return Dataset(values=self.values[:, cols], names=tuple(names),
                        tags=tuple(self.tags[j] for j in cols), sample_ids=self.sample_ids)
 
@@ -135,9 +135,6 @@ class TrainConfig:
     val_fraction: float = 0.2
     seed: int = 0
     dropout_rate: float = 0.2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not self.lr > 0:
@@ -161,22 +158,16 @@ def build_features(cts: CtsTensor, selection: PairSelection,
     selected genes sorted (three entries BETA, SE, PVAL each), then covariate
     names sorted. Genes absent from the eQTL table contribute no eQTL features.
     """
-    gene_index = {g: i for i, g in enumerate(cts.genes)}
-    ct_index = {c: j for j, c in enumerate(cts.cell_types)}
-    for g, c in selection.pairs:
-        if g not in gene_index or c not in ct_index:
-            raise ValidationError(f"selected pair ({g!r}, {c!r}) outside tensor axes")
-
     pairs = sorted(selection.pairs)
+    rows = _positions(cts.genes, [g for g, _ in pairs], "tensor genes")
+    cols = _positions(cts.cell_types, [c for _, c in pairs], "tensor cell types")
     genes = selection.genes()
     present = [g for g in genes if g in eqtl]
 
     covariates = covariates or {}
     cov_names: list[str] = []
     if covariates:
-        missing_samples = [s for s in cts.samples if s not in covariates]
-        if missing_samples:
-            raise ValidationError(f"covariates missing samples: {missing_samples[:5]}")
+        _positions(covariates, cts.samples, "covariate samples")
         cov_names = sorted(covariates[cts.samples[0]])
         for s in cts.samples:
             if sorted(covariates[s]) != cov_names:
@@ -196,7 +187,7 @@ def build_features(cts: CtsTensor, selection: PairSelection,
 
     n = len(cts.samples)
     x = np.hstack([
-        cts.mean[[gene_index[g] for g, _ in pairs], [ct_index[c] for _, c in pairs]].T,
+        cts.mean[rows, cols].T,
         np.tile([v for g in present for v in eqtl[g]], (n, 1)),
         np.array([[covariates[s][name] for name in cov_names] for s in cts.samples],
                  dtype=np.float64).reshape(n, len(cov_names))])
@@ -379,11 +370,11 @@ def train(dataset: Dataset, labels, config: TrainConfig) -> TrainResult:
             step += 1
             np.concatenate([a.ravel() for a in grads.values()], out=grad)
             g = grad / batch.size
-            m_t = config.beta1 * m_t + (1 - config.beta1) * g
-            v_t = config.beta2 * v_t + (1 - config.beta2) * g * g
-            m_hat = m_t / (1 - config.beta1 ** step)
-            v_hat = v_t / (1 - config.beta2 ** step)
-            theta -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+            m_t = ADAM_BETA1 * m_t + (1 - ADAM_BETA1) * g
+            v_t = ADAM_BETA2 * v_t + (1 - ADAM_BETA2) * g * g
+            m_hat = m_t / (1 - ADAM_BETA1 ** step)
+            v_hat = v_t / (1 - ADAM_BETA2 ** step)
+            theta -= config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         # built once per epoch: MlpModel rejects weights that went non-finite
         model = make_model()
         val_loss = _backprop(model, xhat[val_idx], y[val_idx])[1] / val_idx.size
@@ -509,13 +500,22 @@ def load_model(path: str | Path) -> MlpModel:
     if not isinstance(payload, dict):
         raise ParseError("checkpoint must be a JSON object")
     try:
-        arrays = {name: np.array(payload[name], dtype=np.float64)
+        arrays = {name: payload[name]
                   for name in ("w1", "b1", "w2", "b2", "w3", "b3", "mean", "sd", "kept")}
         names, tags = payload["feature_names"], payload["feature_tags"]
     except KeyError as exc:
         raise ParseError(f"checkpoint missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"checkpoint fields must be numeric arrays: {exc}") from exc
+    for name, value in arrays.items():
+        bad = ParseError(f"checkpoint field {name!r} must be an array of finite JSON numbers"
+                         + (", each 0 or 1" if name == "kept" else ""))
+        try:  # a ragged list makes an array of lists, and those are no numbers
+            leaves = np.array(value, dtype=object)
+        except ValueError:  # or, in some numpy versions, no array at all
+            raise bad from None
+        if not all(map(_is_number, leaves.flat)) or (name == "kept"
+                                                      and not set(leaves.flat) <= {0, 1}):
+            raise bad
+        arrays[name] = leaves.astype(np.float64)
     if not all(isinstance(v, list) and all(isinstance(t, str) for t in v)
                for v in (names, tags)):
         raise ParseError("checkpoint feature_names and feature_tags must be lists of strings")

@@ -14,7 +14,6 @@ import argparse
 import difflib
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -31,8 +30,9 @@ from .divergence import (DEFAULT_SUBSET_SIZE, OOD_THRESHOLD, ood_subset, run_div
                          reports_markdown, save_reports, symbolic_conflict_subset)
 from .engine import deconvolve
 from .errors import DiagnokitError, ValidationError
-from .geneselect import load_marker_list, select_pairs, save_selection, load_selection
-from .io import (_is_json_number, _tensor_paths, atomic_write_text, load_bulk_matrix,
+from .geneselect import (EXACT_ENUMERATION_MAX_N, load_marker_list, load_selection,
+                         save_selection, select_pairs)
+from .io import (_is_number, _tensor_paths, atomic_write_text, load_bulk_matrix,
                  load_cts_tensor, load_json, load_reference, load_sample_meta, save_bulk_matrix,
                  save_cts_tensor, save_json, save_reference, save_sample_meta, write_rows)
 from .reference import DEFAULT_SHRINKAGE
@@ -40,7 +40,7 @@ from .report import (AUDIENCES, DEFAULT_MODEL, ENV_URL, STRATEGIES, LlmClient,
                      generate_report, load_knowledge, prompt_input, render_markdown,
                      report_to_json)
 from .simulate import SyntheticScenario, evaluate_recovery, generate
-from .types import RefinementConfig
+from .types import RefinementConfig, _positions
 
 
 def _sha256(path: str | Path) -> str:
@@ -92,15 +92,11 @@ CONFIG_KEYS = {
 }
 
 
-def _is_number(value) -> bool:
-    return _is_json_number(value) and math.isfinite(value)
-
-
-# The test each kind of config value passes, and its name in an error;
-# bools are not numbers here, nor are JSON's NaN and Infinity, and a tuple
-# is a JSON list.
+# The test each kind of config value passes, and its name in an error. A
+# number passes ``io._is_number``: bools, JSON's NaN and Infinity and
+# integers too large for a float are not numbers. A tuple is a JSON list.
 _JSON_KINDS = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "int": (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
     "float": (_is_number, "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "tuple[float, ...]": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
@@ -219,6 +215,12 @@ def cmd_select_genes(args) -> None:
         selection = select_pairs(ref, markers, **config)
     with _stage(manifest, "write_s"):
         save_selection(selection, out / "selection.json")
+    if not selection.pairs:
+        hint = (f"; a reference of at most {EXACT_ENUMERATION_MAX_N} cells gets exact "
+                "rank-sum p-values, which after Benjamini-Hochberg can stay above "
+                "fdr_threshold (0.01 by default)" if len(ref.cells) <= EXACT_ENUMERATION_MAX_N
+                else "")
+        print(f"warning: no (gene, cell type) pair was selected{hint}", file=sys.stderr)
     _finish_manifest(manifest, out, [out / "selection.json"])
 
 
@@ -255,6 +257,9 @@ def cmd_deconvolve(args) -> None:
                "R-hat needs at least 4 kept draws per chain; this run keeps "
                f"{rc.iters - rc.burnin})")
         print(f"warning: MCMC did not converge: {why}", file=sys.stderr)
+    if not diagnostics["estimated_pairs"]:
+        print("warning: the selection holds no pair, so nothing was sampled and "
+              "cts.tsv holds the reference priors", file=sys.stderr)
     _finish_manifest(manifest, out, [*_tensor_paths(out / "cts.tsv"),
                                      out / "diagnostics.json"])
 
@@ -277,10 +282,7 @@ def _load_for_model(path, model):
     """The dataset at ``path`` and its labels, its features joined to the
     model's by name and put in the model's order."""
     dataset, labels = load_dataset(path)
-    known = set(model.feature_names)
-    extra = [n for n in dataset.names if n not in known]
-    if extra:
-        raise ValidationError(f"dataset feature {extra[0]!r} is not in the model")
+    _positions(model.feature_names, dataset.names, "model features")
     return dataset.take(model.feature_names), labels
 
 
@@ -328,11 +330,9 @@ def cmd_report(args) -> None:
     with _stage(manifest, "read_s"):
         model = load_model(args.checkpoint)
         dataset, labels = _load_for_model(args.dataset, model)
-        if args.sample not in dataset.sample_ids:
-            raise ValidationError(f"sample {args.sample!r} not in dataset")
+        x = dataset.values[_positions(dataset.sample_ids, [args.sample], "dataset samples")[0]]
         knowledge = load_knowledge(args.knowledge) if args.knowledge else {}
     with _stage(manifest, "compute_s"):
-        x = dataset.values[dataset.sample_ids.index(args.sample)]
         stats = _population_stats(dataset, labels) if args.strategy != "direct" else None
         top_k = {"k": config["top_k"]} if "top_k" in config else {}
         inp = prompt_input(model, x, dataset.names, args.audience, args.strategy,

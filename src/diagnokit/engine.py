@@ -30,7 +30,6 @@ jitter rescues are counted, never silent.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ from .errors import ValidationError
 from .kernels import RunFactors, prepare, resolve_backend
 from .reference import DEFAULT_SHRINKAGE, ReferenceDataset, _regularize_spd_all, estimate_priors
 from .types import (BulkMatrix, CtsTensor, GenePriors, PairSelection, RefinementConfig,
-                    SampleMeta)
+                    SampleMeta, _check_unique, _positions)
 
 # scale of a chain's start around the prior mean, in prior standard deviations
 OVERDISPERSION = 2.0
@@ -89,18 +88,12 @@ class PosteriorSummary:
 
 
 def _align_metas(samples: list[str], metas: list[SampleMeta]) -> list[SampleMeta]:
-    """Order ``metas`` like the bulk columns, joining on ``sample_id``."""
-    counts = Counter(m.sample_id for m in metas)
-    duplicated = [s for s, n in counts.items() if n > 1]
-    missing = [s for s in samples if s not in counts]
-    known = set(samples)
-    extra = [s for s in counts if s not in known]
-    if duplicated or missing or extra:
-        raise ValidationError(
-            "sample metas must match the bulk samples one to one: "
-            f"duplicated {duplicated[:5]}, missing {missing[:5]}, extra {extra[:5]}")
-    by_id = {m.sample_id: m for m in metas}
-    return [by_id[s] for s in samples]
+    """Order ``metas`` like the bulk columns, joining on ``sample_id`` one to
+    one: no meta repeats, lacks a bulk sample or names one the bulk lacks."""
+    ids = [m.sample_id for m in metas]
+    _check_unique(ids, "sample meta")
+    _positions(samples, ids, "bulk samples")
+    return [metas[i] for i in _positions(ids, samples, "sample metas")]
 
 
 def _stack_inputs(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta]):
@@ -325,15 +318,13 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
     cell_types = ref.cell_types
     C = len(cell_types)
     config.resolved_nu(C)  # a bad nu fails now, not after a round of sampling
-    bulk_genes, known_types = set(bulk.genes), set(cell_types)
-    for g, c in selection.pairs:
-        if g not in bulk_genes or c not in known_types:
-            raise ValidationError(f"selected pair ({g!r}, {c!r}) outside bulk/reference axes")
+    pairs = sorted(selection.pairs)
+    estimated = np.zeros((bulk.n_genes, C), dtype=bool)
+    estimated[_positions(bulk.genes, [g for g, _ in pairs], "bulk genes"),
+              _positions(cell_types, [c for _, c in pairs], "reference cell types")] = True
 
     rescues = {"iw_redraws": 0, "spd_jitter": 0}
     bulk_priors = estimate_priors(ref, shrinkage, seed=seed, rescues=rescues).take(bulk.genes)
-    estimated = np.array([[(g, c) in selection.pairs for c in cell_types]
-                          for g in bulk.genes])
     rows = np.flatnonzero(estimated.any(axis=1))  # genes the sampler runs on
 
     mu_hat = bulk_priors.mu.copy()

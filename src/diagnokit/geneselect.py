@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .io import _is_json_number, atomic_write_text, load_json
+from .io import _is_number, atomic_write_text, load_json
 from .reference import ReferenceDataset
 from .types import PairSelection, pair_key
 
@@ -231,8 +231,9 @@ def load_selection(path: str | Path) -> PairSelection:
             raise ParseError(f"selection record {k} has provenance {rec['provenance']!r}, "
                              f"not one of {', '.join(PairSelection.VALID_TAGS)}")
         score = rec["score"]
-        if not _is_json_number(score):
-            raise ParseError(f"selection record {k} has non-numeric score {score!r}")
+        if not _is_number(score):
+            raise ParseError(f"selection record {k} has a score that is not a finite "
+                             f"JSON number: {json.dumps(score)}")
         pairs.add(pair)
         provenance[pair_key(*pair)] = rec["provenance"]
         scores[pair_key(*pair)] = float(score)

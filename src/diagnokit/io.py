@@ -5,7 +5,9 @@ Formats:
   * tensor TSV (long): header ``gene<TAB>cell_type<TAB>sample<TAB>value``,
     one file each for mean and variance
   * sample metadata JSON: list of ``{sample_id, proportions, bulk_cov, cts_cov}``,
-    a string ID and JSON numbers (not bools, not numbers written as strings)
+    a string ID and numbers that pass ``_is_number``, the one number test of
+    every JSON input; proportions are joined to the cell types by name and
+    sidecar labels to the reference cells by ID (``types._positions``)
 
 Floats are rendered with ``repr`` (shortest round-tripping form, at most 17
 significant digits) so load(save(x)) is bit-exact for 64-bit floats. No name
@@ -47,7 +49,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .reference import ReferenceDataset
-from .types import BulkMatrix, CtsTensor, SampleMeta
+from .types import BulkMatrix, CtsTensor, SampleMeta, _positions
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -453,14 +455,12 @@ def load_sample_meta(path: str | Path, cell_types: list[str]) -> list[SampleMeta
         props = rec.get("proportions")
         if not isinstance(props, dict):
             raise ParseError(f"sample {sid!r} needs a 'proportions' object")
-        missing = [c for c in cell_types if c not in props]
-        if missing:
-            raise ValidationError(f"sample {sid!r} missing proportions for {missing}")
+        _positions(props, cell_types, f"the proportions of sample {sid!r}")
         values = {"proportions": [props[c] for c in cell_types],
                   "bulk_cov": rec.get("bulk_cov", []), "cts_cov": rec.get("cts_cov", [])}
         for name, v in values.items():
-            if not (isinstance(v, list) and all(map(_is_json_number, v))):
-                raise ParseError(f"sample {sid!r}: {name} must be JSON numbers, "
+            if not (isinstance(v, list) and all(map(_is_number, v))):
+                raise ParseError(f"sample {sid!r}: {name} must be finite JSON numbers, "
                                  f"got {json.dumps(v)}")
         metas.append(SampleMeta(sample_id=sid, **{name: np.array(v, dtype=np.float64)
                                                   for name, v in values.items()}))
@@ -479,9 +479,7 @@ def load_reference(path: str | Path, labels_path: str | Path) -> ReferenceDatase
     if not (isinstance(labels, dict) and all(isinstance(v, str) for v in labels.values())):
         raise ParseError(f"label sidecar {Path(labels_path).name} must be a JSON object "
                          "mapping cell IDs to cell-type names")
-    missing = [c for c in cells if c not in labels]
-    if missing:
-        raise ValidationError(f"label sidecar missing cells: {missing[:5]}")
+    _positions(labels, cells, f"label sidecar {Path(labels_path).name}")
     return ReferenceDataset(genes=genes, cells=cells,
                             cell_type_labels=[labels[c] for c in cells], values=values)
 
@@ -490,9 +488,16 @@ def save_json(obj, path: str | Path) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _is_json_number(value) -> bool:
-    """A JSON number: an int or a float, not a bool (nor a string of digits)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value) -> bool:
+    """The one number test of every JSON input: an int or a float, not a bool
+    (nor a string of digits), and finite as a float64, so neither NaN,
+    Infinity nor an integer too large for a float."""
+    if type(value) not in (int, float):  # a bool is an int subclass
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def load_json(path: str | Path):

@@ -6,7 +6,7 @@ Dirichlet proportions, Gaussian covariates with learned-coefficient effects,
 and additive observation noise. The single-cell reference is generated
 hierarchically from per-donor latent vectors so that aligned cell positions
 across types carry the true cross-type covariance, matching how the prior
-estimator reads the reference.
+estimator reads the reference. Each per-gene parameter is one array draw.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .reference import ReferenceDataset
-from .types import AdjustmentParams, BulkMatrix, CtsTensor, SampleMeta
+from .types import BulkMatrix, CtsTensor, SampleMeta, _positions
 
 
 @dataclass(frozen=True)
@@ -72,17 +72,20 @@ class GroundTruthBundle:
     true_z: CtsTensor
     metas: list[SampleMeta]
     ref: ReferenceDataset
-    true_params: list[AdjustmentParams]
+    gamma: np.ndarray  # (G, d1) true bulk-covariate coefficients
+    b: np.ndarray      # (G, C, d2) true cell-type-specific covariate coefficients
     noise: np.ndarray  # (G, N) stored observation noise
 
 
-def _shared_component_cov(rng: np.random.Generator, C: int,
+def _shared_component_cov(rng: np.random.Generator, G: int, C: int,
                           rho_range: tuple[float, float], scale: float) -> np.ndarray:
-    """SPD covariance with a dominant shared component and per-type jitter."""
-    rho = rng.uniform(*rho_range)
-    s = rng.uniform(0.9, 1.1, C)
+    """G SPD covariances (G, C, C), each with a dominant shared component and
+    per-type jitter. Row g of one (G, 1 + C) draw holds gene g's rho, then
+    its C jitters, so the stream is consumed gene by gene."""
+    u = rng.uniform([rho_range[0]] + [0.9] * C, [rho_range[1]] + [1.1] * C, (G, 1 + C))
+    rho, s = u[:, :1, None], u[:, 1:]
     corr = (1.0 - rho) * np.eye(C) + rho * np.ones((C, C))
-    return scale * np.outer(s, s) * corr
+    return scale * (s[:, :, None] * s[:, None, :]) * corr
 
 
 def generate(scenario: SyntheticScenario) -> GroundTruthBundle:
@@ -95,8 +98,7 @@ def generate(scenario: SyntheticScenario) -> GroundTruthBundle:
     samples = [f"s{i:03d}" for i in range(N)]
 
     mus = rng.normal(sc.expr_mean, sc.expr_sd, (G, C))
-    sigmas = np.stack([_shared_component_cov(rng, C, sc.sigma_rho_range, sc.sigma_scale)
-                       for _ in range(G)])
+    sigmas = _shared_component_cov(rng, G, C, sc.sigma_rho_range, sc.sigma_scale)
     chols = np.linalg.cholesky(sigmas)
     z = mus[:, None, :] + np.einsum("gcd,gnd->gnc", chols, rng.standard_normal((G, N, C)))
 
@@ -116,7 +118,6 @@ def generate(scenario: SyntheticScenario) -> GroundTruthBundle:
                        variance=np.zeros((G, C, N)))
     metas = [SampleMeta(sample_id=samples[i], proportions=w[i],
                         bulk_cov=c1[i], cts_cov=c2[i]) for i in range(N)]
-    true_params = [AdjustmentParams(gamma=gamma[g], b=b[g]) for g in range(G)]
 
     # donor-aligned reference: cell k of every type shares donor k's latent vector
     M = sc.ref_cells_per_type
@@ -129,7 +130,7 @@ def generate(scenario: SyntheticScenario) -> GroundTruthBundle:
     labels = [ct for ct in cell_types for _ in range(M)]
     ref = ReferenceDataset(genes=genes, cells=cells, cell_type_labels=labels, values=values)
     return GroundTruthBundle(bulk=bulk, true_z=true_z, metas=metas, ref=ref,
-                             true_params=true_params, noise=noise)
+                             gamma=gamma, b=b, noise=noise)
 
 
 @dataclass(frozen=True)
@@ -181,18 +182,16 @@ def _pearson_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def evaluate_recovery(estimate: CtsTensor, truth: CtsTensor) -> RecoveryReport:
     """Correlate estimate against truth per (gene, type) and per (sample, type).
 
-    The estimate is joined to the truth by (gene, cell type, sample): its
-    axes may list the same keys in any order, and are put in the truth's.
+    The estimate is joined to the truth by (gene, cell type, sample)
+    (``types._positions``): its axes may list the same keys in any order,
+    and are put in the truth's; a missing or extra key is an error.
     Entries with zero variance on either side are excluded and counted.
     """
-    index = []
-    for ours, theirs in ((estimate.genes, truth.genes), (estimate.cell_types, truth.cell_types),
-                         (estimate.samples, truth.samples)):
-        if set(ours) != set(theirs):
-            raise ValidationError("estimate and truth axes do not match")
-        position = {k: i for i, k in enumerate(ours)}
-        index.append([position[k] for k in theirs])
-    est = estimate.mean[np.ix_(*index)]
+    est = estimate.mean[np.ix_(*(_positions(getattr(estimate, axis), getattr(truth, axis),
+                                            f"estimate {axis}")
+                                 for axis in ("genes", "cell_types", "samples")))]
+    if estimate.mean.shape != truth.mean.shape:  # every truth ID found, so extra ones
+        raise ValidationError(f"estimate of shape {estimate.mean.shape} holds IDs the truth lacks")
     cts = truth.cell_types
     # (G, C, N): per gene along samples; (C, N, G): per sample along genes
     r_g, ok_g = _pearson_rows(est, truth.mean)

@@ -1,7 +1,9 @@
 """Core domain types with validation.
 
 All types are immutable after construction (each keeps a read-only copy of
-the arrays it is given) and safe to share across threads.
+the arrays it is given) and safe to share across threads. Every join of
+inputs by ID goes through ``_positions``: a missing ID is one
+``ValidationError`` in one wording, naming up to five of the IDs.
 """
 from __future__ import annotations
 
@@ -28,6 +30,20 @@ def _check_unique(ids: list[str], what: str) -> None:
         if x in seen:
             raise ValidationError(f"duplicate {what} ID: {x!r}")
         seen.add(x)
+
+
+def _positions(axis, keys, what: str) -> np.ndarray:
+    """The position in ``axis`` of each of ``keys``. A key not in ``axis``
+    raises a ``ValidationError`` naming ``what`` (the axis) and up to five
+    of the missing keys."""
+    index = {k: i for i, k in enumerate(axis)}
+    pos = np.fromiter((index.get(k, -1) for k in keys), dtype=np.intp, count=len(keys))
+    if (pos < 0).any():
+        missing = list(dict.fromkeys(k for k, p in zip(keys, pos) if p < 0))
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise ValidationError(f"missing from {what}: "
+                              f"{', '.join(map(repr, missing[:5]))}{more}")
+    return pos
 
 
 @dataclass(frozen=True)
@@ -127,11 +143,7 @@ class GenePriors:
 
     def take(self, genes: list[str]) -> GenePriors:
         """The priors of ``genes``, in that order; every gene must have one."""
-        index = {g: i for i, g in enumerate(self.genes)}
-        missing = [g for g in genes if g not in index]
-        if missing:
-            raise ValidationError(f"no prior for genes {missing[:5]}")
-        rows = [index[g] for g in genes]
+        rows = _positions(self.genes, genes, "gene priors")
         return GenePriors(genes=list(genes), mu=self.mu[rows], sigma=self.sigma[rows],
                           noise_var=self.noise_var[rows])
 
@@ -173,24 +185,6 @@ class SampleMeta:
             if v.ndim != 1 or not np.isfinite(v).all():
                 raise ValidationError(f"{name} must be a finite vector ({self.sample_id!r})")
             object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class AdjustmentParams:
-    """Learned covariate-adjustment coefficients for one gene."""
-
-    gamma: np.ndarray  # (d1,) bulk-covariate coefficients
-    b: np.ndarray      # (C, d2) cell-type-specific covariate coefficients
-
-    def __post_init__(self):
-        g = _freeze(self.gamma)
-        b = _freeze(self.b)
-        if g.ndim != 1 or b.ndim != 2:
-            raise ValidationError("gamma must be a vector and b a C x d2 matrix")
-        if not (np.isfinite(g).all() and np.isfinite(b).all()):
-            raise ValidationError("adjustment params must be finite")
-        object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Reference functions the tests check the library against.
 
 No command uses them. Most are the plain, one-case form of what a library
-function computes in bulk; the rest are steps and readers only the tests
-take (one Gibbs sweep, the eQTL table, the sign rule).
+function computes in bulk; the rest are steps, readers and records only the
+tests take (one Gibbs sweep, the eQTL table, the sign rule, one gene's
+covariate coefficients).
 """
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from diagnokit.geneselect import rank_sum_tests
 from diagnokit.io import parse_rows, read_rows, write_rows
 from diagnokit.kernels import resolve_backend
 from diagnokit.report import DiagnosticReport
-from diagnokit.types import AdjustmentParams, BulkMatrix, GenePriors, SampleMeta
+from diagnokit.types import BulkMatrix, GenePriors, SampleMeta, _freeze
 
 
 def pearson(a, b) -> float:
@@ -81,6 +83,25 @@ def load_reports(path: str | Path) -> list[DivergenceReport]:
 
 
 # -------------------------------------------------------------------- engine
+
+@dataclass(frozen=True)
+class AdjustmentParams:
+    """Covariate-adjustment coefficients for one gene; ``engine`` keeps them
+    for all genes as one theta array."""
+
+    gamma: np.ndarray  # (d1,) bulk-covariate coefficients
+    b: np.ndarray      # (C, d2) cell-type-specific covariate coefficients
+
+    def __post_init__(self):
+        g = _freeze(self.gamma)
+        b = _freeze(self.b)
+        if g.ndim != 1 or b.ndim != 2:
+            raise ValidationError("gamma must be a vector and b a C x d2 matrix")
+        if not (np.isfinite(g).all() and np.isfinite(b).all()):
+            raise ValidationError("adjustment params must be finite")
+        object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "b", b)
+
 
 def z_conditional(mu: np.ndarray, sigma: np.ndarray, noise_var: float, x_gi: float,
                   meta: SampleMeta, adj: AdjustmentParams) -> tuple[np.ndarray, np.ndarray]:

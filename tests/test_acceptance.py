@@ -23,12 +23,12 @@ from diagnokit.reference import ReferenceDataset
 from diagnokit.report import (PATIENT_BLOCKLIST, FeatureReading, PromptInput,
                               build_prompt, render_offline)
 from diagnokit.simulate import SyntheticScenario, evaluate_recovery, generate
-from diagnokit.types import (AdjustmentParams, BulkMatrix, GenePriors, PairSelection,
-                             RefinementConfig, SampleMeta, pair_key)
+from diagnokit.types import (BulkMatrix, GenePriors, PairSelection, RefinementConfig,
+                             SampleMeta, pair_key)
 
 from deconv_baselines import baseline_ols, nnls_proportions
-from oracles import (backprop_gradient, bce_loss, logit, sign_rule_predict,
-                     wilcoxon_rank_sum, z_conditional)
+from oracles import (AdjustmentParams, backprop_gradient, bce_loss, logit,
+                     sign_rule_predict, wilcoxon_rank_sum, z_conditional)
 
 
 def _verdict(n: int, ok: bool, desc: str) -> None:

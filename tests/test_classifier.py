@@ -329,7 +329,7 @@ def test_dataset_take_reorders_columns_by_name():
     assert taken.names == ("c", "a") and taken.tags == ("covariate", "cts")
     assert np.array_equal(taken.values, [[2.0, 0.0], [5.0, 3.0]])
     assert taken.sample_ids == feats.sample_ids
-    with pytest.raises(ValidationError, match="dataset has no feature 'd'"):
+    with pytest.raises(ValidationError, match="missing from dataset features: 'd'"):
         feats.take(["a", "d"])
 
 
@@ -392,7 +392,7 @@ class TestBuildFeatures:
 
     def test_covariate_sample_mismatch(self):
         sel = self._selection({("g1", "ct1")})
-        with pytest.raises(ValidationError, match="missing samples"):
+        with pytest.raises(ValidationError, match="missing from covariate samples: 's2'"):
             build_features(self._tensor(), sel, {}, {"s1": {"age": 1.0}})
 
 

@@ -157,11 +157,11 @@ def train_reference(dataset, labels, config):
             step += 1
             for k in params:
                 g = acc[k] / batch.size
-                m_t[k] = config.beta1 * m_t[k] + (1 - config.beta1) * g
-                v_t[k] = config.beta2 * v_t[k] + (1 - config.beta2) * g * g
-                m_hat = m_t[k] / (1 - config.beta1 ** step)
-                v_hat = v_t[k] / (1 - config.beta2 ** step)
-                params[k] = params[k] - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+                m_t[k] = clf.ADAM_BETA1 * m_t[k] + (1 - clf.ADAM_BETA1) * g
+                v_t[k] = clf.ADAM_BETA2 * v_t[k] + (1 - clf.ADAM_BETA2) * g * g
+                m_hat = m_t[k] / (1 - clf.ADAM_BETA1 ** step)
+                v_hat = v_t[k] / (1 - clf.ADAM_BETA2 ** step)
+                params[k] = params[k] - config.lr * m_hat / (np.sqrt(v_hat) + clf.ADAM_EPS)
             model = make_model(params)
         val_loss = eval_loss(val_idx, model)
         log.append({"epoch": epoch, "train_loss": train_loss / order.size,
@@ -323,12 +323,12 @@ def train_dict_adam(dataset: Dataset, labels, config: TrainConfig) -> clf.TrainR
             step += 1
             for k, g in grads.items():
                 g = g / batch.size
-                m_t[k] = config.beta1 * m_t[k] + (1 - config.beta1) * g
-                v_t[k] = config.beta2 * v_t[k] + (1 - config.beta2) * g * g
-                m_hat = m_t[k] / (1 - config.beta1 ** step)
-                v_hat = v_t[k] / (1 - config.beta2 ** step)
+                m_t[k] = clf.ADAM_BETA1 * m_t[k] + (1 - clf.ADAM_BETA1) * g
+                v_t[k] = clf.ADAM_BETA2 * v_t[k] + (1 - clf.ADAM_BETA2) * g * g
+                m_hat = m_t[k] / (1 - clf.ADAM_BETA1 ** step)
+                v_hat = v_t[k] / (1 - clf.ADAM_BETA2 ** step)
                 setattr(net, k, getattr(net, k)
-                        - config.lr * m_hat / (np.sqrt(v_hat) + config.eps))
+                        - config.lr * m_hat / (np.sqrt(v_hat) + clf.ADAM_EPS))
         # built once per epoch: MlpModel rejects weights that went non-finite
         model = make_model()
         val_loss = clf._backprop(model, xhat[val_idx], y[val_idx])[1] / val_idx.size

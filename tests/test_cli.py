@@ -360,9 +360,14 @@ def test_population_stats_per_feature(dataset_path):
 
 
 @pytest.mark.parametrize("case", ["not_an_object", "number", "string_weights",
-                                  "ragged_weights", "numeric_names"])
+                                  "ragged_weights", "numeric_names", "huge_weight",
+                                  "string_number_weight", "bool_weight", "nan_sd",
+                                  "kept_two", "kept_string"])
 def test_malformed_checkpoint_is_one(model_dir, dataset_path, tmp_path, capsys, case):
     payload = json.loads((model_dir / "model.json").read_text())
+    field = {"string_weights": "w1", "ragged_weights": "w2", "huge_weight": "w1",
+             "string_number_weight": "w3", "bool_weight": "b1", "nan_sd": "sd",
+             "kept_two": "kept", "kept_string": "kept"}.get(case)
     if case == "not_an_object":
         payload = [1, 2]
     elif case == "number":
@@ -371,13 +376,29 @@ def test_malformed_checkpoint_is_one(model_dir, dataset_path, tmp_path, capsys, 
         payload["w1"] = "heavy"
     elif case == "ragged_weights":
         payload["w2"] = [[1.0, 2.0], [3.0]]
+    elif case == "huge_weight":
+        # an integer too large for a float
+        payload["w1"][0][0] = 10 ** 400
+    elif case == "string_number_weight":
+        payload["w3"][0][0] = str(payload["w3"][0][0])
+    elif case == "bool_weight":
+        payload["b1"][0] = True
+    elif case == "nan_sd":
+        payload["sd"][0] = float("nan")
+    elif case == "kept_two":
+        payload["kept"][0] = 2
+    elif case == "kept_string":
+        payload["kept"][0] = "1"
     else:
         payload["feature_names"] = list(range(len(payload["feature_names"])))
     ckpt = tmp_path / "model.json"
     ckpt.write_text(json.dumps(payload))
     assert main(["attribute", "--checkpoint", str(ckpt), "--dataset", str(dataset_path),
                  "--out", str(tmp_path / "attr")]) == 1
-    assert "error: checkpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: checkpoint" in err
+    if field:
+        assert f"field {field!r}" in err
 
 
 @pytest.mark.parametrize("case", ["invalid_json", "not_utf8", "nested_entry"])
@@ -433,7 +454,7 @@ def test_failed_command_marks_manifest(model_dir, dataset_path, tmp_path, monkey
                  "--out", str(out)]) == code
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
-    assert manifest["error"] == ("ValidationError: sample 'nope' not in dataset"
+    assert manifest["error"] == ("ValidationError: missing from dataset samples: 'nope'"
                                  if failure == "validation"
                                  else "RuntimeError: renderer crashed")
     assert manifest["outputs"] == []
@@ -541,7 +562,8 @@ class TestSampleMeta:
 
     @pytest.mark.parametrize("case", ["not_a_list", "no_sample_id", "no_proportions",
                                       "non_numeric", "ragged_covariates", "list_sample_id",
-                                      "string_proportions", "bool_covariate"])
+                                      "string_proportions", "bool_covariate",
+                                      "huge_covariate", "nan_proportion"])
     def test_malformed_record_is_one(self, sim_dir, selection_path, tmp_path, capsys, case):
         records = self._records(sim_dir)
         sid = records[2]["sample_id"]
@@ -560,6 +582,12 @@ class TestSampleMeta:
             records[2]["proportions"] = {c: str(w) for c, w in records[2]["proportions"].items()}
         elif case == "bool_covariate":
             records[2]["bulk_cov"][0] = True
+        elif case == "huge_covariate":
+            # an integer too large for a float
+            records[2]["bulk_cov"][0] = 10 ** 400
+        elif case == "nan_proportion":
+            first = next(iter(records[2]["proportions"]))
+            records[2]["proportions"][first] = float("nan")
         else:
             first = next(iter(records[2]["proportions"]))
             records[2]["proportions"][first] = "high"
@@ -569,13 +597,55 @@ class TestSampleMeta:
         err = capsys.readouterr().err
         if case == "list_sample_id":
             assert "sample metadata record 2" in err
-        elif case in ("string_proportions", "bool_covariate"):
+        elif case in ("string_proportions", "bool_covariate", "huge_covariate",
+                      "nan_proportion"):
             assert f"sample {sid!r}" in err
+
+
+@pytest.fixture(scope="module")
+def small_sim(tmp_path_factory):
+    """A 12-cell reference (4 cells per type), simulated at seed 0."""
+    root = tmp_path_factory.mktemp("small")
+    cfg = root / "scenario.json"
+    cfg.write_text(json.dumps({"G": 24, "C": 3, "N": 30, "d1": 1, "d2": 1,
+                               "ref_cells_per_type": 4}))
+    assert main(["simulate", "--config", str(cfg), "--seed", "0",
+                 "--out", str(root / "sim")]) == 0
+    return root / "sim"
+
+
+def test_select_genes_warns_when_it_selects_no_pair(small_sim, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["select-genes", "--ref", str(small_sim / "reference.tsv"),
+                 "--labels", str(small_sim / "reference_labels.json"),
+                 "--out", str(tmp_path / "sel")]) == 0
+    # the file is what it was; only stderr says why it is empty
+    assert (tmp_path / "sel" / "selection.json").read_text() == "[]\n"
+    err = capsys.readouterr().err
+    assert err.startswith("warning: no (gene, cell type) pair was selected")
+    assert "at most 12 cells gets exact rank-sum p-values" in err
+    assert "fdr_threshold" in err
+
+
+def test_deconvolve_warns_when_no_selected_pair_was_sampled(small_sim, tmp_path, capsys):
+    sel = tmp_path / "selection.json"
+    sel.write_text("[]\n")
+    mcfg = tmp_path / "mcmc.json"
+    mcfg.write_text(json.dumps(MCMC))
+    capsys.readouterr()
+    assert main(_deconvolve_args(small_sim, small_sim / "meta.json", sel,
+                                 tmp_path / "dec", mcfg)) == 0
+    diagnostics = json.loads((tmp_path / "dec" / "diagnostics.json").read_text())
+    assert diagnostics["estimated_pairs"] == 0 and diagnostics["converged"] is True
+    assert capsys.readouterr().err == ("warning: the selection holds no pair, so nothing "
+                                       "was sampled and cts.tsv holds the reference "
+                                       "priors\n")
 
 
 @pytest.mark.parametrize("case", ["not_a_list", "no_gene", "no_cell_type",
                                   "no_provenance", "no_score", "non_numeric_score",
-                                  "bad_provenance", "list_gene", "object_cell_type"])
+                                  "bad_provenance", "list_gene", "object_cell_type",
+                                  "huge_score", "nan_score", "infinite_score"])
 def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, case):
     records = json.loads(selection_path.read_text())
     assert records
@@ -589,6 +659,10 @@ def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, c
         records[0]["gene"] = [records[0]["gene"]]
     elif case == "object_cell_type":
         records[0]["cell_type"] = {"name": records[0]["cell_type"]}
+    elif case.endswith("_score"):
+        # an integer too large for a float, NaN or Infinity is no score
+        records[0]["score"] = {"huge": 10 ** 400, "nan": float("nan"),
+                               "infinite": float("inf")}[case[:-6]]
     else:
         records[0]["provenance"] = "curated"
     sel = tmp_path / "selection.json"
@@ -597,7 +671,10 @@ def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, c
     mcfg.write_text(json.dumps(MCMC))
     assert main(_deconvolve_args(sim_dir, sim_dir / "meta.json", sel,
                                  tmp_path / "dec", mcfg)) == 1
-    assert "selection" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "selection" in err
+    if case.endswith("_score"):
+        assert "selection record 0" in err
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
@@ -743,6 +820,12 @@ def test_unknown_config_key_is_one(sim_dir, selection_path, tmp_path, capsys,
     ("report", {"top_k": -2}, "top_k"),
     ("report", {"top_k": 2.5}, "top_k"),
     ("report", {"top_k": True}, "top_k"),
+    # an integer too large for a float is no number of any kind
+    ("select-genes", {"fdr_threshold": 10 ** 400}, "fdr_threshold"),
+    ("report", {"top_k": 10 ** 400}, "top_k"),
+    ("simulate", {"noise_sd": 10 ** 400}, "noise_sd"),
+    ("simulate", {"dirichlet_alpha": [10 ** 400, 1, 1]}, "dirichlet_alpha"),
+    ("deconvolve", {"shrinkage": -10 ** 400}, "shrinkage"),
 ])
 def test_config_value_of_wrong_kind_or_range_is_one(sim_dir, selection_path, model_dir,
                                                     dataset_path, tmp_path, capsys,
@@ -760,6 +843,8 @@ def test_config_value_of_wrong_kind_or_range_is_one(sim_dir, selection_path, mod
         "report": ["report", *ckpt, "--dataset", str(dataset_path), "--sample", "p01",
                    "--audience", "clinician", "--offline"],
         "simulate": ["simulate"],
+        "select-genes": ["select-genes", "--ref", str(sim_dir / "reference.tsv"),
+                         "--labels", str(sim_dir / "reference_labels.json")],
     }[command]
     if command != "deconvolve":
         argv += ["--config", str(cfg), "--out", str(out)]
@@ -984,12 +1069,12 @@ def test_missing_or_extra_feature_exits_one_naming_it(model_dir, dataset_path, t
     path = tmp_path / "d.tsv"
     if change == "missing":
         _dataset_variant(dataset_path, path, [0, 1, 2, 4])
-        message = "dataset has no feature 'pval:gA'"
+        message = "missing from dataset features: 'pval:gA'"
     else:
         save_dataset(Dataset(values=np.hstack([feats.values, feats.values[:, :1]]),
                              names=feats.names + ("cov:bmi",), tags=feats.tags + ("covariate",),
                              sample_ids=feats.sample_ids), labels, path)
-        message = "dataset feature 'cov:bmi' is not in the model"
+        message = "missing from model features: 'cov:bmi'"
     argv = [command, "--checkpoint", str(model_dir / "model.json"), "--dataset", str(path),
             "--out", str(tmp_path / "out")]
     if command == "report":
@@ -1042,17 +1127,22 @@ def test_eval_joins_estimate_to_truth_by_key(sim_dir, eval_dirs, tmp_path_factor
             == (eval_dirs / "out" / "recovery.json").read_bytes())
 
 
-@pytest.mark.parametrize("change", ["dropped", "foreign"])
+@pytest.mark.parametrize("change", ["dropped", "foreign", "extra"])
 def test_eval_rejects_estimate_with_other_keys(sim_dir, eval_dirs, tmp_path, capsys, change):
     for part in ("mean", "variance"):
         header, *rows = (eval_dirs / f"est_{part}.tsv").read_text().splitlines()
-        # every entry of the first gene goes, or is renamed to a gene the truth lacks
+        # every entry of the first gene goes, is renamed to a gene the truth
+        # lacks, or is copied to one
         gene = rows[0].split("\t")[0]
-        rows = [("gX" + r[len(gene):] if change == "foreign" else None)
-                if r.split("\t")[0] == gene else r for r in rows]
-        (tmp_path / f"est_{part}.tsv").write_text(
-            "\n".join([header, *[r for r in rows if r is not None]]) + "\n")
+        first = [r for r in rows if r.split("\t")[0] == gene]
+        foreign = ["gX" + r[len(gene):] for r in first]
+        rows = {"dropped": [r for r in rows if r not in first],
+                "foreign": foreign + [r for r in rows if r not in first],
+                "extra": rows + foreign}[change]
+        (tmp_path / f"est_{part}.tsv").write_text("\n".join([header, *rows]) + "\n")
     capsys.readouterr()
     assert main(["eval", "--estimate", str(tmp_path / "est.tsv"), "--truth",
                  str(sim_dir / "truth.tsv"), "--out", str(tmp_path / "out")]) == 1
-    assert "estimate and truth axes do not match" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (f"missing from estimate genes: {gene!r}" if change != "extra"
+            else "holds IDs the truth lacks") in err

@@ -185,6 +185,21 @@ class TestRunDivergence:
         assert reports[0].llm_accuracy == 1.0  # mock always answers AD
         assert all(r["llm_pred"] == 1 for r in reports[0].case_table)
 
+    @pytest.mark.parametrize("reply", ["raises", "no_decision"])
+    def test_llm_column_without_a_parsed_decision(self, reply):
+        def post(url, payload, headers, timeout):
+            if reply == "raises":
+                raise ConnectionError("endpoint down")
+            return {"choices": [{"message": {"content": "Probably AD, hard to say."}}]}
+
+        client = LlmClient(url="http://example.test", api_key="", post=post)
+        feats = _ds([_fv(0.0, -0.1), _fv(0.0, 0.1)], sids=["a", "b"])
+        report = run_divergence(_zero_model(), feats, [1, 0], {"all": [0, 1]}, client)[0]
+        # each case keeps the column, empty; no call parsed, so no accuracy
+        assert [r["llm_pred"] for r in report.case_table] == [None, None]
+        assert report.llm_accuracy is None
+        assert report.mlp_accuracy == 0.5
+
     def test_empty_subset_rejected(self):
         model = _zero_model()
         with pytest.raises(ValidationError):

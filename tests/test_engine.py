@@ -12,10 +12,11 @@ from diagnokit.engine import (ChainState, HyperParams, PosteriorSummary, refine_
 from diagnokit.errors import ValidationError
 from diagnokit.reference import _regularize_spd_all
 from diagnokit.simulate import SyntheticScenario, generate
-from diagnokit.types import (AdjustmentParams, BulkMatrix, GenePriors, PairSelection,
-                             RefinementConfig, SampleMeta, pair_key)
+from diagnokit.types import (BulkMatrix, GenePriors, PairSelection, RefinementConfig,
+                             SampleMeta, pair_key)
 
-from oracles import gibbs_sweep, init_chain, split_rhat_scalar, z_conditional
+from oracles import (AdjustmentParams, gibbs_sweep, init_chain, split_rhat_scalar,
+                     z_conditional)
 
 
 def _meta(w, d1=0, d2=0, sid="s0"):

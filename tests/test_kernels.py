@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from diagnokit.kernels import prepare, resolve_backend, sweep
-from diagnokit.types import AdjustmentParams, SampleMeta
+from diagnokit.types import SampleMeta
 
-from oracles import z_conditional
+from oracles import AdjustmentParams, z_conditional
 
 
 def coef_noise_per_gene(x, w, c1, c2, wz, gamma, b, noise, eps_coef, gamma_draws,

@@ -279,6 +279,17 @@ class TestGenerateReport:
         assert report.decision == render_offline(inp).decision
         assert sum("unparseable" in w for w in report.warnings) == 2
 
+    def test_named_features_without_a_bullet_fall_back_offline(self):
+        # the rationale names the feature, but no line is a recommendation
+        prose = "The feature cts:GENE1|typeA drove the call.\nDECISION: AD\n"
+        client, requests = _client([prose, prose])
+        inp = _input()
+        report = generate_report(inp, client)
+        assert len(requests) == 2
+        assert report.generator == "offline"
+        assert report.recommendations == render_offline(inp).recommendations
+        assert sum("unparseable" in w for w in report.warnings) == 2
+
     def test_transport_failure_never_raises(self):
         client, _ = _client([RuntimeError("boom"), ConnectionError("down")])
         report = generate_report(_input(), client)
@@ -323,6 +334,15 @@ def test_client_from_env(monkeypatch):
     client = LlmClient.from_env()
     assert client.url == "http://example.test"
     assert client.api_key == "secret"
+
+
+@pytest.mark.parametrize("body", [{}, {"choices": []}, {"choices": [{"text": "DECISION: AD"}]},
+                                  ["DECISION: AD"]])
+def test_complete_rejects_a_reply_without_choices(body):
+    client = LlmClient(url="http://example.test", api_key="",
+                       post=lambda url, payload, headers, timeout: body)
+    with pytest.raises(ValidationError, match="malformed completion payload"):
+        client.complete("prompt")
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

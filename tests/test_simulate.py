@@ -9,7 +9,7 @@ import pytest
 from diagnokit.errors import ValidationError
 from diagnokit.reference import signature_matrix
 from diagnokit.simulate import (GroundTruthBundle, RecoveryReport, SyntheticScenario,
-                                evaluate_recovery, generate)
+                                _shared_component_cov, evaluate_recovery, generate)
 from diagnokit.types import CtsTensor
 
 from deconv_baselines import baseline_ols, baseline_reference_mean, nnls_proportions
@@ -89,6 +89,28 @@ def test_reference_matches_the_per_cell_loop_bit_for_bit(monkeypatch, seed):
     assert bundle.ref.values.flags.c_contiguous
 
 
+def _old_shared_component_cov(rng, C, rho_range, scale):
+    """The per-gene draw ``generate`` used to call once per gene: rho, then C
+    jitters, then the covariance."""
+    rho = rng.uniform(*rho_range)
+    s = rng.uniform(0.9, 1.1, C)
+    corr = (1.0 - rho) * np.eye(C) + rho * np.ones((C, C))
+    return scale * np.outer(s, s) * corr
+
+
+@pytest.mark.parametrize("G, C", [(1, 1), (5, 3), (40, 3), (7, 5), (30, 2)])
+@pytest.mark.parametrize("rho_range", [(0.95, 0.99), (0.0, 0.0), (0.3, 0.3), (0.0, 0.9)])
+def test_shared_component_cov_matches_the_per_gene_loop_bit_for_bit(G, C, rho_range):
+    for seed in range(4):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _shared_component_cov(rng, G, C, rho_range, 1.3)
+        want = np.stack([_old_shared_component_cov(ref, C, rho_range, 1.3)
+                         for _ in range(G)])
+        assert got.tobytes() == want.tobytes()
+        # the stream is left where the loop left it
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_mixture_reconstruction_exact():
     sc = SyntheticScenario(G=8, N=10, seed=3, ref_cells_per_type=6)
     bundle = generate(sc)
@@ -96,10 +118,8 @@ def test_mixture_reconstruction_exact():
     c1 = np.stack([m.bulk_cov for m in bundle.metas])
     c2 = np.stack([m.cts_cov for m in bundle.metas])
     z = np.transpose(bundle.true_z.mean, (0, 2, 1))  # (G, N, C)
-    gamma = np.stack([p.gamma for p in bundle.true_params])
-    b = np.stack([p.b for p in bundle.true_params])
-    rebuilt = (np.einsum("nc,gnc->gn", w, z) + gamma @ c1.T
-               + np.einsum("nc,gck,nk->gn", w, b, c2) + bundle.noise)
+    rebuilt = (np.einsum("nc,gnc->gn", w, z) + bundle.gamma @ c1.T
+               + np.einsum("nc,gck,nk->gn", w, bundle.b, c2) + bundle.noise)
     assert np.abs(rebuilt - bundle.bulk.values).max() < 1e-12
 
 

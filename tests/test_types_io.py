@@ -95,7 +95,7 @@ class TestGenePrior:
         np.testing.assert_array_equal(picked.mu, priors.mu[[2, 0]])
         np.testing.assert_array_equal(picked.sigma, priors.sigma[[2, 0]])
         np.testing.assert_array_equal(picked.noise_var, [3.0, 1.0])
-        with pytest.raises(ValidationError, match="no prior for genes \\['d'\\]"):
+        with pytest.raises(ValidationError, match="missing from gene priors: 'd'$"):
             priors.take(["a", "d"])
 
 
@@ -180,7 +180,7 @@ def test_sample_meta_missing_type_rejected(tmp_path):
                         bulk_cov=np.zeros(0), cts_cov=np.zeros(0))]
     path = tmp_path / "meta.json"
     save_sample_meta(metas, ["ct1"], path)
-    with pytest.raises(ValidationError, match="missing proportions"):
+    with pytest.raises(ValidationError, match="missing from the proportions of sample 's': 'ct2'"):
         load_sample_meta(path, ["ct1", "ct2"])
 
 
