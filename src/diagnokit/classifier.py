@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .io import _is_number, atomic_write_text, load_json, parse_rows, read_rows, write_rows
-from .types import CtsTensor, PairSelection, _check_unique, _freeze, _positions
+from .types import CtsTensor, PairSelection, _check_unique, _freeze, _positions, _set
 
 HIDDEN1 = 16
 HIDDEN2 = 8
@@ -66,10 +66,7 @@ class Dataset:
         if bad:
             raise ValidationError(f"unknown feature tags: {sorted(bad)}")
         _check_unique(ids, "sample")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "sample_ids", ids)
+        _set(self, values=v, names=names, tags=tags, sample_ids=ids)
 
     def take(self, names) -> Dataset:
         """The features ``names``, in that order; every name must be a feature."""
@@ -117,9 +114,8 @@ class MlpModel:
         if len(self.feature_tags) != len(self.feature_names):
             raise ValidationError(f"{len(self.feature_tags)} feature tags for "
                                   f"{len(self.feature_names)} feature names")
-        object.__setattr__(self, "kept", kept)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "feature_tags", tuple(self.feature_tags))
+        _set(self, kept=kept, feature_names=tuple(self.feature_names),
+             feature_tags=tuple(self.feature_tags))
         if (self.sd <= 0).any():
             raise ValidationError("standardization sd must be positive for kept features")
 

@@ -200,7 +200,7 @@ def cmd_simulate(args) -> None:
     with _stage(manifest, "write_s"):
         save_bulk_matrix(bundle.bulk, out / "bulk.tsv")
         save_cts_tensor(bundle.true_z, out / "truth.tsv")
-        save_sample_meta(bundle.metas, bundle.true_z.cell_types, out / "meta.json")
+        save_sample_meta(bundle.metas, out / "meta.json")
         save_reference(bundle.ref, out / "reference.tsv", out / "reference_labels.json")
     _finish_manifest(manifest, out, outputs)
 
@@ -230,7 +230,7 @@ def cmd_deconvolve(args) -> None:
     with _stage(manifest, "read_s"):
         bulk = load_bulk_matrix(args.bulk)
         ref = load_reference(args.ref, args.labels)
-        metas = load_sample_meta(args.meta, ref.cell_types)
+        metas = load_sample_meta(args.meta)
         selection = load_selection(args.selection)
     rc = _pick(config, RefinementConfig)
     shrinkage = float(config.get("shrinkage", DEFAULT_SHRINKAGE))
@@ -370,14 +370,19 @@ def cmd_diverge(args) -> None:
         sd = np.ones(model.kept.size)
         mean[model.kept] = model.mean
         sd[model.kept] = model.sd
-        subsets = {
-            "symbolic-conflict": symbolic_conflict_subset(dataset, labels, size),
-            "ood": ood_subset(dataset, mean, sd, size=size, threshold=threshold),
+        subsets = {  # every candidate; run_divergence keeps the first `size` of each
+            "symbolic-conflict": symbolic_conflict_subset(dataset, labels, len(labels)),
+            "ood": ood_subset(dataset, mean, sd, threshold=threshold),
         }
-        reports = run_divergence(model, dataset, labels, subsets, _llm_client(args, config))
+        reports = run_divergence(model, dataset, labels, subsets, _llm_client(args, config),
+                                 size)
     with _stage(manifest, "write_s"):
         save_reports(reports, out / "divergence.json")
         atomic_write_text(out / "divergence.md", reports_markdown(reports))
+    for r, n in zip(reports, [(labels == 1).sum(), len(labels)]):  # AD-labelled, then all
+        if r.candidates == n:
+            print(f"warning: the {r.subset_name} rule selects all {n} eligible samples; "
+                  f"the subset holds the first {r.subset_size}", file=sys.stderr)
     _finish_manifest(manifest, out, [out / "divergence.json", out / "divergence.md"])
 
 

@@ -27,17 +27,19 @@ OOD_THRESHOLD = 1.0  # z-score units
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    """Per-subset accuracies and the per-sample case table."""
+    """Per-subset accuracies and the per-sample case table; ``candidates`` is
+    how many samples qualified before the size cap."""
 
     subset_name: str
     subset_size: int
+    candidates: int
     mlp_accuracy: float
     llm_accuracy: float | None = None
     case_table: tuple[dict, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.subset_size <= 0:
-            raise ValidationError("subset_size must be positive")
+        if not 0 < self.subset_size <= self.candidates:
+            raise ValidationError("subset_size must be positive and at most candidates")
         for acc in (self.mlp_accuracy, self.llm_accuracy):
             if acc is not None and not 0.0 <= acc <= 1.0:
                 raise ValidationError("accuracies must lie in [0, 1]")
@@ -103,14 +105,19 @@ def _llm_decision(client: LlmClient, model: MlpModel, x: np.ndarray,
 
 def run_divergence(model: MlpModel, dataset: Dataset, labels,
                    subsets: dict[str, list[int]],
-                   client: LlmClient | None = None) -> list[DivergenceReport]:
-    """Score the MLP (and optionally an LLM) on each named subset."""
+                   client: LlmClient | None = None,
+                   size: int | None = None) -> list[DivergenceReport]:
+    """Score the MLP (and optionally an LLM) on the first ``size`` members
+    (all when None) of each named subset of candidates."""
     y = np.asarray(labels)
     if not subsets:
         raise ValidationError("no subsets provided")
+    if size is not None and size < 1:
+        raise ValidationError("size must be positive")
     mlp_pred = (_probability(model, dataset.values) >= DECISION_THRESHOLD).astype(int)
     reports = []
-    for name, idx in subsets.items():
+    for name, candidates in subsets.items():
+        idx = candidates[:size]
         if not idx:
             raise ValidationError(f"subset {name!r} is empty")
         rows = []
@@ -130,7 +137,7 @@ def run_divergence(model: MlpModel, dataset: Dataset, labels,
             rows.append(row)
         llm_acc = (llm_hits / llm_total) if client is not None and llm_total else None
         reports.append(DivergenceReport(
-            subset_name=name, subset_size=len(idx),
+            subset_name=name, subset_size=len(idx), candidates=len(candidates),
             mlp_accuracy=int((mlp_pred[idx] == y[idx]).sum()) / len(idx),
             llm_accuracy=llm_acc,
             case_table=tuple(rows)))

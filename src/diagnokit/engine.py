@@ -1,6 +1,7 @@
 """Blocked Gibbs inference of cell-type-specific expression from bulk mixtures.
 
-The model, per gene g and sample i with proportions w_i:
+The model, per gene g and sample i with proportions w_i and covariates c1_i,
+c2_i (row i of a ``SampleMetas`` record, joined by name to bulk and reference):
 
     z_gi ~ N(mu_g, Sigma_g)
     x_gi = w_i' z_gi + gamma_g' c1_i + w_i' B_g c2_i + eps,  eps ~ N(0, s2_g)
@@ -38,7 +39,7 @@ from .errors import ValidationError
 from .kernels import RunFactors, prepare, resolve_backend
 from .reference import DEFAULT_SHRINKAGE, ReferenceDataset, _regularize_spd_all, estimate_priors
 from .types import (BulkMatrix, CtsTensor, GenePriors, PairSelection, RefinementConfig,
-                    SampleMeta, _check_unique, _positions)
+                    SampleMetas, _positions)
 
 # scale of a chain's start around the prior mean, in prior standard deviations
 OVERDISPERSION = 2.0
@@ -87,29 +88,17 @@ class PosteriorSummary:
     rescues: dict[str, int] | None = None  # numerical rescue counts, deconvolve only
 
 
-def _align_metas(samples: list[str], metas: list[SampleMeta]) -> list[SampleMeta]:
-    """Order ``metas`` like the bulk columns, joining on ``sample_id`` one to
-    one: no meta repeats, lacks a bulk sample or names one the bulk lacks."""
-    ids = [m.sample_id for m in metas]
-    _check_unique(ids, "sample meta")
-    _positions(samples, ids, "bulk samples")
-    return [metas[i] for i in _positions(ids, samples, "sample metas")]
-
-
-def _stack_inputs(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta]):
+def _stack_inputs(bulk: BulkMatrix, priors: GenePriors, metas: SampleMetas):
     if priors.genes != list(bulk.genes):
         raise ValidationError("priors must list the bulk genes in bulk order "
                               "(GenePriors.take reorders them)")
-    metas = _align_metas(bulk.samples, metas)
-    w = np.stack([m.proportions for m in metas])
-    if w.shape[1] != priors.mu.shape[1]:
+    if metas.sample_ids != list(bulk.samples):
+        raise ValidationError("sample metas must list the bulk samples in bulk order "
+                              "(SampleMetas.take reorders them)")
+    if len(metas.cell_types) != priors.mu.shape[1]:
         raise ValidationError("meta proportions dimension does not match priors")
-    if len({(m.bulk_cov.size, m.cts_cov.size) for m in metas}) > 1:
-        raise ValidationError("sample metas disagree on covariate lengths")
-    c1 = np.stack([m.bulk_cov for m in metas])
-    c2 = np.stack([m.cts_cov for m in metas])
     chol = _cholesky(priors.sigma, priors.genes, "prior covariance")
-    return prepare(w, c1, c2, chol, priors.mu)
+    return prepare(metas.proportions, metas.bulk_cov, metas.cts_cov, chol, priors.mu)
 
 
 def _run_sweep(state: ChainState, x, factors: RunFactors, hyper: HyperParams,
@@ -160,22 +149,20 @@ def split_rhat(traces) -> np.ndarray:
     return np.where(w_var == 0.0, np.where(b_var == 0.0, 1.0, np.inf), rhat)
 
 
-def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
+def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: SampleMetas,
              config: RefinementConfig, seed: int,
              hyper: HyperParams | None = None,
-             cell_types: list[str] | None = None,
              rescues: dict[str, int] | None = None) -> PosteriorSummary:
     """Multi-chain Gibbs sampling with pooled Rao-Blackwellized posterior moments
     and R-hat.
 
-    ``rescues``, when given, counts the genes whose sigma_hat needed more than
-    the first jitter step (``_regularize_spd_all``)."""
+    ``metas`` lists the bulk samples in bulk order and names the output's
+    cell types. ``rescues``, when given, counts the genes whose sigma_hat
+    needed more than the first jitter step (``_regularize_spd_all``)."""
     hyper = hyper or HyperParams()
     factors = _stack_inputs(bulk, priors, metas)
     G, N = bulk.n_genes, bulk.n_samples
     C = factors.mu.shape[1]
-    if cell_types is None:
-        cell_types = [f"ct{j}" for j in range(C)]
     sweep_fn = resolve_backend()
     x = bulk.values
     kept = config.iters - config.burnin
@@ -219,7 +206,7 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
                                     rescues)
     noise_hat = sum_noise / total
 
-    cts = CtsTensor(genes=bulk.genes, cell_types=cell_types, samples=bulk.samples,
+    cts = CtsTensor(genes=bulk.genes, cell_types=metas.cell_types, samples=bulk.samples,
                     mean=mean, variance=var)
     return PosteriorSummary(cts=cts, mu_hat=mu_hat, sigma_hat=sigma_hat,
                             noise_hat=noise_hat, rhat=split_rhat(traces))
@@ -302,11 +289,12 @@ def refine_priors(summary: PosteriorSummary, priors: GenePriors,
 
 
 def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection,
-               metas: list[SampleMeta], config: RefinementConfig, seed: int,
+               metas: SampleMetas, config: RefinementConfig, seed: int,
                shrinkage: float = DEFAULT_SHRINKAGE,
                round_summaries: list | None = None) -> PosteriorSummary:
     """Full pipeline: priors -> restrict to selected genes -> iterated MCMC.
 
+    ``metas`` is joined to the bulk samples and the reference cell types.
     Runs ``config.rounds`` MCMC passes with a refinement step between passes.
     Output entries for unselected (gene, cell type) pairs carry the reference
     prior mean/variance, are flagged False in ``estimated`` and have R-hat NaN,
@@ -318,6 +306,7 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
     cell_types = ref.cell_types
     C = len(cell_types)
     config.resolved_nu(C)  # a bad nu fails now, not after a round of sampling
+    metas = metas.take(bulk.samples, cell_types)
     pairs = sorted(selection.pairs)
     estimated = np.zeros((bulk.n_genes, C), dtype=bool)
     estimated[_positions(bulk.genes, [g for g, _ in pairs], "bulk genes"),
@@ -341,8 +330,7 @@ def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection
                               values=bulk.values[rows])
         priors = bulk_priors.take(sampled_genes)
         for rnd in range(config.rounds):
-            summary = run_mcmc(sub_bulk, priors, metas, config, seed + rnd,
-                               cell_types=cell_types, rescues=rescues)
+            summary = run_mcmc(sub_bulk, priors, metas, config, seed + rnd, rescues=rescues)
             if round_summaries is not None:
                 round_summaries.append(summary)
             if rnd + 1 < config.rounds:

@@ -216,7 +216,7 @@ def load_selection(path: str | Path) -> PairSelection:
     records = load_json(path)
     if not isinstance(records, list):
         raise ParseError("selection must be a JSON list of records")
-    pairs = set()
+    first = {}  # pair -> the index of the record that lists it
     provenance = {}
     scores = {}
     for k, rec in enumerate(records):
@@ -234,7 +234,9 @@ def load_selection(path: str | Path) -> PairSelection:
         if not _is_number(score):
             raise ParseError(f"selection record {k} has a score that is not a finite "
                              f"JSON number: {json.dumps(score)}")
-        pairs.add(pair)
+        if pair in first:
+            raise ParseError(f"selection records {first[pair]} and {k} both list the pair {pair}")
+        first[pair] = k
         provenance[pair_key(*pair)] = rec["provenance"]
         scores[pair_key(*pair)] = float(score)
-    return PairSelection(pairs=frozenset(pairs), provenance=provenance, scores=scores)
+    return PairSelection(pairs=frozenset(first), provenance=provenance, scores=scores)

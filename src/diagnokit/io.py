@@ -6,8 +6,9 @@ Formats:
     one file each for mean and variance
   * sample metadata JSON: list of ``{sample_id, proportions, bulk_cov, cts_cov}``,
     a string ID and numbers that pass ``_is_number``, the one number test of
-    every JSON input; proportions are joined to the cell types by name and
-    sidecar labels to the reference cells by ID (``types._positions``)
+    every JSON input, read as one ``SampleMetas`` record: every record names
+    the same cell types; sidecar labels are joined to the reference cells by
+    ID (``types._positions``)
 
 Floats are rendered with ``repr`` (shortest round-tripping form, at most 17
 significant digits) so load(save(x)) is bit-exact for 64-bit floats. No name
@@ -49,7 +50,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .reference import ReferenceDataset
-from .types import BulkMatrix, CtsTensor, SampleMeta, _positions
+from .types import BulkMatrix, CtsTensor, SampleMetas, _positions
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -431,23 +432,21 @@ def load_cts_tensor(path: str | Path) -> CtsTensor:
                      mean=mean, variance=var)
 
 
-def save_sample_meta(metas: list[SampleMeta], cell_types: list[str], path: str | Path) -> None:
-    records = []
-    for m in metas:
-        records.append({
-            "sample_id": m.sample_id,
-            "proportions": {c: m.proportions[i] for i, c in enumerate(cell_types)},
-            "bulk_cov": list(m.bulk_cov),
-            "cts_cov": list(m.cts_cov),
-        })
+def save_sample_meta(metas: SampleMetas, path: str | Path) -> None:
+    records = [{"sample_id": sid, "proportions": dict(zip(metas.cell_types, w)),
+                "bulk_cov": c1, "cts_cov": c2}
+               for sid, w, c1, c2 in zip(metas.sample_ids, metas.proportions.tolist(),
+                                         metas.bulk_cov.tolist(), metas.cts_cov.tolist())]
     atomic_write_text(path, json.dumps(records, indent=2) + "\n")
 
 
-def load_sample_meta(path: str | Path, cell_types: list[str]) -> list[SampleMeta]:
+def load_sample_meta(path: str | Path) -> SampleMetas:
+    """Every record names the cell types of the first, in any order, and
+    holds as many covariates of each kind."""
     records = load_json(path)
-    if not isinstance(records, list):
-        raise ParseError("sample metadata must be a JSON list of records")
-    metas = []
+    if not (isinstance(records, list) and records):
+        raise ParseError("sample metadata must be a non-empty JSON list of records")
+    ids, columns = [], {"proportions": [], "bulk_cov": [], "cts_cov": []}
     for k, rec in enumerate(records):
         if not (isinstance(rec, dict) and isinstance(rec.get("sample_id"), str)):
             raise ParseError(f"sample metadata record {k} lacks a string 'sample_id'")
@@ -455,16 +454,23 @@ def load_sample_meta(path: str | Path, cell_types: list[str]) -> list[SampleMeta
         props = rec.get("proportions")
         if not isinstance(props, dict):
             raise ParseError(f"sample {sid!r} needs a 'proportions' object")
-        _positions(props, cell_types, f"the proportions of sample {sid!r}")
+        cell_types = cell_types if k else list(props)
+        if props.keys() != set(cell_types):
+            raise ParseError(f"sample {sid!r} names the cell types {sorted(props)}, "
+                             f"sample {ids[0]!r} {sorted(cell_types)}")
         values = {"proportions": [props[c] for c in cell_types],
                   "bulk_cov": rec.get("bulk_cov", []), "cts_cov": rec.get("cts_cov", [])}
         for name, v in values.items():
             if not (isinstance(v, list) and all(map(_is_number, v))):
                 raise ParseError(f"sample {sid!r}: {name} must be finite JSON numbers, "
                                  f"got {json.dumps(v)}")
-        metas.append(SampleMeta(sample_id=sid, **{name: np.array(v, dtype=np.float64)
-                                                  for name, v in values.items()}))
-    return metas
+            if k and len(v) != len(columns[name][0]):
+                raise ParseError(f"sample {sid!r}: {name} holds {len(v)} numbers, "
+                                 f"sample {ids[0]!r} {len(columns[name][0])}")
+            columns[name].append(v)
+        ids.append(sid)
+    return SampleMetas(sample_ids=ids, cell_types=cell_types,
+                       **{name: np.array(v, dtype=np.float64) for name, v in columns.items()})
 
 
 def save_reference(ref, path: str | Path, labels_path: str | Path) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .reference import ReferenceDataset
-from .types import BulkMatrix, CtsTensor, SampleMeta, _positions
+from .types import BulkMatrix, CtsTensor, SampleMetas, _positions
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class GroundTruthBundle:
 
     bulk: BulkMatrix
     true_z: CtsTensor
-    metas: list[SampleMeta]
+    metas: SampleMetas
     ref: ReferenceDataset
     gamma: np.ndarray  # (G, d1) true bulk-covariate coefficients
     b: np.ndarray      # (G, C, d2) true cell-type-specific covariate coefficients
@@ -116,8 +116,8 @@ def generate(scenario: SyntheticScenario) -> GroundTruthBundle:
     true_z = CtsTensor(genes=genes, cell_types=cell_types, samples=samples,
                        mean=np.transpose(z, (0, 2, 1)),
                        variance=np.zeros((G, C, N)))
-    metas = [SampleMeta(sample_id=samples[i], proportions=w[i],
-                        bulk_cov=c1[i], cts_cov=c2[i]) for i in range(N)]
+    metas = SampleMetas(sample_ids=samples, cell_types=cell_types, proportions=w,
+                        bulk_cov=c1, cts_cov=c2)
 
     # donor-aligned reference: cell k of every type shares donor k's latent vector
     M = sc.ref_cells_per_type

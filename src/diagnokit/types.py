@@ -1,9 +1,11 @@
 """Core domain types with validation.
 
 All types are immutable after construction (each keeps a read-only copy of
-the arrays it is given) and safe to share across threads. Every join of
-inputs by ID goes through ``_positions``: a missing ID is one
-``ValidationError`` in one wording, naming up to five of the IDs.
+the arrays it is given) and safe to share across threads. The priors of all
+genes and the metadata of all samples are each one record of arrays
+(``GenePriors``, ``SampleMetas``). Every join of inputs by ID goes through
+``_positions``: a missing ID is one ``ValidationError`` in one wording,
+naming up to five of the IDs.
 """
 from __future__ import annotations
 
@@ -22,6 +24,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64, order="C")
     a.flags.writeable = False
     return a
+
+
+def _set(record, **fields) -> None:
+    """Set fields of a frozen record: its checked values, or a reordering."""
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
 
 
 def _check_unique(ids: list[str], what: str) -> None:
@@ -100,8 +108,7 @@ class CtsTensor:
             raise ValidationError("CtsTensor contains non-finite values")
         if (v < 0).any():
             raise ValidationError("CtsTensor variance must be non-negative")
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "variance", v)
+        _set(self, mean=m, variance=v)
 
 
 @dataclass(frozen=True)
@@ -136,10 +143,7 @@ class GenePriors:
         _reject_first(genes, ~(min_eig > 0),
                       "sigma not positive definite for gene {!r} (min eigenvalue {:g})", min_eig)
         _reject_first(genes, ~(noise_var > 0), "noise_var must be positive for gene {!r}")
-        object.__setattr__(self, "genes", genes)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "noise_var", noise_var)
+        _set(self, genes=genes, mu=mu, sigma=sigma, noise_var=noise_var)
 
     def take(self, genes: list[str]) -> GenePriors:
         """The priors of ``genes``, in that order; every gene must have one."""
@@ -148,43 +152,57 @@ class GenePriors:
                           noise_var=self.noise_var[rows])
 
 
-def _reject_first(genes: list[str], bad: np.ndarray, message: str, values=None) -> None:
-    """Raise ``message``, formatted with the first flagged gene and its value."""
+def _reject_first(ids: list[str], bad: np.ndarray, message: str, values=None) -> None:
+    """Raise ``message``, formatted with the first flagged ID and its value."""
     if bad.any():
-        g = int(np.argmax(bad))
-        raise ValidationError(message.format(genes[g], None if values is None else values[g]))
+        i = int(np.argmax(bad))
+        raise ValidationError(message.format(ids[i], None if values is None else values[i]))
 
 
 @dataclass(frozen=True)
-class SampleMeta:
-    """Per-sample cell-type proportions plus covariate vectors.
+class SampleMetas:
+    """Proportions (N, C) over ``cell_types``, ``bulk_cov`` (N, d1) and ``cts_cov``
+    (N, d2) of ``sample_ids``, checked once over all samples, naming the first
+    that fails. Rows within ``PROPORTION_TOL`` of the simplex are renormalized,
+    once, here; anything further off is rejected."""
 
-    Proportions within ``PROPORTION_TOL`` of the simplex are renormalized;
-    anything further off is rejected.
-    """
-
-    sample_id: str
+    sample_ids: list[str]
+    cell_types: list[str]
     proportions: np.ndarray
     bulk_cov: np.ndarray
     cts_cov: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.proportions, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ValidationError(f"proportions must be a non-empty vector ({self.sample_id!r})")
-        if not np.isfinite(w).all() or (w < 0).any():
-            raise ValidationError(f"proportions must be finite and non-negative ({self.sample_id!r})")
-        total = w.sum()
-        if abs(total - 1.0) > PROPORTION_TOL:
-            raise ValidationError(
-                f"proportions sum to {total:.10g}, outside simplex tolerance ({self.sample_id!r})"
-            )
-        object.__setattr__(self, "proportions", _freeze(w / total))
-        for name in ("bulk_cov", "cts_cov"):
-            v = _freeze(getattr(self, name))
-            if v.ndim != 1 or not np.isfinite(v).all():
-                raise ValidationError(f"{name} must be a finite vector ({self.sample_id!r})")
-            object.__setattr__(self, name, v)
+        ids, cell_types = list(self.sample_ids), list(self.cell_types)
+        _check_unique(ids, "sample meta")
+        _check_unique(cell_types, "cell type")
+        w, c1, c2 = _freeze(self.proportions), _freeze(self.bulk_cov), _freeze(self.cts_cov)
+        N = len(ids)
+        if (not cell_types or w.shape != (N, len(cell_types)) or (c1.ndim, c2.ndim) != (2, 2)
+                or len(c1) != N or len(c2) != N):
+            raise ValidationError(f"sample meta shapes {w.shape}/{c1.shape}/{c2.shape} "
+                                  f"inconsistent for {N} samples, {len(cell_types)} cell types")
+        _reject_first(ids, ~np.isfinite(np.hstack([w, c1, c2])).all(axis=1) | (w < 0).any(axis=1),
+                      "non-finite value or negative proportion (sample {!r})")
+        total = w.sum(axis=1)
+        _reject_first(ids, np.abs(total - 1.0) > PROPORTION_TOL,
+                      "proportions sum to {1:.10g}, outside simplex tolerance (sample {0!r})",
+                      total)
+        _set(self, sample_ids=ids, cell_types=cell_types, proportions=_freeze(w / total[:, None]),
+             bulk_cov=c1, cts_cov=c2)
+
+    def take(self, sample_ids: list[str], cell_types: list[str]) -> SampleMetas:
+        """The record joined one to one to the bulk ``sample_ids`` and the reference
+        ``cell_types``, in their orders; only reordered, so not renormalized."""
+        _positions(sample_ids, self.sample_ids, "bulk samples")
+        _positions(cell_types, self.cell_types, "reference cell types")
+        rows = _positions(self.sample_ids, sample_ids, "sample metas")
+        cols = _positions(self.cell_types, cell_types, "sample meta cell types")
+        taken = object.__new__(SampleMetas)  # no __post_init__, so no second division
+        _set(taken, sample_ids=list(sample_ids), cell_types=list(cell_types),
+             proportions=_freeze(self.proportions[np.ix_(rows, cols)]),
+             bulk_cov=_freeze(self.bulk_cov[rows]), cts_cov=_freeze(self.cts_cov[rows]))
+        return taken
 
 
 @dataclass(frozen=True)

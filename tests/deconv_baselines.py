@@ -9,7 +9,7 @@ from scipy.optimize import nnls
 
 from diagnokit.errors import ValidationError
 from diagnokit.reference import ReferenceDataset, signature_matrix
-from diagnokit.types import BulkMatrix, CtsTensor, SampleMeta
+from diagnokit.types import BulkMatrix, CtsTensor, SampleMetas
 
 
 def nnls_proportions(bulk_column, signature) -> np.ndarray:
@@ -49,11 +49,12 @@ def baseline_reference_mean(ref: ReferenceDataset, bulk: BulkMatrix) -> CtsTenso
                      mean=mean, variance=var)
 
 
-def baseline_ols(bulk: BulkMatrix, metas: list[SampleMeta],
-                 cell_types: list[str]) -> CtsTensor:
+def baseline_ols(bulk: BulkMatrix, metas: SampleMetas) -> CtsTensor:
     """Per-gene OLS of bulk on proportions, with the per-sample residual
-    redistributed along w. Ignores covariates."""
-    w = np.stack([m.proportions for m in metas])  # (N, C)
+    redistributed along w. Ignores covariates. The metas are joined to the
+    bulk samples by ID and name the output's cell types."""
+    metas = metas.take(bulk.samples, metas.cell_types)
+    w = metas.proportions  # (N, C)
     G, N = bulk.values.shape
     C = w.shape[1]
     beta, *_ = np.linalg.lstsq(w, bulk.values.T, rcond=None)  # (C, G)
@@ -61,5 +62,5 @@ def baseline_ols(bulk: BulkMatrix, metas: list[SampleMeta],
     resid = bulk.values - beta @ w.T  # (G, N)
     wn = (w ** 2).sum(axis=1)  # (N,)
     mean = beta[:, :, None] + np.einsum("gn,nc->gcn", resid / wn[None, :], w)
-    return CtsTensor(genes=bulk.genes, cell_types=cell_types, samples=bulk.samples,
+    return CtsTensor(genes=bulk.genes, cell_types=metas.cell_types, samples=bulk.samples,
                      mean=mean, variance=np.zeros((G, C, N)))

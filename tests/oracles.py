@@ -23,7 +23,7 @@ from diagnokit.geneselect import rank_sum_tests
 from diagnokit.io import parse_rows, read_rows, write_rows
 from diagnokit.kernels import resolve_backend
 from diagnokit.report import DiagnosticReport
-from diagnokit.types import BulkMatrix, GenePriors, SampleMeta, _freeze
+from diagnokit.types import BulkMatrix, GenePriors, SampleMetas, _freeze
 
 
 def pearson(a, b) -> float:
@@ -104,14 +104,15 @@ class AdjustmentParams:
 
 
 def z_conditional(mu: np.ndarray, sigma: np.ndarray, noise_var: float, x_gi: float,
-                  meta: SampleMeta, adj: AdjustmentParams) -> tuple[np.ndarray, np.ndarray]:
+                  w: np.ndarray, bulk_cov: np.ndarray, cts_cov: np.ndarray,
+                  adj: AdjustmentParams) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gaussian full conditional of z for one (gene, sample), given the
-    gene's prior mean, covariance and noise variance.
+    gene's prior mean, covariance and noise variance and the sample's row of
+    proportions and covariates.
 
     ``engine.run_mcmc`` averages its moments over kept sweeps, for every
     (gene, sample) at once, from each sweep's (q, s)."""
-    w = meta.proportions
-    r = float(x_gi) - float(adj.gamma @ meta.bulk_cov) - float(w @ (adj.b @ meta.cts_cov))
+    r = float(x_gi) - float(adj.gamma @ bulk_cov) - float(w @ (adj.b @ cts_cov))
     if not np.isfinite(r):
         raise ValidationError("non-finite residual target")
     sig_inv = np.linalg.inv(sigma)
@@ -152,14 +153,14 @@ def split_rhat_scalar(chains: list[np.ndarray]) -> float:
     return float(np.sqrt(((n - 1) / n * w_var + b_var / n) / w_var))
 
 
-def init_chain(bulk: BulkMatrix, priors: GenePriors, metas: list[SampleMeta],
+def init_chain(bulk: BulkMatrix, priors: GenePriors, metas: SampleMetas,
                rng: np.random.Generator) -> ChainState:
     """One chain's over-dispersed start, as ``engine.run_mcmc`` starts each."""
     return _start_chain(_stack_inputs(bulk, priors, metas), priors.noise_var, rng)
 
 
 def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: GenePriors,
-                metas: list[SampleMeta], hyper: HyperParams | None = None) -> ChainState:
+                metas: SampleMetas, hyper: HyperParams | None = None) -> ChainState:
     """Advance the chain by one sweep (coefficients, then noise, then w'z), as
     each iteration of ``engine.run_mcmc`` does."""
     hyper = hyper or HyperParams()

@@ -24,7 +24,7 @@ from diagnokit.report import (PATIENT_BLOCKLIST, FeatureReading, PromptInput,
                               build_prompt, render_offline)
 from diagnokit.simulate import SyntheticScenario, evaluate_recovery, generate
 from diagnokit.types import (BulkMatrix, GenePriors, PairSelection, RefinementConfig,
-                             SampleMeta, pair_key)
+                             SampleMetas, pair_key)
 
 from deconv_baselines import baseline_ols, nnls_proportions
 from oracles import (AdjustmentParams, backprop_gradient, bce_loss, logit,
@@ -61,19 +61,21 @@ def test_acceptance_1_conjugate_posterior_oracle():
         prior = GenePriors(genes=["g"], mu=rng.standard_normal((1, C)), sigma=sigma[None],
                            noise_var=np.array([0.8]))
         w = rng.dirichlet(np.ones(C), N)
-        metas = [SampleMeta(sample_id=f"s{i}", proportions=w[i],
-                            bulk_cov=np.zeros(0), cts_cov=np.zeros(0))
-                 for i in range(N)]
+        metas = SampleMetas(sample_ids=[f"s{i}" for i in range(N)],
+                            cell_types=[f"c{j}" for j in range(C)], proportions=w,
+                            bulk_cov=np.zeros((N, 0)), cts_cov=np.zeros((N, 0)))
         x = rng.standard_normal((1, N)) * 2
-        bulk = BulkMatrix(genes=["g"], samples=[m.sample_id for m in metas],
+        bulk = BulkMatrix(genes=["g"], samples=metas.sample_ids,
                           values=x)
         cfg = RefinementConfig(chains=2, iters=6000, burnin=1000, rounds=1)
         hyper = HyperParams(update_coef=False, update_noise=False)
         summary = run_mcmc(bulk, prior, metas, cfg, seed=C, hyper=hyper)
         total = cfg.chains * (cfg.iters - cfg.burnin)  # 10k retained draws
         adj = AdjustmentParams(gamma=np.zeros(0), b=np.zeros((C, 0)))
-        for i, meta in enumerate(metas):
-            mean_ref, cov_ref = z_conditional(prior.mu[0], sigma, 0.8, x[0, i], meta, adj)
+        for i in range(N):
+            mean_ref, cov_ref = z_conditional(prior.mu[0], sigma, 0.8, x[0, i],
+                                              metas.proportions[i], metas.bulk_cov[i],
+                                              metas.cts_cov[i], adj)
             for c in range(C):
                 se = np.sqrt(cov_ref[c, c] / total)
                 ok &= abs(summary.cts.mean[0, c, i] - mean_ref[c]) < 3 * se
@@ -119,7 +121,7 @@ def test_acceptance_3_recovery_beats_ols_and_refinement_holds():
                              round_summaries=rounds)
         med = evaluate_recovery(summary.cts, bundle.true_z).summary()[
             "median_per_gene_overall"]
-        ols = baseline_ols(bundle.bulk, bundle.metas, bundle.true_z.cell_types)
+        ols = baseline_ols(bundle.bulk, bundle.metas)
         med_ols = evaluate_recovery(ols, bundle.true_z).summary()[
             "median_per_gene_overall"]
         med_r1 = evaluate_recovery(rounds[0].cts, bundle.true_z).summary()[

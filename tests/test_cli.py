@@ -204,15 +204,24 @@ def test_report_unknown_sample_exits_one(model_dir, dataset_path, tmp_path):
                  "--out", str(tmp_path / "r")]) == 1
 
 
-def test_diverge_offline(model_dir, dataset_path, tmp_path):
+def test_diverge_offline(model_dir, dataset_path, tmp_path, capsys):
     out = tmp_path / "div"
+    cfg = tmp_path / "div.json"
+    cfg.write_text(json.dumps({"subset_size": 5, "ood_threshold": 0.0}))
+    capsys.readouterr()
     assert main(["diverge", "--checkpoint", str(model_dir / "model.json"),
-                 "--dataset", str(dataset_path), "--offline",
+                 "--dataset", str(dataset_path), "--config", str(cfg), "--offline",
                  "--out", str(out)]) == 0
     reports = json.loads((out / "divergence.json").read_text())
     names = {r["subset_name"] for r in reports}
     assert names == {"symbolic-conflict", "ood"}
     assert all(r["llm_accuracy"] is None for r in reports)
+    # 6 of the 12 AD samples carry a negative beta; at threshold 0 every
+    # sample is out of distribution, and diverge says so
+    size = {r["subset_name"]: (r["subset_size"], r["candidates"]) for r in reports}
+    assert size == {"symbolic-conflict": (5, 6), "ood": (5, 24)}
+    assert capsys.readouterr().err == ("warning: the ood rule selects all 24 eligible samples; "
+                                       "the subset holds the first 5\n")
     md = (out / "divergence.md").read_text()
     assert md.startswith("| Case | Features | Label | MLP | LLM | Key Insight |")
 
@@ -543,17 +552,27 @@ class TestSampleMeta:
             assert ((tmp_path / "in_order" / name).read_bytes()
                     == (tmp_path / "reversed" / name).read_bytes()), name
 
-    @pytest.mark.parametrize("case", ["unknown_id", "missing_id", "duplicate_id"])
-    def test_id_mismatch_is_one(self, sim_dir, selection_path, tmp_path, case):
+    @pytest.mark.parametrize("case", ["unknown_id", "missing_id", "duplicate_id",
+                                      "extra_cell_type", "zero_mass_cell_type"])
+    def test_id_mismatch_is_one(self, sim_dir, selection_path, tmp_path, capsys, case):
         records = self._records(sim_dir)
         if case == "unknown_id":
             records[0]["sample_id"] = "not-a-sample"
         elif case == "missing_id":
             records = records[1:]
-        else:
+        elif case == "duplicate_id":
             records[1]["sample_id"] = records[0]["sample_id"]
+        else:
+            # a type the reference lacks: with mass, every record sums to 1.5
+            for r in records:
+                r["proportions"]["ct9"] = 0.5 if case == "extra_cell_type" else 0.0
         assert self._run(sim_dir, selection_path, tmp_path,
                          json.dumps(records), case) == 1
+        err = capsys.readouterr().err
+        if case == "extra_cell_type":
+            assert f"sum to 1.5, outside simplex tolerance (sample {records[0]['sample_id']!r})" in err
+        elif case == "zero_mass_cell_type":
+            assert "missing from reference cell types: 'ct9'" in err
 
     def test_invalid_json_is_one(self, sim_dir, selection_path, tmp_path, capsys):
         text = json.dumps(self._records(sim_dir), indent=2)[:-40]
@@ -563,7 +582,8 @@ class TestSampleMeta:
     @pytest.mark.parametrize("case", ["not_a_list", "no_sample_id", "no_proportions",
                                       "non_numeric", "ragged_covariates", "list_sample_id",
                                       "string_proportions", "bool_covariate",
-                                      "huge_covariate", "nan_proportion"])
+                                      "huge_covariate", "nan_proportion",
+                                      "ragged_cts_covariates", "other_cell_types"])
     def test_malformed_record_is_one(self, sim_dir, selection_path, tmp_path, capsys, case):
         records = self._records(sim_dir)
         sid = records[2]["sample_id"]
@@ -575,6 +595,11 @@ class TestSampleMeta:
             del records[2]["proportions"]
         elif case == "ragged_covariates":
             records[2]["bulk_cov"].append(1.0)
+        elif case == "ragged_cts_covariates":
+            records[2]["cts_cov"].append(1.0)
+        elif case == "other_cell_types":
+            # every record must name the same cell types
+            records[2]["proportions"]["ct9"] = 0.0
         elif case == "list_sample_id":
             records[2]["sample_id"] = [records[2]["sample_id"]]
         elif case == "string_proportions":
@@ -598,7 +623,8 @@ class TestSampleMeta:
         if case == "list_sample_id":
             assert "sample metadata record 2" in err
         elif case in ("string_proportions", "bool_covariate", "huge_covariate",
-                      "nan_proportion"):
+                      "nan_proportion", "ragged_covariates", "ragged_cts_covariates",
+                      "other_cell_types"):
             assert f"sample {sid!r}" in err
 
 
@@ -645,7 +671,8 @@ def test_deconvolve_warns_when_no_selected_pair_was_sampled(small_sim, tmp_path,
 @pytest.mark.parametrize("case", ["not_a_list", "no_gene", "no_cell_type",
                                   "no_provenance", "no_score", "non_numeric_score",
                                   "bad_provenance", "list_gene", "object_cell_type",
-                                  "huge_score", "nan_score", "infinite_score"])
+                                  "huge_score", "nan_score", "infinite_score",
+                                  "duplicate_pair"])
 def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, case):
     records = json.loads(selection_path.read_text())
     assert records
@@ -663,6 +690,8 @@ def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, c
         # an integer too large for a float, NaN or Infinity is no score
         records[0]["score"] = {"huge": 10 ** 400, "nan": float("nan"),
                                "infinite": float("inf")}[case[:-6]]
+    elif case == "duplicate_pair":
+        records.append({**records[0], "score": 0.5})
     else:
         records[0]["provenance"] = "curated"
     sel = tmp_path / "selection.json"
@@ -675,6 +704,8 @@ def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, c
     assert "selection" in err
     if case.endswith("_score"):
         assert "selection record 0" in err
+    elif case == "duplicate_pair":
+        assert f"selection records 0 and {len(records) - 1} both list the pair" in err
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:

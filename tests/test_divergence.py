@@ -205,9 +205,19 @@ class TestRunDivergence:
         with pytest.raises(ValidationError):
             run_divergence(model, _ds([_fv(0.0, 0.1)]), [1], {"empty": []})
 
+    def test_size_cuts_each_subset_and_counts_its_candidates(self):
+        feats = _ds([_fv(0.0, -0.1) for _ in range(5)])
+        subsets = {"all": [0, 1, 2, 3, 4], "two": [3, 4]}
+        reports = run_divergence(_zero_model(), feats, [1] * 5, subsets, size=3)
+        assert [(r.subset_size, r.candidates) for r in reports] == [(3, 5), (2, 2)]
+        assert [row["sample"] for row in reports[0].case_table] == ["s0", "s1", "s2"]
+        assert run_divergence(_zero_model(), feats, [1] * 5, subsets)[0].candidates == 5
+        with pytest.raises(ValidationError, match="size must be positive"):
+            run_divergence(_zero_model(), feats, [1] * 5, subsets, size=0)
+
 
 def test_reports_roundtrip(tmp_path):
-    reports = [DivergenceReport(subset_name="conflict", subset_size=2,
+    reports = [DivergenceReport(subset_name="conflict", subset_size=2, candidates=3,
                                 mlp_accuracy=0.5, llm_accuracy=None,
                                 case_table=({"sample": "a", "features": {"x": 1.0},
                                              "label": 1, "mlp_pred": 0},))]
@@ -219,7 +229,7 @@ def test_reports_roundtrip(tmp_path):
 
 def test_reports_markdown_columns():
     reports = [DivergenceReport(
-        subset_name="conflict", subset_size=1, mlp_accuracy=1.0,
+        subset_name="conflict", subset_size=1, candidates=1, mlp_accuracy=1.0,
         llm_accuracy=0.0,
         case_table=({"sample": "case1", "features": {"beta:APP": -0.03185},
                      "label": 1, "mlp_pred": 1, "llm_pred": 0},))]

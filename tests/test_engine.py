@@ -10,18 +10,20 @@ from diagnokit import engine, kernels
 from diagnokit.engine import (ChainState, HyperParams, PosteriorSummary, refine_priors,
                               run_mcmc, split_rhat)
 from diagnokit.errors import ValidationError
+from diagnokit.geneselect import select_pairs
+from diagnokit.io import load_sample_meta, save_sample_meta
 from diagnokit.reference import _regularize_spd_all
 from diagnokit.simulate import SyntheticScenario, generate
 from diagnokit.types import (BulkMatrix, GenePriors, PairSelection, RefinementConfig,
-                             SampleMeta, pair_key)
+                             SampleMetas, pair_key)
 
 from oracles import (AdjustmentParams, gibbs_sweep, init_chain, split_rhat_scalar,
                      z_conditional)
 
 
-def _meta(w, d1=0, d2=0, sid="s0"):
-    return SampleMeta(sample_id=sid, proportions=np.asarray(w, dtype=float),
-                      bulk_cov=np.zeros(d1), cts_cov=np.zeros(d2))
+def _row(w, d1=0, d2=0):
+    """One sample's proportions and zero covariates, as z_conditional takes them."""
+    return np.asarray(w, dtype=float), np.zeros(d1), np.zeros(d2)
 
 
 def _adj(d1=0, d2=0, C=1):
@@ -31,7 +33,7 @@ def _adj(d1=0, d2=0, C=1):
 class TestZConditional:
     def test_scalar_hand_oracle(self):
         # prior N(0,1), w=1, x=2, noise 1: posterior N(1, 1/2)
-        mean, cov = z_conditional(np.zeros(1), np.eye(1), 1.0, 2.0, _meta([1.0]), _adj())
+        mean, cov = z_conditional(np.zeros(1), np.eye(1), 1.0, 2.0, *_row([1.0]), _adj())
         assert mean[0] == pytest.approx(1.0, abs=1e-12)
         assert cov[0, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -43,7 +45,7 @@ class TestZConditional:
         mu = rng.standard_normal(C)
         w = np.array([0.2, 0.3, 0.5])
         x = 1.8
-        mean, cov = z_conditional(mu, sigma, 0.7, x, _meta(w), _adj(C=C))
+        mean, cov = z_conditional(mu, sigma, 0.7, x, *_row(w), _adj(C=C))
         prec = np.linalg.inv(sigma) + np.outer(w, w) / 0.7
         cov_ref = np.linalg.inv(prec)
         mean_ref = cov_ref @ (np.linalg.solve(sigma, mu) + w * x / 0.7)
@@ -54,15 +56,14 @@ class TestZConditional:
         # noise -> infinity removes the likelihood: posterior equals prior
         mu = np.array([1.0, -2.0])
         sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
-        mean, cov = z_conditional(mu, sigma, 1e12, 100.0, _meta([0.5, 0.5]), _adj(C=2))
+        mean, cov = z_conditional(mu, sigma, 1e12, 100.0, *_row([0.5, 0.5]), _adj(C=2))
         assert np.allclose(mean, mu, atol=1e-6)
         assert np.allclose(cov, sigma, atol=1e-6)
 
     def test_covariate_offset_subtracted(self):
-        meta = SampleMeta(sample_id="s", proportions=np.array([1.0]),
-                          bulk_cov=np.array([2.0]), cts_cov=np.zeros(0))
         adj = AdjustmentParams(gamma=np.array([0.5]), b=np.zeros((1, 0)))
-        mean, _ = z_conditional(np.zeros(1), np.eye(1), 1.0, 3.0, meta, adj)  # residual 3 - 1 = 2
+        mean, _ = z_conditional(np.zeros(1), np.eye(1), 1.0, 3.0, np.array([1.0]),
+                                np.array([2.0]), np.zeros(0), adj)  # residual 3 - 1 = 2
         assert mean[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -116,11 +117,12 @@ def _toy_problem(C=2, N=6, G=1, seed=0, d1=0, d2=0):
     sigma = np.stack([np.eye(C) + 0.3 for _ in range(G)])
     priors = GenePriors(genes=genes, mu=mu, sigma=sigma, noise_var=np.full(G, 0.5))
     w = rng.dirichlet(np.ones(C), N)
-    metas = [SampleMeta(sample_id=f"s{i}", proportions=w[i],
-                        bulk_cov=rng.standard_normal(d1),
-                        cts_cov=rng.standard_normal(d2)) for i in range(N)]
+    cov = rng.standard_normal((N, d1 + d2))  # row i: sample i's bulk, then CTS covariates
+    metas = SampleMetas(sample_ids=[f"s{i}" for i in range(N)],
+                        cell_types=[f"ct{j}" for j in range(C)], proportions=w,
+                        bulk_cov=cov[:, :d1], cts_cov=cov[:, d1:])
     x = rng.standard_normal((G, N))
-    bulk = BulkMatrix(genes=genes, samples=[m.sample_id for m in metas], values=x)
+    bulk = BulkMatrix(genes=genes, samples=metas.sample_ids, values=x)
     return bulk, priors, metas
 
 
@@ -134,10 +136,11 @@ class TestRunMcmc:
         summary = run_mcmc(bulk, priors, metas, cfg, seed=0, hyper=hyper)
         total = cfg.chains * (cfg.iters - cfg.burnin)
         adj = AdjustmentParams(gamma=np.zeros(0), b=np.zeros((2, 0)))
-        for i, meta in enumerate(metas):
+        for i in range(bulk.n_samples):
             mean_ref, cov_ref = z_conditional(priors.mu[0], priors.sigma[0],
                                               priors.noise_var[0], bulk.values[0, i],
-                                              meta, adj)
+                                              metas.proportions[i], metas.bulk_cov[i],
+                                              metas.cts_cov[i], adj)
             for c in range(2):
                 se = np.sqrt(cov_ref[c, c] / total)
                 assert abs(summary.cts.mean[0, c, i] - mean_ref[c]) < 3.5 * se
@@ -228,6 +231,24 @@ def test_every_sweep_goes_through_the_module_hook(monkeypatch, rounds):
     assert shapes == [((4, 8), (4, 8))] * (cfg.chains * cfg.iters * rounds)
 
 
+def test_metas_join_the_reference_cell_types_by_name(tmp_path):
+    # simulate names eleven types ct1, ..., ct11, and the reference sorts them
+    # (ct1, ct10, ct11, ct2, ...): the record and the same record read back
+    # from meta.json (renormalized once more) give the same estimate
+    bundle = generate(SyntheticScenario(G=30, C=11, N=40, d1=1, d2=1,
+                                        ref_cells_per_type=20, seed=1))
+    assert bundle.metas.cell_types != bundle.ref.cell_types
+    selection = select_pairs(bundle.ref, set(), fdr_threshold=0.2, lfc_threshold=0.2)
+    assert selection.pairs
+    save_sample_meta(bundle.metas, tmp_path / "meta.json")
+    cfg = RefinementConfig(chains=2, iters=60, burnin=30, rounds=1)
+    lib, file = (engine.deconvolve(bundle.bulk, bundle.ref, selection, metas, cfg, seed=1).cts
+                 for metas in (bundle.metas, load_sample_meta(tmp_path / "meta.json")))
+    assert lib.cell_types == file.cell_types == bundle.ref.cell_types
+    np.testing.assert_allclose(lib.mean, file.mean, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(lib.variance, file.variance, rtol=0, atol=1e-10)
+
+
 def _kept_states(monkeypatch, cfg):
     """Patch the sweep hook so that the (theta, noise) after each of a
     ``run_mcmc`` call's kept sweeps is appended to the returned list."""
@@ -267,9 +288,10 @@ def test_posterior_moments_average_the_z_conditionals_of_the_kept_states(
     for t, (theta, noise) in enumerate(states):
         for g in range(G):
             adj = AdjustmentParams(gamma=theta[g, :d1], b=theta[g, d1:].reshape(C, d2))
-            for i, meta in enumerate(metas):
-                m[t, g, i], v[t, g, i] = z_conditional(priors.mu[g], priors.sigma[g],
-                                                       noise[g], bulk.values[g, i], meta, adj)
+            for i in range(N):
+                m[t, g, i], v[t, g, i] = z_conditional(
+                    priors.mu[g], priors.sigma[g], noise[g], bulk.values[g, i],
+                    metas.proportions[i], metas.bulk_cov[i], metas.cts_cov[i], adj)
     mean = m.mean(axis=0)
     var = np.diagonal(v.mean(axis=0), axis1=-2, axis2=-1) + m.var(axis=0)
     mu_hat = mean.mean(axis=1)

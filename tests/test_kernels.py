@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from diagnokit.kernels import prepare, resolve_backend, sweep
-from diagnokit.types import SampleMeta
 
 from oracles import AdjustmentParams, z_conditional
 
@@ -171,8 +170,8 @@ def _conditionals(inputs, theta, noise):
     for g in range(G):
         adj = AdjustmentParams(gamma=gamma[g], b=b[g])
         for i in range(N):
-            meta = SampleMeta(sample_id="s", proportions=w[i], bulk_cov=c1[i], cts_cov=c2[i])
-            mean[g, i], cov[g, i] = z_conditional(mu[g], sigma[g], noise[g], x[g, i], meta, adj)
+            mean[g, i], cov[g, i] = z_conditional(mu[g], sigma[g], noise[g], x[g, i],
+                                                  w[i], c1[i], c2[i], adj)
     return mean, cov
 
 

@@ -114,9 +114,7 @@ def test_shared_component_cov_matches_the_per_gene_loop_bit_for_bit(G, C, rho_ra
 def test_mixture_reconstruction_exact():
     sc = SyntheticScenario(G=8, N=10, seed=3, ref_cells_per_type=6)
     bundle = generate(sc)
-    w = np.stack([m.proportions for m in bundle.metas])
-    c1 = np.stack([m.bulk_cov for m in bundle.metas])
-    c2 = np.stack([m.cts_cov for m in bundle.metas])
+    w, c1, c2 = bundle.metas.proportions, bundle.metas.bulk_cov, bundle.metas.cts_cov
     z = np.transpose(bundle.true_z.mean, (0, 2, 1))  # (G, N, C)
     rebuilt = (np.einsum("nc,gnc->gn", w, z) + bundle.gamma @ c1.T
                + np.einsum("nc,gck,nk->gn", w, bundle.b, c2) + bundle.noise)
@@ -191,10 +189,10 @@ def test_baseline_reference_mean_constant_over_samples():
 
 def test_baseline_ols_fits_proportion_regression():
     bundle = generate(SyntheticScenario(G=6, N=30, seed=4, ref_cells_per_type=6))
-    est = baseline_ols(bundle.bulk, bundle.metas, bundle.true_z.cell_types)
+    est = baseline_ols(bundle.bulk, bundle.metas)
     assert est.mean.shape == bundle.true_z.mean.shape
     # residual redistribution preserves the bulk mixture identity
-    w = np.stack([m.proportions for m in bundle.metas])
+    w = bundle.metas.proportions
     mixed = np.einsum("nc,gcn->gn", w, est.mean)
     assert np.allclose(mixed, bundle.bulk.values, atol=1e-8)
 

@@ -10,7 +10,7 @@ from diagnokit.errors import ParseError, ValidationError
 from diagnokit.io import (load_bulk_matrix, load_cts_tensor, load_sample_meta,
                           save_bulk_matrix, save_cts_tensor, save_sample_meta)
 from diagnokit.types import (BulkMatrix, CtsTensor, GenePriors, PairSelection,
-                             RefinementConfig, SampleMeta, pair_key)
+                             RefinementConfig, SampleMetas, pair_key)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
                           min_value=-1e12, max_value=1e12)
@@ -48,22 +48,62 @@ class TestBulkMatrix:
             BulkMatrix(genes=[], samples=["s"], values=np.zeros((0, 1)))
 
 
+def _metas(w, cell_types=None, bulk_cov=None, cts_cov=None):
+    """A record of len(w) samples s0, s1, ..., no covariates unless given."""
+    w = np.asarray(w, dtype=float)
+    N, C = w.shape
+    return SampleMetas(sample_ids=[f"s{i}" for i in range(N)],
+                       cell_types=cell_types or [f"ct{j + 1}" for j in range(C)],
+                       proportions=w,
+                       bulk_cov=np.zeros((N, 0)) if bulk_cov is None else bulk_cov,
+                       cts_cov=np.zeros((N, 0)) if cts_cov is None else cts_cov)
+
+
 class TestSampleMeta:
     def test_renormalizes_within_tolerance(self):
-        w = np.array([0.5, 0.5 + 5e-9])
-        m = SampleMeta(sample_id="s", proportions=w,
-                       bulk_cov=np.zeros(0), cts_cov=np.zeros(0))
-        assert m.proportions.sum() == pytest.approx(1.0, abs=1e-15)
+        m = _metas([[0.25, 0.75], [0.5, 0.5 + 5e-9]])
+        assert m.proportions.sum(axis=1) == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_off_simplex(self):
-        with pytest.raises(ValidationError, match="simplex"):
-            SampleMeta(sample_id="s", proportions=np.array([0.6, 0.5]),
-                       bulk_cov=np.zeros(0), cts_cov=np.zeros(0))
+        with pytest.raises(ValidationError,
+                           match=r"sum to 1\.1, outside simplex tolerance \(sample 's1'\)"):
+            _metas([[0.5, 0.5], [0.6, 0.5]])
 
     def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            SampleMeta(sample_id="s", proportions=np.array([1.2, -0.2]),
-                       bulk_cov=np.zeros(0), cts_cov=np.zeros(0))
+        with pytest.raises(ValidationError, match=r"negative proportion \(sample 's1'\)"):
+            _metas([[0.5, 0.5], [1.2, -0.2]])
+
+    def test_rejects_non_finite_covariate_naming_the_sample(self):
+        cov = np.zeros((2, 1))
+        cov[1, 0] = np.inf
+        with pytest.raises(ValidationError, match=r"non-finite value .*\(sample 's1'\)"):
+            _metas([[1.0], [1.0]], cts_cov=cov)
+
+    def test_take_reorders_without_a_second_division(self):
+        rng = np.random.default_rng(0)
+        m = _metas(rng.dirichlet(np.ones(11), 50), bulk_cov=rng.standard_normal((50, 2)),
+                   cts_cov=rng.standard_normal((50, 1)))
+        samples, cell_types = m.sample_ids[::-1], sorted(m.cell_types)  # ct1, ct10, ct11, ct2
+        cols = [m.cell_types.index(c) for c in cell_types]
+        taken = m.take(samples, cell_types)
+        assert (taken.sample_ids, taken.cell_types) == (samples, cell_types)
+        assert taken.proportions.tobytes() == m.proportions[::-1][:, cols].tobytes()
+        assert taken.bulk_cov.tobytes() == m.bulk_cov[::-1].tobytes()
+        assert taken.cts_cov.tobytes() == m.cts_cov[::-1].tobytes()
+        assert not taken.proportions.flags.writeable
+        # dividing by the row sums again would move some last bits
+        renormalized = taken.proportions / taken.proportions.sum(axis=1, keepdims=True)
+        assert renormalized.tobytes() != taken.proportions.tobytes()
+
+    @pytest.mark.parametrize("samples,cell_types,message", [
+        (["s1"], ["ct1", "ct2"], "missing from bulk samples: 's0'"),
+        (["s1", "s0", "s2"], ["ct1", "ct2"], "missing from sample metas: 's2'"),
+        (["s0", "s1"], ["ct2"], "missing from reference cell types: 'ct1'"),
+        (["s0", "s1"], ["ct2", "ct1", "ct3"], "missing from sample meta cell types: 'ct3'"),
+    ])
+    def test_take_joins_one_to_one(self, samples, cell_types, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            _metas([[0.5, 0.5], [0.25, 0.75]]).take(samples, cell_types)
 
 
 def _priors(sigma_b=np.eye(2), noise_b=1.0):
@@ -160,28 +200,22 @@ def test_cts_tensor_roundtrip_bit_exact(tmp_path_factory, g, c, n, data):
 
 
 def test_sample_meta_roundtrip(tmp_path):
-    metas = [SampleMeta(sample_id=f"s{i}",
-                        proportions=np.array([0.25, 0.75]),
-                        bulk_cov=np.array([1.5, -2.25]),
-                        cts_cov=np.array([0.125]))
-             for i in range(3)]
+    # the file keeps the record's cell-type order
+    metas = _metas(np.tile([0.25, 0.75], (3, 1)), cell_types=["ct2", "ct1"],
+                   bulk_cov=np.tile([1.5, -2.25], (3, 1)), cts_cov=np.full((3, 1), 0.125))
     path = tmp_path / "meta.json"
-    save_sample_meta(metas, ["ct1", "ct2"], path)
-    loaded = load_sample_meta(path, ["ct1", "ct2"])
-    for a, b in zip(metas, loaded):
-        assert a.sample_id == b.sample_id
-        assert np.array_equal(a.proportions, b.proportions)
-        assert np.array_equal(a.bulk_cov, b.bulk_cov)
-        assert np.array_equal(a.cts_cov, b.cts_cov)
+    save_sample_meta(metas, path)
+    loaded = load_sample_meta(path)
+    assert (loaded.sample_ids, loaded.cell_types) == (metas.sample_ids, metas.cell_types)
+    for name in ("proportions", "bulk_cov", "cts_cov"):
+        assert np.array_equal(getattr(loaded, name), getattr(metas, name)), name
 
 
 def test_sample_meta_missing_type_rejected(tmp_path):
-    metas = [SampleMeta(sample_id="s", proportions=np.array([1.0]),
-                        bulk_cov=np.zeros(0), cts_cov=np.zeros(0))]
     path = tmp_path / "meta.json"
-    save_sample_meta(metas, ["ct1"], path)
-    with pytest.raises(ValidationError, match="missing from the proportions of sample 's': 'ct2'"):
-        load_sample_meta(path, ["ct1", "ct2"])
+    save_sample_meta(_metas([[1.0]]), path)
+    with pytest.raises(ValidationError, match="missing from sample meta cell types: 'ct2'"):
+        load_sample_meta(path).take(["s0"], ["ct1", "ct2"])
 
 
 class TestParseErrors:
@@ -239,6 +273,9 @@ def _records_of(arrays):
                                        mean=arrays["mean"], variance=arrays["variance"]),
         "GenePriors": lambda: GenePriors(genes=["g"], mu=arrays["mu"], sigma=arrays["sigma"],
                                          noise_var=arrays["noise_var"]),
+        "SampleMetas": lambda: SampleMetas(sample_ids=["s"], cell_types=["c"],
+                                           proportions=arrays["w"], bulk_cov=arrays["c1"],
+                                           cts_cov=arrays["c2"]),
         "Dataset": lambda: Dataset(values=arrays["values"], names=("a", "b"),
                                    tags=("cts", "cts"), sample_ids=("s",)),
         "MlpModel": lambda: MlpModel(
@@ -249,8 +286,8 @@ def _records_of(arrays):
     }
 
 
-@pytest.mark.parametrize("record", ["BulkMatrix", "CtsTensor", "GenePriors", "Dataset",
-                                    "MlpModel"])
+@pytest.mark.parametrize("record", ["BulkMatrix", "CtsTensor", "GenePriors", "SampleMetas",
+                                    "Dataset", "MlpModel"])
 def test_record_copies_the_callers_arrays(record):
     """A record keeps read-only copies: the caller's contiguous float64 arrays
     stay writable, and writing to them later does not reach the record."""
@@ -258,13 +295,15 @@ def test_record_copies_the_callers_arrays(record):
     arrays = {"bulk": np.zeros((1, 1)), "mean": np.zeros((1, 1, 1)),
               "variance": np.ones((1, 1, 1)), "mu": np.zeros((1, 1)),
               "sigma": np.ones((1, 1, 1)), "noise_var": np.ones(1),
+              "w": np.ones((1, 1)), "c1": np.zeros((1, 1)), "c2": np.zeros((1, 1)),
               "values": np.zeros((1, 2)), "w1": np.zeros((HIDDEN1, 2)),
               "kept": np.ones(2, dtype=bool)}
     built = _records_of(arrays)[record]()
     for key, a in arrays.items():
         assert a.flags.writeable, key
         a[(0,) * a.ndim] = 7 if a.dtype != bool else False
-    for name in ("values", "mean", "variance", "mu", "sigma", "noise_var", "w1", "kept"):
+    for name in ("values", "mean", "variance", "mu", "sigma", "noise_var", "proportions",
+                 "bulk_cov", "cts_cov", "w1", "kept"):
         held = getattr(built, name, None)
         if held is not None:
             assert not held.flags.writeable
