@@ -1,10 +1,11 @@
 """Command-line pipeline with run manifests.
 
-Every subcommand records a manifest (command, config hash, seed, SHA-256
-digests of inputs, tool version, output paths) to the output directory before
-doing work and finalizes it afterwards, so interrupted runs leave evidence.
-The manifest also carries the wall time spent reading inputs, computing and
-writing outputs (``timings``).
+``COMMANDS`` declares each subcommand once (handler, help line, input files),
+and the parser is built from it. One function, ``_run``, writes every run's
+manifest (command, config hash, seed, SHA-256 digests of exactly those inputs,
+tool version, output paths, and the wall time spent reading inputs, computing
+and writing outputs as ``timings``): ``running`` before the handler starts,
+then ``ok``, or ``failed`` with the error, also when Ctrl-C stops the run.
 All outputs are written atomically. Exit codes: 0 success, 1 validation or
 usage error, 2 runtime error.
 """
@@ -17,7 +18,8 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from collections.abc import Callable
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -136,23 +138,6 @@ def _load_config(path: str | None, command: str) -> dict:
     return cfg
 
 
-def _start_manifest(args, inputs: list[str]) -> tuple[RunManifest, Path, dict]:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = _load_config(getattr(args, "config", None), args.command)
-    config_hash = hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode()).hexdigest()
-    missing = [p for p in inputs if p and not Path(p).is_file()]
-    if missing:
-        raise ValidationError(f"input file not found: {missing[0]}")
-    manifest = RunManifest(command=args.command, config_hash=config_hash,
-                           seed=args.seed, timestamp=time.time(),
-                           inputs={p: _sha256(p) for p in inputs if p})
-    manifest.write(out_dir)
-    args.manifest = manifest  # main marks it failed if the command raises
-    return manifest, out_dir, config
-
-
 @contextmanager
 def _stage(manifest: RunManifest, name: str):
     """Add the wall time of the block to ``manifest.timings[name]``."""
@@ -163,51 +148,26 @@ def _stage(manifest: RunManifest, name: str):
         manifest.timings[name] += time.perf_counter() - start
 
 
-def _finish_manifest(manifest: RunManifest, out_dir: Path, outputs: list[Path]) -> None:
-    manifest.outputs = sorted(str(p) for p in outputs)
-    manifest.status = "ok"
-    manifest.write(out_dir)
-
-
-def _fail_manifest(args, exc: Exception) -> None:
-    """Record a failed command in its manifest, if it got as far as one."""
-    manifest = getattr(args, "manifest", None)
-    if manifest is None:
-        return
-    manifest.status = "failed"
-    manifest.error = f"{type(exc).__name__}: {exc}"
-    try:
-        manifest.write(Path(args.out))
-    except OSError:
-        pass  # the command's own error is the one to report
-
-
 def _pick(config: dict, cls, **overrides):
     """Instantiate a config dataclass from JSON keys it knows about."""
-    names = {f for f in cls.__dataclass_fields__}
-    kwargs = {k: v for k, v in config.items() if k in names}
-    kwargs.update(overrides)
-    return cls(**kwargs)
+    return cls(**{k: v for k, v in config.items() if k in cls.__dataclass_fields__},
+               **overrides)
 
 
-def cmd_simulate(args) -> None:
-    manifest, out, config = _start_manifest(args, [])
+def cmd_simulate(args, out: Path, config: dict, manifest: RunManifest) -> list[Path]:
     scenario = _pick(config, SyntheticScenario, seed=args.seed)
     with _stage(manifest, "compute_s"):
         bundle = generate(scenario)
-    outputs = [out / "bulk.tsv", out / "truth_mean.tsv", out / "truth_variance.tsv",
-               out / "meta.json", out / "reference.tsv", out / "reference_labels.json"]
     with _stage(manifest, "write_s"):
         save_bulk_matrix(bundle.bulk, out / "bulk.tsv")
         save_cts_tensor(bundle.true_z, out / "truth.tsv")
         save_sample_meta(bundle.metas, out / "meta.json")
         save_reference(bundle.ref, out / "reference.tsv", out / "reference_labels.json")
-    _finish_manifest(manifest, out, outputs)
+    return [out / "bulk.tsv", *_tensor_paths(out / "truth.tsv"), out / "meta.json",
+            out / "reference.tsv", out / "reference_labels.json"]
 
 
-def cmd_select_genes(args) -> None:
-    manifest, out, config = _start_manifest(
-        args, [args.ref, args.labels] + ([args.markers] if args.markers else []))
+def cmd_select_genes(args, out: Path, config: dict, manifest: RunManifest) -> list[Path]:
     with _stage(manifest, "read_s"):
         ref = load_reference(args.ref, args.labels)
         markers = load_marker_list(args.markers) if args.markers else set()
@@ -221,12 +181,10 @@ def cmd_select_genes(args) -> None:
                 "fdr_threshold (0.01 by default)" if len(ref.cells) <= EXACT_ENUMERATION_MAX_N
                 else "")
         print(f"warning: no (gene, cell type) pair was selected{hint}", file=sys.stderr)
-    _finish_manifest(manifest, out, [out / "selection.json"])
+    return [out / "selection.json"]
 
 
-def cmd_deconvolve(args) -> None:
-    manifest, out, config = _start_manifest(
-        args, [args.bulk, args.ref, args.labels, args.meta, args.selection])
+def cmd_deconvolve(args, out: Path, config: dict, manifest: RunManifest) -> list[Path]:
     with _stage(manifest, "read_s"):
         bulk = load_bulk_matrix(args.bulk)
         ref = load_reference(args.ref, args.labels)
@@ -260,12 +218,10 @@ def cmd_deconvolve(args) -> None:
     if not diagnostics["estimated_pairs"]:
         print("warning: the selection holds no pair, so nothing was sampled and "
               "cts.tsv holds the reference priors", file=sys.stderr)
-    _finish_manifest(manifest, out, [*_tensor_paths(out / "cts.tsv"),
-                                     out / "diagnostics.json"])
+    return [*_tensor_paths(out / "cts.tsv"), out / "diagnostics.json"]
 
 
-def cmd_train(args) -> None:
-    manifest, out, config = _start_manifest(args, [args.dataset])
+def cmd_train(args, out: Path, config: dict, manifest: RunManifest) -> list[Path]:
     with _stage(manifest, "read_s"):
         dataset, labels = load_dataset(args.dataset)
     tc = _pick(config, TrainConfig, seed=args.seed)
@@ -275,7 +231,7 @@ def cmd_train(args) -> None:
         save_model(result, out / "model.json")
         save_json({"log": result.log, "dropped_features": list(result.dropped_features)},
                   out / "train_log.json")
-    _finish_manifest(manifest, out, [out / "model.json", out / "train_log.json"])
+    return [out / "model.json", out / "train_log.json"]
 
 
 def _load_for_model(path, model):
@@ -286,8 +242,7 @@ def _load_for_model(path, model):
     return dataset.take(model.feature_names), labels
 
 
-def cmd_attribute(args) -> None:
-    manifest, out, _config = _start_manifest(args, [args.checkpoint, args.dataset])
+def cmd_attribute(args, out: Path, config: dict, manifest: RunManifest) -> list[Path]:
     with _stage(manifest, "read_s"):
         model = load_model(args.checkpoint)
         dataset, _ = _load_for_model(args.dataset, model)
@@ -296,7 +251,7 @@ def cmd_attribute(args) -> None:
     with _stage(manifest, "write_s"):
         write_rows(out / "attributions.tsv", [(["sample"], model.feature_names, [])],
                    dataset.sample_ids, attrs)
-    _finish_manifest(manifest, out, [out / "attributions.tsv"])
+    return [out / "attributions.tsv"]
 
 
 def _population_stats(dataset, labels) -> dict[str, tuple[float, float, float]]:
@@ -320,10 +275,7 @@ def _llm_client(args, config: dict) -> LlmClient | None:
     return LlmClient.from_env(model=config.get("model", DEFAULT_MODEL))
 
 
-def cmd_report(args) -> None:
-    manifest, out, config = _start_manifest(
-        args, [args.checkpoint, args.dataset]
-        + ([args.knowledge] if args.knowledge else []))
+def cmd_report(args, out: Path, config: dict, manifest: RunManifest) -> list[Path]:
     if config.get("top_k", 1) < 1:
         raise ValidationError("config key 'top_k' for report must be at least 1, "
                               f"got {config['top_k']}")
@@ -341,13 +293,10 @@ def cmd_report(args) -> None:
     with _stage(manifest, "write_s"):
         save_json(report_to_json(report), out / "report.json")
         atomic_write_text(out / "report.md", render_markdown(report))
-    _finish_manifest(manifest, out, [out / "report.json", out / "report.md"])
+    return [out / "report.json", out / "report.md"]
 
 
-def cmd_eval(args) -> None:
-    est_paths = [str(p) for p in _tensor_paths(args.estimate)]
-    truth_paths = [str(p) for p in _tensor_paths(args.truth)]
-    manifest, out, _config = _start_manifest(args, est_paths + truth_paths)
+def cmd_eval(args, out: Path, config: dict, manifest: RunManifest) -> list[Path]:
     with _stage(manifest, "read_s"):
         estimate = load_cts_tensor(args.estimate)
         truth = load_cts_tensor(args.truth)
@@ -355,24 +304,20 @@ def cmd_eval(args) -> None:
         report = evaluate_recovery(estimate, truth)
     with _stage(manifest, "write_s"):
         save_json(report.summary(), out / "recovery.json")
-    _finish_manifest(manifest, out, [out / "recovery.json"])
+    return [out / "recovery.json"]
 
 
-def cmd_diverge(args) -> None:
-    manifest, out, config = _start_manifest(args, [args.checkpoint, args.dataset])
+def cmd_diverge(args, out: Path, config: dict, manifest: RunManifest) -> list[Path]:
     with _stage(manifest, "read_s"):
         model = load_model(args.checkpoint)
         dataset, labels = _load_for_model(args.dataset, model)
     size = config.get("subset_size", DEFAULT_SUBSET_SIZE)
     threshold = float(config.get("ood_threshold", OOD_THRESHOLD))
     with _stage(manifest, "compute_s"):
-        mean = np.zeros(model.kept.size)
-        sd = np.ones(model.kept.size)
-        mean[model.kept] = model.mean
-        sd[model.kept] = model.sd
+        kept = dataset.take(np.array(model.feature_names)[model.kept].tolist())
         subsets = {  # every candidate; run_divergence keeps the first `size` of each
             "symbolic-conflict": symbolic_conflict_subset(dataset, labels, len(labels)),
-            "ood": ood_subset(dataset, mean, sd, threshold=threshold),
+            "ood": ood_subset(kept, model.mean, model.sd, threshold=threshold),
         }
         reports = run_divergence(model, dataset, labels, subsets, _llm_client(args, config),
                                  size)
@@ -383,7 +328,44 @@ def cmd_diverge(args) -> None:
         if r.candidates == n:
             print(f"warning: the {r.subset_name} rule selects all {n} eligible samples; "
                   f"the subset holds the first {r.subset_size}", file=sys.stderr)
-    _finish_manifest(manifest, out, [out / "divergence.json", out / "divergence.md"])
+    return [out / "divergence.json", out / "divergence.md"]
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its handler, help line, required and optional input files,
+    tensor bases (whose ``_mean`` and ``_variance`` files are the inputs) and
+    other options. The manifest hashes exactly these input files."""
+
+    handler: Callable[..., list[Path]]
+    help: str
+    inputs: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    tensors: tuple[str, ...] = ()
+    options: dict[str, dict] = field(default_factory=dict)
+
+
+_OFFLINE = {"--offline": {"action": "store_true"}}
+COMMANDS = {
+    "simulate": Command(cmd_simulate, "generate a synthetic ground-truth bundle"),
+    "select-genes": Command(cmd_select_genes, "tripartite gene/cell-type selection",
+                            ("ref", "labels"), ("markers",)),
+    "deconvolve": Command(cmd_deconvolve, "recover cell-type-specific expression",
+                          ("bulk", "ref", "labels", "meta", "selection")),
+    "train": Command(cmd_train, "train the MLP classifier", ("dataset",)),
+    "attribute": Command(cmd_attribute, "Integrated Gradients attributions",
+                         ("checkpoint", "dataset")),
+    "report": Command(cmd_report, "render a diagnostic report", ("checkpoint", "dataset"),
+                      ("knowledge",), options={
+                          "--sample": {"required": True},
+                          "--audience": {"choices": AUDIENCES, "required": True},
+                          "--strategy": {"choices": STRATEGIES, "default": "direct"},
+                          **_OFFLINE}),
+    "eval": Command(cmd_eval, "score an estimate against ground truth",
+                    tensors=("estimate", "truth")),
+    "diverge": Command(cmd_diverge, "build divergence subsets and score them",
+                       ("checkpoint", "dataset"), options=_OFFLINE),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,68 +374,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cell-type deconvolution and interpretable-diagnosis toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=1, help="currently has no effect")
-
-    p = sub.add_parser("simulate", help="generate a synthetic ground-truth bundle")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("select-genes", help="tripartite gene/cell-type selection")
-    common(p)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--markers")
-    p.set_defaults(func=cmd_select_genes)
-
-    p = sub.add_parser("deconvolve", help="recover cell-type-specific expression")
-    common(p)
-    p.add_argument("--bulk", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--meta", required=True)
-    p.add_argument("--selection", required=True)
-    p.set_defaults(func=cmd_deconvolve)
-
-    p = sub.add_parser("train", help="train the MLP classifier")
-    common(p)
-    p.add_argument("--dataset", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("attribute", help="Integrated Gradients attributions")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.set_defaults(func=cmd_attribute)
-
-    p = sub.add_parser("report", help="render a diagnostic report")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--sample", required=True)
-    p.add_argument("--audience", choices=AUDIENCES, required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="direct")
-    p.add_argument("--knowledge")
-    p.add_argument("--offline", action="store_true")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("eval", help="score an estimate against ground truth")
-    common(p)
-    p.add_argument("--estimate", required=True)
-    p.add_argument("--truth", required=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("diverge", help="build divergence subsets and score them")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--offline", action="store_true")
-    p.set_defaults(func=cmd_diverge)
+        for option in command.inputs + command.tensors + command.optional:
+            p.add_argument(f"--{option}", required=option not in command.optional)
+        for flag, kwargs in command.options.items():
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def _run(args) -> None:
+    """Run ``args.command`` under its manifest and re-raise whatever stops it.
+    A bad config or a missing input raises before any manifest is written."""
+    command = COMMANDS[args.command]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    config = _load_config(args.config, args.command)
+    inputs = [p for p in map(vars(args).get, command.inputs + command.optional) if p]
+    inputs += [str(p) for name in command.tensors for p in _tensor_paths(vars(args)[name])]
+    missing = [p for p in inputs if not Path(p).is_file()]
+    if missing:
+        raise ValidationError(f"input file not found: {missing[0]}")
+    manifest = RunManifest(
+        command=args.command, seed=args.seed, timestamp=time.time(),
+        config_hash=hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        inputs={p: _sha256(p) for p in inputs})
+    manifest.write(out)
+    try:
+        manifest.outputs = sorted(str(p) for p in command.handler(args, out, config, manifest))
+        manifest.status = "ok"
+        manifest.write(out)
+    except BaseException as exc:
+        manifest.status = "failed"
+        manifest.error = ": ".join(filter(None, (type(exc).__name__, str(exc))))
+        with suppress(OSError):  # the command's own error is the one to report
+            manifest.write(out)
+        raise
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -464,13 +424,11 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; the contract wants 1
         return 0 if exc.code in (0, None) else 1
     try:
-        args.func(args)
+        _run(args)
     except DiagnokitError as exc:
-        _fail_manifest(args, exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures
-        _fail_manifest(args, exc)
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -8,7 +8,7 @@ Formats:
     a string ID and numbers that pass ``_is_number``, the one number test of
     every JSON input, read as one ``SampleMetas`` record: every record names
     the same cell types; sidecar labels are joined to the reference cells by
-    ID (``types._positions``)
+    ID (``types._positions``); in every JSON input a repeated key is an error
 
 Floats are rendered with ``repr`` (shortest round-tripping form, at most 17
 significant digits) so load(save(x)) is bit-exact for 64-bit floats. No name
@@ -41,6 +41,7 @@ import math
 import os
 import tempfile
 import warnings
+from collections import Counter
 from collections.abc import Sequence
 from itertools import repeat
 from pathlib import Path
@@ -507,9 +508,16 @@ def _is_number(value) -> bool:
 
 
 def load_json(path: str | Path):
+    def unique(pairs):  # json.load keeps the last value of a repeated key
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+            raise ParseError(f"duplicate key {key!r} in {Path(path).name}")
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {Path(path).name}: {exc.msg}",
                          line=exc.lineno) from exc

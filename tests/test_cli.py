@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -64,7 +65,7 @@ def dataset_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def model_dir(tmp_path_factory, dataset_path):
     out = tmp_path_factory.mktemp("model")
-    cfg = out / "train.json"
+    cfg = tmp_path_factory.mktemp("model_config") / "train.json"
     cfg.write_text(json.dumps({"max_epochs": 60, "batch_size": 8}))
     assert main(["train", "--dataset", str(dataset_path), "--config", str(cfg),
                  "--seed", "3", "--out", str(out)]) == 0
@@ -224,6 +225,33 @@ def test_diverge_offline(model_dir, dataset_path, tmp_path, capsys):
                                        "the subset holds the first 5\n")
     md = (out / "divergence.md").read_text()
     assert md.startswith("| Case | Features | Label | MLP | LLM | Key Insight |")
+
+
+def test_diverge_scores_ood_on_the_kept_features_only(tmp_path, capsys):
+    # train drops the constant beta and site columns; a site of 70 lies 70 sds
+    # from a mean of 0, so scoring it would put every sample out of distribution
+    rng = np.random.default_rng(11)
+    x = np.column_stack([rng.normal(size=(40, 3)), np.full(40, -0.1), np.full(40, 70.0)])
+    feats = Dataset(values=x, names=("cts:a|ct1", "cts:b|ct1", "cts:c|ct1", "beta:a",
+                                     "cov:site"),
+                    tags=("cts", "cts", "cts", "eqtl_beta", "covariate"),
+                    sample_ids=tuple(f"s{i:02d}" for i in range(40)))
+    data = tmp_path / "dataset.tsv"
+    save_dataset(feats, (x[:, 0] > 0).astype(int), data)
+    assert main(["train", "--dataset", str(data), "--seed", "1",
+                 "--out", str(tmp_path / "model")]) == 0
+    model = load_model(tmp_path / "model" / "model.json")
+    assert list(model.kept) == [True, True, True, False, False]
+    assert main(["diverge", "--checkpoint", str(tmp_path / "model" / "model.json"),
+                 "--dataset", str(data), "--offline", "--out", str(tmp_path / "div")]) == 0
+    far = (np.abs(x[:, :3] - model.mean) / model.sd).max(axis=1) > 1.0
+    reports = {r["subset_name"]: r
+               for r in json.loads((tmp_path / "div" / "divergence.json").read_text())}
+    assert 0 < far.sum() < 40
+    assert reports["ood"]["candidates"] == far.sum()
+    assert ([row["sample"] for row in reports["ood"]["case_table"]]
+            == [feats.sample_ids[i] for i in np.flatnonzero(far)])
+    assert "ood rule" not in capsys.readouterr().err
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
@@ -448,24 +476,28 @@ def test_label_sidecar_must_map_cells_to_names(sim_dir, tmp_path, capsys, labels
     assert "label sidecar labels.json must be a JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("failure,code", [("validation", 1), ("runtime", 2)])
+@pytest.mark.parametrize("failure,code", [("validation", 1), ("runtime", 2),
+                                          ("interrupt", None)])
 def test_failed_command_marks_manifest(model_dir, dataset_path, tmp_path, monkeypatch,
                                        failure, code):
-    if failure == "runtime":
+    if failure != "validation":
         def broken(*args, **kwargs):
-            raise RuntimeError("renderer crashed")
+            raise RuntimeError("renderer crashed") if failure == "runtime" else KeyboardInterrupt
 
         monkeypatch.setattr("diagnokit.cli.generate_report", broken)
     out = tmp_path / "rep"
-    assert main(["report", "--checkpoint", str(model_dir / "model.json"),
-                 "--dataset", str(dataset_path), "--audience", "patient", "--offline",
-                 "--sample", "nope" if failure == "validation" else "p01",
-                 "--out", str(out)]) == code
+    # main returns an exit code, but lets Ctrl-C's KeyboardInterrupt through
+    with pytest.raises(KeyboardInterrupt) if code is None else contextlib.nullcontext():
+        assert main(["report", "--checkpoint", str(model_dir / "model.json"),
+                     "--dataset", str(dataset_path), "--audience", "patient", "--offline",
+                     "--sample", "nope" if failure == "validation" else "p01",
+                     "--out", str(out)]) == code
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
-    assert manifest["error"] == ("ValidationError: missing from dataset samples: 'nope'"
-                                 if failure == "validation"
-                                 else "RuntimeError: renderer crashed")
+    assert manifest["error"] == {
+        "validation": "ValidationError: missing from dataset samples: 'nope'",
+        "runtime": "RuntimeError: renderer crashed",
+        "interrupt": "KeyboardInterrupt"}[failure]
     assert manifest["outputs"] == []
 
 
@@ -583,7 +615,8 @@ class TestSampleMeta:
                                       "non_numeric", "ragged_covariates", "list_sample_id",
                                       "string_proportions", "bool_covariate",
                                       "huge_covariate", "nan_proportion",
-                                      "ragged_cts_covariates", "other_cell_types"])
+                                      "ragged_cts_covariates", "other_cell_types",
+                                      "repeated_key"])
     def test_malformed_record_is_one(self, sim_dir, selection_path, tmp_path, capsys, case):
         records = self._records(sim_dir)
         sid = records[2]["sample_id"]
@@ -613,14 +646,20 @@ class TestSampleMeta:
         elif case == "nan_proportion":
             first = next(iter(records[2]["proportions"]))
             records[2]["proportions"][first] = float("nan")
-        else:
+        elif case != "repeated_key":
             first = next(iter(records[2]["proportions"]))
             records[2]["proportions"][first] = "high"
-        assert self._run(sim_dir, selection_path, tmp_path,
-                         json.dumps(records), case) == 1
+        text = json.dumps(records)
+        if case == "repeated_key":
+            # json.load alone would keep the last value; the first, 7.5, is no proportion
+            first = next(iter(records[0]["proportions"]))
+            text = text.replace('"proportions": {', f'"proportions": {{"{first}": 7.5, ', 1)
+        assert self._run(sim_dir, selection_path, tmp_path, text, case) == 1
         # each rejection names the record
         err = capsys.readouterr().err
-        if case == "list_sample_id":
+        if case == "repeated_key":
+            assert f"duplicate key {first!r} in repeated_key.json" in err
+        elif case == "list_sample_id":
             assert "sample metadata record 2" in err
         elif case in ("string_proportions", "bool_covariate", "huge_covariate",
                       "nan_proportion", "ragged_covariates", "ragged_cts_covariates",
@@ -672,7 +711,7 @@ def test_deconvolve_warns_when_no_selected_pair_was_sampled(small_sim, tmp_path,
                                   "no_provenance", "no_score", "non_numeric_score",
                                   "bad_provenance", "list_gene", "object_cell_type",
                                   "huge_score", "nan_score", "infinite_score",
-                                  "duplicate_pair"])
+                                  "duplicate_pair", "repeated_key"])
 def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, case):
     records = json.loads(selection_path.read_text())
     assert records
@@ -692,10 +731,13 @@ def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, c
                                "infinite": float("inf")}[case[:-6]]
     elif case == "duplicate_pair":
         records.append({**records[0], "score": 0.5})
-    else:
+    elif case != "repeated_key":
         records[0]["provenance"] = "curated"
+    text = json.dumps(records)
+    if case == "repeated_key":
+        text = text.replace('"score": ', '"score": 0.5, "score": ', 1)
     sel = tmp_path / "selection.json"
-    sel.write_text(json.dumps(records))
+    sel.write_text(text)
     mcfg = tmp_path / "mcmc.json"
     mcfg.write_text(json.dumps(MCMC))
     assert main(_deconvolve_args(sim_dir, sim_dir / "meta.json", sel,
@@ -706,6 +748,8 @@ def test_malformed_selection_is_one(sim_dir, selection_path, tmp_path, capsys, c
         assert "selection record 0" in err
     elif case == "duplicate_pair":
         assert f"selection records 0 and {len(records) - 1} both list the pair" in err
+    elif case == "repeated_key":
+        assert "duplicate key 'score' in selection.json" in err
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:
@@ -857,12 +901,21 @@ def test_unknown_config_key_is_one(sim_dir, selection_path, tmp_path, capsys,
     ("simulate", {"noise_sd": 10 ** 400}, "noise_sd"),
     ("simulate", {"dirichlet_alpha": [10 ** 400, 1, 1]}, "dirichlet_alpha"),
     ("deconvolve", {"shrinkage": -10 ** 400}, "shrinkage"),
+    # JSON text that lists a key twice (MCMC lists iters too); the last would win
+    pytest.param("deconvolve", '"iters": 40', "duplicate key 'iters' in cfg.json",
+                 id="deconvolve-repeated-iters"),
+    pytest.param("simulate", '{"G": 6, "G": 7}', "duplicate key 'G' in cfg.json",
+                 id="simulate-repeated-G"),
 ])
 def test_config_value_of_wrong_kind_or_range_is_one(sim_dir, selection_path, model_dir,
                                                     dataset_path, tmp_path, capsys,
                                                     command, config, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**MCMC, **config} if command == "deconvolve" else config))
+    if isinstance(config, str):  # raw JSON text
+        cfg.write_text(json.dumps(MCMC)[:-1] + f", {config}}}" if command == "deconvolve"
+                       else config)
+    else:
+        cfg.write_text(json.dumps({**MCMC, **config} if command == "deconvolve" else config))
     out = tmp_path / "out"
     ckpt = ["--checkpoint", str(model_dir / "model.json")]
     argv = {
@@ -969,7 +1022,7 @@ def test_every_manifest_records_stage_timings(sim_dir, selection_path, model_dir
     runs = {
         "deconvolve": _deconvolve_args(sim_dir, sim_dir / "meta.json", selection_path,
                                        tmp_path / "deconvolve", mcfg),
-        "eval": ["eval", "--estimate", str(sim_dir / "truth.tsv"),
+        "eval": ["eval", "--estimate", str(tmp_path / "deconvolve" / "cts.tsv"),
                  "--truth", str(sim_dir / "truth.tsv"), "--out", str(tmp_path / "eval")],
         "attribute": ["attribute", *ckpt, *data, "--out", str(tmp_path / "attribute")],
         "report": ["report", *ckpt, *data, "--sample", "p01", "--audience", "patient",
@@ -981,9 +1034,27 @@ def test_every_manifest_records_stage_timings(sim_dir, selection_path, model_dir
         assert main(argv) == 0, command
         dirs[command] = tmp_path / command
     assert set(dirs) == set(CONFIG_KEYS)
+    # the input files named on each command line; eval names two tensor bases
+    model_inputs = [model_dir / "model.json", dataset_path]
+    inputs = {
+        "simulate": [],
+        "select-genes": [sim_dir / "reference.tsv", sim_dir / "reference_labels.json"],
+        "deconvolve": [sim_dir / name for name in ("bulk.tsv", "reference.tsv",
+                                                   "reference_labels.json", "meta.json")]
+                      + [selection_path],
+        "train": [dataset_path],
+        "eval": [tmp_path / "deconvolve" / "cts_mean.tsv",
+                 tmp_path / "deconvolve" / "cts_variance.tsv",
+                 sim_dir / "truth_mean.tsv", sim_dir / "truth_variance.tsv"],
+        "attribute": model_inputs, "report": model_inputs, "diverge": model_inputs,
+    }
     for command, out in dirs.items():
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command
+        assert manifest["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                                      for p in inputs[command]}, command
+        assert manifest["outputs"] == sorted(str(p) for p in out.iterdir()
+                                             if p.name != "manifest.json"), command
         timings = manifest["timings"]
         assert set(timings) == {"read_s", "compute_s", "write_s"}, command
         assert all(isinstance(v, float) and v >= 0 for v in timings.values()), command
