@@ -58,19 +58,20 @@ class Dataset:
             raise ValidationError(
                 f"values of shape {v.shape} do not match {len(ids)} sample IDs, "
                 f"{len(names)} names and {len(tags)} tags")
-        if len(set(names)) != len(names):
-            raise ValidationError("feature names must be unique")
+        _check_unique(names, "feature name")
         if not np.isfinite(v).all():
             raise ValidationError("feature values must be finite")
         bad = set(tags).difference(FEATURE_TAGS)
         if bad:
             raise ValidationError(f"unknown feature tags: {sorted(bad)}")
-        _check_unique(ids, "sample")
+        _check_unique(ids, "sample ID")
         _set(self, values=v, names=names, tags=tags, sample_ids=ids)
 
-    def take(self, names) -> Dataset:
-        """The features ``names``, in that order; every name must be a feature."""
-        cols = _positions(self.names, names, "dataset features")
+    def take(self, names, names_side: str | None = None) -> Dataset:
+        """The features ``names``, in that order; every name must be a feature
+        and, given ``names_side`` (where ``names`` come from), every feature
+        one of ``names``."""
+        cols = _positions(self.names, names, "dataset features", names_side)
         return Dataset(values=self.values[:, cols], names=tuple(names),
                        tags=tuple(self.tags[j] for j in cols), sample_ids=self.sample_ids)
 
@@ -553,8 +554,9 @@ def load_dataset(path: str | Path) -> tuple[Dataset, np.ndarray]:
     unknown = sorted(set(tags) - set(FEATURE_TAGS))
     if unknown:
         raise ParseError(f"unknown feature tags: {unknown}", line=2)
+    _check_unique(names, "feature name", [1] * len(names))
     (sample_ids,), block = parse_rows(rows, linenos, len(header))
-    _reject_repeat(sample_ids, linenos, "duplicate sample ID {!r} (first on line {})")
+    _check_unique(sample_ids, "sample ID", linenos)
     values, labels = block[:, :-1], block[:, -1]
     for bad, what in ((~np.isfinite(values).all(axis=1), "non-finite feature value"),
                       (~np.isin(labels, (0.0, 1.0)), "label must be 0 or 1")):
@@ -563,13 +565,3 @@ def load_dataset(path: str | Path) -> tuple[Dataset, np.ndarray]:
     return (Dataset(values=values, names=names, tags=tags, sample_ids=tuple(sample_ids)),
             labels.astype(int))
 
-
-def _reject_repeat(ids: list[str], linenos, message: str) -> None:
-    """Raise ``message`` (formatted with the ID and the line it first
-    appeared on) at the first line whose ID an earlier line already had."""
-    if len(set(ids)) == len(ids):
-        return
-    first: dict[str, int] = {}
-    for i, lineno in zip(ids, linenos):
-        if first.setdefault(i, lineno) != lineno:
-            raise ParseError(message.format(i, first[i]), line=lineno)

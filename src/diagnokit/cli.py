@@ -238,8 +238,7 @@ def _load_for_model(path, model):
     """The dataset at ``path`` and its labels, its features joined to the
     model's by name and put in the model's order."""
     dataset, labels = load_dataset(path)
-    _positions(model.feature_names, dataset.names, "model features")
-    return dataset.take(model.feature_names), labels
+    return dataset.take(model.feature_names, "model features"), labels
 
 
 def cmd_attribute(args, out: Path, config: dict, manifest: RunManifest) -> list[Path]:
@@ -316,7 +315,7 @@ def cmd_diverge(args, out: Path, config: dict, manifest: RunManifest) -> list[Pa
     with _stage(manifest, "compute_s"):
         kept = dataset.take(np.array(model.feature_names)[model.kept].tolist())
         subsets = {  # every candidate; run_divergence keeps the first `size` of each
-            "symbolic-conflict": symbolic_conflict_subset(dataset, labels, len(labels)),
+            "symbolic-conflict": symbolic_conflict_subset(dataset, labels),
             "ood": ood_subset(kept, model.mean, model.sd, threshold=threshold),
         }
         reports = run_divergence(model, dataset, labels, subsets, _llm_client(args, config),

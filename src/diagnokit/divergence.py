@@ -54,16 +54,16 @@ def _negative_beta(dataset: Dataset) -> np.ndarray:
     return (dataset.values[:, beta] < 0).any(axis=1)
 
 
-def symbolic_conflict_subset(dataset: Dataset, labels,
-                             size: int = DEFAULT_SUBSET_SIZE) -> list[int]:
-    """Indices of up to ``size`` AD-labeled samples with any negative BETA.
+def symbolic_conflict_subset(dataset: Dataset, labels, size: int | None = None) -> list[int]:
+    """Indices of the AD-labeled samples with any negative BETA, the first
+    ``size`` of them when given (all by default).
 
     Order follows the dataset. Raises when no sample qualifies.
     """
     y = np.asarray(labels)
     if len(dataset.sample_ids) != y.size:
         raise ValidationError("features and labels must have equal length")
-    if size < 1:
+    if size is not None and size < 1:
         raise ValidationError("size must be positive")
     out = np.flatnonzero((y == 1) & _negative_beta(dataset))[:size]
     if not out.size:
@@ -74,7 +74,8 @@ def symbolic_conflict_subset(dataset: Dataset, labels,
 def ood_subset(dataset: Dataset, train_mean, train_sd,
                size: int | None = None,
                threshold: float = OOD_THRESHOLD) -> list[int]:
-    """Indices of samples with any feature beyond ``threshold`` training sds."""
+    """Indices of samples with any feature beyond ``threshold`` training sds,
+    the first ``size`` of them when given (all by default)."""
     mean = np.asarray(train_mean, dtype=np.float64)
     sd = np.asarray(train_sd, dtype=np.float64)
     if not dataset.sample_ids:

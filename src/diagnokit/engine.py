@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import RunFactors, prepare, resolve_backend
+from .kernels import NonFiniteDraw, RunFactors, prepare, resolve_backend
 from .reference import DEFAULT_SHRINKAGE, ReferenceDataset, _regularize_spd_all, estimate_priors
 from .types import (BulkMatrix, CtsTensor, GenePriors, PairSelection, RefinementConfig,
                     SampleMetas, _positions)
@@ -158,7 +158,8 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: SampleMetas,
 
     ``metas`` lists the bulk samples in bulk order and names the output's
     cell types. ``rescues``, when given, counts the genes whose sigma_hat
-    needed more than the first jitter step (``_regularize_spd_all``)."""
+    needed more than the first jitter step (``_regularize_spd_all``). A draw
+    that is not finite raises ``np.linalg.LinAlgError`` naming its gene."""
     hyper = hyper or HyperParams()
     factors = _stack_inputs(bulk, priors, metas)
     G, N = bulk.n_genes, bulk.n_samples
@@ -180,7 +181,11 @@ def run_mcmc(bulk: BulkMatrix, priors: GenePriors, metas: SampleMetas,
         rng = np.random.Generator(np.random.SFC64(chain_seeds[ci]))
         state = _start_chain(factors, priors.noise_var, rng)
         for it in range(config.iters):
-            q, s = _run_sweep(state, x, factors, hyper, sweep_fn)
+            try:
+                q, s = _run_sweep(state, x, factors, hyper, sweep_fn)
+            except NonFiniteDraw as exc:  # name the gene, not its row
+                raise np.linalg.LinAlgError("Gibbs sweep produced a non-finite draw for "
+                                            f"gene {bulk.genes[exc.row]!r}") from None
             if it < config.burnin:
                 continue
             sum_q += q

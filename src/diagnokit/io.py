@@ -24,7 +24,10 @@ one tab count per row, one split of the whole body and one float parse; the
 writer calls ``repr`` once per distinct value when values
 repeat down a column (a prior written for every sample, a constant
 feature), else once per value. Readers accept any line end and skip empty
-lines; a malformed row raises ``ParseError`` with its line number.
+lines; a malformed row raises ``ParseError`` with its line number, and a
+repeated ID (a matrix's gene row or column name, a tensor entry, a
+dataset's sample or feature name) with its line and the first one's, from
+``types._check_unique``.
 
 A tensor file in grid order, the row order ``save_cts_tensor`` writes and
 so what ``simulate`` and ``deconvolve`` write, is read from its bytes
@@ -51,7 +54,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .reference import ReferenceDataset
-from .types import BulkMatrix, CtsTensor, SampleMetas, _positions
+from .types import BulkMatrix, CtsTensor, SampleMetas, _check_unique, _positions
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -225,7 +228,9 @@ def load_matrix_tsv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]
     names = header[0].split("\t")
     if names[0] != "gene":
         raise ParseError(f"expected header starting with 'gene', got {names[0]!r}", line=1)
+    _check_unique(names[1:], "column", [1] * len(names))
     (genes,), values = parse_rows(rows, linenos, len(names))
+    _check_unique(genes, "gene ID", linenos)
     return genes, names[1:], values
 
 
@@ -391,14 +396,8 @@ def _load_long(path: str | Path, axes: list[list[str]] | None = None
     shape = tuple(map(len, axes))
     flat = np.ravel_multi_index(index, shape)
     counts = np.bincount(flat, minlength=math.prod(shape))
-    if counts.max(initial=0) > 1:
-        # some key repeats; find its line only now, off the bulk path
-        seen = set()
-        for r, k in enumerate(flat.tolist()):
-            if k in seen:
-                key = tuple(col[r] for col in keys)
-                raise ParseError(f"duplicate tensor entry {key}", line=linenos[r])
-            seen.add(k)
+    if counts.max(initial=0) > 1:  # some key repeats; name it only now, off the bulk path
+        _check_unique(list(zip(*keys)), "tensor entry", linenos)
     if len(rows) < counts.size:  # no entry repeats, so one is missing
         first = np.unravel_index(int(np.argmin(counts)), shape)
         missing = tuple(axis[i] for axis, i in zip(axes, first))

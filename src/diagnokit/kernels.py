@@ -24,6 +24,14 @@ from typing import NamedTuple
 import numpy as np
 
 
+class NonFiniteDraw(np.linalg.LinAlgError):
+    """A sweep drew a value that is not finite; ``row`` is the first gene's row."""
+
+    def __init__(self, row: int):
+        super().__init__(f"Gibbs sweep produced a non-finite draw for gene index {row}")
+        self.row = row
+
+
 class RunFactors(NamedTuple):
     """What a run needs that stays fixed for it (see ``prepare``)."""
 
@@ -63,8 +71,8 @@ def sweep(x, f: RunFactors, wz, theta, noise, xi, eps_coef, gamma_draws,
     (G, N) w_i'z_gi, which the coefficient and noise draws read and the sweep
     then redraws, and ``theta`` its (G, p) coefficients. Returns the (G, N)
     arrays (q, s) of the new conditional of z (see the module docstring). A
-    draw that is not finite (from a non-finite input) raises
-    ``np.linalg.LinAlgError`` naming the gene.
+    draw that is not finite (from a non-finite or huge input) raises
+    ``NonFiniteDraw`` naming the gene's row.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
         if update_coef:
@@ -85,9 +93,7 @@ def sweep(x, f: RunFactors, wz, theta, noise, xi, eps_coef, gamma_draws,
 
     finite = np.isfinite(wz).all(axis=1) & np.isfinite(theta).all(axis=1) & np.isfinite(noise)
     if not finite.all():
-        bad = int(np.argmin(finite))
-        raise np.linalg.LinAlgError(
-            f"Gibbs sweep produced a non-finite draw for gene index {bad}")
+        raise NonFiniteDraw(int(np.argmin(finite)))
     return q, s
 
 

@@ -34,8 +34,8 @@ class ReferenceDataset:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_unique(self.genes, "gene")
-        _check_unique(self.cells, "cell")
+        _check_unique(self.genes, "gene ID")
+        _check_unique(self.cells, "cell ID")
         if len(self.cell_type_labels) != len(self.cells):
             raise ValidationError("one label per cell required")
         v = _freeze(self.values)

@@ -2,10 +2,14 @@
 
 ``prompt_input`` builds every prompt's input from one model row. Three
 prompting strategies (direct, step-by-step, step-by-step with domain
-knowledge) all end with a machine-parseable ``DECISION: <AD|nonAD>`` stanza.
-A deterministic offline renderer produces audience-specific reports without
-network access; the HTTP client path parses completions, retries once on a
-malformed reply, and falls back to the offline renderer rather than raising.
+knowledge) all end with a machine-parseable ``DECISION: <AD|nonAD>`` stanza;
+``PromptInput`` refuses an input its strategy cannot be built from, on the
+offline path too. A deterministic offline renderer produces audience-specific
+reports without network access; the HTTP client path parses completions,
+retries once on a malformed reply, and falls back to the offline renderer
+rather than raising. No patient report holds a ``PATIENT_BLOCKLIST`` term:
+the renderer leaves such a feature unnamed, and a completion holding one is
+malformed.
 """
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ PATIENT_BLOCKLIST = (
     "LDL", "homocysteine", "posterior", "covariate", "biomarker",
     "standard error", "effect size",
 )
+_BLOCKED = re.compile("|".join(rf"(?<!\w){re.escape(t)}(?!\w)" for t in PATIENT_BLOCKLIST))
 
 # Plain-language glosses for feature-name prefixes used by build_features.
 _PATIENT_PREFIX_GLOSS = {
@@ -88,6 +93,14 @@ class PromptInput:
             raise ValidationError(f"audience must be one of {AUDIENCES}")
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"strategy must be one of {STRATEGIES}")
+        if self.strategy != "direct":
+            if self.population_stats is None:
+                raise ValidationError("step strategies require population_stats")
+            missing = [f.name for f in self.top_features if f.name not in self.population_stats]
+            if missing:
+                raise ValidationError(f"population_stats missing feature {missing[0]!r}")
+        if self.strategy == "step-domain" and not self.domain_knowledge:
+            raise ValidationError("step-domain strategy requires domain_knowledge")
 
 
 def prompt_input(model: MlpModel, x: np.ndarray, names, audience: str,
@@ -137,10 +150,7 @@ class DiagnosticReport:
 def _population_section(inp: PromptInput) -> str:
     lines = ["Section 1 - population context:"]
     for f in inp.top_features:
-        stats = inp.population_stats.get(f.name)
-        if stats is None:
-            raise ValidationError(f"population_stats missing feature {f.name!r}")
-        mean_ad, mean_non, sd = stats
+        mean_ad, mean_non, sd = inp.population_stats[f.name]
         lines.append(f"- {f.name}: AD group mean {mean_ad:.5g}, "
                      f"non-AD group mean {mean_non:.5g}, sd {sd:.5g}")
     return "\n".join(lines)
@@ -161,16 +171,12 @@ def build_prompt(inp: PromptInput) -> str:
     parts = ["\n".join(header + feature_lines)]
 
     if inp.strategy in ("step", "step-domain"):
-        if inp.population_stats is None:
-            raise ValidationError("step strategies require population_stats")
         parts.append(_population_section(inp))
         compare = ["Section 2 - case comparison:",
                    "Compare each case feature against the group means above and "
                    "state which group the value is closer to."]
         parts.append("\n".join(compare))
         if inp.strategy == "step-domain":
-            if not inp.domain_knowledge:
-                raise ValidationError("step-domain strategy requires domain_knowledge")
             dk = ["Domain knowledge:"]
             for key in sorted(inp.domain_knowledge):
                 dk.append(f"- {key}: {inp.domain_knowledge[key]}")
@@ -240,12 +246,15 @@ def render_offline(inp: PromptInput) -> DiagnosticReport:
                  "The main reasons, in plain terms:"]
         for f in inp.top_features:
             gloss, mapped = _patient_gloss(f.name)
-            if not mapped:
+            shown = f"{gloss} ({f.name})"
+            if _BLOCKED.search(f.name):  # jargon in the name: describe it unnamed
+                shown = "a measurement with a technical name"
+            elif not mapped:
                 warnings.append(f"no plain-language mapping for feature {f.name!r}")
             direction = ("made Alzheimer's look more likely"
                          if f.attribution >= 0 else
                          "made Alzheimer's look less likely")
-            lines.append(f"- {gloss} ({f.name}) {direction}.")
+            lines.append(f"- {shown} {direction}.")
         rationale = "\n".join(lines)
 
     return DiagnosticReport(decision=decision, rationale=rationale,
@@ -329,7 +338,7 @@ def _report_from_completion(inp: PromptInput, completion: str) -> DiagnosticRepo
     names = [f.name for f in inp.top_features]
     if not any(name in body for name in names):
         return None
-    if not recs:
+    if not recs or (inp.audience == "patient" and _BLOCKED.search(body)):
         return None
     return DiagnosticReport(decision=decision, rationale=body,
                             recommendations=tuple(recs), audience=inp.audience,

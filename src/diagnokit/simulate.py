@@ -188,10 +188,8 @@ def evaluate_recovery(estimate: CtsTensor, truth: CtsTensor) -> RecoveryReport:
     Entries with zero variance on either side are excluded and counted.
     """
     est = estimate.mean[np.ix_(*(_positions(getattr(estimate, axis), getattr(truth, axis),
-                                            f"estimate {axis}")
+                                            f"estimate {axis}", f"truth {axis}")
                                  for axis in ("genes", "cell_types", "samples")))]
-    if estimate.mean.shape != truth.mean.shape:  # every truth ID found, so extra ones
-        raise ValidationError(f"estimate of shape {estimate.mean.shape} holds IDs the truth lacks")
     cts = truth.cell_types
     # (G, C, N): per gene along samples; (C, N, G): per sample along genes
     r_g, ok_g = _pearson_rows(est, truth.mean)

@@ -3,9 +3,10 @@
 All types are immutable after construction (each keeps a read-only copy of
 the arrays it is given) and safe to share across threads. The priors of all
 genes and the metadata of all samples are each one record of arrays
-(``GenePriors``, ``SampleMetas``). Every join of inputs by ID goes through
-``_positions``: a missing ID is one ``ValidationError`` in one wording,
-naming up to five of the IDs.
+(``GenePriors``, ``SampleMetas``). Every list of IDs is checked here:
+``_check_unique`` finds a repeated ID, of a record or a table's lines, and
+every join of inputs by ID, one to one or not, goes through ``_positions``:
+a missing ID is one ``ValidationError`` in one wording, naming up to five.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 PROPORTION_TOL = 1e-8
 
@@ -32,18 +33,25 @@ def _set(record, **fields) -> None:
         object.__setattr__(record, name, value)
 
 
-def _check_unique(ids: list[str], what: str) -> None:
-    seen = set()
-    for x in ids:
-        if x in seen:
-            raise ValidationError(f"duplicate {what} ID: {x!r}")
-        seen.add(x)
+def _check_unique(ids, what: str, lines=None) -> None:
+    """Raise at the first ID of ``ids`` that repeats an earlier one: a
+    ``ValidationError``, or, given each ID's line number in ``lines``, a
+    ``ParseError`` at its line that names the first one's."""
+    if len(set(ids)) == len(ids):
+        return
+    first: dict = {}
+    i = next(i for i, x in enumerate(ids) if first.setdefault(x, i) != i)
+    if lines is None:
+        raise ValidationError(f"duplicate {what} {ids[i]!r}")
+    raise ParseError(f"duplicate {what} {ids[i]!r} (first on line {lines[first[ids[i]]]})",
+                     line=lines[i])
 
 
-def _positions(axis, keys, what: str) -> np.ndarray:
+def _positions(axis, keys, what: str, keys_what: str | None = None) -> np.ndarray:
     """The position in ``axis`` of each of ``keys``. A key not in ``axis``
     raises a ``ValidationError`` naming ``what`` (the axis) and up to five
-    of the missing keys."""
+    of the missing keys; given ``keys_what``, so does an entry of ``axis``
+    not in ``keys``, naming ``keys_what``: the join is then one to one."""
     index = {k: i for i, k in enumerate(axis)}
     pos = np.fromiter((index.get(k, -1) for k in keys), dtype=np.intp, count=len(keys))
     if (pos < 0).any():
@@ -51,6 +59,8 @@ def _positions(axis, keys, what: str) -> np.ndarray:
         more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
         raise ValidationError(f"missing from {what}: "
                               f"{', '.join(map(repr, missing[:5]))}{more}")
+    if keys_what is not None:
+        _positions(keys, axis, keys_what)
     return pos
 
 
@@ -65,8 +75,8 @@ class BulkMatrix:
     def __post_init__(self):
         if len(self.genes) < 1 or len(self.samples) < 1:
             raise ValidationError("BulkMatrix requires at least one gene and one sample")
-        _check_unique(self.genes, "gene")
-        _check_unique(self.samples, "sample")
+        _check_unique(self.genes, "gene ID")
+        _check_unique(self.samples, "sample ID")
         v = _freeze(self.values)
         if v.shape != (len(self.genes), len(self.samples)):
             raise ValidationError(
@@ -96,9 +106,9 @@ class CtsTensor:
     variance: np.ndarray
 
     def __post_init__(self):
-        _check_unique(self.genes, "gene")
+        _check_unique(self.genes, "gene ID")
         _check_unique(self.cell_types, "cell type")
-        _check_unique(self.samples, "sample")
+        _check_unique(self.samples, "sample ID")
         shape = (len(self.genes), len(self.cell_types), len(self.samples))
         m = _freeze(self.mean)
         v = _freeze(self.variance)
@@ -127,7 +137,7 @@ class GenePriors:
 
     def __post_init__(self):
         genes = list(self.genes)
-        _check_unique(genes, "gene")
+        _check_unique(genes, "gene ID")
         mu = _freeze(self.mu)
         sigma = _freeze(self.sigma)
         noise_var = _freeze(self.noise_var)
@@ -174,7 +184,7 @@ class SampleMetas:
 
     def __post_init__(self):
         ids, cell_types = list(self.sample_ids), list(self.cell_types)
-        _check_unique(ids, "sample meta")
+        _check_unique(ids, "sample meta ID")
         _check_unique(cell_types, "cell type")
         w, c1, c2 = _freeze(self.proportions), _freeze(self.bulk_cov), _freeze(self.cts_cov)
         N = len(ids)
@@ -194,10 +204,9 @@ class SampleMetas:
     def take(self, sample_ids: list[str], cell_types: list[str]) -> SampleMetas:
         """The record joined one to one to the bulk ``sample_ids`` and the reference
         ``cell_types``, in their orders; only reordered, so not renormalized."""
-        _positions(sample_ids, self.sample_ids, "bulk samples")
-        _positions(cell_types, self.cell_types, "reference cell types")
-        rows = _positions(self.sample_ids, sample_ids, "sample metas")
-        cols = _positions(self.cell_types, cell_types, "sample meta cell types")
+        rows = _positions(self.sample_ids, sample_ids, "sample metas", "bulk samples")
+        cols = _positions(self.cell_types, cell_types, "sample meta cell types",
+                          "reference cell types")
         taken = object.__new__(SampleMetas)  # no __post_init__, so no second division
         _set(taken, sample_ids=list(sample_ids), cell_types=list(cell_types),
              proportions=_freeze(self.proportions[np.ix_(rows, cols)]),

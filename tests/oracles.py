@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from diagnokit.classifier import (Dataset, MlpModel, _backprop, _forward_parts,
-                                  _reject_repeat, _standardize)
+from diagnokit.classifier import Dataset, MlpModel, _backprop, _forward_parts, _standardize
 from diagnokit.divergence import DivergenceReport, _negative_beta
 from diagnokit.engine import (ChainState, HyperParams, _run_sweep, _stack_inputs,
                               _start_chain)
@@ -23,7 +22,7 @@ from diagnokit.geneselect import rank_sum_tests
 from diagnokit.io import parse_rows, read_rows, write_rows
 from diagnokit.kernels import resolve_backend
 from diagnokit.report import DiagnosticReport
-from diagnokit.types import BulkMatrix, GenePriors, SampleMetas, _freeze
+from diagnokit.types import BulkMatrix, GenePriors, SampleMetas, _check_unique, _freeze
 
 
 def pearson(a, b) -> float:
@@ -261,7 +260,7 @@ def load_eqtl_table(path: str | Path) -> dict[str, tuple[float, float, float]]:
     if header != ["gene\tbeta\tse\tpval"]:
         raise ParseError("bad eQTL table header", line=1)
     (genes,), stats = parse_rows(rows, linenos, 4)
-    _reject_repeat(genes, linenos, "duplicate gene {!r}")
+    _check_unique(genes, "gene", linenos)
     bad = ~np.isfinite(stats).all(axis=1)
     if bad.any():
         r = int(np.argmax(bad))

@@ -308,8 +308,8 @@ class TestTrain:
     ({"values": np.ones((2, 3))}, r"shape \(2, 3\) do not match 2 sample IDs, 2 names"),
     ({"tags": ("cts",)}, "2 names and 1 tags"),
     ({"sample_ids": ("s0",)}, "do not match 1 sample IDs"),
-    ({"names": ("a", "a")}, "feature names must be unique"),
-    ({"sample_ids": ("s0", "s0")}, "duplicate sample ID: 's0'"),
+    ({"names": ("a", "a")}, "duplicate feature name 'a'"),
+    ({"sample_ids": ("s0", "s0")}, "duplicate sample ID 's0'"),
     ({"tags": ("cts", "gwas")}, r"unknown feature tags: \['gwas'\]"),
     ({"values": np.array([[1.0, 2.0], [np.nan, 3.0]])}, "feature values must be finite"),
 ], ids=["values_shape", "tags_length", "ids_length", "duplicate_name", "duplicate_id",
@@ -452,7 +452,7 @@ class TestSerialization:
         assert load_eqtl_table(tmp_path / "e.tsv") == table
 
     @pytest.mark.parametrize("row,message", [
-        ("g1\t0.1\t0.2\t0.3", "line 4: duplicate gene 'g1'"),
+        ("g1\t0.1\t0.2\t0.3", r"line 4: duplicate gene 'g1' \(first on line 2\)"),
         ("g3\tnan\t0.2\t0.3", "line 4: non-finite"),
         ("g3\t0.1\tinf\t0.3", "line 4: non-finite"),
         ("g3\t0.1\t0.2\t-inf", "line 4: non-finite"),

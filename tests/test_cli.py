@@ -544,6 +544,28 @@ def test_deconvolve_verdict_covers_only_the_selected_pairs(sim_dir, tmp_path, ca
     assert capsys.readouterr().err == ""
 
 
+def test_non_finite_draw_names_the_gene_and_exits_two(sim_dir, tmp_path, capsys):
+    # with g0001 left out, g0003 is the third gene sampled: row 2, not bulk row 3
+    header, *rows = (sim_dir / "bulk.tsv").read_text().splitlines()
+    gene, *values = rows[3].split("\t")
+    assert gene == "g0003"
+    rows[3] = "\t".join([gene, *(repr(float(v) * 1e160) for v in values)])
+    bulk = tmp_path / "bulk.tsv"
+    bulk.write_text("\n".join([header, *rows]) + "\n")
+    records = [{"gene": f"g{i:04d}", "cell_type": "ct1", "provenance": "marker", "score": 1.0}
+               for i in range(SCENARIO["G"]) if i != 1]
+    sel = tmp_path / "selection.json"
+    sel.write_text(json.dumps(records))
+    cfg = tmp_path / "mcmc.json"
+    cfg.write_text(json.dumps(MCMC))
+    argv = _deconvolve_args(sim_dir, sim_dir / "meta.json", sel, tmp_path / "dec", cfg)
+    argv[argv.index("--bulk") + 1] = str(bulk)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert ("runtime error: Gibbs sweep produced a non-finite draw for gene 'g0003'"
+            in capsys.readouterr().err)
+
+
 def test_deconvolve_says_when_no_selected_pair_has_an_rhat(sim_dir, selection_path,
                                                            tmp_path, capsys):
     # split R-hat needs 4 kept draws per chain; this run keeps 2
@@ -1105,6 +1127,27 @@ def test_cut_or_ragged_line_exits_one_naming_it(sim_dir, selection_path, dataset
     assert f"error: line {i + 1}: expected " in err.getvalue()
 
 
+@pytest.mark.parametrize("name", ["bulk.tsv", "reference.tsv"])
+@pytest.mark.parametrize("repeat", ["row", "column"])
+def test_repeated_row_or_column_exits_one_naming_both_lines(sim_dir, selection_path, tmp_path,
+                                                            capsys, name, repeat):
+    lines = (sim_dir / name).read_text().splitlines()
+    if repeat == "row":  # line 5 takes the gene of line 3
+        gene = lines[2].split("\t")[0]
+        lines[4] = gene + lines[4][lines[4].index("\t"):]
+        message = f"error: line 5: duplicate gene ID {gene!r} (first on line 3)"
+    else:  # the fourth column takes the name of the second
+        fields = lines[0].split("\t")
+        fields[3] = fields[1]
+        lines[0] = "\t".join(fields)
+        message = f"error: line 1: duplicate column {fields[1]!r} (first on line 1)"
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(_reader_argv(name, path, sim_dir, selection_path, tmp_path / "out")) == 1
+    assert message in capsys.readouterr().err
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_tensor_loads_the_same_from_crlf_blank_lines_and_any_row_order(
@@ -1247,4 +1290,4 @@ def test_eval_rejects_estimate_with_other_keys(sim_dir, eval_dirs, tmp_path, cap
                  str(sim_dir / "truth.tsv"), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert (f"missing from estimate genes: {gene!r}" if change != "extra"
-            else "holds IDs the truth lacks") in err
+            else f"missing from truth genes: {'gX'!r}") in err

@@ -117,6 +117,13 @@ class TestOodSubset:
             ood_subset(feats, np.zeros(4), np.zeros(4))
 
 
+def test_builders_return_every_candidate_by_default():
+    feats = _ds([_fv(5.0, -0.1)] * 150)
+    every = list(range(150))
+    assert symbolic_conflict_subset(feats, [1] * 150) == every
+    assert ood_subset(feats, np.zeros(4), np.ones(4)) == every
+
+
 @pytest.mark.parametrize("builder", ["symbolic-conflict", "ood"])
 def test_builders_reject_mixed_feature_names(builder):
     # a Dataset holds one set of names for all its rows, so the builders can

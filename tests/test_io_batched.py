@@ -64,12 +64,12 @@ def load_long_loop(path):
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
     if len(entries) < len(lines) - 1 - blank:
-        seen = set()
+        first_line = {}
         for lineno, line in enumerate(lines[1:], start=2):
             key = tuple(line.split("\t")[:3])
-            if line and key in seen:
-                raise ParseError(f"duplicate tensor entry {key}", line=lineno)
-            seen.add(key)
+            if line and first_line.setdefault(key, lineno) != lineno:
+                raise ParseError(f"duplicate tensor entry {key} (first on line "
+                                 f"{first_line[key]})", line=lineno)
     genes, cell_types, samples = list(genes), list(cell_types), list(samples)
     values = np.empty((len(genes), len(cell_types), len(samples)))
     try:
@@ -91,7 +91,8 @@ def save_matrix_loop(genes, samples, values):
 
 
 def load_matrix_loop(path):
-    """Reference: split each line and parse each value with float()."""
+    """Reference: split each line and parse each value with float(), then
+    look for a repeated sample, then a repeated gene."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -100,7 +101,10 @@ def load_matrix_loop(path):
     if header[0] != "gene":
         raise ParseError(f"expected header starting with 'gene', got {header[0]!r}", line=1)
     samples = header[1:]
-    genes, rows = [], []
+    if len(set(samples)) < len(samples):
+        sample = next(s for i, s in enumerate(samples) if s in samples[:i])
+        raise ParseError(f"duplicate column {sample!r} (first on line 1)", line=1)
+    genes, rows, first_line = [], [], {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -109,10 +113,16 @@ def load_matrix_loop(path):
             raise ParseError(
                 f"expected {len(samples) + 1} fields, got {len(parts)}", line=lineno)
         genes.append(parts[0])
+        first_line.setdefault(parts[0], lineno)
         try:
             rows.append([float(p) for p in parts[1:]])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+    for lineno, line in enumerate(lines[1:], start=2):
+        gene = line.split("\t")[0]
+        if line and first_line[gene] != lineno:
+            raise ParseError(f"duplicate gene ID {gene!r} (first on line "
+                             f"{first_line[gene]})", line=lineno)
     return genes, samples, np.array(rows, dtype=np.float64).reshape(len(genes), len(samples))
 
 
@@ -519,7 +529,7 @@ def test_mean_and_variance_in_independent_orders_load_the_same(tmp_path_factory,
 
 @pytest.mark.parametrize("case,line,message", [
     ("foreign_key", 3, "disagree: t_variance.tsv entry ('g1', 'c', 's1') is not in the mean"),
-    ("repeated_key", 3, "duplicate tensor entry ('g0', 'c', 's0')"),
+    ("repeated_key", 3, "duplicate tensor entry ('g0', 'c', 's0') (first on line 2)"),
     ("dropped_key", None, "missing tensor entry ('g0', 'c', 's1')"),
 ])
 def test_variance_keys_must_match_the_mean_file(tmp_path, case, line, message):

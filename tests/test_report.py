@@ -59,25 +59,31 @@ def _client(completions):
     return LlmClient(url="http://example.test/v1", api_key="k", post=post), requests
 
 
-prompt_inputs = st.builds(
-    _input,
-    probability=st.floats(min_value=0.0, max_value=1.0),
-    audience=st.sampled_from(AUDIENCES),
-    strategy=st.sampled_from(STRATEGIES),
-    features=st.lists(
+@st.composite
+def prompt_inputs(draw):
+    """A complete prompt input: population stats for every top feature and a
+    knowledge snippet, whatever the strategy."""
+    features = draw(st.lists(
         st.builds(_reading,
                   name=st.sampled_from(SAFE_NAMES),
                   value=st.floats(-10, 10, allow_nan=False),
                   attribution=st.floats(-5, 5, allow_nan=False)),
-        min_size=1, max_size=5, unique_by=lambda f: f.name).map(tuple),
-).map(lambda inp: _input(probability=inp.probability, audience=inp.audience,
-                         strategy=inp.strategy, features=inp.top_features,
-                         stats=_stats(inp.top_features),
-                         knowledge={"k": "snippet"}))
+        min_size=1, max_size=5, unique_by=lambda f: f.name).map(tuple))
+    return _input(probability=draw(st.floats(min_value=0.0, max_value=1.0)),
+                  audience=draw(st.sampled_from(AUDIENCES)),
+                  strategy=draw(st.sampled_from(STRATEGIES)), features=features,
+                  stats=_stats(features), knowledge={"k": "snippet"})
+
+
+def _blocklisted(text):
+    """The terms of ``PATIENT_BLOCKLIST`` in ``text``, each matched case-sensitively
+    between non-word characters."""
+    return [t for t in PATIENT_BLOCKLIST
+            if re.search(r"(?<!\w)" + re.escape(t) + r"(?!\w)", text)]
 
 
 @settings(max_examples=500, deadline=None)
-@given(inp=prompt_inputs)
+@given(inp=prompt_inputs())
 def test_prompt_and_offline_invariants(inp):
     prompt = build_prompt(inp)
     # every feature named; decision stanza present exactly once at the end
@@ -103,15 +109,15 @@ class TestBuildPrompt:
         assert prompt.count("- ") >= 3
         assert "population context" not in prompt
 
+    # an input that build_prompt could not complete is refused when it is built
     def test_step_requires_population_stats(self):
-        with pytest.raises(ValidationError, match="population_stats"):
-            build_prompt(_input(strategy="step"))
+        with pytest.raises(ValidationError, match="step strategies require population_stats"):
+            _input(strategy="step")
 
     def test_step_domain_requires_knowledge(self):
         feats = (_reading(),)
-        with pytest.raises(ValidationError, match="domain_knowledge"):
-            build_prompt(_input(strategy="step-domain", features=feats,
-                                stats=_stats(feats)))
+        with pytest.raises(ValidationError, match="step-domain strategy requires domain_knowledge"):
+            _input(strategy="step-domain", features=feats, stats=_stats(feats))
 
     def test_step_domain_contains_snippet_and_population(self):
         feats = (_reading(),)
@@ -149,6 +155,15 @@ class TestPromptInputValidation:
             _input(audience="lawyer")
         with pytest.raises(ValidationError):
             _input(strategy="zero-shot-cot")
+
+    def test_step_domain_requires_population_stats(self):
+        with pytest.raises(ValidationError, match="step strategies require population_stats"):
+            _input(strategy="step-domain", knowledge={"k": "snippet"})
+
+    def test_step_requires_stats_of_every_top_feature(self):
+        feats = (_reading(), _reading(name="cov:age"))
+        with pytest.raises(ValidationError, match="population_stats missing feature 'cov:age'"):
+            _input(strategy="step", features=feats, stats=_stats(feats[:1]))
 
 
 class TestDecisionParsing:
@@ -232,6 +247,20 @@ class TestPatientFixtures:
         assert any("monitoring" in r for r in report.recommendations)
         assert "unlikely" in report.rationale
 
+    @pytest.mark.parametrize("i,term", list(enumerate(PATIENT_BLOCKLIST)))
+    def test_feature_named_with_a_blocklisted_term_is_described_unnamed(self, i, term):
+        # each prefix in turn, and no prefix, so that unmapped names are covered
+        prefix = ("cts:", "beta:", "se:", "pval:", "cov:", "")[i % 6]
+        name = prefix + term + ("|neuron" if prefix == "cts:" else "")
+        feats = (_reading(name=name, attribution=0.8), _reading(name="cov:age"))
+        report = render_offline(_input(probability=0.9, audience="patient",
+                                       features=feats))
+        text = "\n".join([report.rationale, *report.warnings, render_markdown(report)])
+        assert _blocklisted(text) == []
+        assert "- a measurement with a technical name made Alzheimer's look more likely." \
+            in report.rationale
+        assert "(cov:age)" in report.rationale
+
     def test_unmapped_feature_warns(self):
         feats = (_reading(name="cov:age", value=70.0, attribution=0.1),
                  _reading(name="mystery_feature", value=1.0, attribution=0.9))
@@ -270,6 +299,17 @@ class TestGenerateReport:
         assert len(requests) == 2
         assert "could not be parsed" in requests[1]["json"][
             "messages"][0]["content"]
+
+    def test_patient_completion_with_a_blocklisted_term_triggers_retry(self):
+        jargon = self._good_completion().replace("drove the call", "raised the logit")
+        client, requests = _client([jargon, self._good_completion()])
+        report = generate_report(_input(audience="patient"), client)
+        assert len(requests) == 2
+        assert report.generator == "llm"
+        assert _blocklisted(report.rationale) == []
+        # a clinician may read the term
+        client, requests = _client([jargon])
+        assert generate_report(_input(), client).rationale == jargon[:jargon.index("\nDECISION")]
 
     def test_garbage_twice_falls_back_offline(self):
         client, _ = _client(["nonsense", "still nonsense"])

@@ -219,6 +219,18 @@ def test_evaluate_recovery_axis_mismatch():
         evaluate_recovery(t, u)
 
 
+def test_evaluate_recovery_names_the_estimate_ids_the_truth_lacks():
+    def tensor(genes):
+        shape = (len(genes), 1, 2)
+        return CtsTensor(genes=genes, cell_types=["a"], samples=["s0", "s1"],
+                         mean=np.zeros(shape), variance=np.zeros(shape))
+
+    extra = [f"x{i}" for i in range(7)]
+    with pytest.raises(ValidationError, match=r"^missing from truth genes: 'x0', 'x1', "
+                                              r"'x2', 'x3', 'x4' and 2 more$"):
+        evaluate_recovery(tensor(["g", *extra]), tensor(["g"]))
+
+
 def test_recovery_report_summary_quartiles():
     report = RecoveryReport(cell_types=["a"],
                             per_gene={"a": [0.1, 0.5, 0.9, 0.7]},
