@@ -558,10 +558,9 @@ def load_dataset(path: str | Path) -> tuple[Dataset, np.ndarray]:
     (sample_ids,), block = parse_rows(rows, linenos, len(header))
     _check_unique(sample_ids, "sample ID", linenos)
     values, labels = block[:, :-1], block[:, -1]
-    for bad, what in ((~np.isfinite(values).all(axis=1), "non-finite feature value"),
-                      (~np.isin(labels, (0.0, 1.0)), "label must be 0 or 1")):
-        if bad.any():
-            raise ParseError(what, line=linenos[int(np.argmax(bad))])
+    bad = ~np.isin(labels, (0.0, 1.0))
+    if bad.any():
+        raise ParseError("label must be 0 or 1", line=linenos[int(np.argmax(bad))])
     return (Dataset(values=values, names=names, tags=tags, sample_ids=tuple(sample_ids)),
             labels.astype(int))
 

@@ -8,9 +8,9 @@ c2_i (row i of a ``SampleMetas`` record, joined by name to bulk and reference):
 
 All conditionals are conjugate: the coefficients theta = (gamma, vec B), one
 block in the design matrix's column order, from a Bayesian linear regression
-draw, s2 from an Inverse-Gamma, and w'z from its 1-D Gaussian. A run takes
-chol(Sigma_g) once (a failure names the gene) and one eigendecomposition of
-the design Gram matrix (``kernels.prepare``), with no NaN path in the sweep.
+draw, s2 from an Inverse-Gamma, and w'z from its 1-D Gaussian. A run reads
+chol(Sigma_g), taken once by ``GenePriors``, and takes one eigendecomposition
+of the design Gram matrix (``kernels.prepare``), with no NaN path in the sweep.
 A chain's state holds theta, s2 and w_i'z_gi, the only way the theta and s2
 draws read z; no sweep draws z itself (``kernels.sweep``). Each chain has its
 own SFC64 stream spawned from the seed, and starts from an over-dispersed
@@ -25,9 +25,9 @@ re-estimates (mu, Sigma) from posterior moments and redraws them through a
 Normal / Inverse-Wishart step: one normal draw for every mean, and every
 covariance from the Bartlett decomposition (Smith & Hocking 1972),
 Sigma = T'T with T = (chol(scale^-1) A)^-1 for a lower-triangular A of chi
-and standard normal draws, all genes in one array pass. Draws that are not
-finite and positive definite are redrawn; the redraws and the covariance
-jitter rescues are counted, never silent.
+and standard normal draws, all genes in one array pass. Draws with no
+finite Cholesky factor (``types._factor``) are redrawn; the redraws and the
+covariance jitter rescues are counted, never silent.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .errors import ValidationError
 from .kernels import NonFiniteDraw, RunFactors, prepare, resolve_backend
 from .reference import DEFAULT_SHRINKAGE, ReferenceDataset, _regularize_spd_all, estimate_priors
 from .types import (BulkMatrix, CtsTensor, GenePriors, PairSelection, RefinementConfig,
-                    SampleMetas, _positions)
+                    SampleMetas, _cholesky, _factor, _positions)
 
 # scale of a chain's start around the prior mean, in prior standard deviations
 OVERDISPERSION = 2.0
@@ -97,8 +97,7 @@ def _stack_inputs(bulk: BulkMatrix, priors: GenePriors, metas: SampleMetas):
                               "(SampleMetas.take reorders them)")
     if len(metas.cell_types) != priors.mu.shape[1]:
         raise ValidationError("meta proportions dimension does not match priors")
-    chol = _cholesky(priors.sigma, priors.genes, "prior covariance")
-    return prepare(metas.proportions, metas.bulk_cov, metas.cts_cov, chol, priors.mu)
+    return prepare(metas.proportions, metas.bulk_cov, metas.cts_cov, priors.chol, priors.mu)
 
 
 def _run_sweep(state: ChainState, x, factors: RunFactors, hyper: HyperParams,
@@ -235,27 +234,6 @@ def _bartlett_iw(chol_inv: np.ndarray, nu: float, rng: np.random.Generator) -> n
     return np.swapaxes(t, 1, 2) @ t
 
 
-def _cholesky(stack: np.ndarray, genes: list[str], what: str) -> np.ndarray:
-    """chol of every matrix of ``stack``; the ``ValidationError`` names the
-    first gene whose matrix has no Cholesky factor."""
-    try:
-        return np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        for gene, s in zip(genes, stack):
-            try:
-                np.linalg.cholesky(s)
-            except np.linalg.LinAlgError:
-                raise ValidationError(f"{what} is not positive definite for {gene!r}") from None
-        raise
-
-
-def _spd(stack: np.ndarray) -> np.ndarray:
-    """Mask of the finite, numerically positive definite matrices of a stack."""
-    ok = np.isfinite(stack).all(axis=(1, 2))
-    ok[ok] = np.linalg.eigvalsh(stack[ok])[:, 0] > 0
-    return ok
-
-
 def refine_priors(summary: PosteriorSummary, priors: GenePriors,
                   config: RefinementConfig, seed: int,
                   rescues: dict[str, int] | None = None) -> GenePriors:
@@ -263,8 +241,8 @@ def refine_priors(summary: PosteriorSummary, priors: GenePriors,
 
     Mean from N(mu_hat, tau^2 I); covariance from an Inverse-Wishart whose
     scale is chosen so its expectation equals sigma_hat, drawn for all genes
-    at once (``_bartlett_iw``). Genes whose draw is not finite and positive
-    definite are redrawn, up to ``IW_TRIES`` draws in all; the redraws are
+    at once (``_bartlett_iw``). Genes whose draw has no finite Cholesky
+    factor are redrawn, up to ``IW_TRIES`` draws in all; the redraws are
     added to ``rescues["iw_redraws"]`` when ``rescues`` is given.
     """
     C = priors.mu.shape[1]
@@ -274,23 +252,19 @@ def refine_priors(summary: PosteriorSummary, priors: GenePriors,
               else summary.mu_hat.copy())
     # run_mcmc regularizes sigma_hat to be positive definite, so it has an inverse
     chol_inv = _cholesky(np.linalg.inv(summary.sigma_hat * (nu - C - 1)), priors.genes,
-                         "inverse-Wishart scale")
-    sigma_new = _bartlett_iw(chol_inv, nu, rng)
-    pending = np.flatnonzero(~_spd(sigma_new))
-    for _ in range(IW_TRIES - 1):
-        if not pending.size:
-            break
-        if rescues is not None:
+                         "inverse-Wishart scale is not positive definite for {!r}")
+    sigma_new, pending = np.empty_like(chol_inv), np.arange(len(chol_inv))
+    for k in range(IW_TRIES):
+        if k and rescues is not None:
             rescues["iw_redraws"] += pending.size
         draw = _bartlett_iw(chol_inv[pending], nu, rng)
-        ok = _spd(draw)
+        ok = _factor(draw)[1]
         sigma_new[pending[ok]] = draw[ok]
         pending = pending[~ok]
-    if pending.size:
-        raise ValidationError("inverse-Wishart retries exhausted for "
-                              f"{priors.genes[pending[0]]!r}")
-    return GenePriors(genes=priors.genes, mu=mu_new, sigma=sigma_new,
-                      noise_var=summary.noise_hat.copy())
+        if not pending.size:
+            return GenePriors(genes=priors.genes, mu=mu_new, sigma=sigma_new,
+                              noise_var=summary.noise_hat.copy())
+    raise ValidationError(f"inverse-Wishart retries exhausted for {priors.genes[pending[0]]!r}")
 
 
 def deconvolve(bulk: BulkMatrix, ref: ReferenceDataset, selection: PairSelection,

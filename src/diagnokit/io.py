@@ -24,10 +24,10 @@ one tab count per row, one split of the whole body and one float parse; the
 writer calls ``repr`` once per distinct value when values
 repeat down a column (a prior written for every sample, a constant
 feature), else once per value. Readers accept any line end and skip empty
-lines; a malformed row raises ``ParseError`` with its line number, and a
-repeated ID (a matrix's gene row or column name, a tensor entry, a
-dataset's sample or feature name) with its line and the first one's, from
-``types._check_unique``.
+lines; a malformed row, or a row with a value that is not finite, raises
+``ParseError`` with its line number, and a repeated ID (a matrix's gene row
+or column name, a tensor entry, a dataset's sample or feature name) with
+its line and the first one's, from ``types._check_unique``.
 
 A tensor file in grid order, the row order ``save_cts_tensor`` writes and
 so what ``simulate`` and ``deconvolve`` write, is read from its bytes
@@ -164,7 +164,9 @@ def parse_rows(rows: list[str], linenos: Sequence[int], n_fields: int,
 
     Values parse as ``float()`` parses them. The rows are split and parsed in
     bulk; a malformed row raises ``ParseError`` naming the first bad line, as
-    a row-by-row parse would.
+    a row-by-row parse would. Once every row parses, the first row with a
+    value that is not finite (nan, inf, or a number beyond float range)
+    raises ``ParseError`` at its line: one ``isfinite`` pass over the block.
     """
     if not rows:
         return [[] for _ in range(n_keys)], np.empty((0, n_fields - n_keys))
@@ -188,7 +190,7 @@ def parse_rows(rows: list[str], linenos: Sequence[int], n_fields: int,
         except ValueError:
             values = None
         if values is not None and values.shape == shape:
-            return [[p[k] for p in parts] for k in range(n_keys)], values
+            return [[p[k] for p in parts] for k in range(n_keys)], _finite(values, linenos)
     counts = list(map(str.count, rows, repeat("\t")))
     if counts.count(n_fields - 1) != len(rows):
         _raise_first_bad(rows, linenos, n_fields, n_keys)
@@ -200,7 +202,16 @@ def parse_rows(rows: list[str], linenos: Sequence[int], n_fields: int,
         values = np.array(fields, dtype=np.float64)
     except ValueError:
         _raise_first_bad(rows, linenos, n_fields, n_keys)
-    return keys, values.reshape(shape)
+    return keys, _finite(values.reshape(shape), linenos)
+
+
+def _finite(values: np.ndarray, linenos: Sequence[int]) -> np.ndarray:
+    """``values``, or a ``ParseError`` at the line of its first row holding a
+    value that is not finite."""
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise ParseError("non-finite value", line=linenos[int(np.argmax(bad))])
+    return values
 
 
 def _raise_first_bad(rows, linenos, n_fields: int, n_keys: int) -> NoReturn:
@@ -284,9 +295,10 @@ def _read_grid(path: str | Path, axes: list[list[str]] | None
     ``np.loadtxt`` parses all values, given the samples of each (gene, cell
     type) as one tab-separated line, so that it pays per pair, not per row.
     Any other file (another order, line end or byte, a blank line, a value
-    ``np.loadtxt`` rejects, an empty one included) is left to the keyed
-    reader, which also names the line of any error; a file in another order
-    is told from a few of its rows, before a key per row is built.
+    ``np.loadtxt`` rejects, an empty one included, or a value that is not
+    finite) is left to the keyed reader, which also names the line of any
+    error; a file in another order is told from a few of its rows, before a
+    key per row is built.
     """
     try:
         data = Path(path).read_bytes()
@@ -358,7 +370,7 @@ def _read_grid(path: str | Path, axes: list[list[str]] | None
                                 comments=None, ndmin=2)
     except ValueError:
         return None
-    if values.shape != (n // shape[2], shape[2]):
+    if values.shape != (n // shape[2], shape[2]) or not np.isfinite(values).all():
         return None
     return axes[0], axes[1], axes[2], values.reshape(shape)
 

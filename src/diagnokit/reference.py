@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .types import GenePriors, _check_unique, _freeze
+from .types import GenePriors, _check_unique, _factor, _freeze
 
 N_PSEUDO_REPLICATES = 20
 DEFAULT_SHRINKAGE = 0.5
@@ -122,26 +122,22 @@ SPD_TRIES = 60
 def _regularize_spd_all(sigma: np.ndarray, trace_s: np.ndarray,
                         rescues: dict[str, int] | None = None) -> np.ndarray:
     """Each matrix of a (G, C, C) stack, symmetrized, plus the smallest jitter
-    ``eps * 2**k`` times the identity (k < ``SPD_TRIES``) that makes it positive
-    definite, with eps = 1e-6 trace / C, or 1e-8 for a trace that is not
-    positive. Every matrix takes the first step at once; only those it leaves
-    indefinite go through the doubling loop, all of them together, and are
-    added to ``rescues["spd_jitter"]`` when ``rescues`` is given."""
+    ``eps * 2**k`` times the identity (k < ``SPD_TRIES``) that gives it a
+    Cholesky factor (``types._factor``), with eps = 1e-6 trace / C, or 1e-8
+    for a trace that is not positive. Every matrix takes the first step at
+    once; only those it leaves unfactored go through the doubling loop, all
+    together, and are added to ``rescues["spd_jitter"]`` when it is given."""
     C = sigma.shape[-1]
     sigma = 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
-    jitter = np.where(trace_s > 0, 1e-6 * trace_s / C, 1e-8)
-    spd = sigma + jitter[:, None, None] * np.eye(C)
-    pending = np.flatnonzero(~(np.linalg.eigvalsh(spd).min(axis=1) > 0))
-    if rescues is not None:
-        rescues["spd_jitter"] += pending.size
-    for _ in range(SPD_TRIES - 1):
-        if not pending.size:
-            break
-        jitter[pending] *= 2.0
-        trial = sigma[pending] + jitter[pending, None, None] * np.eye(C)
-        ok = np.linalg.eigvalsh(trial).min(axis=1) > 0
+    eps = np.where(trace_s > 0, 1e-6 * trace_s / C, 1e-8)
+    spd, pending = np.empty_like(sigma), np.arange(len(sigma))
+    for k in range(SPD_TRIES):
+        trial = sigma[pending] + (eps[pending] * 2.0 ** k)[:, None, None] * np.eye(C)
+        ok = _factor(trial)[1]
         spd[pending[ok]] = trial[ok]
         pending = pending[~ok]
-    if pending.size:
-        raise ValidationError("could not regularize covariance to positive definite")
-    return spd
+        if k == 0 and rescues is not None:
+            rescues["spd_jitter"] += pending.size
+        if not pending.size:
+            return spd
+    raise ValidationError("could not regularize covariance to positive definite")

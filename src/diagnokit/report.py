@@ -8,8 +8,9 @@ offline path too. A deterministic offline renderer produces audience-specific
 reports without network access; the HTTP client path parses completions,
 retries once on a malformed reply, and falls back to the offline renderer
 rather than raising. No patient report holds a ``PATIENT_BLOCKLIST`` term:
-the renderer leaves such a feature unnamed, and a completion holding one is
-malformed.
+the patient prompt and the renderer show a feature whose name holds one by
+a plain description instead, and a completion holding one is malformed. A
+completion must refer to a feature as its prompt showed it.
 """
 from __future__ import annotations
 
@@ -53,6 +54,8 @@ _PATIENT_PREFIX_GLOSS = {
     "pval:": "how surprising the genetic signal is for gene",
     "cov:": "your recorded detail",
 }
+# how a patient prompt and report show a feature whose name holds a blocked term
+_UNNAMED = "a measurement with a technical name"
 
 
 @dataclass(frozen=True)
@@ -147,11 +150,17 @@ class DiagnosticReport:
             raise ValidationError("generator must be 'llm' or 'offline'")
 
 
+def _shown(inp: PromptInput, f: FeatureReading) -> str:
+    """A feature as the prompt shows it: by name, but in a patient prompt by
+    ``_UNNAMED`` when its name holds a ``PATIENT_BLOCKLIST`` term."""
+    return _UNNAMED if inp.audience == "patient" and _BLOCKED.search(f.name) else f.name
+
+
 def _population_section(inp: PromptInput) -> str:
     lines = ["Section 1 - population context:"]
     for f in inp.top_features:
         mean_ad, mean_non, sd = inp.population_stats[f.name]
-        lines.append(f"- {f.name}: AD group mean {mean_ad:.5g}, "
+        lines.append(f"- {_shown(inp, f)}: AD group mean {mean_ad:.5g}, "
                      f"non-AD group mean {mean_non:.5g}, sd {sd:.5g}")
     return "\n".join(lines)
 
@@ -166,8 +175,8 @@ def build_prompt(inp: PromptInput) -> str:
         "",
         "Case features (most influential first):",
     ]
-    feature_lines = [f"- {f.name}: value {f.value:.5g}, attribution {f.attribution:+.5g}"
-                     for f in inp.top_features]
+    feature_lines = [f"- {_shown(inp, f)}: value {f.value:.5g}, "
+                     f"attribution {f.attribution:+.5g}" for f in inp.top_features]
     parts = ["\n".join(header + feature_lines)]
 
     if inp.strategy in ("step", "step-domain"):
@@ -248,7 +257,7 @@ def render_offline(inp: PromptInput) -> DiagnosticReport:
             gloss, mapped = _patient_gloss(f.name)
             shown = f"{gloss} ({f.name})"
             if _BLOCKED.search(f.name):  # jargon in the name: describe it unnamed
-                shown = "a measurement with a technical name"
+                shown = _UNNAMED
             elif not mapped:
                 warnings.append(f"no plain-language mapping for feature {f.name!r}")
             direction = ("made Alzheimer's look more likely"
@@ -335,8 +344,7 @@ def _report_from_completion(inp: PromptInput, completion: str) -> DiagnosticRepo
     body = _DECISION_RE.sub("", completion).strip()
     recs = [line.lstrip("-* ").strip() for line in body.splitlines()
             if line.lstrip().startswith(("-", "*"))]
-    names = [f.name for f in inp.top_features]
-    if not any(name in body for name in names):
+    if not any(_shown(inp, f) in body for f in inp.top_features):
         return None
     if not recs or (inp.audience == "patient" and _BLOCKED.search(body)):
         return None

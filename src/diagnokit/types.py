@@ -7,9 +7,12 @@ genes and the metadata of all samples are each one record of arrays
 ``_check_unique`` finds a repeated ID, of a record or a table's lines, and
 every join of inputs by ID, one to one or not, goes through ``_positions``:
 a missing ID is one ``ValidationError`` in one wording, naming up to five.
+A covariance is positive definite when it has a finite Cholesky factor
+(``_factor``); ``GenePriors`` takes each prior's factor once and keeps it.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +65,29 @@ def _positions(axis, keys, what: str, keys_what: str | None = None) -> np.ndarra
     if keys_what is not None:
         _positions(keys, axis, keys_what)
     return pos
+
+
+def _factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chol of each matrix of a (G, C, C) stack, and where it is finite: the one
+    positive-definiteness test. Only when the batched call raises is each
+    matrix factored alone, left NaN where it fails; non-finite input gives
+    NaN or inf without raising."""
+    try:
+        chol = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        chol = np.full(stack.shape, np.nan)
+        for i, s in enumerate(stack):
+            with suppress(np.linalg.LinAlgError):
+                chol[i] = np.linalg.cholesky(s)
+    return chol, np.isfinite(chol).all(axis=(1, 2))
+
+
+def _cholesky(stack: np.ndarray, ids: list[str], message: str) -> np.ndarray:
+    """chol of each matrix of ``stack``, or a ``ValidationError``: ``message``
+    formatted with the first ID whose matrix has none."""
+    chol, ok = _factor(stack)
+    _reject_first(ids, ~ok, message)
+    return chol
 
 
 @dataclass(frozen=True)
@@ -127,13 +153,14 @@ class GenePriors:
 
     ``mu`` is (G, C), ``sigma`` (G, C, C) and ``noise_var`` (G,), in the
     order of ``genes``. Each check runs once over all genes and names the
-    first gene that fails it.
+    first gene that fails it, and ``chol`` (no argument) holds chol(sigma).
     """
 
     genes: list[str]
     mu: np.ndarray
     sigma: np.ndarray
     noise_var: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         genes = list(self.genes)
@@ -149,17 +176,19 @@ class GenePriors:
         _reject_first(genes, ~finite, "non-finite prior for gene {!r}")
         _reject_first(genes, np.abs(sigma - np.swapaxes(sigma, 1, 2)).max(axis=(1, 2)) > 1e-10,
                       "sigma not symmetric for gene {!r}")
-        min_eig = np.linalg.eigvalsh(sigma).min(axis=1)
-        _reject_first(genes, ~(min_eig > 0),
-                      "sigma not positive definite for gene {!r} (min eigenvalue {:g})", min_eig)
+        chol = _cholesky(sigma, genes, "sigma not positive definite for gene {!r}")
         _reject_first(genes, ~(noise_var > 0), "noise_var must be positive for gene {!r}")
-        _set(self, genes=genes, mu=mu, sigma=sigma, noise_var=noise_var)
+        _set(self, genes=genes, mu=mu, sigma=sigma, noise_var=noise_var, chol=_freeze(chol))
 
     def take(self, genes: list[str]) -> GenePriors:
         """The priors of ``genes``, in that order; every gene must have one."""
+        _check_unique(genes, "gene ID")
         rows = _positions(self.genes, genes, "gene priors")
-        return GenePriors(genes=list(genes), mu=self.mu[rows], sigma=self.sigma[rows],
-                          noise_var=self.noise_var[rows])
+        taken = object.__new__(GenePriors)  # only reordered: not checked or factored again
+        _set(taken, genes=list(genes), mu=_freeze(self.mu[rows]),
+             sigma=_freeze(self.sigma[rows]), noise_var=_freeze(self.noise_var[rows]),
+             chol=_freeze(self.chol[rows]))
+        return taken
 
 
 def _reject_first(ids: list[str], bad: np.ndarray, message: str, values=None) -> None:

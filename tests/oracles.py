@@ -173,7 +173,7 @@ def gibbs_sweep(state: ChainState, bulk: BulkMatrix, priors: GenePriors,
 # ----------------------------------------------------------------- reference
 
 def regularize_spd(sigma: np.ndarray, trace_s: float) -> np.ndarray:
-    """Add scaled identity jitter until the matrix is positive definite.
+    """Add scaled identity jitter until the matrix has a finite Cholesky factor.
 
     ``reference._regularize_spd_all`` does it for a stack of matrices at once."""
     c = sigma.shape[0]
@@ -182,8 +182,11 @@ def regularize_spd(sigma: np.ndarray, trace_s: float) -> np.ndarray:
     jitter = eps
     for _ in range(60):
         trial = sigma + jitter * np.eye(c)
-        if np.linalg.eigvalsh(trial).min() > 0:
-            return trial
+        try:
+            if np.isfinite(np.linalg.cholesky(trial)).all():
+                return trial
+        except np.linalg.LinAlgError:
+            pass
         jitter *= 2.0
     raise ValidationError("could not regularize covariance to positive definite")
 
@@ -261,10 +264,6 @@ def load_eqtl_table(path: str | Path) -> dict[str, tuple[float, float, float]]:
         raise ParseError("bad eQTL table header", line=1)
     (genes,), stats = parse_rows(rows, linenos, 4)
     _check_unique(genes, "gene", linenos)
-    bad = ~np.isfinite(stats).all(axis=1)
-    if bad.any():
-        r = int(np.argmax(bad))
-        raise ParseError(f"non-finite beta, se or pval for {genes[r]!r}", line=linenos[r])
     return dict(zip(genes, map(tuple, stats.tolist())))
 
 

@@ -1148,6 +1148,33 @@ def test_repeated_row_or_column_exits_one_naming_both_lines(sim_dir, selection_p
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", sorted(_TSV_READERS))
+@pytest.mark.parametrize("order", ["written", "shuffled"])
+@pytest.mark.parametrize("token", ["nan", "-inf"])
+def test_non_finite_value_exits_one_naming_its_line(sim_dir, selection_path, dataset_path,
+                                                    tmp_path, capsys, name, order, token):
+    """A tensor file in the grid order its writer gives or shuffled, and each
+    matrix and the dataset: a value that is not finite names its line."""
+    source = dataset_path if name == "dataset.tsv" else sim_dir / name
+    lines = source.read_text().splitlines()
+    head = _TSV_READERS[name]
+    if order == "shuffled":
+        rows = lines[head:]
+        lines[head:] = [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+    i = len(lines) - 3
+    fields = lines[i].split("\t")
+    fields[-2 if name == "dataset.tsv" else -1] = token  # a value, not a label
+    lines[i] = "\t".join(fields)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    if name == "truth_mean.tsv":
+        (tmp_path / "truth_variance.tsv").write_bytes(
+            (sim_dir / "truth_variance.tsv").read_bytes())
+    capsys.readouterr()
+    assert main(_reader_argv(name, path, sim_dir, selection_path, tmp_path / "out")) == 1
+    assert f"error: line {i + 1}: non-finite value" in capsys.readouterr().err
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_tensor_loads_the_same_from_crlf_blank_lines_and_any_row_order(

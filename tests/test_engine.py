@@ -168,7 +168,8 @@ class TestRunMcmc:
 
     def test_prior_without_cholesky_names_the_gene(self):
         # rank-2 covariances plus a rounding-sized ridge: some have a least
-        # eigenvalue above 0, so GenePriors accepts them, and no Cholesky factor
+        # eigenvalue above 0 and no Cholesky factor; GenePriors judges them by
+        # the factor the sampler would use, so it refuses them
         rng = np.random.default_rng(0)
         for _ in range(2000):
             v = rng.standard_normal((3, 2))
@@ -181,13 +182,11 @@ class TestRunMcmc:
                     break
         else:
             pytest.fail("no covariance with eigenvalues above 0 and no Cholesky factor")
-        bulk, priors, metas = _toy_problem(C=3, G=3)
+        _, priors, _ = _toy_problem(C=3, G=3)
         sigma = priors.sigma.copy()
         sigma[1] = bad
-        priors = GenePriors(genes=priors.genes, mu=priors.mu, sigma=sigma,
-                            noise_var=priors.noise_var)
-        with pytest.raises(ValidationError, match="not positive definite for 'g1'"):
-            run_mcmc(bulk, priors, metas, RefinementConfig(chains=2, iters=8), seed=0)
+        with pytest.raises(ValidationError, match="sigma not positive definite for gene 'g1'"):
+            GenePriors(genes=priors.genes, mu=priors.mu, sigma=sigma, noise_var=priors.noise_var)
 
 
 @pytest.mark.parametrize("rounds", [1, 2])
@@ -443,26 +442,58 @@ class TestBartlettInverseWishart:
         assert abs(z.mean()) < 4 / np.sqrt(z.size) and abs(z.std() - 1) < 0.15
 
     def test_failed_draws_are_redrawn_and_counted(self):
-        # correlation 1 - 1e-15: a few percent of the draws are not
-        # numerically positive definite; only those genes are drawn again
+        # correlation 1 - 1e-15: a few percent of the draws have no Cholesky
+        # factor; only those genes are drawn again
         eps = 1e-15
         summary, priors = _copies(np.array([[1.0, 1 - eps], [1 - eps, 1.0]]), 400)
         cfg = RefinementConfig(tau=0.0, nu=4.0)
         rescues = {"iw_redraws": 0}
         refined = refine_priors(summary, priors, cfg, seed=0, rescues=rescues)
         assert rescues["iw_redraws"] > 0
-        assert (np.linalg.eigvalsh(refined.sigma)[:, 0] > 0).all()
+        assert np.isfinite(np.linalg.cholesky(refined.sigma)).all()
         again = {"iw_redraws": 0}
         assert np.array_equal(refine_priors(summary, priors, cfg, seed=0, rescues=again).sigma,
                               refined.sigma)
         assert again == rescues
 
-    def test_exhausted_retries_name_the_gene(self):
+    def test_refined_priors_run_without_a_second_factor_check(self):
+        # a draw is accepted by the factor the sampler uses, so every refined
+        # prior of the nearly singular copies runs, and the rescues are counted
+        eps = 1e-15
+        summary, priors = _copies(np.array([[1.0, 1 - eps], [1 - eps, 1.0]]), 400)
+        rescues = {"iw_redraws": 0}
+        refined = refine_priors(summary, priors, RefinementConfig(tau=0.0, nu=4.0), seed=0,
+                                rescues=rescues)
+        assert rescues["iw_redraws"] > 0
+        bulk, _, metas = _toy_problem(C=2, N=4, G=400)
+        out = run_mcmc(bulk, refined, metas, RefinementConfig(chains=2, iters=4), seed=0)
+        assert np.isfinite(out.cts.mean).all()
+
+    def test_exhausted_retries_name_the_gene(self, monkeypatch):
+        # a NaN scale has no factor: it fails at once, before any draw
         summary, priors = _copies(SIGMA, 3)
         sigma_hat = summary.sigma_hat.copy()
         sigma_hat[1, 0, 0] = np.nan
+        rescues = {"iw_redraws": 0}
+        with pytest.raises(ValidationError,
+                           match="inverse-Wishart scale is not positive definite for 'g1'"):
+            refine_priors(_posterior(sigma_hat), priors, RefinementConfig(), seed=0,
+                          rescues=rescues)
+        assert rescues == {"iw_redraws": 0}
+        # the last gene of every draw never has a factor: with two genes,
+        # that is g1 in the first draw and in each of its redraws
+        real = engine._bartlett_iw
+
+        def draw(chol_inv, nu, rng):
+            out = real(chol_inv, nu, rng)
+            out[-1] = -out[-1]
+            return out
+
+        monkeypatch.setattr(engine, "_bartlett_iw", draw)
+        summary, priors = _copies(SIGMA, 2)
         with pytest.raises(ValidationError, match="retries exhausted for 'g1'"):
-            refine_priors(_posterior(sigma_hat), priors, RefinementConfig(), seed=0)
+            refine_priors(summary, priors, RefinementConfig(), seed=0, rescues=rescues)
+        assert rescues == {"iw_redraws": engine.IW_TRIES - 1}
 
     def test_scale_without_cholesky_names_the_gene(self):
         summary, priors = _copies(SIGMA, 3)
@@ -477,4 +508,4 @@ def test_spd_jitter_rescues_counted():
     rescues = {"spd_jitter": 0}
     out = _regularize_spd_all(sigma, np.trace(sigma, axis1=1, axis2=2), rescues)
     assert rescues == {"spd_jitter": 1}
-    assert (np.linalg.eigvalsh(out)[:, 0] > 0).all()
+    assert np.isfinite(np.linalg.cholesky(out)).all()

@@ -7,6 +7,8 @@ bytes.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,7 @@ def load_long_loop(path):
     genes, cell_types, samples = {}, {}, {}
     entries = {}
     blank = 0
+    non_finite = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             blank += 1
@@ -63,6 +66,10 @@ def load_long_loop(path):
             entries[(g, c, s)] = float(v)
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+        if not math.isfinite(float(v)):
+            non_finite.append(lineno)
+    if non_finite:  # only once every line parses
+        raise ParseError("non-finite value", line=non_finite[0])
     if len(entries) < len(lines) - 1 - blank:
         first_line = {}
         for lineno, line in enumerate(lines[1:], start=2):
@@ -104,7 +111,7 @@ def load_matrix_loop(path):
     if len(set(samples)) < len(samples):
         sample = next(s for i, s in enumerate(samples) if s in samples[:i])
         raise ParseError(f"duplicate column {sample!r} (first on line 1)", line=1)
-    genes, rows, first_line = [], [], {}
+    genes, rows, first_line, non_finite = [], [], {}, []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -118,6 +125,10 @@ def load_matrix_loop(path):
             rows.append([float(p) for p in parts[1:]])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+        if not all(map(math.isfinite, rows[-1])):
+            non_finite.append(lineno)
+    if non_finite:  # only once every line parses
+        raise ParseError("non-finite value", line=non_finite[0])
     for lineno, line in enumerate(lines[1:], start=2):
         gene = line.split("\t")[0]
         if line and first_line[gene] != lineno:
@@ -176,7 +187,7 @@ def load_dataset_loop(path):
                 raise ParseError(str(bad), line=lineno) from exc
         raise ParseError(str(exc)) from exc
     values, labels = block[:, :-1], block[:, -1]
-    for bad, what in ((~np.isfinite(values).all(axis=1), "non-finite feature value"),
+    for bad, what in ((~np.isfinite(block).all(axis=1), "non-finite value"),
                       (~np.isin(labels, (0.0, 1.0)), "label must be 0 or 1")):
         if bad.any():
             raise ParseError(what, line=linenos[int(np.argmax(bad))])
@@ -373,7 +384,7 @@ def test_dataset_writer_matches_loop_writer(tmp_path_factory, n, d, data):
 @given(g=st.integers(0, 3), n=st.integers(0, 4), data=st.data())
 def test_matrix_round_trips_with_any_number_of_samples(tmp_path_factory, g, n, data):
     genes, samples = data.draw(names(g)), data.draw(names(n))
-    values = np.array(data.draw(st.lists(any_float, min_size=g * n, max_size=g * n)))
+    values = np.array(data.draw(st.lists(finite_float, min_size=g * n, max_size=g * n)))
     values = values.reshape(g, n)
     path = tmp_path_factory.mktemp("io") / "m.tsv"
     save_matrix_tsv(genes, samples, values, path)
@@ -453,7 +464,7 @@ def test_malformed_dataset_fails_like_loop_reader(tmp_path_factory, spec, data):
 
 @pytest.mark.parametrize("token, expected", [
     ("1_0", 10.0), (" 2.5 ", 2.5), ("+.5", 0.5), ("1.", 1.0), ("-0.0", -0.0),
-    ("inf", np.inf), ("-Infinity", -np.inf), ("1e500", np.inf), ("١", 1.0)])
+    ("5e-324", 5e-324), ("١", 1.0)])
 @pytest.mark.parametrize("width", [1, 3])
 def test_values_parse_as_float_does(token, expected, width):
     """One value per row and many values per row take different bulk paths;
@@ -471,6 +482,19 @@ def test_values_float_rejects_are_rejected(token, width):
     rows = ["k\t" + "\t".join(["1.0"] * width), "j\t" + "\t".join(["2.0"] * (width - 1) + [token])]
     with pytest.raises(ParseError) as err:
         parse_rows(rows, [4, 6], width + 1)
+    assert err.value.line == 6
+
+
+@pytest.mark.parametrize("token", ["nan", "-NaN", "inf", "-Infinity", "1e500"])
+@pytest.mark.parametrize("width", [1, 3])
+def test_values_that_are_not_finite_name_their_line(token, width):
+    """What float() reads as nan or inf, a number beyond float range too,
+    is a ParseError at the first row that holds one, on both bulk paths."""
+    rows = ["k\t" + "\t".join(["1.0"] * width),
+            "j\t" + "\t".join([token] + ["2.0"] * (width - 1)),
+            "i\t" + "\t".join([token] * width)]
+    with pytest.raises(ParseError, match="^line 6: non-finite value$") as err:
+        parse_rows(rows, [4, 6, 7], width + 1)
     assert err.value.line == 6
 
 
@@ -587,9 +611,9 @@ def _keyed(path, axes=None):
 def test_grid_reader_gives_the_keyed_readers_bits(tmp_path_factory, g, c, s, data):
     """The samples of each (gene, cell type) are parsed as one line: with one
     sample or many, the grid reader gives the keyed reader's axes and bits,
-    NaN payloads, signed zeros and infinities included."""
+    signed zeros and subnormals included."""
     axes = [f"g{i}" for i in range(g)], [f"c{i}" for i in range(c)], [f"s{i}" for i in range(s)]
-    values = np.array(data.draw(st.lists(pooled_any, min_size=g * c * s,
+    values = np.array(data.draw(st.lists(pooled_finite, min_size=g * c * s,
                                          max_size=g * c * s))).reshape(g, c, s)
     path = _write(tmp_path_factory, save_long_loop(*axes, values))
     for given_axes in (None, [list(a) for a in axes]):
@@ -629,10 +653,10 @@ def _perturb(text: str, kind: str) -> str:
         rows[5] = rows[4]
     elif kind == "five_fields":
         rows[2] += "\t1.0"
-    elif kind in ("1_0", "\x1c", "nan", "empty_value"):
+    elif kind in ("1_0", "\x1c", "nan", "inf", "empty_value", "subnormal"):
         key, _ = rows[6].rsplit("\t", 1)
-        rows[6] = key + "\t" + {"1_0": "1_0", "\x1c": "2.5\x1c", "nan": "nan",
-                                "empty_value": ""}[kind]
+        rows[6] = key + "\t" + {"1_0": "1_0", "\x1c": "2.5\x1c", "nan": "nan", "inf": "-inf",
+                                "empty_value": "", "subnormal": "5e-324"}[kind]
     elif kind in ("same_name", "u2028"):  # every row of sample "s 1" renamed
         new = {"same_name": "s 0", "u2028": "s\u20281"}[kind]
         rows = [row.replace("\ts 1\t", f"\t{new}\t") for row in rows]
@@ -650,16 +674,18 @@ def _perturb(text: str, kind: str) -> str:
 
 
 @pytest.mark.parametrize("kind", ["swap", "crlf", "blank", "no_final_newline", "repeat",
-                                  "five_fields", "1_0", "\x1c", "nan", "empty_value",
-                                  "same_name", "u2028", "trailing_text", "one_line",
-                                  "shuffled"])
+                                  "five_fields", "1_0", "\x1c", "nan", "inf", "empty_value",
+                                  "subnormal", "same_name", "u2028", "trailing_text",
+                                  "one_line", "shuffled"])
 def test_perturbed_grid_file_reads_like_loop_reader(tmp_path, kind):
     """One change to a grid-order file: the arrays, or the ParseError line and
-    message, are the loop reader's. Only "nan" keeps the file in grid order."""
+    message, are the loop reader's. Only "subnormal" keeps the file in grid
+    order; a value that is not finite leaves it to the keyed reader, which
+    names its line."""
     save_cts_tensor(_grid_tensor(), tmp_path / "t.tsv")
     path = tmp_path / "t_mean.tsv"
     path.write_bytes(_perturb(path.read_text(), kind).encode())
-    assert (_read_grid(path, None) is not None) == (kind == "nan")
+    assert (_read_grid(path, None) is not None) == (kind == "subnormal")
     _assert_tensor_agrees(path)
 
 

@@ -43,7 +43,7 @@ def test_estimate_priors_spd_and_mean():
     priors = estimate_priors(ref, shrinkage=0.5, seed=0)
     assert priors.genes == ref.genes
     assert np.allclose(priors.mu, signature_matrix(ref))
-    assert (np.linalg.eigvalsh(priors.sigma).min(axis=1) > 0).all()
+    assert np.isfinite(np.linalg.cholesky(priors.sigma)).all()
     assert (priors.noise_var > 0).all()
 
 
@@ -78,7 +78,7 @@ def test_estimate_priors_shrinkage_validation():
 def test_regularize_spd_fixes_indefinite():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     fixed = regularize_spd(bad, np.trace(bad))
-    assert np.linalg.eigvalsh(fixed).min() > 0
+    assert np.isfinite(np.linalg.cholesky(fixed)).all()
 
 
 def test_reference_roundtrip(tmp_path):

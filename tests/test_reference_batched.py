@@ -283,22 +283,24 @@ def test_priors_match_loop_on_simulated_reference():
 def test_priors_gene_that_needs_jitter(monkeypatch):
     """A covariance shrunk toward its diagonal is positive semi-definite, so
     in exact arithmetic the first jitter step always suffices. A stricter
-    eigenvalue check stands in for rounding: it fails the rank-one gene (all
-    types move together) until the jitter has doubled twice, and must send
-    it, and only it, through the doubling loop with the loop's result."""
+    Cholesky factorization stands in for rounding: it fails the rank-one gene
+    (all types move together) until the jitter has doubled twice, and must
+    send it, and only it, through the doubling loop with the loop's result."""
     rng = np.random.default_rng(5)
     n = 10
     values = np.vstack([np.tile(rng.normal(size=n), 3),
                         rng.normal(size=3 * n),
                         np.full(3 * n, 2.0)])
     ref = _ref(values, [t for t in ("a", "b", "c") for _ in range(n)])
-    real = np.linalg.eigvalsh
+    real = np.linalg.cholesky
 
     def strict(a):
-        scale = np.trace(a, axis1=-2, axis2=-1)[..., None] / a.shape[-1]
-        return real(a) - 2.5e-6 * scale
+        # raises unless a less 2.5e-6 of its mean diagonal has a factor
+        scale = np.trace(a, axis1=-2, axis2=-1)[..., None, None] / a.shape[-1]
+        real(a - 2.5e-6 * scale * np.eye(a.shape[-1]))
+        return real(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", strict)
+    monkeypatch.setattr(np.linalg, "cholesky", strict)
     _assert_priors_match(ref, 0.0)
     rescues = {"spd_jitter": 0}
     estimate_priors(ref, shrinkage=0.0, rescues=rescues)

@@ -311,6 +311,28 @@ class TestGenerateReport:
         client, requests = _client([jargon])
         assert generate_report(_input(), client).rationale == jargon[:jargon.index("\nDECISION")]
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_patient_reply_in_the_prompts_wording_is_accepted(self, strategy):
+        # the one top feature's name holds a blocked term: the patient prompt
+        # shows it as the offline report does, and a reply may refer to it so
+        feats = (_reading(name="cov:LDL"),)
+        inp = _input(audience="patient", strategy=strategy, features=feats,
+                     stats=_stats(feats), knowledge={"lipids": "snippet"})
+        prompt = build_prompt(inp)
+        assert "LDL" not in prompt
+        assert "- a measurement with a technical name: value 1," in prompt
+        reply = ("The result leaned on a measurement with a technical name.\n"
+                 "- Talk with your care team.\n"
+                 "DECISION: AD\n")
+        client, requests = _client([reply])
+        report = generate_report(inp, client)
+        assert (report.generator, len(requests)) == ("llm", 1)
+        assert _blocklisted(report.rationale) == []
+        # the name itself is a blocked term, so a reply that uses it is refused
+        client, requests = _client([reply.replace("a measurement with a technical name",
+                                                  "your cov:LDL reading")] * 2)
+        assert generate_report(inp, client).generator == "offline"
+
     def test_garbage_twice_falls_back_offline(self):
         client, _ = _client(["nonsense", "still nonsense"])
         inp = _input()

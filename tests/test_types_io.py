@@ -137,6 +137,18 @@ class TestGenePrior:
         np.testing.assert_array_equal(picked.noise_var, [3.0, 1.0])
         with pytest.raises(ValidationError, match="missing from gene priors: 'd'$"):
             priors.take(["a", "d"])
+        with pytest.raises(ValidationError, match="duplicate gene ID 'a'"):
+            priors.take(["a", "c", "a"])
+
+    def test_take_keeps_the_factor_of_each_taken_sigma(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((4, 3, 3))
+        priors = GenePriors(genes=["a", "b", "c", "d"], mu=np.zeros((4, 3)),
+                            sigma=a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(3),
+                            noise_var=np.ones(4))
+        picked = priors.take(["d", "b", "c"])
+        assert picked.chol.tobytes() == np.linalg.cholesky(picked.sigma).tobytes()
+        assert not picked.chol.flags.writeable
 
 
 class TestRefinementConfig:
