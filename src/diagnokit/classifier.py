@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .io import _is_number, atomic_write_text, load_json, parse_rows, read_rows, write_rows
-from .types import CtsTensor, PairSelection, _check_unique, _freeze, _positions, _set
+from .types import CtsTensor, PairSelection, _array, _check_unique, _freeze, _positions, _set
 
 HIDDEN1 = 16
 HIDDEN2 = 8
@@ -44,7 +44,8 @@ ADAM_EPS = 1e-8
 @dataclass(frozen=True)
 class Dataset:
     """Raw feature values, one row per sample, with per-feature names and tags
-    and one ID per sample. Every check runs once, over the whole matrix."""
+    and one ID per sample. Every check runs once, over the whole matrix, and
+    ``take`` only reorders a checked record."""
 
     values: np.ndarray          # (n, d)
     names: tuple[str, ...]      # (d,)
@@ -52,28 +53,25 @@ class Dataset:
     sample_ids: tuple[str, ...]  # (n,)
 
     def __post_init__(self):
-        v = _freeze(self.values)
         names, tags, ids = tuple(self.names), tuple(self.tags), tuple(self.sample_ids)
-        if v.shape != (len(ids), len(names)) or len(tags) != len(names):
-            raise ValidationError(
-                f"values of shape {v.shape} do not match {len(ids)} sample IDs, "
-                f"{len(names)} names and {len(tags)} tags")
-        _check_unique(names, "feature name")
-        if not np.isfinite(v).all():
-            raise ValidationError("feature values must be finite")
+        v = _array(self.values, (ids, "sample ID"), (names, "feature name"))
+        if len(tags) != len(names):
+            raise ValidationError(f"{len(tags)} feature tags for {len(names)} feature names")
         bad = set(tags).difference(FEATURE_TAGS)
         if bad:
             raise ValidationError(f"unknown feature tags: {sorted(bad)}")
-        _check_unique(ids, "sample ID")
         _set(self, values=v, names=names, tags=tags, sample_ids=ids)
 
     def take(self, names, names_side: str | None = None) -> Dataset:
         """The features ``names``, in that order; every name must be a feature
         and, given ``names_side`` (where ``names`` come from), every feature
         one of ``names``."""
+        _check_unique(names, "feature name")
         cols = _positions(self.names, names, "dataset features", names_side)
-        return Dataset(values=self.values[:, cols], names=tuple(names),
-                       tags=tuple(self.tags[j] for j in cols), sample_ids=self.sample_ids)
+        taken = object.__new__(Dataset)  # only reordered: not checked again
+        _set(taken, values=_freeze(self.values[:, cols]), names=tuple(names),
+             tags=tuple(self.tags[j] for j in cols), sample_ids=self.sample_ids)
+        return taken
 
 
 @dataclass(frozen=True)

@@ -38,11 +38,10 @@ from .io import (_is_number, _tensor_paths, atomic_write_text, load_bulk_matrix,
                  load_cts_tensor, load_json, load_reference, load_sample_meta, save_bulk_matrix,
                  save_cts_tensor, save_json, save_reference, save_sample_meta, write_rows)
 from .reference import DEFAULT_SHRINKAGE
-from .report import (AUDIENCES, DEFAULT_MODEL, ENV_URL, STRATEGIES, LlmClient,
-                     generate_report, load_knowledge, prompt_input, render_markdown,
-                     report_to_json)
+from .report import (AUDIENCES, DEFAULT_MODEL, STRATEGIES, LlmClient, generate_report,
+                     load_knowledge, prompt_input, render_markdown, report_to_json)
 from .simulate import SyntheticScenario, evaluate_recovery, generate
-from .types import RefinementConfig, _positions
+from .types import RefinementConfig, _first_five, _positions
 
 
 def _sha256(path: str | Path) -> str:
@@ -175,6 +174,9 @@ def cmd_select_genes(args, out: Path, config: dict, manifest: RunManifest) -> li
         selection = select_pairs(ref, markers, **config)
     with _stage(manifest, "write_s"):
         save_selection(selection, out / "selection.json")
+    if unknown := sorted(markers - selection.pairs):  # a marker the reference has survives
+        print("warning: dropped the markers that name a gene or cell type the reference "
+              f"lacks: {_first_five(unknown)}", file=sys.stderr)
     if not selection.pairs:
         hint = (f"; a reference of at most {EXACT_ENUMERATION_MAX_N} cells gets exact "
                 "rank-sum p-values, which after Benjamini-Hochberg can stay above "
@@ -267,11 +269,13 @@ def _population_stats(dataset, labels) -> dict[str, tuple[float, float, float]]:
 
 
 def _llm_client(args, config: dict) -> LlmClient | None:
-    """The LLM client for ``report`` and ``diverge``: None under ``--offline``
-    or when no endpoint is set in the environment."""
-    if args.offline or not os.environ.get(ENV_URL):
+    """The LLM client for ``report`` and ``diverge``, the one reader of the
+    environment: None under ``--offline`` or when ``DIAGNO_LLM_URL`` is unset."""
+    url = os.environ.get("DIAGNO_LLM_URL")
+    if args.offline or not url:
         return None
-    return LlmClient.from_env(model=config.get("model", DEFAULT_MODEL))
+    return LlmClient(url, os.environ.get("DIAGNO_LLM_KEY", ""),
+                     model=config.get("model", DEFAULT_MODEL))
 
 
 def cmd_report(args, out: Path, config: dict, manifest: RunManifest) -> list[Path]:

@@ -13,7 +13,8 @@ Formats:
 Floats are rendered with ``repr`` (shortest round-tripping form, at most 17
 significant digits) so load(save(x)) is bit-exact for 64-bit floats. No name
 (gene, sample, cell type, feature, header field) may hold a tab or a line
-break: the writers raise ``ValidationError`` before creating any file.
+break, and no value may be other than finite: the writers raise
+``ValidationError`` before creating any file, as the readers would refuse it.
 
 Every TSV format (these and the classifier dataset) goes through one
 reader, ``read_rows`` + ``parse_rows``, and one writer, ``write_rows``; the
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .reference import ReferenceDataset
-from .types import BulkMatrix, CtsTensor, SampleMetas, _check_unique, _positions
+from .types import BulkMatrix, CtsTensor, SampleMetas, _check_unique, _positions, _reject_first
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -100,8 +101,8 @@ def _format_values(values: np.ndarray) -> list[str]:
 
     When some value equals the one above it in its column, each distinct bit
     pattern is formatted once and the strings are gathered by index: bits,
-    not values, so ``-0.0`` stays apart from ``0.0`` and every NaN prints
-    ``nan``. A block with no such repeat is formatted value by value.
+    not values, so ``-0.0`` stays apart from ``0.0``. A block with no such
+    repeat is formatted value by value.
     """
     bits = values.view(np.int64)
     if not (bits[1:] == bits[:-1]).any():
@@ -120,7 +121,8 @@ def write_rows(path: str | Path, header, keys, values, tails=None) -> None:
     line, laid out like the rows: each key is as many fields as the first
     line has key names; no value names, like no values, add no field. A
     name or key that holds a line break, or a tab of its own, raises
-    ``ValidationError`` before the file is created. Values are formatted by
+    ``ValidationError`` before the file is created, and so does a value that
+    is not finite, naming its row's key. Values are formatted by
     ``_format_values``: once per distinct value when a column repeats them.
     """
     values = np.asarray(values, dtype=np.float64)
@@ -129,6 +131,8 @@ def write_rows(path: str | Path, header, keys, values, tails=None) -> None:
         _check_fields([name for group in line for name in group], "header field")
     key_names = header[0][0]
     _check_fields(keys, key_names[0], tabs=len(key_names) - 1)
+    _reject_first(keys, ~np.isfinite(values).all(axis=1),
+                  f"non-finite value in the row of {'/'.join(key_names)} {{!r}}")
     cells = _format_values(values)
     if k != 1:
         cells = ["\t".join(cells[i * k:(i + 1) * k]) for i in range(n)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .types import GenePriors, _check_unique, _factor, _freeze
+from .types import GenePriors, _array, _factor, _set
 
 N_PSEUDO_REPLICATES = 20
 DEFAULT_SHRINKAGE = 0.5
@@ -34,16 +34,10 @@ class ReferenceDataset:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_unique(self.genes, "gene ID")
-        _check_unique(self.cells, "cell ID")
+        _set(self, values=_array(self.values, (self.genes, "gene ID"), (self.cells, "cell ID")))
         if len(self.cell_type_labels) != len(self.cells):
-            raise ValidationError("one label per cell required")
-        v = _freeze(self.values)
-        if v.shape != (len(self.genes), len(self.cells)):
-            raise ValidationError(f"values shape {v.shape} does not match axes")
-        if not np.isfinite(v).all():
-            raise ValidationError("reference contains non-finite values")
-        object.__setattr__(self, "values", v)
+            raise ValidationError(f"one label per cell required, not {len(self.cell_type_labels)} "
+                                  f"for {len(self.cells)} cells")
         counts: dict[str, int] = {}
         for lab in self.cell_type_labels:
             counts[lab] = counts.get(lab, 0) + 1

@@ -15,7 +15,6 @@ completion must refer to a feature as its prompt showed it.
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -31,8 +30,6 @@ STRATEGIES = ("direct", "step", "step-domain")
 LABELS = ("AD", "nonAD")
 DECISION_THRESHOLD = 0.5  # probability >= threshold reads as AD
 
-ENV_URL = "DIAGNO_LLM_URL"
-ENV_KEY = "DIAGNO_LLM_KEY"
 DEFAULT_MODEL = "gpt-4o-mini"
 DEFAULT_TIMEOUT = 30.0
 
@@ -310,13 +307,6 @@ class LlmClient:
         self.model = model
         self.timeout = timeout
         self._post = post
-
-    @classmethod
-    def from_env(cls, model: str = DEFAULT_MODEL) -> "LlmClient":
-        url = os.environ.get(ENV_URL, "")
-        if not url:
-            raise ValidationError(f"{ENV_URL} is not set")
-        return cls(url=url, api_key=os.environ.get(ENV_KEY, ""), model=model)
 
     def complete(self, prompt: str) -> str:
         payload = {"model": self.model,

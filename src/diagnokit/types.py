@@ -7,12 +7,15 @@ genes and the metadata of all samples are each one record of arrays
 ``_check_unique`` finds a repeated ID, of a record or a table's lines, and
 every join of inputs by ID, one to one or not, goes through ``_positions``:
 a missing ID is one ``ValidationError`` in one wording, naming up to five.
+Every ID-keyed array of a record goes through ``_array``, the one check of
+unique IDs, a shape that matches them and finite values, each error naming
+what failed; a record checks only the rules that are its own. Every
+``take`` only reorders a checked record, so checks nothing again.
 A covariance is positive definite when it has a finite Cholesky factor
 (``_factor``); ``GenePriors`` takes each prior's factor once and keeps it.
 """
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +53,12 @@ def _check_unique(ids, what: str, lines=None) -> None:
                      line=lines[i])
 
 
+def _first_five(keys: list) -> str:
+    """Up to five of ``keys``, and how many more there are."""
+    more = f" and {len(keys) - 5} more" if len(keys) > 5 else ""
+    return f"{', '.join(map(repr, keys[:5]))}{more}"
+
+
 def _positions(axis, keys, what: str, keys_what: str | None = None) -> np.ndarray:
     """The position in ``axis`` of each of ``keys``. A key not in ``axis``
     raises a ``ValidationError`` naming ``what`` (the axis) and up to five
@@ -59,26 +68,48 @@ def _positions(axis, keys, what: str, keys_what: str | None = None) -> np.ndarra
     pos = np.fromiter((index.get(k, -1) for k in keys), dtype=np.intp, count=len(keys))
     if (pos < 0).any():
         missing = list(dict.fromkeys(k for k, p in zip(keys, pos) if p < 0))
-        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
-        raise ValidationError(f"missing from {what}: "
-                              f"{', '.join(map(repr, missing[:5]))}{more}")
+        raise ValidationError(f"missing from {what}: {_first_five(missing)}")
     if keys_what is not None:
         _positions(keys, axis, keys_what)
     return pos
 
 
+def _reject_first(ids: list[str], bad: np.ndarray, message: str, values=None) -> None:
+    """Raise ``message``, formatted with the first flagged ID and its value."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(message.format(ids[i], None if values is None else values[i]))
+
+
+def _array(values, *axes: tuple) -> np.ndarray:
+    """``values`` frozen, given one ``(ids, what)`` per dimension (``ids`` None:
+    any length): the one check of an ID-keyed array. The IDs are unique and as
+    many as the dimension is long; a value that is not finite names its row's ID."""
+    for ids, what in axes:
+        if ids is not None:
+            _check_unique(ids, what)
+    v = _freeze(values)
+    if v.ndim != len(axes) or any(ids is not None and n != len(ids)
+                                  for n, (ids, _) in zip(v.shape, axes)):
+        raise ValidationError(f"values of shape {v.shape} do not match " + ", ".join(
+            f"any number of {w}s" if ids is None else f"{len(ids)} {w}s" for ids, w in axes))
+    _reject_first(axes[0][0], ~np.isfinite(v).all(axis=tuple(range(1, v.ndim))),
+                  f"non-finite value for {axes[0][1]} {{!r}}")
+    return v
+
+
 def _factor(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """chol of each matrix of a (G, C, C) stack, and where it is finite: the one
     positive-definiteness test. Only when the batched call raises is each
-    matrix factored alone, left NaN where it fails; non-finite input gives
-    NaN or inf without raising."""
+    half of the stack factored alone, down to one matrix left NaN where it
+    fails, so k failures cost O(k log G) calls; non-finite input gives NaN or
+    inf without raising."""
     try:
         chol = np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
-        chol = np.full(stack.shape, np.nan)
-        for i, s in enumerate(stack):
-            with suppress(np.linalg.LinAlgError):
-                chol[i] = np.linalg.cholesky(s)
+        half = len(stack) // 2
+        chol = (np.concatenate([_factor(stack[:half])[0], _factor(stack[half:])[0]])
+                if half else np.full(stack.shape, np.nan))
     return chol, np.isfinite(chol).all(axis=(1, 2))
 
 
@@ -101,16 +132,8 @@ class BulkMatrix:
     def __post_init__(self):
         if len(self.genes) < 1 or len(self.samples) < 1:
             raise ValidationError("BulkMatrix requires at least one gene and one sample")
-        _check_unique(self.genes, "gene ID")
-        _check_unique(self.samples, "sample ID")
-        v = _freeze(self.values)
-        if v.shape != (len(self.genes), len(self.samples)):
-            raise ValidationError(
-                f"values shape {v.shape} does not match {len(self.genes)}x{len(self.samples)}"
-            )
-        if not np.isfinite(v).all():
-            raise ValidationError("BulkMatrix contains non-finite values")
-        object.__setattr__(self, "values", v)
+        _set(self, values=_array(self.values, (self.genes, "gene ID"),
+                                 (self.samples, "sample ID")))
 
     @property
     def n_genes(self) -> int:
@@ -132,19 +155,12 @@ class CtsTensor:
     variance: np.ndarray
 
     def __post_init__(self):
-        _check_unique(self.genes, "gene ID")
-        _check_unique(self.cell_types, "cell type")
-        _check_unique(self.samples, "sample ID")
-        shape = (len(self.genes), len(self.cell_types), len(self.samples))
-        m = _freeze(self.mean)
-        v = _freeze(self.variance)
-        if m.shape != shape or v.shape != shape:
-            raise ValidationError(f"tensor shapes {m.shape}/{v.shape} do not match axes {shape}")
-        if not (np.isfinite(m).all() and np.isfinite(v).all()):
-            raise ValidationError("CtsTensor contains non-finite values")
-        if (v < 0).any():
-            raise ValidationError("CtsTensor variance must be non-negative")
-        _set(self, mean=m, variance=v)
+        axes = ((self.genes, "gene ID"), (self.cell_types, "cell type"),
+                (self.samples, "sample ID"))
+        mean, variance = _array(self.mean, *axes), _array(self.variance, *axes)
+        _reject_first(self.genes, (variance < 0).any(axis=(1, 2)),
+                      "negative variance for gene ID {!r}")
+        _set(self, mean=mean, variance=variance)
 
 
 @dataclass(frozen=True)
@@ -164,16 +180,14 @@ class GenePriors:
 
     def __post_init__(self):
         genes = list(self.genes)
-        _check_unique(genes, "gene ID")
-        mu = _freeze(self.mu)
-        sigma = _freeze(self.sigma)
-        noise_var = _freeze(self.noise_var)
-        G, C = len(genes), (mu.shape[1] if mu.ndim == 2 else 0)
-        if mu.shape != (G, C) or C < 1 or sigma.shape != (G, C, C) or noise_var.shape != (G,):
-            raise ValidationError(f"prior shapes {mu.shape}/{sigma.shape}/{noise_var.shape} "
-                                  f"inconsistent for {G} genes")
-        finite = np.isfinite(mu).all(axis=1) & np.isfinite(sigma).all(axis=(1, 2))
-        _reject_first(genes, ~finite, "non-finite prior for gene {!r}")
+        axis, cell_types = (genes, "gene ID"), (None, "cell type")
+        mu = _array(self.mu, axis, cell_types)
+        sigma = _array(self.sigma, axis, cell_types, cell_types)
+        noise_var = _array(self.noise_var, axis)
+        C = mu.shape[1]
+        if C < 1 or sigma.shape[1:] != (C, C):
+            raise ValidationError(f"prior shapes {mu.shape}/{sigma.shape} do not match: "
+                                  "sigma must be (G, C, C) for mu (G, C), C >= 1")
         _reject_first(genes, np.abs(sigma - np.swapaxes(sigma, 1, 2)).max(axis=(1, 2)) > 1e-10,
                       "sigma not symmetric for gene {!r}")
         chol = _cholesky(sigma, genes, "sigma not positive definite for gene {!r}")
@@ -191,13 +205,6 @@ class GenePriors:
         return taken
 
 
-def _reject_first(ids: list[str], bad: np.ndarray, message: str, values=None) -> None:
-    """Raise ``message``, formatted with the first flagged ID and its value."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValidationError(message.format(ids[i], None if values is None else values[i]))
-
-
 @dataclass(frozen=True)
 class SampleMetas:
     """Proportions (N, C) over ``cell_types``, ``bulk_cov`` (N, d1) and ``cts_cov``
@@ -213,16 +220,11 @@ class SampleMetas:
 
     def __post_init__(self):
         ids, cell_types = list(self.sample_ids), list(self.cell_types)
-        _check_unique(ids, "sample meta ID")
-        _check_unique(cell_types, "cell type")
-        w, c1, c2 = _freeze(self.proportions), _freeze(self.bulk_cov), _freeze(self.cts_cov)
-        N = len(ids)
-        if (not cell_types or w.shape != (N, len(cell_types)) or (c1.ndim, c2.ndim) != (2, 2)
-                or len(c1) != N or len(c2) != N):
-            raise ValidationError(f"sample meta shapes {w.shape}/{c1.shape}/{c2.shape} "
-                                  f"inconsistent for {N} samples, {len(cell_types)} cell types")
-        _reject_first(ids, ~np.isfinite(np.hstack([w, c1, c2])).all(axis=1) | (w < 0).any(axis=1),
-                      "non-finite value or negative proportion (sample {!r})")
+        rows = (ids, "sample meta ID")
+        w = _array(self.proportions, rows, (cell_types, "cell type"))
+        c1 = _array(self.bulk_cov, rows, (None, "bulk covariate"))
+        c2 = _array(self.cts_cov, rows, (None, "cts covariate"))
+        _reject_first(ids, (w < 0).any(axis=1), "negative proportion (sample {!r})")
         total = w.sum(axis=1)
         _reject_first(ids, np.abs(total - 1.0) > PROPORTION_TOL,
                       "proportions sum to {1:.10g}, outside simplex tolerance (sample {0!r})",
@@ -286,8 +288,8 @@ class PairSelection:
     """Selected (gene, cell type) pairs with provenance and DE scores."""
 
     pairs: frozenset[tuple[str, str]]
-    provenance: dict[str, str] = field(default_factory=dict)  # "gene|cell_type" -> tag
-    scores: dict[str, float] = field(default_factory=dict)
+    provenance: dict[tuple[str, str], str] = field(default_factory=dict)  # pair_key -> tag
+    scores: dict[tuple[str, str], float] = field(default_factory=dict)
 
     VALID_TAGS = ("marker", "stability", "both")
 
@@ -303,5 +305,7 @@ class PairSelection:
         return sorted({g for g, _ in self.pairs})
 
 
-def pair_key(gene: str, cell_type: str) -> str:
-    return f"{gene}|{cell_type}"
+def pair_key(gene: str, cell_type: str) -> tuple[str, str]:
+    """The key of a pair in ``provenance`` and ``scores``: the pair itself, so
+    that no two pairs share one, whatever characters their names hold."""
+    return gene, cell_type

@@ -305,13 +305,13 @@ class TestTrain:
 
 
 @pytest.mark.parametrize("change,message", [
-    ({"values": np.ones((2, 3))}, r"shape \(2, 3\) do not match 2 sample IDs, 2 names"),
-    ({"tags": ("cts",)}, "2 names and 1 tags"),
+    ({"values": np.ones((2, 3))}, r"shape \(2, 3\) do not match 2 sample IDs, 2 feature names"),
+    ({"tags": ("cts",)}, "1 feature tags for 2 feature names"),
     ({"sample_ids": ("s0",)}, "do not match 1 sample IDs"),
     ({"names": ("a", "a")}, "duplicate feature name 'a'"),
     ({"sample_ids": ("s0", "s0")}, "duplicate sample ID 's0'"),
     ({"tags": ("cts", "gwas")}, r"unknown feature tags: \['gwas'\]"),
-    ({"values": np.array([[1.0, 2.0], [np.nan, 3.0]])}, "feature values must be finite"),
+    ({"values": np.array([[1.0, 2.0], [np.nan, 3.0]])}, "non-finite value for sample ID 's1'"),
 ], ids=["values_shape", "tags_length", "ids_length", "duplicate_name", "duplicate_id",
         "unknown_tag", "non_finite"])
 def test_dataset_rejects(change, message):

@@ -256,14 +256,17 @@ def test_diverge_scores_ood_on_the_kept_features_only(tmp_path, capsys):
 
 class _ChatHandler(BaseHTTPRequestHandler):
     """Answers every POST with a completion that names the fixture's features,
-    gives one recommendation and decides AD."""
+    gives one recommendation and decides AD; keeps each request's body and
+    Authorization header."""
 
     seen: list = []
+    auth: list = []
     content = ("cts:gA|ct1, beta:gA, se:gA, pval:gA and cov:age drove the call.\n"
                "- Confirm with clinical testing.\nDECISION: AD\n")
 
     def do_POST(self):
         self.seen.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+        self.auth.append(self.headers.get("Authorization"))
         reply = json.dumps({"choices": [{"message": {"content": self.content}}]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -279,7 +282,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
 def chat_server(monkeypatch):
     """A local chat server, with DIAGNO_LLM_URL pointing at it."""
     server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
-    _ChatHandler.seen = []
+    _ChatHandler.seen, _ChatHandler.auth = [], []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     monkeypatch.setenv("DIAGNO_LLM_URL", f"http://127.0.0.1:{server.server_port}/v1")
@@ -291,7 +294,9 @@ def chat_server(monkeypatch):
     assert not thread.is_alive()
 
 
-def test_report_and_diverge_ask_the_llm(model_dir, dataset_path, tmp_path, chat_server):
+def test_report_and_diverge_ask_the_llm(model_dir, dataset_path, tmp_path, chat_server,
+                                        monkeypatch):
+    monkeypatch.setenv("DIAGNO_LLM_KEY", "secret")
     cfg = tmp_path / "llm.json"
     cfg.write_text(json.dumps({"model": "test-model"}))
     common = ["--checkpoint", str(model_dir / "model.json"), "--dataset", str(dataset_path),
@@ -315,6 +320,7 @@ def test_report_and_diverge_ask_the_llm(model_dir, dataset_path, tmp_path, chat_
     assert conflict["llm_accuracy"] == 1.0  # every case there is labelled AD
     assert all(r["llm_accuracy"] is not None for r in reports)
     assert {body["model"] for body in _ChatHandler.seen} == {"test-model"}
+    assert _ChatHandler.auth == ["Bearer secret"] * len(_ChatHandler.seen)
 
 
 @pytest.mark.parametrize("command,extra,data_file", [
@@ -712,6 +718,28 @@ def test_select_genes_warns_when_it_selects_no_pair(small_sim, tmp_path, capsys)
     assert err.startswith("warning: no (gene, cell type) pair was selected")
     assert "at most 12 cells gets exact rank-sum p-values" in err
     assert "fdr_threshold" in err
+
+
+@pytest.mark.parametrize("markers", [
+    {"gNOPE": ["ct1"], "g0000": ["ct9"]},
+    {f"gNOPE{i}": ["ct1"] for i in range(7)},
+], ids=["two", "seven"])
+def test_select_genes_warns_of_markers_the_reference_lacks(sim_dir, selection_path, tmp_path,
+                                                           capsys, markers):
+    """Unknown markers are dropped, as before, and one warning names up to
+    five of them; the selection is what no marker list gives."""
+    path = tmp_path / "markers.json"
+    path.write_text(json.dumps(markers))
+    capsys.readouterr()
+    assert main(["select-genes", "--ref", str(sim_dir / "reference.tsv"),
+                 "--labels", str(sim_dir / "reference_labels.json"),
+                 "--markers", str(path), "--out", str(tmp_path / "sel")]) == 0
+    pairs = sorted((g, c) for g, cts in markers.items() for c in cts)
+    more = f" and {len(pairs) - 5} more" if len(pairs) > 5 else ""
+    assert capsys.readouterr().err == (
+        "warning: dropped the markers that name a gene or cell type the reference lacks: "
+        f"{', '.join(map(repr, pairs[:5]))}{more}\n")
+    assert (tmp_path / "sel" / "selection.json").read_bytes() == selection_path.read_bytes()
 
 
 def test_deconvolve_warns_when_no_selected_pair_was_sampled(small_sim, tmp_path, capsys):
@@ -1297,6 +1325,18 @@ def test_eval_joins_estimate_to_truth_by_key(sim_dir, eval_dirs, tmp_path_factor
                  str(sim_dir / "truth.tsv"), "--out", str(root / "out")]) == 0
     assert ((root / "out" / "recovery.json").read_bytes()
             == (eval_dirs / "out" / "recovery.json").read_bytes())
+
+
+def test_eval_rejects_a_negative_variance_naming_its_gene(sim_dir, eval_dirs, tmp_path, capsys):
+    (tmp_path / "est_mean.tsv").write_bytes((eval_dirs / "est_mean.tsv").read_bytes())
+    header, *rows = (eval_dirs / "est_variance.tsv").read_text().splitlines()
+    gene, cell_type, sample, _ = rows[-2].split("\t")
+    rows[-2] = "\t".join([gene, cell_type, sample, "-0.25"])
+    (tmp_path / "est_variance.tsv").write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--estimate", str(tmp_path / "est.tsv"), "--truth",
+                 str(sim_dir / "truth.tsv"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: negative variance for gene ID {gene!r}\n"
 
 
 @pytest.mark.parametrize("change", ["dropped", "foreign", "extra"])

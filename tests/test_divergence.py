@@ -129,7 +129,8 @@ def test_builders_reject_mixed_feature_names(builder):
     # a Dataset holds one set of names for all its rows, so the builders can
     # no longer meet mixed names; names that do not match the columns are
     # refused when the Dataset is built
-    with pytest.raises(ValidationError, match=r"\(2, 4\) do not match 2 sample IDs, 5 names"):
+    with pytest.raises(ValidationError,
+                       match=r"\(2, 4\) do not match 2 sample IDs, 5 feature names"):
         feats = Dataset(values=np.array([_fv(1.0, -0.1), _fv(1.0, -0.2)]),
                         names=NAMES + ("cov:age",), tags=TAGS + ("covariate",),
                         sample_ids=("a", "b"))

@@ -12,6 +12,7 @@ from diagnokit.geneselect import (benjamini_hochberg, load_marker_list,
                                   load_selection, save_selection,
                                   select_pairs, stability_scores)
 from diagnokit.reference import ReferenceDataset
+from diagnokit.types import pair_key
 
 from oracles import log2_fold_change, wilcoxon_rank_sum
 
@@ -103,7 +104,7 @@ def test_planted_signal_recovered_exactly():
     sel = select_pairs(ref, markers=set())
     assert sel.pairs == frozenset(truth)
     for pair in sel.pairs:
-        key = f"{pair[0]}|{pair[1]}"
+        key = pair_key(*pair)
         assert sel.provenance[key] == "stability"
         assert sel.scores[key] > 0
 
@@ -114,7 +115,29 @@ def test_markers_always_survive():
     sel = select_pairs(ref, markers=markers)
     assert ("g039", "ct3") in sel.pairs          # kept despite no DE signal
     assert ("unknown_gene", "ct1") not in sel.pairs  # filtered: not in reference
-    assert sel.provenance["g039|ct3"] == "marker"
+    assert sel.provenance[pair_key("g039", "ct3")] == "marker"
+
+
+def test_pairs_whose_names_hold_a_bar_keep_their_own_keys(tmp_path):
+    """('a|b', 'c') and ('a', 'b|c') are two pairs with two provenances and
+    two scores, in the selection and in selection.json."""
+    rng = np.random.default_rng(0)
+    values = rng.normal(5.0, 0.2, (2, 40))
+    values[0, :20] += 3.0  # 'a|b' up in 'c'
+    values[1, 20:] += 1.5  # 'a' up in 'b|c', by less
+    ref = ReferenceDataset(genes=["a|b", "a"], cells=[f"k{i}" for i in range(40)],
+                           cell_type_labels=["c"] * 20 + ["b|c"] * 20, values=values)
+    sel = select_pairs(ref, {("a|b", "c")})
+    assert len(sel.pairs) == len(sel.provenance) == len(sel.scores) == 4
+    assert sel.provenance[pair_key("a|b", "c")] == "both"
+    assert sel.provenance[pair_key("a", "b|c")] == "stability"
+    assert sel.scores[pair_key("a|b", "c")] > 1.5 * sel.scores[pair_key("a", "b|c")]
+    save_selection(sel, tmp_path / "selection.json")
+    records = {(r["gene"], r["cell_type"]): r
+               for r in json.loads((tmp_path / "selection.json").read_text())}
+    assert records["a|b", "c"]["provenance"] == "both"
+    assert records["a|b", "c"]["score"] == sel.scores[pair_key("a|b", "c")]
+    assert load_selection(tmp_path / "selection.json") == sel
 
 
 def test_stability_scores_monotone_in_fdr():

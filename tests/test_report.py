@@ -387,16 +387,6 @@ def test_load_knowledge(tmp_path):
         load_knowledge(path)
 
 
-def test_client_from_env(monkeypatch):
-    monkeypatch.delenv("DIAGNO_LLM_URL", raising=False)
-    with pytest.raises(ValidationError, match="DIAGNO_LLM_URL"):
-        LlmClient.from_env()
-    monkeypatch.setenv("DIAGNO_LLM_URL", "http://example.test")
-    monkeypatch.setenv("DIAGNO_LLM_KEY", "secret")
-    client = LlmClient.from_env()
-    assert client.url == "http://example.test"
-    assert client.api_key == "secret"
-
 
 @pytest.mark.parametrize("body", [{}, {"choices": []}, {"choices": [{"text": "DECISION: AD"}]},
                                   ["DECISION: AD"]])

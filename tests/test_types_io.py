@@ -1,16 +1,20 @@
 """Domain-type validation and lossless file round-trips."""
 from __future__ import annotations
 
+from contextlib import suppress
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagnokit.classifier import Dataset
 from diagnokit.errors import ParseError, ValidationError
 from diagnokit.io import (load_bulk_matrix, load_cts_tensor, load_sample_meta,
                           save_bulk_matrix, save_cts_tensor, save_sample_meta)
+from diagnokit.reference import ReferenceDataset
 from diagnokit.types import (BulkMatrix, CtsTensor, GenePriors, PairSelection,
-                             RefinementConfig, SampleMetas, pair_key)
+                             RefinementConfig, SampleMetas, _factor, pair_key)
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
                           min_value=-1e12, max_value=1e12)
@@ -76,7 +80,7 @@ class TestSampleMeta:
     def test_rejects_non_finite_covariate_naming_the_sample(self):
         cov = np.zeros((2, 1))
         cov[1, 0] = np.inf
-        with pytest.raises(ValidationError, match=r"non-finite value .*\(sample 's1'\)"):
+        with pytest.raises(ValidationError, match="non-finite value for sample meta ID 's1'"):
             _metas([[1.0], [1.0]], cts_cov=cov)
 
     def test_take_reorders_without_a_second_division(self):
@@ -149,6 +153,112 @@ class TestGenePrior:
         picked = priors.take(["d", "b", "c"])
         assert picked.chol.tobytes() == np.linalg.cholesky(picked.sigma).tobytes()
         assert not picked.chol.flags.writeable
+
+
+# each record's array under test: (record, its first-axis ID field, what the
+# IDs are, the array's field, valid fields for the three IDs x0, x1, x2)
+_ARRAYS = {
+    "bulk": (BulkMatrix, "genes", "gene ID", "values",
+             dict(samples=["s0", "s1"], values=np.ones((3, 2)))),
+    "tensor_mean": (CtsTensor, "genes", "gene ID", "mean",
+                    dict(cell_types=["c"], samples=["s0", "s1"], mean=np.ones((3, 1, 2)),
+                         variance=np.ones((3, 1, 2)))),
+    "tensor_variance": (CtsTensor, "genes", "gene ID", "variance",
+                        dict(cell_types=["c"], samples=["s0", "s1"], mean=np.ones((3, 1, 2)),
+                             variance=np.ones((3, 1, 2)))),
+    "reference": (ReferenceDataset, "genes", "gene ID", "values",
+                  dict(cells=["c0", "c1", "c2", "c3"], cell_type_labels=["a", "a", "b", "b"],
+                       values=np.ones((3, 4)))),
+    "dataset": (Dataset, "sample_ids", "sample ID", "values",
+                dict(names=("f", "h"), tags=("cts", "covariate"), values=np.ones((3, 2)))),
+    **{f"priors_{name}": (GenePriors, "genes", "gene ID", name,
+                          dict(mu=np.zeros((3, 2)), sigma=np.stack([np.eye(2)] * 3),
+                               noise_var=np.ones(3)))
+       for name in ("mu", "sigma", "noise_var")},
+    **{f"metas_{name}": (SampleMetas, "sample_ids", "sample meta ID", name,
+                         dict(cell_types=["c1", "c2"], proportions=np.full((3, 2), 0.5),
+                              bulk_cov=np.zeros((3, 1)), cts_cov=np.ones((3, 2))))
+       for name in ("proportions", "bulk_cov", "cts_cov")},
+}
+
+
+@pytest.mark.parametrize("case", list(_ARRAYS))
+def test_every_record_checks_its_arrays_in_one_wording(case):
+    """A non-finite value names its row's ID, a repeated ID is refused, and
+    so is a shape that does not match the IDs: the same three checks and
+    wordings for every array of every record."""
+    cls, id_field, what, array, fields = _ARRAYS[case]
+    ids, good = ["x0", "x1", "x2"], fields[array]
+
+    def build(ids, values):
+        return cls(**{**fields, id_field: ids, array: values})
+
+    build(ids, good)
+    bad = good.copy()
+    bad.reshape(3, -1)[1, -1] = np.nan  # the last value of row 2
+    with pytest.raises(ValidationError, match=f"^non-finite value for {what} 'x1'$"):
+        build(ids, bad)
+    with pytest.raises(ValidationError, match=f"^duplicate {what} 'x0'$"):
+        build(["x0", "x1", "x0"], good)
+    with pytest.raises(ValidationError,
+                       match=rf"^values of shape \(4[,)].* do not match 3 {what}s"):
+        build(ids, np.concatenate([good, good[:1]]))
+
+
+def test_take_only_reorders(monkeypatch):
+    """Each ``take`` gives the reordered arrays of a checked record without
+    building, so without checking, a record again."""
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((3, 2, 2))
+    priors = GenePriors(genes=["a", "b", "c"], mu=rng.standard_normal((3, 2)),
+                        sigma=a @ np.swapaxes(a, 1, 2) + np.eye(2), noise_var=np.ones(3))
+    metas = _metas(rng.dirichlet(np.ones(3), 4), bulk_cov=rng.standard_normal((4, 2)),
+                   cts_cov=rng.standard_normal((4, 1)))
+    data = Dataset(values=rng.standard_normal((2, 3)), names=("f", "g", "h"),
+                   tags=("cts", "eqtl_beta", "covariate"), sample_ids=("p", "q"))
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} checked again")
+
+    for cls in (GenePriors, SampleMetas, Dataset):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    picked = priors.take(["c", "a"])
+    for name in ("mu", "sigma", "noise_var", "chol"):
+        assert getattr(picked, name).tobytes() == getattr(priors, name)[[2, 0]].tobytes()
+    rows = [3, 1, 0, 2]
+    taken = metas.take([f"s{i}" for i in rows], ["ct3", "ct1", "ct2"])
+    assert taken.proportions.tobytes() == metas.proportions[np.ix_(rows, [2, 0, 1])].tobytes()
+    assert taken.bulk_cov.tobytes() == metas.bulk_cov[rows].tobytes()
+    assert taken.cts_cov.tobytes() == metas.cts_cov[rows].tobytes()
+    columns = data.take(["h", "f"])
+    assert (columns.names, columns.tags, columns.sample_ids) == (("h", "f"),
+                                                                ("covariate", "cts"), ("p", "q"))
+    assert columns.values.tobytes() == data.values[:, [2, 0]].tobytes()
+    assert not columns.values.flags.writeable
+    with pytest.raises(ValidationError, match="^duplicate feature name 'f'$"):
+        data.take(["f", "h", "f"])
+
+
+@pytest.mark.parametrize("failing", [[700], [0, 1, 2, 511, 512, 1023], list(range(0, 1024, 7))],
+                         ids=["one", "six", "every_seventh"])
+def test_factor_halves_a_failing_stack(monkeypatch, failing):
+    """A stack the batched call cannot factor is factored by halves: one
+    failure among 1,024 matrices costs at most 1 + 2 log2(1024) = 21 calls,
+    and the factors and mask are those of factoring each matrix alone."""
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((1024, 3, 3))
+    stack = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(3)
+    stack[failing] = -np.eye(3)
+    want = np.full(stack.shape, np.nan)
+    for i, s in enumerate(stack):
+        with suppress(np.linalg.LinAlgError):
+            want[i] = np.linalg.cholesky(s)
+    calls, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda s: calls.append(len(s)) or cholesky(s))
+    chol, ok = _factor(stack)
+    assert chol.tobytes() == want.tobytes()
+    assert np.flatnonzero(~ok).tolist() == failing
+    assert len(calls) <= (21 if len(failing) == 1 else 2 * len(failing) * 10 + 1)
 
 
 class TestRefinementConfig:
