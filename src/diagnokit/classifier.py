@@ -18,7 +18,6 @@ space, and maps each row to the raw features once, in blocks of
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .io import _is_number, atomic_write_text, load_json, parse_rows, read_rows, write_rows
+from .io import _is_number, load_json, parse_rows, read_rows, save_json, write_rows
 from .types import CtsTensor, PairSelection, _array, _check_unique, _freeze, _positions, _set
 
 HIDDEN1 = 16
@@ -485,7 +484,7 @@ def save_model(result_or_model, path: str | Path) -> None:
         "feature_names": list(model.feature_names),
         "feature_tags": list(model.feature_tags),
     }
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    save_json(payload, path, sort_keys=False)
 
 
 def load_model(path: str | Path) -> MlpModel:
@@ -529,7 +528,7 @@ def save_dataset(dataset: Dataset, labels, path: str | Path) -> None:
     if not np.isin(y, (0, 1)).all():
         raise ValidationError("labels must be 0 or 1")
     header = [(["sample"], dataset.names, ["label"]), (["#tags"], dataset.tags, ["-"])]
-    write_rows(path, header, dataset.sample_ids, dataset.values,
+    write_rows(path, header, [dataset.sample_ids], dataset.values,
                tails=[str(int(v)) for v in y.tolist()])
 
 

@@ -67,8 +67,7 @@ class RunManifest:
         default_factory=lambda: {"read_s": 0.0, "compute_s": 0.0, "write_s": 0.0})
 
     def write(self, out_dir: Path) -> None:
-        atomic_write_text(out_dir / "manifest.json",
-                          json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        save_json(asdict(self), out_dir / "manifest.json")
 
 
 def _kinds(cls) -> dict[str, str]:
@@ -251,7 +250,7 @@ def cmd_attribute(args, out: Path, config: dict, manifest: RunManifest) -> list[
         attrs = integrated_gradients(model, dataset.values)
     with _stage(manifest, "write_s"):
         write_rows(out / "attributions.tsv", [(["sample"], model.feature_names, [])],
-                   dataset.sample_ids, attrs)
+                   [dataset.sample_ids], attrs)
     return [out / "attributions.tsv"]
 
 

@@ -9,7 +9,6 @@ report prompts; offline runs omit the LLM column.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .classifier import Dataset, MlpModel, _probability
 from .errors import ValidationError
-from .io import atomic_write_text
+from .io import save_json
 from .report import (DECISION_THRESHOLD, LlmClient, build_prompt, parse_llm_decision,
                      prompt_input)
 
@@ -148,7 +147,7 @@ def run_divergence(model: MlpModel, dataset: Dataset, labels,
 def save_reports(reports: list[DivergenceReport], path: str | Path) -> None:
     # vars, not asdict: asdict would deep-copy every case's feature dict
     payload = [vars(r) for r in reports]
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    save_json(payload, path, sort_keys=False)
 
 
 def reports_markdown(reports: list[DivergenceReport]) -> str:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .io import _is_number, atomic_write_text, load_json
+from .io import _is_number, load_json, save_json
 from .reference import ReferenceDataset
 from .types import PairSelection, pair_key
 
@@ -209,7 +209,7 @@ def save_selection(selection: PairSelection, path: str | Path) -> None:
                 "provenance": selection.provenance[pair_key(g, c)],
                 "score": selection.scores[pair_key(g, c)]}
                for g, c in sorted(selection.pairs)]
-    atomic_write_text(path, json.dumps(records, indent=2) + "\n")
+    save_json(records, path, sort_keys=False)
 
 
 def load_selection(path: str | Path) -> PairSelection:

@@ -19,12 +19,15 @@ break, and no value may be other than finite: the writers raise
 Every TSV format (these and the classifier dataset) goes through one
 reader, ``read_rows`` + ``parse_rows``, and one writer, ``write_rows``; the
 eQTL table in ``tests/oracles.py`` is a test fixture that no command reads.
-Both work on the whole file at once: the reader parses the values of all
-rows with one ``np.loadtxt`` when rows hold many values, and otherwise with
-one tab count per row, one split of the whole body and one float parse; the
-writer calls ``repr`` once per distinct value when values
-repeat down a column (a prior written for every sample, a constant
-feature), else once per value. Readers accept any line end and skip empty
+The writer checks every name and value first, then formats and writes the
+rows a block at a time (``TSV_BLOCK_ROWS`` rows, or the rows of one slab of
+the first key axis, such as a few genes of a tensor), so its memory is
+bounded by a block, not by the file; it calls ``repr`` once per run of equal
+values down a column (a prior written for every sample, a constant
+feature), else once per value. The reader works on the whole file at once:
+it parses the values of all rows with one ``np.loadtxt`` when rows hold many
+values, and otherwise with one tab count per row, one split of the whole
+body and one float parse. Readers accept any line end and skip empty
 lines; a malformed row, or a row with a value that is not finite, raises
 ``ParseError`` with its line number, and a repeated ID (a matrix's gene row
 or column name, a tensor entry, a dataset's sample or feature name) with
@@ -32,10 +35,15 @@ its line and the first one's, from ``types._check_unique``.
 
 A tensor file in grid order, the row order ``save_cts_tensor`` writes and
 so what ``simulate`` and ``deconvolve`` write, is read from its bytes
-without a string per row (``_read_grid``), its values parsed as one line of
-samples per (gene, cell type). Any other order, line end or byte goes to
-the keyed reader, which gives the same arrays and is the only one that
-raises.
+without a string per row (``_read_grid``), a block of genes at a time, its
+values parsed as one line of samples per (gene, cell type): beyond the
+file's bytes and the arrays read, its memory is bounded by a block. Any
+other order, line end or byte goes to the keyed reader, which gives the
+same arrays and is the only one that raises. ``save_cts_tensor`` checks the
+mean and the variance before it creates either file.
+
+JSON files are written by ``save_json``: indented, keys sorted except
+where their order is the record's layout.
 """
 from __future__ import annotations
 
@@ -46,8 +54,8 @@ import os
 import tempfile
 import warnings
 from collections import Counter
-from collections.abc import Sequence
-from itertools import repeat
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NoReturn
 
@@ -55,17 +63,18 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .reference import ReferenceDataset
-from .types import BulkMatrix, CtsTensor, SampleMetas, _check_unique, _positions, _reject_first
+from .types import BulkMatrix, CtsTensor, SampleMetas, _check_unique, _positions
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or its chunks one after another, via a temp file in the
+    same directory, then rename; a chunk that raises leaves no file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -73,73 +82,103 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+# rows formatted and written, or scanned and parsed, at a time: a block of a
+# file's text stays small however long the file is
+TSV_BLOCK_ROWS = 8192
 # np.loadtxt reads these as whitespace; float() rejects them
 _LOADTXT_SPACE = "\x1c\x1d\x1e\x1f"
 # every character at which str.splitlines ends a line
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+_FIELD_BREAKS = "\t" + _LINE_BREAKS
 
 
-def _check_fields(fields: Sequence[str], what: str, tabs: int = 0) -> None:
+def _check_fields(fields: Sequence[str], what: str) -> None:
     """Raise ``ValidationError`` naming the first of ``fields`` that holds a
-    line break or other than ``tabs`` tabs: written, it would split its line
-    or shift the fields of its row.
+    tab or a line break: written, it would shift the fields of its row or
+    split its line. One scan covers all fields."""
+    def bad(field: str) -> bool:
+        return any(map(field.__contains__, _FIELD_BREAKS))
 
-    One scan covers all fields, so keys of several fields are checked by
-    their tab count in all; their writer checks the names they are made of.
-    """
-    joined = "".join(fields)
-    if (joined.count("\t") == tabs * len(fields)
-            and not any(map(joined.__contains__, _LINE_BREAKS))):
-        return
-    for field in fields:
-        if field.count("\t") != tabs or any(map(field.__contains__, _LINE_BREAKS)):
-            raise ValidationError(f"{what} {field!r} holds a tab or a line break")
+    if bad("".join(fields)):
+        raise ValidationError(f"{what} {next(filter(bad, fields))!r} holds a tab or a line break")
 
 
 def _format_values(values: np.ndarray) -> list[str]:
     """``repr`` of every value of the 2-D ``values``, in row-major order.
 
-    When some value equals the one above it in its column, each distinct bit
-    pattern is formatted once and the strings are gathered by index: bits,
-    not values, so ``-0.0`` stays apart from ``0.0``. A block with no such
-    repeat is formatted value by value.
+    A value whose bits equal those of the value above it in its column takes
+    that value's string: each run of equal bits down a column (a constant
+    feature, a prior written for every sample) is formatted once. Bits, not
+    values, so ``-0.0`` stays apart from ``0.0``.
     """
     bits = values.view(np.int64)
-    if not (bits[1:] == bits[:-1]).any():
+    repeat = bits[1:] == bits[:-1]
+    if not repeat.any():
         return list(map(repr, values.ravel().tolist()))
-    distinct, index = np.unique(bits.ravel(), return_inverse=True)
-    cells = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    return cells[index].tolist()
+    fresh = np.ones(values.shape, dtype=bool)
+    fresh[1:] = ~repeat
+    cells = np.array(list(map(repr, values[fresh].tolist())), dtype=object)
+    # a fresh value's index among the fresh ones rises down its column, so
+    # the running maximum carries it down the run it starts
+    index = np.where(fresh, np.cumsum(fresh).reshape(values.shape) - 1, 0)
+    return cells[np.maximum.accumulate(index, axis=0).ravel()].tolist()
 
 
-def write_rows(path: str | Path, header, keys, values, tails=None) -> None:
-    """Write ``header``, then one ``key<TAB>v1<TAB>...<TAB>vk`` line per row of
-    the 2-D ``values``, each value as ``repr``; ``tails[i]``, when given, ends
+def _row_chunks(header, axes, values, tails=None) -> Iterator[str]:
+    """The text of a TSV file, checked now and made in chunks as it is read:
+    ``header``, then one ``key<TAB>v1<TAB>...<TAB>vk`` line per row of the
+    2-D ``values``, each value as ``repr``; ``tails[i]``, when given, ends
     row i after one more tab.
 
-    ``header`` holds one ``(key names, value names, tail names)`` triple per
-    line, laid out like the rows: each key is as many fields as the first
-    line has key names; no value names, like no values, add no field. A
-    name or key that holds a line break, or a tab of its own, raises
-    ``ValidationError`` before the file is created, and so does a value that
-    is not finite, naming its row's key. Values are formatted by
-    ``_format_values``: once per distinct value when a column repeats them.
+    The rows are keyed by the grid of ``axes``, one list of names per key
+    field, in ``_grid_keys`` order. ``header`` holds one ``(key names, value
+    names, tail names)`` triple per line, laid out like the rows; no value
+    names, like no values, add no field. A name that holds a tab or a line
+    break raises ``ValidationError``, and so does a value that is not finite,
+    naming its row's key. A chunk holds the rows of as many names of the
+    first axis as fill ``TSV_BLOCK_ROWS`` rows (one name at least), so no
+    string of all rows or of all keys is built.
     """
     values = np.asarray(values, dtype=np.float64)
-    n, k = values.shape
     for line in header:
         _check_fields([name for group in line for name in group], "header field")
     key_names = header[0][0]
-    _check_fields(keys, key_names[0], tabs=len(key_names) - 1)
-    _reject_first(keys, ~np.isfinite(values).all(axis=1),
-                  f"non-finite value in the row of {'/'.join(key_names)} {{!r}}")
-    cells = _format_values(values)
-    if k != 1:
-        cells = ["\t".join(cells[i * k:(i + 1) * k]) for i in range(n)]
-    columns = [c for c in (keys, cells if k else None, tails) if c is not None]
-    lines = ["\t".join([*names, *value_names, *tail_names])
-             for names, value_names, tail_names in header]
-    atomic_write_text(path, "\n".join([*lines, *map("\t".join, zip(*columns))]) + "\n")
+    for name, axis in zip(key_names, axes):
+        _check_fields(axis, name)
+    # NaN carries through min and max: no array the size of ``values`` unless one is bad
+    if values.size and not np.isfinite([values.min(), values.max()]).all():
+        bad = ~np.isfinite(values).all(axis=1)
+        first = np.unravel_index(int(np.argmax(bad)), [len(axis) for axis in axes])
+        key = "\t".join(axis[i] for axis, i in zip(axes, first))
+        raise ValidationError(f"non-finite value in the row of {'/'.join(key_names)} {key!r}")
+    lead, *rest = axes
+    per_lead = math.prod(map(len, rest))
+    slab = max(1, TSV_BLOCK_ROWS // max(per_lead, 1))
+    k = values.shape[1]
+
+    def block(start: int) -> str:
+        rows = slice(start * per_lead, (start + slab) * per_lead)
+        keys = _grid_keys([lead[start:start + slab], *rest], "\n").split("\n")[:-1]
+        cells = _format_values(values[rows])
+        if k != 1:
+            cells = ["\t".join(cells[i * k:(i + 1) * k]) for i in range(len(keys))]
+        fields = []
+        for column in (keys, cells if k else None, None if tails is None else tails[rows]):
+            if column is not None:
+                fields += [column, repeat("\t")]
+        fields[-1] = repeat("\n")
+        # no string per row: the chunk is joined from the fields and separators
+        return "".join(chain.from_iterable(zip(*fields)))
+
+    head = "".join("\t".join([*names, *value_names, *tail_names]) + "\n"
+                   for names, value_names, tail_names in header)
+    return chain([head], map(block, range(0, len(lead), slab)))
+
+
+def write_rows(path: str | Path, header, axes, values, tails=None) -> None:
+    """Write the rows of ``_row_chunks`` to ``path``, a block at a time; any
+    name or value it refuses raises before the file is created."""
+    atomic_write_text(path, _row_chunks(header, axes, values, tails))
 
 
 def read_rows(path: str | Path, n_header: int) -> tuple[list[str], list[str], Sequence[int]]:
@@ -233,7 +272,7 @@ def _raise_first_bad(rows, linenos, n_fields: int, n_keys: int) -> NoReturn:
 
 def save_matrix_tsv(genes: list[str], samples: list[str], values: np.ndarray,
                     path: str | Path) -> None:
-    write_rows(path, [(["gene"], samples, [])], genes, values)
+    write_rows(path, [(["gene"], samples, [])], [genes], values)
 
 
 def load_matrix_tsv(path: str | Path) -> tuple[list[str], list[str], np.ndarray]:
@@ -269,19 +308,23 @@ LONG_FIELDS = ("gene", "cell_type", "sample", "value")
 LONG_HEADER = "\t".join(LONG_FIELDS)
 
 
-def _grid_keys(genes: Sequence[str], cell_types: Sequence[str], samples: Sequence[str],
-               end: str) -> str:
-    """Every ``gene<TAB>cell_type<TAB>sample`` key of a long tensor file, each
-    followed by ``end``, in grid order: gene-major, then cell type, then
-    sample. This is the one row order ``save_cts_tensor`` writes and
-    ``_read_grid`` reads."""
-    if not samples:
+def _grid_keys(axes: Sequence[Sequence[str]], end: str) -> str:
+    """Every key of the grid of ``axes``, its names joined by tabs and each
+    key followed by ``end``, in grid order: the first axis outermost, the
+    last innermost. For a tensor file, gene-major, then cell type, then
+    sample: the one row order ``save_cts_tensor`` writes and ``_read_grid``
+    reads."""
+    *outer, inner = axes
+    if not inner:
         return ""
-    prefixes = [f"{g}\t{c}\t" for g in genes for c in cell_types]
-    return "".join([p + (end + p).join(samples) + end for p in prefixes])
+    prefixes = [""]
+    for axis in outer:
+        prefixes = [p + name + "\t" for p in prefixes for name in axis]
+    return "".join([p + (end + p).join(inner) + end for p in prefixes])
 
 
 _GRID_HEAD = (LONG_HEADER + "\n").encode()
+_SCAN_BYTES = 1 << 18  # bytes of a tensor file scanned for tabs and line ends at a time
 _ROW_SEPS = np.array([9, 9, 9, 10], dtype=np.uint8)  # a row's three tabs, then "\n"
 
 
@@ -290,15 +333,17 @@ def _read_grid(path: str | Path, axes: list[list[str]] | None
     """Axes and values of a long tensor file whose rows are exactly the grid
     of its axes, read from the file's bytes; None for any other file.
 
-    The axes are ``axes`` when given, else read from the leading rows, and
-    each must be unique. The file must be the exact header line, then rows
+    The axes are ``axes`` when given, else read from the file, and each must
+    be unique. The file must be the exact header line, then rows
     ``gene<TAB>cell_type<TAB>sample<TAB>value`` of printable ASCII, each
     ended by ``\\n``, keyed in ``_grid_keys`` order. Then it holds each entry
-    once, in array order, and reads as the keyed reader reads it: one scan
-    finds every tab and line end, one comparison checks all keys, and one
-    ``np.loadtxt`` parses all values, given the samples of each (gene, cell
-    type) as one tab-separated line, so that it pays per pair, not per row.
-    Any other file (another order, line end or byte, a blank line, a value
+    once, in array order, and reads as the keyed reader reads it. The file's
+    bytes are kept; the rest of the work is done a block of genes (about
+    ``TSV_BLOCK_ROWS`` rows) at a time: one scan finds the block's tabs and
+    line ends, one comparison checks its keys, and one ``np.loadtxt`` parses
+    its values, given the samples of each (gene, cell type) as one
+    tab-separated line, so that it pays per pair, not per row. Any other
+    file (another order, line end or byte, a blank line, a value
     ``np.loadtxt`` rejects, an empty one included, or a value that is not
     finite) is left to the keyed reader, which also names the line of any
     error; a file in another order is told from a few of its rows, before a
@@ -311,23 +356,30 @@ def _read_grid(path: str | Path, axes: list[list[str]] | None
     if not data.startswith(_GRID_HEAD) or len(data) == len(_GRID_HEAD):
         return None
     off = len(_GRID_HEAD)
-    body = np.frombuffer(data, dtype=np.uint8, offset=off)
-    # no byte outside printable ASCII but the tabs and line ends found below:
-    # no "\r", no other line break, nothing np.loadtxt reads unlike float()
-    if body.max() > 0x7E:
+    body = np.frombuffer(data, dtype=np.uint8)
+    # no byte outside printable ASCII but the tabs and line ends checked per
+    # block: no "\r", no other line break, nothing np.loadtxt reads unlike float()
+    if body[off:].max() > 0x7E:
         return None
-    seps = np.flatnonzero(body < 0x20)
-    if seps.size == 0 or seps.size % 4 or seps[-1] != body.size - 1:
+    windows = range(off, len(data), _SCAN_BYTES)
+    n = sum(int(np.count_nonzero(body[i:i + _SCAN_BYTES] == 10)) for i in windows)
+    if not n:
         return None
-    rows = seps.reshape(-1, 4)
-    if (body[rows] != _ROW_SEPS).any():
-        return None
-    n = len(rows)
+    seps = np.empty(0, dtype=np.intp)  # tabs and line ends from the block's start on
+    scanned = start = off
 
-    def key(i: int) -> tuple[bytes, bytes, bytes]:
-        start = off + (int(rows[i - 1, 3]) + 1 if i else 0)
-        t0, t1, t2 = (rows[i, :3] + off).tolist()
-        return data[start:t0], data[t0 + 1:t1], data[t1 + 1:t2]
+    def key(i: int) -> tuple[bytes | None, ...]:
+        """Row i of the block's key fields, scanning on as far as it needs."""
+        nonlocal seps, scanned
+        while seps.size < 4 * i + 4 and scanned < len(data):
+            window = body[scanned:scanned + _SCAN_BYTES]
+            seps = np.concatenate([seps, np.flatnonzero(window < 0x20) + scanned])
+            scanned += _SCAN_BYTES
+        if seps.size < 4 * i + 4:
+            return None, None, None
+        t0, t1, t2 = seps[4 * i:4 * i + 3].tolist()
+        begin = int(seps[4 * i - 1]) + 1 if i else start
+        return data[begin:t0], data[t0 + 1:t1], data[t1 + 1:t2]
 
     if axes is None:
         g0, c0, s0 = key(0)
@@ -345,38 +397,63 @@ def _read_grid(path: str | Path, axes: list[list[str]] | None
 
         def name(field: int, j: int) -> bytes:
             return axes[field][j].encode()
-    # five rows against the grid's keys: a file in another order is turned
-    # away here, before a key per row is built
+    n_types, n_samples = shape[1:]
+    per_gene = n_types * n_samples
+    slab = max(1, TSV_BLOCK_ROWS // per_gene)
+    first = min(slab * per_gene, n)
+    # five rows of the first block against the grid's keys: a file in
+    # another order is turned away here, before a key per row is built
     if math.prod(shape) != n or any(
             key(i) != tuple(map(name, range(3), np.unravel_index(i, shape)))
-            for i in (0, 1, shape[2], shape[1] * shape[2], n - 1) if i < n):
+            for i in (0, 1, n_samples, per_gene, first - 1) if i < first):
         return None
     if axes is None:
         # a repeated name shortens its axis, and so the key block of its grid
-        axes = [list(dict.fromkeys(name(field, j).decode() for j in range(size)))
-                for field, size in enumerate(shape)]
-    # each row's key runs to its third tab, its value on to its line end
-    in_key = np.repeat(np.tile([True, False], n), np.diff(rows[:, 2:].ravel() + 1, prepend=0))
-    if body[in_key].tobytes() != _grid_keys(*axes, "\t").encode():
+        axes = [None] + [list(dict.fromkeys(name(field, j).decode()
+                                            for j in range(shape[field])))
+                         for field in (1, 2)]
+    out = np.empty((shape[0] * n_types, n_samples))
+    genes: list[str] = []
+    for g in range(0, shape[0], slab):
+        size = min(slab, shape[0] - g) * per_gene
+        if key(size - 1)[0] is None:
+            return None
+        rows = seps[:4 * size].reshape(-1, 4)
+        if (body[rows] != _ROW_SEPS).any():
+            return None
+        block_genes = (list(dict.fromkeys(key(j * per_gene)[0].decode()
+                                          for j in range(size // per_gene)))
+                       if axes[0] is None else axes[0][g:g + slab])
+        # each row's key runs to its third tab, its value on to its line end
+        rel = rows - start
+        in_key = np.repeat(np.tile([True, False], size),
+                           np.diff(rel[:, 2:].ravel() + 1, prepend=0))
+        text = body[start:start + in_key.size]
+        if text[in_key].tobytes() != _grid_keys([block_genes, *axes[1:]], "\t").encode():
+            return None
+        values_text = text[~in_key]  # one "value\n" per row
+        # the samples of each (gene, cell type) as one line: every line end but
+        # each N-th becomes a tab, so np.loadtxt pays per pair, not per value
+        ends = np.cumsum(rel[:, 3] - rel[:, 2]) - 1
+        values_text[ends.reshape(-1, n_samples)[:, :-1]] = 9
+        try:
+            with warnings.catch_warnings():
+                # one sample per pair and every value empty: the keyed reader
+                # names the first bad line
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                values = np.loadtxt(io.BytesIO(values_text.tobytes()), delimiter="\t",
+                                    comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if values.shape != (size // n_samples, n_samples) or not np.isfinite(values).all():
+            return None
+        out[g * n_types:g * n_types + len(values)] = values
+        genes += block_genes
+        seps, start = seps[4 * size:], start + in_key.size
+    if start != len(data) or len(set(genes)) != shape[0]:
         return None
-    np.logical_not(in_key, out=in_key)
-    values_text = body[in_key]  # one "value\n" per row
-    # the samples of each (gene, cell type) as one line: every line end but
-    # each N-th becomes a tab, so np.loadtxt pays per pair, not per value
-    ends = np.cumsum(rows[:, 3] - rows[:, 2]) - 1
-    values_text[ends.reshape(-1, shape[2])[:, :-1]] = 9
-    try:
-        with warnings.catch_warnings():
-            # one sample per pair and every value empty: the keyed reader
-            # names the first bad line
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            values = np.loadtxt(io.BytesIO(values_text.tobytes()), delimiter="\t",
-                                comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (n // shape[2], shape[2]) or not np.isfinite(values).all():
-        return None
-    return axes[0], axes[1], axes[2], values.reshape(shape)
+    return genes, axes[1], axes[2], out.reshape(shape)
 
 
 def _load_long(path: str | Path, axes: list[list[str]] | None = None
@@ -424,17 +501,16 @@ def _load_long(path: str | Path, axes: list[list[str]] | None = None
 
 
 def save_cts_tensor(tensor: CtsTensor, path: str | Path) -> None:
-    """Write mean and variance long-format TSVs; refuses invalid tensors."""
+    """Write mean and variance long-format TSVs, a block of genes at a time;
+    refuses invalid tensors, checking both before either file is created."""
     if not isinstance(tensor, CtsTensor):
         raise ValidationError("save_cts_tensor expects a CtsTensor")
-    axes = tensor.genes, tensor.cell_types, tensor.samples
-    for name, axis in zip(LONG_FIELDS, axes):
-        _check_fields(axis, name)
-    mean_path, var_path = _tensor_paths(path)
-    keys = _grid_keys(*axes, "\n").split("\n")[:-1]
+    axes = [tensor.genes, tensor.cell_types, tensor.samples]
     header = [(LONG_FIELDS[:3], LONG_FIELDS[3:], [])]
-    write_rows(mean_path, header, keys, tensor.mean.reshape(-1, 1))
-    write_rows(var_path, header, keys, tensor.variance.reshape(-1, 1))
+    files = [(p, _row_chunks(header, axes, v.reshape(-1, 1)))
+             for p, v in zip(_tensor_paths(path), (tensor.mean, tensor.variance))]
+    for p, chunks in files:
+        atomic_write_text(p, chunks)
 
 
 def load_cts_tensor(path: str | Path) -> CtsTensor:
@@ -453,7 +529,7 @@ def save_sample_meta(metas: SampleMetas, path: str | Path) -> None:
                 "bulk_cov": c1, "cts_cov": c2}
                for sid, w, c1, c2 in zip(metas.sample_ids, metas.proportions.tolist(),
                                          metas.bulk_cov.tolist(), metas.cts_cov.tolist())]
-    atomic_write_text(path, json.dumps(records, indent=2) + "\n")
+    save_json(records, path, sort_keys=False)
 
 
 def load_sample_meta(path: str | Path) -> SampleMetas:
@@ -506,8 +582,11 @@ def load_reference(path: str | Path, labels_path: str | Path) -> ReferenceDatase
                             cell_type_labels=[labels[c] for c in cells], values=values)
 
 
-def save_json(obj, path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def save_json(obj, path: str | Path, sort_keys: bool = True) -> None:
+    """``obj`` as indented JSON; records whose key order is their layout
+    (a checkpoint, a selection, sample metadata) keep it with ``sort_keys``
+    False."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n")
 
 
 def _is_number(value) -> bool:

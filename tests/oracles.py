@@ -250,10 +250,24 @@ def integrated_gradients_midpoint(model: MlpModel, x: np.ndarray,
     return ig.reshape(raw.shape)
 
 
+def write_rows_whole(path: str | Path, header, keys, values, tails=None) -> None:
+    """Reference for ``io.write_rows``: the whole file built as one string and
+    written at once, each value formatted by ``repr`` on its own; ``keys``
+    holds one key per row, its fields joined by tabs. No checks: the inputs
+    are valid."""
+    values = np.asarray(values, dtype=np.float64)
+    cells = ["\t".join(map(repr, row)) for row in values.tolist()]
+    columns = [c for c in (keys, cells if values.shape[1] else None, tails) if c is not None]
+    lines = ["\t".join([*names, *value_names, *tail_names])
+             for names, value_names, tail_names in header]
+    Path(path).write_text("\n".join([*lines, *map("\t".join, zip(*columns))]) + "\n",
+                          encoding="utf-8")
+
+
 def save_eqtl_table(eqtl: dict[str, tuple[float, float, float]], path: str | Path) -> None:
     """A gene-keyed eQTL table (beta, se, pval) as TSV."""
     genes = sorted(eqtl)
-    write_rows(path, [(["gene"], ["beta", "se", "pval"], [])], genes,
+    write_rows(path, [(["gene"], ["beta", "se", "pval"], [])], [genes],
                np.array([eqtl[g] for g in genes], dtype=np.float64).reshape(-1, 3))
 
 

@@ -8,6 +8,8 @@ bytes.
 from __future__ import annotations
 
 import math
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from diagnokit.io import (_load_long, _read_grid, load_cts_tensor, load_matrix_t
                           write_rows)
 from diagnokit.types import BulkMatrix, CtsTensor
 
-from oracles import save_eqtl_table
+from oracles import save_eqtl_table, write_rows_whole
 
 # ---------------------------------------------------------------- references
 
@@ -648,23 +650,29 @@ def test_bad_value_in_a_pair_goes_to_the_keyed_reader(tmp_path, token, n_samples
     _assert_tensor_agrees(path)
 
 
-def _perturb(text: str, kind: str) -> str:
+def _perturb(text: str, kind: str, at: int = 0) -> str:
+    """One change to the rows of ``text``; a change at one row falls on row
+    ``at`` + 2 to ``at`` + 7 (``at`` negative: counted from the end)."""
     header, *rows = text.split("\n")[:-1]
     if kind == "swap":
-        rows[3], rows[4] = rows[4], rows[3]
+        rows[at + 3], rows[at + 4] = rows[at + 4], rows[at + 3]
     elif kind == "repeat":
-        rows[5] = rows[4]
+        rows[at + 5] = rows[at + 4]
     elif kind == "five_fields":
-        rows[2] += "\t1.0"
+        rows[at + 2] += "\t1.0"
     elif kind in ("1_0", "\x1c", "nan", "inf", "empty_value", "subnormal"):
-        key, _ = rows[6].rsplit("\t", 1)
-        rows[6] = key + "\t" + {"1_0": "1_0", "\x1c": "2.5\x1c", "nan": "nan", "inf": "-inf",
-                                "empty_value": "", "subnormal": "5e-324"}[kind]
+        key, _ = rows[at + 6].rsplit("\t", 1)
+        rows[at + 6] = key + "\t" + {"1_0": "1_0", "\x1c": "2.5\x1c", "nan": "nan",
+                                     "inf": "-inf", "empty_value": "",
+                                     "subnormal": "5e-324"}[kind]
     elif kind in ("same_name", "u2028"):  # every row of sample "s 1" renamed
         new = {"same_name": "s 0", "u2028": "s\u20281"}[kind]
         rows = [row.replace("\ts 1\t", f"\t{new}\t") for row in rows]
     elif kind == "blank":
-        rows.insert(7, "")
+        rows.insert(at + 7, "")
+    elif kind == "same_gene":  # every row of the last gene given the first gene's name
+        first, last = (rows[i].split("\t", 1)[0] + "\t" for i in (0, -1))
+        rows = [first + row[len(last):] if row.startswith(last) else row for row in rows]
     elif kind == "one_line":  # tabs for line ends: one row of 96 fields
         rows = ["\t".join(rows)]
     elif kind == "shuffled":
@@ -676,10 +684,12 @@ def _perturb(text: str, kind: str) -> str:
             + ("x" if kind == "trailing_text" else ""))
 
 
-@pytest.mark.parametrize("kind", ["swap", "crlf", "blank", "no_final_newline", "repeat",
-                                  "five_fields", "1_0", "\x1c", "nan", "inf", "empty_value",
-                                  "subnormal", "same_name", "u2028", "trailing_text",
-                                  "one_line", "shuffled"])
+PERTURBATIONS = ["swap", "crlf", "blank", "no_final_newline", "repeat", "five_fields", "1_0",
+                 "\x1c", "nan", "inf", "empty_value", "subnormal", "same_name", "u2028",
+                 "trailing_text", "one_line", "shuffled"]
+
+
+@pytest.mark.parametrize("kind", PERTURBATIONS)
 def test_perturbed_grid_file_reads_like_loop_reader(tmp_path, kind):
     """One change to a grid-order file: the arrays, or the ParseError line and
     message, are the loop reader's. Only "subnormal" keeps the file in grid
@@ -688,6 +698,39 @@ def test_perturbed_grid_file_reads_like_loop_reader(tmp_path, kind):
     save_cts_tensor(_grid_tensor(), tmp_path / "t.tsv")
     path = tmp_path / "t_mean.tsv"
     path.write_bytes(_perturb(path.read_text(), kind).encode())
+    assert (_read_grid(path, None) is not None) == (kind == "subnormal")
+    _assert_tensor_agrees(path)
+
+
+@pytest.mark.parametrize("c, s", [(1, 1), (1, 3), (3, 4), (1, io.TSV_BLOCK_ROWS + 5)],
+                         ids=["one_per_gene", "three_per_gene", "twelve_per_gene",
+                              "gene_past_a_block"])
+@pytest.mark.parametrize("past", [-1, 0, 1])
+def test_grid_reader_agrees_across_blocks(tmp_path, c, s, past):
+    """A file read a block of genes at a time: with its genes one short of
+    two blocks, exactly two, or one past, the grid reader gives the keyed
+    reader's axes and bits, with the axes read or given."""
+    slab = max(1, io.TSV_BLOCK_ROWS // (c * s))
+    tensor = _grid_tensor((2 * slab + past, c, s))
+    save_cts_tensor(tensor, tmp_path / "t.tsv")
+    path = tmp_path / "t_mean.tsv"
+    for axes in (None, [tensor.genes, tensor.cell_types, tensor.samples]):
+        grid, keyed = _read_grid(path, axes), _keyed(path, axes)
+        assert grid is not None
+        assert grid[:3] == keyed[:3] == (tensor.genes, tensor.cell_types, tensor.samples)
+        assert _same_bits(grid[3], keyed[3]) and _same_bits(grid[3], tensor.mean)
+    _assert_tensor_agrees(path)
+
+
+@pytest.mark.parametrize("kind", [*PERTURBATIONS, "same_gene"])
+def test_perturbed_last_block_reads_like_loop_reader(tmp_path, kind):
+    """The changes above, made in the last of three blocks, or a gene of the
+    last block named as one of the first: only "subnormal" keeps the file in
+    grid order, and every other goes to the keyed reader."""
+    shape = (2 * (io.TSV_BLOCK_ROWS // 12) + 1, 3, 4)
+    save_cts_tensor(_grid_tensor(shape), tmp_path / "t.tsv")
+    path = tmp_path / "t_mean.tsv"
+    path.write_bytes(_perturb(path.read_text(), kind, at=-10).encode())
     assert (_read_grid(path, None) is not None) == (kind == "subnormal")
     _assert_tensor_agrees(path)
 
@@ -761,7 +804,7 @@ def _tensor(genes=("g",), cell_types=("t",), samples=("s",)):
                                     sample_ids=("s\t1",)), [1], d / "d.tsv"),
      "sample 's\\t1'"),
     (lambda d: save_eqtl_table({"g\x85": (0.1, 0.2, 0.3)}, d / "e.tsv"), "gene 'g\\x85'"),
-    (lambda d: write_rows(d / "w.tsv", [(["sample"], ["a", "b\x1e"], [])], ["s"],
+    (lambda d: write_rows(d / "w.tsv", [(["sample"], ["a", "b\x1e"], [])], [["s"]],
                           np.ones((1, 2))), "header field 'b\\x1e'"),
 ], ids=["tensor_gene_tab", "tensor_type_newline", "tensor_sample_u2028", "bulk_gene_newline",
         "bulk_gene_cr", "bulk_sample_tab", "dataset_feature_vt", "dataset_sample_tab",
@@ -790,15 +833,21 @@ def _unchecked(cls, **fields):
                                           samples=["s"], mean=np.array([[[1.0]], [[np.inf]]]),
                                           variance=np.ones((2, 1, 1))), d / "t.tsv"),
      "gene/cell_type/sample 'g1\\tc\\ts'"),
+    # the variance is checked before the mean file is created
+    (lambda d: save_cts_tensor(_unchecked(CtsTensor, genes=["g0", "g1"], cell_types=["c"],
+                                          samples=["s"], mean=np.ones((2, 1, 1)),
+                                          variance=np.array([[[1.0]], [[np.nan]]])),
+                               d / "t.tsv"),
+     "gene/cell_type/sample 'g1\\tc\\ts'"),
     (lambda d: save_dataset(_unchecked(Dataset, values=np.array([[1.0], [-np.inf]]),
                                        names=("f",), tags=("cts",), sample_ids=("s0", "s1")),
                             [0, 1], d / "d.tsv"),
      "sample 's1'"),
     # as ``attribute`` writes attributions.tsv
     (lambda d: write_rows(d / "attributions.tsv", [(["sample"], ["f0", "f1"], [])],
-                          ("s0", "s1"), np.array([[0.0, 1.0], [np.nan, 2.0]])),
+                          [("s0", "s1")], np.array([[0.0, 1.0], [np.nan, 2.0]])),
      "sample 's1'"),
-], ids=["matrix", "tensor", "dataset", "attributions"])
+], ids=["matrix", "tensor", "tensor_variance", "dataset", "attributions"])
 def test_writers_refuse_non_finite_values(tmp_path, write, row):
     """Every TSV reader refuses a value that is not finite, so the writer
     refuses it too, naming the row's key, and creates no file."""
@@ -806,3 +855,70 @@ def test_writers_refuse_non_finite_values(tmp_path, write, row):
         write(tmp_path)
     assert str(err.value) == f"non-finite value in the row of {row}"
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------- blocks
+
+def _block_values(shape, seed=0):
+    """Values drawn half from ``FINITE_POOL``, so that runs repeat down the
+    columns, and half from a normal."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(shape) < 0.5, rng.choice(FINITE_POOL, shape),
+                    rng.normal(size=shape))
+
+
+@pytest.mark.parametrize("kind", ["tensor", "tensor_three_per_gene", "matrix", "dataset"])
+@pytest.mark.parametrize("past", [-1, 0, 3])
+def test_streamed_writer_matches_whole_file_writer(tmp_path, kind, past):
+    """Written a block at a time, every file has the bytes of the whole-file
+    writer, with its rows (for a tensor, its genes) one short of two blocks,
+    exactly two, or a few past."""
+    header = (["gene"], ["s0", "s1", "s2"], [])
+    if kind.startswith("tensor"):
+        per_gene = 3 if kind == "tensor_three_per_gene" else 1
+        g = 2 * (io.TSV_BLOCK_ROWS // per_gene) + past
+        axes = [f"g{i}" for i in range(g)], ["c"], [f"s{i}" for i in range(per_gene)]
+        mean = _block_values((g, 1, per_gene))
+        tensor = CtsTensor(genes=axes[0], cell_types=axes[1], samples=axes[2],
+                           mean=mean, variance=np.abs(mean))
+        save_cts_tensor(tensor, tmp_path / "t.tsv")
+        keys = ["\t".join(key) for key in product(*axes)]
+        for part, values in (("mean", mean), ("variance", np.abs(mean))):
+            write_rows_whole(tmp_path / "want.tsv", [(io.LONG_FIELDS[:3], ["value"], [])], keys,
+                             values.reshape(-1, 1))
+            assert ((tmp_path / f"t_{part}.tsv").read_bytes()
+                    == (tmp_path / "want.tsv").read_bytes())
+        return
+    n = 2 * io.TSV_BLOCK_ROWS + past
+    ids, values = [f"r{i}" for i in range(n)], _block_values((n, 3))
+    if kind == "matrix":
+        save_matrix_tsv(ids, header[1], values, tmp_path / "got.tsv")
+        write_rows_whole(tmp_path / "want.tsv", [header], ids, values)
+    else:
+        labels = np.arange(n) % 2
+        ds = Dataset(values=values, names=("f0", "f1", "f2"), tags=("cts",) * 3,
+                     sample_ids=tuple(ids))
+        save_dataset(ds, labels, tmp_path / "got.tsv")
+        write_rows_whole(tmp_path / "want.tsv",
+                         [(["sample"], ds.names, ["label"]), (["#tags"], ds.tags, ["-"])],
+                         ids, values, tails=[str(v) for v in labels.tolist()])
+    assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+def test_tensor_writer_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
+    """Saving a tensor 64 blocks long, the writer's traced peak stays under
+    a fixed multiple of one block's text, far below the file's size."""
+    monkeypatch.setattr(io, "TSV_BLOCK_ROWS", 1024)
+    g, blocks = 64 * 1024 // 8, 64
+    rng = np.random.default_rng(0)
+    tensor = CtsTensor(genes=[f"g{i}" for i in range(g)], cell_types=["c0", "c1"],
+                       samples=[f"s{i}" for i in range(4)], mean=rng.normal(size=(g, 2, 4)),
+                       variance=rng.random((g, 2, 4)))
+    tracemalloc.start()
+    try:
+        save_cts_tensor(tensor, tmp_path / "t.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_text = (tmp_path / "t_mean.tsv").stat().st_size / blocks
+    assert peak < 12 * block_text
